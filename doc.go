@@ -229,7 +229,7 @@
 // sweep: reply traffic at ~50% of raw64 under f32 and ~6% (16x) under
 // top-K at K=p/16. On a zero-latency loopback the byte savings buy no
 // transfer time, so the sweep's wall column only bounds codec CPU overhead
-// (f32 is free; top-K selection costs O(p log K) per reply) — the latency
+// (f32 is free; top-K selection costs O(p) per reply) — the latency
 // win of smaller payloads appears when transfer time is real, which the
 // simulator models by scaling upload/ingress latency with the byte
 // fraction.

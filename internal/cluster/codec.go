@@ -10,12 +10,12 @@ import (
 )
 
 // frameCodec abstracts the on-the-wire encoding of the TCP fabric's three
-// frame types. Implementations are NOT safe for concurrent use; the fabric
-// gives each connection direction its own codec instance.
+// frame types on one connection. Implementations are NOT safe for concurrent
+// use, but the read and the write half are independent. Writing model frames
+// is the fabric's business, not a connection's (tcpFabric.Broadcast).
 type frameCodec interface {
 	WriteHello(Hello) error
 	ReadHello() (Hello, error)
-	WriteModel(ModelUpdate) error
 	ReadModel() (ModelUpdate, error)
 	WriteReply(Reply) error
 	ReadReply() (Reply, error)
@@ -37,8 +37,7 @@ func newFrameCodec(name string, rw io.ReadWriter, pool *BufferPool, cp commPlane
 	case "", "gob":
 		return &gobCodec{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), coder: cp.newCoder()}, nil
 	case "wire":
-		c := &wireCodec{w: wire.NewWriter(rw), r: wire.NewReader(rw)}
-		c.w.SetPayload(cp.pc)
+		c := &wireCodec{conn: rw, pc: cp.pc, r: wire.NewReader(rw)}
 		c.r.SetPayload(cp.pc)
 		if pool != nil {
 			dim := pool.Dim()
@@ -99,6 +98,10 @@ func (c *gobCodec) ReadReply() (Reply, error) {
 // ---------------------------------------------------------------------------
 
 type wireCodec struct {
+	conn io.Writer
+	pc   wire.PayloadConfig
+	// w is built by the first write: the master only ever reads from its
+	// connections, and a Writer holds a 64 KB buffer.
 	w *wire.Writer
 	r *wire.Reader
 	// alloc supplies pooled payload buffers to ReadReplyInto; nil means
@@ -108,6 +111,16 @@ type wireCodec struct {
 	// is recycled across reads (the payload buffers inside are handed off to
 	// the cluster-level Reply, which the master owns).
 	scratch wire.Reply
+	// out is the write half's reusable message-header scratch.
+	out []wire.Msg
+}
+
+func (c *wireCodec) writer() *wire.Writer {
+	if c.w == nil {
+		c.w = wire.NewWriter(c.conn)
+		c.w.SetPayload(c.pc)
+	}
+	return c.w
 }
 
 func (c *wireCodec) WriteHello(h Hello) error {
@@ -115,7 +128,7 @@ func (c *wireCodec) WriteHello(h Hello) error {
 	if err != nil {
 		return err
 	}
-	return c.w.WriteHello(wire.Hello{Worker: h.Worker, Codec: codec, TopK: h.TopK, Chunk: h.Chunk, Shards: h.Shards})
+	return c.writer().WriteHello(wire.Hello{Worker: h.Worker, Codec: codec, TopK: h.TopK, Chunk: h.Chunk, Shards: h.Shards})
 }
 
 func (c *wireCodec) ReadHello() (Hello, error) {
@@ -124,10 +137,6 @@ func (c *wireCodec) ReadHello() (Hello, error) {
 	}
 	h, err := c.r.ReadHello()
 	return Hello{Worker: h.Worker, Payload: h.Codec.String(), TopK: h.TopK, Chunk: h.Chunk, Shards: h.Shards}, err
-}
-
-func (c *wireCodec) WriteModel(m ModelUpdate) error {
-	return c.w.WriteModel(wire.Model{Iter: m.Iter, Level: m.Level, Query: m.Query})
 }
 
 func (c *wireCodec) ReadModel() (ModelUpdate, error) {
@@ -139,12 +148,11 @@ func (c *wireCodec) ReadModel() (ModelUpdate, error) {
 }
 
 func (c *wireCodec) WriteReply(r Reply) error {
-	out := wire.Reply{Iter: r.Iter, Worker: r.Worker, Compute: r.Compute}
-	out.Msgs = make([]wire.Msg, len(r.Msgs))
-	for i, m := range r.Msgs {
-		out.Msgs[i] = wire.Msg{From: m.From, Tag: m.Tag, Units: m.Units, Vec: m.Vec, Imag: m.Imag}
+	c.out = c.out[:0]
+	for _, m := range r.Msgs {
+		c.out = append(c.out, wire.Msg{From: m.From, Tag: m.Tag, Units: m.Units, Vec: m.Vec, Imag: m.Imag})
 	}
-	return c.w.WriteReply(out)
+	return c.writer().WriteReply(wire.Reply{Iter: r.Iter, Worker: r.Worker, Compute: r.Compute, Msgs: c.out})
 }
 
 func (c *wireCodec) ReadReply() (Reply, error) {

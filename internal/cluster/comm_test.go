@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -394,6 +396,81 @@ func TestQueryQuantizationMatchesWire(t *testing.T) {
 	for i := range v {
 		if want := float64(float32(v[i])); q[i] != want {
 			t.Fatalf("QuantizeF32[%d] = %v, want %v", i, q[i], want)
+		}
+	}
+}
+
+// TestBroadcastFrameMatchesWriter pins serialise-once: the one frame the tcp
+// fabric encodes per broadcast and writes to every socket is byte for byte
+// what a per-connection wire.Writer.WriteModel would have sent — f32 query
+// quantisation, raw64 queries under topk, the Level stamp and the Iter < 0
+// shutdown frame included — and nothing else reaches the workers.
+func TestBroadcastFrameMatchesWriter(t *testing.T) {
+	const dim, workers = 700, 3 // dim is no multiple of the staging chunk
+	query := make([]float64, dim)
+	for i := range query {
+		query[i] = math.Sin(float64(i)) / 3 // not float32-representable
+	}
+	updates := []ModelUpdate{
+		{Iter: 0, Query: query},
+		{Iter: 7, Level: 2, Query: query[:dim/2]},
+		{Iter: -1},
+	}
+	for _, comm := range []CommOptions{{}, {Payload: "f32"}, {Payload: "topk", TopK: 9}, {Payload: "f32", Chunk: 33}} {
+		cp, err := comm.resolve(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Bare workers: dial and say hello (the listen backlog holds them
+		// until the master accepts), then only read.
+		conns := make([]net.Conn, workers)
+		for w := range conns {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			codec, err := newFrameCodec("wire", conn, nil, cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := codec.WriteHello(cp.hello(w)); err != nil {
+				t.Fatal(err)
+			}
+			conns[w] = conn
+		}
+		fab, err := ServeMaster(ln, workers, 5*time.Second, "wire", comm, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		ww := wire.NewWriter(&want)
+		ww.SetPayload(cp.pc)
+		for _, mu := range updates {
+			if err := ww.WriteModel(wire.Model{Iter: mu.Iter, Level: mu.Level, Query: mu.Query}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fab.Broadcast(mu); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, out := fab.(*tcpFabric).WireTotals(); out != int64(workers*want.Len()) {
+			t.Fatalf("%+v: fabric counted %d bytes out, want %d x %d", comm, out, workers, want.Len())
+		}
+		fab.Close()
+		for w, conn := range conns {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(conn) // to the master's close
+			if err != nil {
+				t.Fatalf("%+v worker %d: %v", comm, w, err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%+v worker %d: received %d bytes that differ from the %d a per-connection Writer emits", comm, w, len(got), want.Len())
+			}
 		}
 	}
 }

@@ -187,6 +187,9 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		res.TotalWireOut += int(drainOut)
 		res.TotalElapsed = totalElapsed
 		if shards != nil {
+			// After the drain, so Σ SliceBytesIn covers the same straggler
+			// tail as TotalWireIn.
+			shards.measureWire()
 			res.Shards = shards.snapshot()
 		}
 		if cfg.Observer != nil {

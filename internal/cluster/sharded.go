@@ -273,23 +273,7 @@ func (ms *masterShards) finishIteration(st *IterStats) error {
 // per-shard listeners, else each slice's width-proportional share of the
 // iteration's modelled payload bytes.
 func (ms *masterShards) account(st *IterStats) {
-	var measured []int64
-	if ms.swc != nil {
-		// A transport may expose the capability but have no per-shard wire
-		// (live transport over the channel fabric returns nil) — modelled
-		// accounting then.
-		measured = ms.swc.ShardWireIn()
-	}
-	if len(measured) > 0 {
-		for s := range ms.stats {
-			if s < len(measured) {
-				ms.stats[s].SliceBytesIn = measured[s]
-				if s < len(ms.swcBase) {
-					ms.stats[s].SliceBytesIn -= ms.swcBase[s]
-				}
-			}
-		}
-	} else if ms.dim > 0 {
+	if !ms.measureWire() && ms.dim > 0 {
 		for s := range ms.stats {
 			width := ms.bounds[s+1] - ms.bounds[s]
 			ms.stats[s].SliceBytesIn += int64(st.Bytes) * int64(width) / int64(ms.dim)
@@ -301,6 +285,26 @@ func (ms *masterShards) account(st *IterStats) {
 	if ms.so != nil {
 		ms.so.OnShards(ms.stats)
 	}
+}
+
+// measureWire refreshes SliceBytesIn from the transport's measured per-shard
+// ingress and reports whether there is one. A transport may expose the
+// capability but have no per-shard wire (live transport over the channel
+// fabric returns nil) — modelled accounting then.
+func (ms *masterShards) measureWire() bool {
+	if ms.swc == nil {
+		return false
+	}
+	measured := ms.swc.ShardWireIn()
+	for s := range ms.stats {
+		if s < len(measured) {
+			ms.stats[s].SliceBytesIn = measured[s]
+			if s < len(ms.swcBase) {
+				ms.stats[s].SliceBytesIn -= ms.swcBase[s]
+			}
+		}
+	}
+	return len(measured) > 0
 }
 
 // snapshot returns a copy of the cumulative shard stats (for Result.Shards).

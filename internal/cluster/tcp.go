@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bcc/internal/wire"
 )
 
 // The TCP fabric runs the identical master/worker protocol over real
@@ -15,6 +17,11 @@ import (
 // RunLive(..., TCP: true) mode and the multi-process cmd/bcccluster tool.
 // Frames are encoded by a pluggable codec: "gob" (default) or the compact
 // "wire" binary codec (LiveOptions.Codec); both endpoints must agree.
+//
+// The master's side of a connection is read-only apart from broadcasts, and
+// a broadcast is the same bytes for every worker: under the wire codec the
+// fabric encodes each model update once into a frame it owns and writes that
+// slice to every socket, so per-connection write state does not exist.
 
 // Hello is the first frame a worker sends after dialing. Beyond the worker
 // index it carries the worker's resolved comm-plane parameters — payload
@@ -35,9 +42,14 @@ type Hello struct {
 }
 
 type tcpFabric struct {
-	ln      net.Listener
-	conns   []net.Conn
-	codecs  []frameCodec
+	ln    net.Listener
+	conns []net.Conn
+	// frame is the current broadcast, encoded by fw; reused every iteration.
+	frame wire.Frame
+	fw    *wire.Writer
+	// gobs is non-nil under the gob frame codec only: a gob stream carries
+	// per-connection type state, so there each connection encodes for itself.
+	gobs    []*gobCodec
 	replies chan Reply
 	alive   int
 	mu      sync.Mutex
@@ -178,7 +190,8 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 	}
 	f := &tcpFabric{ln: ln, replies: make(chan Reply, alive*4+4), alive: alive}
 	f.conns = make([]net.Conn, 0, alive)
-	f.codecs = make([]frameCodec, 0, alive)
+	f.fw = wire.NewFrameWriter(&f.frame)
+	f.fw.SetPayload(cp.pc)
 	for i := 0; i < alive; i++ {
 		// Deadline-bound the accept when the listener supports it (TCP
 		// listeners do; wrappers forward it), so a worker that never dials
@@ -219,7 +232,9 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 				hello.Worker, hello.Shards, shards)
 		}
 		f.conns = append(f.conns, conn)
-		f.codecs = append(f.codecs, codec)
+		if g, ok := codec.(*gobCodec); ok {
+			f.gobs = append(f.gobs, g)
+		}
 		// Reader: stream this worker's replies into the shared channel.
 		f.readers.Add(1)
 		go func(codec frameCodec) {
@@ -237,8 +252,20 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 }
 
 func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
-	for i, codec := range f.codecs {
-		if err := codec.WriteModel(mu); err != nil {
+	if f.gobs != nil {
+		for i, g := range f.gobs {
+			if err := g.WriteModel(mu); err != nil {
+				return fmt.Errorf("cluster: tcp broadcast to conn %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	f.frame = f.frame[:0]
+	if err := f.fw.WriteModel(wire.Model{Iter: mu.Iter, Level: mu.Level, Query: mu.Query}); err != nil {
+		return fmt.Errorf("cluster: tcp broadcast encode: %w", err)
+	}
+	for i, conn := range f.conns {
+		if _, err := conn.Write(f.frame); err != nil {
 			return fmt.Errorf("cluster: tcp broadcast to conn %d: %w", i, err)
 		}
 	}

@@ -261,3 +261,18 @@ func checkVecEqual(t *testing.T, i int, which string, got, want []float64) {
 		}
 	}
 }
+
+// FuzzSelect is the differential fuzzer of top-k selection: any vector
+// family, length and K must give the sort-based reference's index set.
+func FuzzSelect(f *testing.F) {
+	for pattern := 0; pattern < selectPatterns; pattern++ {
+		f.Add(uint64(pattern), uint16(1<<12), uint16(1<<8), uint8(pattern))
+		f.Add(uint64(pattern), uint16(65), uint16(64), uint8(pattern))
+	}
+	f.Add(uint64(20), uint16(1), uint16(1), uint8(0))
+	f.Add(uint64(21), uint16(300), uint16(0), uint8(3))
+	f.Add(uint64(22), uint16(300), uint16(301), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, n, k uint16, pattern uint8) {
+		checkSelect(t, selectVector(rngutil.New(seed), int(n), int(pattern)), int(k))
+	})
+}

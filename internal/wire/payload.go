@@ -22,7 +22,10 @@ import (
 //     pairs (u32 index, f32 value); all other coordinates decode to zero.
 //     Selection happens on the raw float64 magnitudes BEFORE float32
 //     rounding, with ties broken toward the lower index, so every runtime
-//     keeps the same set.
+//     keeps the same set. Magnitudes are ranked by the bit pattern of |v|,
+//     which is |v|'s own order made total: +0 and -0 tie, and a NaN ranks
+//     above +Inf, so NaNs are kept first wherever they sit in the vector —
+//     a poisoned gradient reaches GradNorm instead of being zeroed.
 //
 // Queries (model broadcasts) are only ever dense: PayloadF32 quantizes them,
 // PayloadTopK leaves them raw64 (sparsifying the iterate would change the
@@ -128,11 +131,12 @@ func (c PayloadConfig) VecBytes(n int) int {
 // VecCoder applies a payload codec's canonical in-process transform. The
 // runtimes that never serialize (sim, in-process channels) run payloads
 // through a VecCoder so their results are bit-identical to a TCP run with
-// the same codec. A VecCoder owns reusable selection scratch and is not safe
-// for concurrent use; each goroutine that encodes needs its own.
+// the same codec. A VecCoder owns the reusable index buffer Select returns
+// and is not safe for concurrent use; each goroutine that encodes needs its
+// own.
 type VecCoder struct {
 	cfg PayloadConfig
-	idx []int32 // top-k selection scratch: heap, then sorted ascending
+	idx []int32 // Select's result buffer, K entries
 }
 
 // NewVecCoder returns a coder for cfg. A raw64 coder is a no-op.
@@ -178,17 +182,13 @@ func (c *VecCoder) sparsify(v []float64) {
 		return
 	}
 	if k == 0 {
-		for i := range v {
-			v[i] = 0
-		}
+		clear(v)
 		return
 	}
-	kept := c.Select(v)
-	j := 0
-	for i := range v {
-		if j < len(kept) && kept[j] == int32(i) {
-			v[i] = float64(float32(v[i]))
-			j++
+	t, ties := kthMagnitude(v, k)
+	for i, x := range v {
+		if keep(magBits(x), t, &ties) {
+			v[i] = float64(float32(x))
 		} else {
 			v[i] = 0
 		}
@@ -200,6 +200,11 @@ func (c *VecCoder) sparsify(v []float64) {
 // slice aliases the coder's scratch and is valid until the next call.
 // Selection runs on the raw float64 magnitudes so it is independent of any
 // later quantization.
+//
+// It costs O(len(v)) whatever K is: kthMagnitude finds the K-th largest
+// magnitude, then one ascending scan takes every coordinate above that
+// threshold and the first `ties` coordinates equal to it — which is the
+// lower-index-wins rule, and leaves the indices already sorted.
 func (c *VecCoder) Select(v []float64) []int32 {
 	k := c.cfg.effK(len(v))
 	if k == 0 {
@@ -208,51 +213,104 @@ func (c *VecCoder) Select(v []float64) []int32 {
 	if cap(c.idx) < k {
 		c.idx = make([]int32, k)
 	}
-	h := c.idx[:k]
-	for i := range h {
-		h[i] = int32(i)
-	}
-	// Min-heap on (|v[i]|, -i): the root is the weakest kept coordinate, so
-	// a later candidate replaces it only when strictly stronger (or equal
-	// magnitude at a lower index — impossible for later candidates, which
-	// makes ties resolve to the earlier index).
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(v, h, i)
-	}
-	for i := k; i < len(v); i++ {
-		if keptLess(v, h[0], int32(i)) {
-			h[0] = int32(i)
-			siftDown(v, h, 0)
+	kept := c.idx[:k]
+	t, ties := kthMagnitude(v, k)
+	n := 0
+	for i, x := range v {
+		if keep(magBits(x), t, &ties) {
+			kept[n] = int32(i)
+			n++
 		}
 	}
-	slices.Sort(h)
-	return h
+	return kept
 }
 
-// keptLess reports whether coordinate a is a weaker keep than b: smaller
-// magnitude, or equal magnitude at a higher index.
-func keptLess(v []float64, a, b int32) bool {
-	va, vb := math.Abs(v[a]), math.Abs(v[b])
-	if va != vb {
-		return va < vb
+// keep reports whether a coordinate of magnitude key m, met in ascending
+// index order, is among the top k given kthMagnitude's result: above the
+// threshold t always, equal to it while the tie budget lasts.
+func keep(m, t uint64, ties *int) bool {
+	if m < t {
+		return false
 	}
-	return a > b
+	if m == t {
+		if *ties == 0 {
+			return false
+		}
+		*ties--
+	}
+	return true
 }
 
-func siftDown(v []float64, h []int32, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
+// magBits is the bit pattern of |x|: the IEEE-754 encoding with the sign bit
+// cleared. As an unsigned integer it orders finite values and infinities
+// exactly as |x| does, +0 and -0 coincide, and every NaN lands above +Inf —
+// so, unlike a float comparison, it is a total order.
+func magBits(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
+const (
+	// radixBits is the digit width of kthMagnitude's descent: 2^11 uint32
+	// counters are 8 KiB of stack, and the first digit is exactly the
+	// exponent field, which spreads a gradient's coordinates over enough
+	// counters that consecutive increments rarely wait on each other.
+	radixBits = 11
+	// maxCand is how many keys kthMagnitude finishes on directly instead of
+	// histogramming another digit.
+	maxCand = 64
+)
+
+// kthMagnitude returns the k-th largest magBits key of v (1 <= k <= len(v))
+// and how many of the coordinates equal to it belong to the top k (>= 1).
+//
+// It is a most-significant-digit radix descent: histogram one digit of every
+// key that still shares the threshold's known high bits, walk the counts
+// from the top digit down to the bucket holding rank k, fix that digit,
+// repeat on the next one. Each level is one read-only pass over v; the
+// histogram and the short candidate list live on the stack, so selection
+// allocates nothing and needs no scratch proportional to len(v) or K.
+func kthMagnitude(v []float64, k int) (t uint64, ties int) {
+	var hist [1 << radixBits]uint32
+	var base uint64 // the threshold's bits at and above shift; zero below
+	need := k       // rank of the threshold among the keys in [base, base+2^shift)
+	for shift := uint(63); shift > 0; {
+		lo := shift - min(radixBits, shift)
+		size := uint64(1) << (shift - lo)
+		clear(hist[:size])
+		for _, x := range v {
+			// Keys below base wrap around to a huge d, keys past the bucket
+			// give d >= size: one compare rejects both. (lo < 64; the mask
+			// only spares the compiler's oversized-shift guard.)
+			if d := (magBits(x) - base) >> (lo & 63); d < size {
+				hist[d]++
+			}
 		}
-		m := l
-		if r := l + 1; r < len(h) && keptLess(v, h[r], h[l]) {
-			m = r
+		d := size - 1
+		for ; need > int(hist[d]); d-- {
+			need -= int(hist[d])
 		}
-		if !keptLess(v, h[m], h[i]) {
-			return
+		base |= d << lo
+		shift = lo
+		if shift > 0 && hist[d] <= maxCand {
+			return kthOfFew(v, base, 1<<shift, need)
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
+	return base, need
+}
+
+// kthOfFew finishes kthMagnitude once at most maxCand keys are left in
+// [base, base+width): collect them, sort them, read rank need off the top.
+func kthOfFew(v []float64, base, width uint64, need int) (t uint64, ties int) {
+	var cand [maxCand]uint64
+	n := 0
+	for _, x := range v {
+		if m := magBits(x); m-base < width {
+			cand[n] = m
+			n++
+		}
+	}
+	slices.Sort(cand[:n])
+	t = cand[n-need]
+	for i := n - need; i < n && cand[i] == t; i++ {
+		ties++
+	}
+	return t, ties
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,14 +11,18 @@ import (
 )
 
 // refSelect is the obviously-correct top-k reference: order every index by
-// (|v| descending, index ascending) and keep the first k, returned ascending.
+// (magnitude descending, index ascending) and keep the first k, returned
+// ascending. Magnitudes compare as the bits of |v| — the documented total
+// order, identical to comparing |v| except that it also ranks NaN (above
+// +Inf).
 func refSelect(v []float64, k int) []int32 {
 	idx := make([]int, len(v))
 	for i := range idx {
 		idx[i] = i
 	}
+	key := func(i int) uint64 { return math.Float64bits(math.Abs(v[i])) }
 	sort.SliceStable(idx, func(a, b int) bool {
-		av, bv := math.Abs(v[idx[a]]), math.Abs(v[idx[b]])
+		av, bv := key(idx[a]), key(idx[b])
 		if av != bv {
 			return av > bv
 		}
@@ -34,8 +39,162 @@ func refSelect(v []float64, k int) []int32 {
 	return kept
 }
 
+// checkSelect compares Select, and the ApplyReply transform that rides the
+// same threshold, against refSelect on one vector.
+func checkSelect(t *testing.T, v []float64, k int) {
+	t.Helper()
+	coder := NewVecCoder(PayloadConfig{Codec: PayloadTopK, TopK: k})
+	got := coder.Select(v)
+	want := refSelect(v, k)
+	if !slices.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("n=%d k=%d: kept %d indices, want %d; first difference at position %d", len(v), k, len(got), len(want), i)
+	}
+	sparse := slices.Clone(v)
+	coder.ApplyReply(sparse)
+	j := 0
+	for i, x := range sparse {
+		want32 := 0.0
+		if j < len(want) && int(want[j]) == i {
+			want32 = float64(float32(v[i]))
+			j++
+		}
+		if math.Float64bits(x) != math.Float64bits(want32) {
+			t.Fatalf("n=%d k=%d: ApplyReply[%d] = %v, want %v", len(v), k, i, x, want32)
+		}
+	}
+}
+
+// selectPatterns is the number of vector families selectVector draws from.
+const selectPatterns = 10
+
+// selectVector draws an n-vector from one of the families the selector's
+// descent treats differently: how many keys share high digits, how large the
+// tie mass at the threshold is, and where the special encodings sit.
+func selectVector(rng *rngutil.RNG, n int, pattern int) []float64 {
+	v := make([]float64, n)
+	sign := func() float64 { return float64(2*rng.Intn(2) - 1) }
+	for i := range v {
+		switch pattern % selectPatterns {
+		case 0: // continuous, a handful of binades
+			v[i] = rng.Normal()
+		case 1: // every magnitude equal: the descent runs to the last digit
+			v[i] = 0.75 * sign()
+		case 2: // two magnitudes
+			v[i] = float64(1+rng.Intn(2)) * sign()
+		case 3: // mass at zero, signed zeros included
+			if rng.Intn(10) > 0 {
+				v[i] = math.Copysign(0, sign())
+			} else {
+				v[i] = rng.Normal()
+			}
+		case 4: // denormals only
+			v[i] = math.Float64frombits(uint64(rng.Intn(1<<20))) * sign()
+		case 5: // infinities among finite values
+			if rng.Intn(8) == 0 {
+				v[i] = math.Inf(int(sign()))
+			} else {
+				v[i] = rng.Normal()
+			}
+		case 6: // every binade there is
+			v[i] = math.Float64frombits(uint64(rng.Intn(2047))<<52|uint64(rng.Intn(1<<30))<<22) * sign()
+		case 7: // one binade, keys differing in the lowest digits only
+			v[i] = math.Float64frombits(math.Float64bits(1.5)+uint64(rng.Intn(300))) * sign()
+		case 8: // a few exact ties inside a continuous bulk
+			if rng.Intn(4) == 0 {
+				v[i] = 1.25 * sign()
+			} else {
+				v[i] = rng.Normal()
+			}
+		case 9: // NaN (two payloads) next to everything else
+			switch rng.Intn(6) {
+			case 0:
+				v[i] = math.NaN()
+			case 1:
+				v[i] = math.Float64frombits(0xFFF8000000000001)
+			case 2:
+				v[i] = math.Inf(1)
+			default:
+				v[i] = rng.Normal()
+			}
+		}
+	}
+	return v
+}
+
+// TestSelectMatchesReferenceAtWireScale is the differential test of the
+// threshold selector against the sort-based reference at the sizes real
+// gradients have, over every vector family and the K values that sit on the
+// selector's edges (one, the default p/16, all but one, all, more than all).
+func TestSelectMatchesReferenceAtWireScale(t *testing.T) {
+	rng := rngutil.New(9)
+	for _, n := range []int{1, 2, 63, 64, 65, 1000, 4096, 1 << 15} {
+		for pattern := 0; pattern < selectPatterns; pattern++ {
+			v := selectVector(rng, n, pattern)
+			for _, k := range []int{1, (n + 15) / 16, n - 1, n, n + 3} {
+				checkSelect(t, v, k)
+			}
+		}
+	}
+}
+
+// TestSelectNaNAlwaysKept pins the NaN rule: NaN ranks above +Inf, so which
+// coordinates survive does not depend on where the NaN sits (the old float
+// comparison kept {NaN,1,2} -> NaN but {1,NaN,2} -> 2), and a poisoned
+// gradient stays visible downstream instead of being zeroed.
+func TestSelectNaNAlwaysKept(t *testing.T) {
+	vals := []float64{math.NaN(), 1, -2, math.Inf(-1), 0}
+	wantOrder := []float64{math.NaN(), math.Inf(-1), -2, 1, 0} // by rank
+	var permute func(int)
+	permute = func(i int) {
+		if i == len(vals) {
+			for k := 1; k <= len(vals); k++ {
+				coder := NewVecCoder(PayloadConfig{Codec: PayloadTopK, TopK: k})
+				var got []uint64
+				for _, idx := range coder.Select(vals) {
+					got = append(got, math.Float64bits(vals[idx]))
+				}
+				var want []uint64
+				for _, x := range wantOrder[:k] {
+					want = append(want, math.Float64bits(x))
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("v=%v k=%d: kept values %x, want %x", vals, k, got, want)
+				}
+				checkSelect(t, vals, k)
+			}
+			return
+		}
+		for j := i; j < len(vals); j++ {
+			vals[i], vals[j] = vals[j], vals[i]
+			permute(i + 1)
+			vals[i], vals[j] = vals[j], vals[i]
+		}
+	}
+	permute(0)
+}
+
+// TestSelectZeroAllocs: the selector's scratch is stack only, whatever the
+// vector makes the descent do.
+func TestSelectZeroAllocs(t *testing.T) {
+	rng := rngutil.New(10)
+	for pattern := 0; pattern < selectPatterns; pattern++ {
+		v := selectVector(rng, 4096, pattern)
+		coder := NewVecCoder(PayloadConfig{Codec: PayloadTopK, TopK: 256})
+		coder.Select(v) // sizes the index scratch
+		if a := testing.AllocsPerRun(10, func() { coder.Select(v) }); a != 0 {
+			t.Fatalf("pattern %d: Select allocates %v objects per call", pattern, a)
+		}
+	}
+}
+
 // TestSelectKeepsKLargest is the top-k correctness property: against random
-// vectors of many shapes, the heap-based Select must keep exactly the K
+// vectors of many shapes, Select must keep exactly the K
 // largest-magnitude coordinates, with ties broken toward the lower index,
 // and return them in ascending index order.
 func TestSelectKeepsKLargest(t *testing.T) {
@@ -345,5 +504,22 @@ func TestTopKDecodeRejectsMalformed(t *testing.T) {
 	// k larger than the vector length.
 	if err := corrupt(func(b []byte) { b[pairOff-4] = 5 }); err == nil {
 		t.Fatal("topk count above vector length accepted")
+	}
+}
+
+// BenchmarkSelect is top-k selection at the dataplane-topk workload's shape;
+// it must report 0 allocs/op (the selector's scratch is all stack).
+func BenchmarkSelect(b *testing.B) {
+	rng := rngutil.New(11)
+	v := make([]float64, 16384)
+	for i := range v {
+		v[i] = rng.Normal()
+	}
+	coder := NewVecCoder(PayloadConfig{Codec: PayloadTopK, TopK: 1024})
+	coder.Select(v) // sizes the index scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coder.Select(v)
 	}
 }

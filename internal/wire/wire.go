@@ -102,11 +102,19 @@ type Reply struct {
 	Msgs    []Msg
 }
 
+// sink is where a Writer's encoded bytes go: a bufio.Writer toward a
+// connection, or a Frame.
+type sink interface {
+	io.Writer
+	io.ByteWriter
+	Flush() error
+}
+
 // Writer frames and buffers outgoing frames. Not safe for concurrent use.
 // The zero payload config is raw64 with the default chunk size; SetPayload
 // switches codecs.
 type Writer struct {
-	bw      *bufio.Writer
+	bw      sink
 	pc      PayloadConfig
 	chunk   int
 	coder   VecCoder // top-k selection scratch for vecTopK
@@ -117,6 +125,22 @@ type Writer struct {
 // NewWriter wraps w with the default raw64 payload codec.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), chunk: DefaultChunk}
+}
+
+// Frame is an in-memory frame buffer: a Writer from NewFrameWriter appends
+// the frames it encodes to it, so one encoding can be written to any number
+// of connections (the tcp fabric's broadcast). Truncate it (f = f[:0])
+// between frames to reuse the memory.
+type Frame []byte
+
+func (f *Frame) Write(p []byte) (int, error) { *f = append(*f, p...); return len(p), nil }
+func (f *Frame) WriteByte(c byte) error      { *f = append(*f, c); return nil }
+func (f *Frame) Flush() error                { return nil }
+
+// NewFrameWriter returns a Writer that encodes into f, byte for byte what
+// NewWriter's would put on a connection, with no buffer in between.
+func NewFrameWriter(f *Frame) *Writer {
+	return &Writer{bw: f, chunk: DefaultChunk}
 }
 
 // SetPayload selects the payload codec and chunk size for subsequent frames.
