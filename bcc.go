@@ -25,9 +25,10 @@ import (
 // Spec describes a distributed training job; see core.Spec for the full
 // field documentation. Zero values select sensible defaults (SchemeBCC,
 // Nesterov optimizer, the sim runtime). All runtimes drive the same master
-// engine over different transports; set Pipelined to broadcast the next
-// query the moment an iteration decodes, cancelling straggler work in
-// flight. The run-lifecycle fields — Observer, StopWhen, GradNormTol,
+// engine over different transports, and workers always drop work for a
+// query the master has moved past; Pipelined only makes TotalElapsed charge
+// each iteration up to its decode instant instead of the end of its
+// straggler tail. The run-lifecycle fields — Observer, StopWhen, GradNormTol,
 // CheckpointEvery/CheckpointPath, DropProb/DropSeed, ComputeParallelism,
 // DecodeParallelism — are honoured identically on every runtime, and
 // Density switches the synthetic generator to sparse CSR features (worker
@@ -42,9 +43,9 @@ type Spec = core.Spec
 type Job = core.Job
 
 // Result aggregates a run: final weights, per-iteration stats, timing
-// totals (including the end-to-end TotalElapsed, which is what pipelined
-// mode shrinks), and the empirical recovery threshold and communication
-// load.
+// totals (including the end-to-end TotalElapsed, whose accounting
+// Spec.Pipelined selects), and the empirical recovery threshold and
+// communication load.
 type Result = cluster.Result
 
 // IterStats is one iteration's measurements (wall/comm/comp split, workers

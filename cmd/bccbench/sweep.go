@@ -183,7 +183,7 @@ func runSweep(path string, quick bool) error {
 			"decode: BenchmarkDecode methodology (offer-until-decodable + DecodeInto on a reused decoder, m=n=" + fmt.Sprint(decN) + " r=" + fmt.Sprint(decR) + "); parallelism > 1 shards the decode combination element-wise with bit-identical output",
 			"parallelism speedups require gomaxprocs > 1: vecmath.Shard caps the fan-out at GOMAXPROCS, so on a single-CPU host the parallel rows degrade to the serial partition (one chunk) and measure only the fixed sharding overhead (one closure alloc per decode), not a win",
 			"serial decode rows (parallelism=1) pin the zero-steady-state-alloc invariant of the PR 3 data plane (allocs_op 0 after the one-time solve-cache warmup); compare ns_op against BENCH_PR3.json decode at p=1024 under the same methodology",
-			"comm: full tcp-loopback training runs (wire frames, zero injected latency, scheme bcc m=n r=n/4, wall = best of 3 reps) with the measured wire-byte accounting of the engine; runs end only after the fabric drains (LiveOptions.Drain), so both wire_in (worker->master reply frames) and wire_out (query broadcasts) are rep-identical and asserted equal across reps; in_vs_raw64 and wall_vs_raw64 compare each codec against the raw64 row of the same (p, workers) cell",
+			"comm: full tcp-loopback training runs (wire frames, zero injected latency, scheme bcc m=n r=n/4, wall = best of 3 reps) with the measured wire-byte accounting of the engine; runs end only after the fabric drains (LiveOptions.Drain); wire_out (query broadcasts) is rep-identical and asserted equal across reps, wire_in (worker->master reply frames) is timing-dependent because workers abandon iterations the master has already decoded, so it is asserted between the counted payload bytes and one reply per worker per iteration and reported from the rep that sent the most; in_vs_raw64 and wall_vs_raw64 compare each codec against the raw64 row of the same (p, workers) cell",
 			"comm wall caveat: on this zero-latency single-host loopback the byte savings buy no transfer time, so wall_vs_raw64 only bounds the codecs' CPU overhead (top-k selection is O(p log K) per reply); the latency win of smaller payloads shows up when transfer time is real — the sim runtime models it by scaling upload/ingress latency with the codec's byte fraction",
 			"comm: f32 halves reply payload words, topk (K=p/16 by default) keeps K index+value pairs per vector — queries stay dense (raw64 under topk, f32-quantized under f32), so wire_out shrinks only under f32",
 			"service: each row submits `jobs` identical tcp jobs (scheme bcc, job_workers each, real loopback sockets) to one in-process daemon leasing from `fleet_workers`; wall is first-submit to last-done, queue_s_total/run_s_total split every job's lifetime into FIFO admission wait vs engine time, and queue_s_max is the worst tenant's wait — rows where jobs*job_workers > fleet_workers show the queueing penalty, rows where it fits show near-zero queue time",
@@ -506,8 +506,8 @@ func benchGradient(rows, p int, density float64) (sweepGradient, error) {
 // benchComm runs one full tcp-loopback training job (wire frames, zero
 // injected latency) under the given payload codec and reports the measured
 // per-iteration wire bytes plus wall-clock. shards > 1 runs the sharded
-// master with the scatter data plane (per-shard listeners). Deterministic:
-// same seed and codec always reproduce the same traffic.
+// master with the scatter data plane (per-shard listeners). Same seed and
+// codec always reproduce the same broadcasts and the same counted replies.
 func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 	m, r := n, n/4
 	if r < 1 {
@@ -545,9 +545,17 @@ func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 	// Best of three runs: a full run is milliseconds, so scheduler warm-up
 	// noise dwarfs the signal on a single measurement. With Drain set the
 	// engine waits for every worker's clean close before sampling its wire
-	// totals, so BOTH directions are exactly reproducible across reps — the
-	// master sends a fixed frame sequence and reads every reply frame — and
-	// the checks pin that.
+	// totals, so the broadcast direction is exactly reproducible across reps
+	// (the master sends a fixed frame sequence) and the check pins that. The
+	// reply direction is not: a worker abandons an iteration the master has
+	// already decoded, so which stale replies get sent depends on timing. It
+	// is bounded instead — at least the payload the master counted, at most
+	// one reply per worker per iteration — and the row reports the rep that
+	// sent the most.
+	maxIn, err := maxReplyBytes(cfg)
+	if err != nil {
+		return sweepComm{}, err
+	}
 	var res *cluster.Result
 	wall := 0.0
 	for rep := 0; rep < 3; rep++ {
@@ -564,11 +572,13 @@ func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 			return sweepComm{}, fmt.Errorf("comm sweep: broadcast bytes not reproducible across reps (%d vs %d)",
 				res.TotalWireOut, r.TotalWireOut)
 		}
-		if res != nil && res.TotalWireIn != r.TotalWireIn {
-			return sweepComm{}, fmt.Errorf("comm sweep: reply bytes not reproducible across reps (%d vs %d)",
-				res.TotalWireIn, r.TotalWireIn)
+		if r.TotalWireIn < r.TotalBytes || r.TotalWireIn > maxIn {
+			return sweepComm{}, fmt.Errorf("comm sweep: reply bytes %d outside [%d counted payload, %d if every worker replied every iteration]",
+				r.TotalWireIn, r.TotalBytes, maxIn)
 		}
-		res = r
+		if res == nil || r.TotalWireIn > res.TotalWireIn {
+			res = r
+		}
 	}
 	c := sweepComm{
 		Codec:       codec,
@@ -583,6 +593,33 @@ func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 		c.TopK = (p + 15) / 16 // the resolved default K = ceil(p/16)
 	}
 	return c, nil
+}
+
+// maxReplyBytes is the most a drained run of cfg can read from its workers
+// after the handshakes: one reply from each worker in each iteration, sized
+// with the wire encoder itself. An unsharded reply is one
+// frame under the run's payload codec; a sharded master gets one raw64 frame
+// per shard slice.
+func maxReplyBytes(cfg *cluster.Config) (int, error) {
+	pc := wire.PayloadConfig{TopK: (cfg.Model.Dim() + 15) / 16} // the resolved default K
+	var err error
+	if pc.Codec, err = wire.ParsePayloadCodec(cfg.Comm.Payload); err != nil {
+		return 0, err
+	}
+	if cfg.MasterShards > 1 {
+		pc = wire.PayloadConfig{}
+	}
+	var f wire.Frame
+	fw := wire.NewFrameWriter(&f)
+	fw.SetPayload(pc)
+	bounds := cfg.ShardMap()
+	for s := 0; s+1 < len(bounds); s++ {
+		if err := fw.WriteReply(wire.Reply{Msgs: []wire.Msg{{Vec: make([]float64, bounds[s+1]-bounds[s])}}}); err != nil {
+			return 0, err
+		}
+	}
+	_, n, _ := cfg.Plan.Params()
+	return cfg.Iterations * n * len(f), nil
 }
 
 // benchService pushes `jobs` identical tcp training jobs through one

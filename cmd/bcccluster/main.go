@@ -54,7 +54,7 @@ func main() {
 		codec     = fs.String("codec", "raw64", "payload codec: raw64|f32|topk (must match across processes)")
 		topk      = fs.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
 		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements for -frame wire (0 = default)")
-		pipe      = fs.Bool("pipelined", false, "pipelined iterations: cancel stale in-flight work on a fresher query (must match across processes)")
+		pipe      = fs.Bool("pipelined", false, "master: charge elapsed time up to each iteration's decode instant instead of the end of its straggler tail (workers drop stale work either way)")
 		drop      = fs.Float64("drop", 0, "master-side probability in [0,1) of losing each worker transmission")
 		dropSeed  = fs.Uint64("drop-seed", 0, "seed for the -drop fault pattern (master role only)")
 		faultsN   = fs.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|")+" (must match across processes)")
@@ -208,7 +208,6 @@ func main() {
 			Comm:               comm,
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,
-			Pipelined:          *pipe,
 			ShardAddrs:         shardAddrs,
 		}
 		fmt.Printf("worker %d: dialing %s\n", *index, *addr)

@@ -46,10 +46,12 @@
 // goroutine per worker over channels) and RuntimeTCP (real loopback
 // sockets, gob or compact binary frames) — are thin transports feeding that
 // engine, so recovery thresholds and comm loads are identical across them
-// for the same spec and seed. Spec.Pipelined switches every runtime from
-// barrier iterations to pipelined ones: the next query is broadcast the
-// instant an iteration decodes and workers cancel straggler work in flight;
-// Result.TotalElapsed shows the end-to-end time either way.
+// for the same spec and seed. On every runtime the next query is broadcast
+// once an iteration has decoded and workers drop straggler work still in
+// flight for an older one, so a straggler never carries a backlog into the
+// next round. Spec.Pipelined only selects what Result.TotalElapsed charges
+// per iteration: up to the decode instant, or (barrier, the default) up to
+// the end of the round's straggler tail.
 //
 // # Run lifecycle: contexts, observers, early stopping
 //

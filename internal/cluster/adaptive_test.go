@@ -95,26 +95,9 @@ func TestScenarioNestedAdaptiveConformance(t *testing.T) {
 			}
 			for _, rt := range scenarioRuntimes() {
 				got := runAdaptive(t, adaptiveSwitchPlan(), iters, pipelined, rt.run)
-				if len(got.res.Iters) != len(ref.res.Iters) {
-					t.Fatalf("%s completed %d iterations, sim %d", rt.name, len(got.res.Iters), len(ref.res.Iters))
-				}
-				for i, it := range got.res.Iters {
-					want := ref.res.Iters[i]
-					if it.Level != want.Level || it.WorkersHeard != want.WorkersHeard ||
-						it.Units != want.Units || it.Bytes != want.Bytes || it.GradNorm != want.GradNorm {
-						t.Errorf("%s iter %d: (L=%d K=%d units=%v bytes=%d |g|=%v), sim (L=%d K=%d units=%v bytes=%d |g|=%v)",
-							rt.name, i, it.Level, it.WorkersHeard, it.Units, it.Bytes, it.GradNorm,
-							want.Level, want.WorkersHeard, want.Units, want.Bytes, want.GradNorm)
-					}
-				}
+				compareScenarioRuns(t, rt.name, got, ref, false)
 				if got.res.LevelSwitches != ref.res.LevelSwitches {
 					t.Errorf("%s counted %d level switches, sim %d", rt.name, got.res.LevelSwitches, ref.res.LevelSwitches)
-				}
-				if d := vecmath.MaxAbsDiff(got.res.FinalW, ref.res.FinalW); d != 0 {
-					t.Errorf("%s final weights differ from sim by %v", rt.name, d)
-				}
-				if gotTr, wantTr := strings.Join(got.events, "\n"), strings.Join(ref.events, "\n"); gotTr != wantTr {
-					t.Errorf("%s fault-event trace:\n%s\nsim saw:\n%s", rt.name, gotTr, wantTr)
 				}
 			}
 		})
@@ -134,17 +117,7 @@ func TestScenarioNestedAdaptiveLibrary(t *testing.T) {
 	}
 	ref := runAdaptive(t, plan, scenarioIters, false, nil)
 	for _, rt := range scenarioRuntimes() {
-		got := runAdaptive(t, plan, scenarioIters, false, rt.run)
-		for i, it := range got.res.Iters {
-			want := ref.res.Iters[i]
-			if it.Level != want.Level || it.WorkersHeard != want.WorkersHeard || it.GradNorm != want.GradNorm {
-				t.Errorf("%s iter %d: (L=%d K=%d |g|=%v), sim (L=%d K=%d |g|=%v)",
-					rt.name, i, it.Level, it.WorkersHeard, it.GradNorm, want.Level, want.WorkersHeard, want.GradNorm)
-			}
-		}
-		if d := vecmath.MaxAbsDiff(got.res.FinalW, ref.res.FinalW); d != 0 {
-			t.Errorf("%s final weights differ from sim by %v", rt.name, d)
-		}
+		compareScenarioRuns(t, rt.name, runAdaptive(t, plan, scenarioIters, false, rt.run), ref, false)
 	}
 }
 

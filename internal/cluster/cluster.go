@@ -89,14 +89,16 @@ type Config struct {
 	// sharded.go); schemes or optimizers without slice capabilities fall
 	// back to the serial path silently.
 	MasterShards int
-	// Pipelined makes the master broadcast iteration k+1's query the moment
-	// iteration k decodes, with workers cancelling stale in-flight work as
-	// soon as the fresher query reaches them — instead of serializing
-	// iterations at the worker (the iteration barrier). On the live
-	// runtimes this shortens real elapsed time when stragglers lag behind
-	// whole iterations; on the sim runtime per-iteration stats are
-	// unchanged by construction (cancel-on-receive means every round starts
-	// with all workers idle) and only Result.TotalElapsed differs.
+	// Pipelined selects how Result.TotalElapsed accounts an iteration: as
+	// ending at its decode instant (true) or once the round's straggler
+	// tail has drained (false, the barrier accounting). It is a master-side
+	// accounting choice and nothing else: the engine broadcasts iteration
+	// k+1 only after k has decoded either way, and workers always abandon
+	// work for a query the master has moved past (see RunWorker), so every
+	// round starts with all workers idle and per-iteration stats are
+	// identical in both modes. The tail is modelled on the sim runtime; the
+	// live master never waits for it, so there the two accountings differ
+	// only by the instants between decode and the end of the arrival loop.
 	Pipelined bool
 	// Controller, if non-nil and Plan implements coding.Retunable, re-tunes
 	// the plan's active redundancy level at the top of every iteration (see
@@ -171,8 +173,8 @@ func (c *Config) buffers() *BufferPool {
 			// flight, each message holding up to two buffers (Vec + Imag) —
 			// 2*n*perWorker — and every message carries one communication unit,
 			// so CommLoadPerWorker bounds the per-worker message count. Doubling
-			// that (to 4*n*perWorker) covers a pipelined straggler round still
-			// draining while the next one encodes; the cap only bounds
+			// that (to 4*n*perWorker) covers a straggler round still draining
+			// while the next one encodes; the cap only bounds
 			// retention, a too-small value would silently re-allocate every
 			// iteration.
 			perWorker := int(math.Ceil(c.Plan.CommLoadPerWorker()))

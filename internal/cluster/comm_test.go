@@ -65,22 +65,7 @@ func TestScenarioConformanceCodecs(t *testing.T) {
 						t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
 					}
 					for _, rt := range runtimes {
-						got := runScenarioComm(t, scenario, pipelined, comm, rt.run)
-						if len(got.res.Iters) != len(ref.res.Iters) {
-							t.Fatalf("%s completed %d iterations, sim %d", rt.name, len(got.res.Iters), len(ref.res.Iters))
-						}
-						for i, it := range got.res.Iters {
-							want := ref.res.Iters[i]
-							if it.WorkersHeard != want.WorkersHeard || it.Units != want.Units ||
-								it.Bytes != want.Bytes || it.GradNorm != want.GradNorm {
-								t.Errorf("%s iter %d: (K=%d units=%v bytes=%d |g|=%v), sim (K=%d units=%v bytes=%d |g|=%v)",
-									rt.name, i, it.WorkersHeard, it.Units, it.Bytes, it.GradNorm,
-									want.WorkersHeard, want.Units, want.Bytes, want.GradNorm)
-							}
-						}
-						if d := vecmath.MaxAbsDiff(got.res.FinalW, ref.res.FinalW); d != 0 {
-							t.Errorf("%s final weights differ from sim by %v", rt.name, d)
-						}
+						compareScenarioRuns(t, rt.name, runScenarioComm(t, scenario, pipelined, comm, rt.run), ref, false)
 					}
 				})
 			}
@@ -339,11 +324,12 @@ func TestWireAccountingZeroOffWire(t *testing.T) {
 // TestWireAccountingPositiveOnTCP checks the other side of the boundary:
 // a tcp run must report nonzero measured traffic in both directions, with
 // the gob encoding strictly larger than the compact wire encoding for the
-// same run.
+// same run. Uncoded, so that every reply is counted and none can be skipped
+// as stale: the two totals cover the same frames.
 func TestWireAccountingPositiveOnTCP(t *testing.T) {
 	run := func(frame string) *Result {
 		t.Helper()
-		cfg, _ := buildRunDim(t, "bcc", 8, 4, 2, 3, 55, Zero{}, 64)
+		cfg, _ := buildRunDim(t, "uncoded", 4, 4, 1, 3, 55, Zero{}, 64)
 		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: frame})
 		if err != nil {
 			t.Fatal(err)
@@ -366,10 +352,12 @@ func TestWireAccountingPositiveOnTCP(t *testing.T) {
 // TestCodecCompressionOnWire measures the headline claim at the socket
 // layer: relative to raw64, f32 must cut reply traffic by at least 40% and
 // topk at K = dim/16 by at least 4x on the tcp runtime with wire frames.
+// Uncoded, so that every run sends exactly one reply per worker per iteration
+// (a bcc worker may skip an iteration the master has already decoded).
 func TestCodecCompressionOnWire(t *testing.T) {
 	in := func(codec string) int {
 		t.Helper()
-		cfg, _ := buildRunDim(t, "bcc", 8, 4, 2, 4, 56, Zero{}, 1024)
+		cfg, _ := buildRunDim(t, "uncoded", 4, 4, 1, 4, 56, Zero{}, 1024)
 		cfg.Comm = CommOptions{Payload: codec}
 		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: "wire"})
 		if err != nil {

@@ -7,10 +7,13 @@
 // simulator (sim.go), in-process goroutine workers over channels (live.go),
 // and goroutine or out-of-process workers over real TCP sockets (tcp.go),
 // with pluggable schemes (internal/coding) and pluggable latency models
-// (this file) shared by all of them. Config.Pipelined switches every
-// runtime from barrier iterations to pipelined ones: the next query goes
-// out the instant an iteration decodes, and workers cancel straggler work
-// in flight. Config.Faults injects deterministic fault schedules
+// (this file) shared by all of them. On every runtime the next query goes
+// out once an iteration has decoded and workers drop whatever they were
+// still doing for an older one, so each round starts with all workers idle
+// — the paper's i.i.d. per-iteration straggler model. Config.Pipelined only
+// chooses whether Result.TotalElapsed charges a round up to its decode or
+// up to the end of its straggler tail. Config.Faults injects deterministic
+// fault schedules
 // (internal/faults) — crashes, slowdowns, partitions, drop bursts —
 // replayed identically by every transport.
 //
@@ -31,8 +34,11 @@ import (
 // Latency models the per-iteration timing of the cluster. Implementations
 // must be safe for concurrent use ACROSS workers (per-worker state only);
 // calls for one worker always happen sequentially in the order Broadcast,
-// Compute, Upload within each iteration, in every runtime, so that latency
-// draws are identical between the simulated and live runtimes.
+// Compute, Upload within each iteration, in every runtime. A live worker
+// that skips or abandons an iteration the master has already decoded makes
+// fewer draws than the simulator does for it, so from then on a stateful
+// model's live timings match the simulated ones in distribution, not draw
+// for draw; what the master counts does not depend on it.
 type Latency interface {
 	// Broadcast returns the master-to-worker model delivery time (seconds).
 	Broadcast(worker, iter int) float64

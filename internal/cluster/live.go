@@ -55,10 +55,10 @@ type LiveOptions struct {
 	Codec string
 	// Drain makes the run end only after the fabric has drained: every
 	// in-flight straggler reply frame is read off the sockets (and counted)
-	// before the Result is assembled, so Result.TotalWireIn/Out are
-	// reproducible run to run instead of racing the teardown. Costs waiting
-	// for the last straggler's bounded sleep; measurement harnesses
-	// (bccbench, the service) turn it on, interactive runs need not.
+	// before the Result is assembled, so Result.TotalWireIn/Out are what the
+	// workers really sent instead of racing the teardown. Cheap — the
+	// shutdown broadcast cuts every worker's sleep short — and turned on by
+	// the measurement harnesses (bench, bccbench, the service).
 	Drain bool
 }
 
@@ -92,8 +92,7 @@ func RunLive(cfg *Config, opts LiveOptions) (*Result, error) {
 // the master even mid-iteration (while it blocks for worker replies) and
 // returns the completed iterations' partial Result alongside ctx.Err().
 // Worker goroutines and TCP listeners are torn down on every exit path; a
-// worker mid-sleep finishes its bounded (scaled) latency sleep and then
-// exits on the closed fabric.
+// worker mid-sleep is woken by the closing fabric and exits.
 func RunLiveContext(ctx context.Context, cfg *Config, opts LiveOptions) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -324,10 +323,6 @@ type WorkerEnv struct {
 	// ComputeParallelism fans the per-example gradient computations out
 	// over this many goroutines (0/1 = serial).
 	ComputeParallelism int
-	// Pipelined makes the worker cancel stale in-flight work the moment a
-	// fresher model update arrives, instead of finishing the old iteration
-	// first; must match the master's Config.Pipelined.
-	Pipelined bool
 	// Bufs, if non-nil, supplies the worker's message payload buffers. The
 	// in-process fabrics share the run's master pool (the master recycles a
 	// payload once the iteration that consumed it has decoded); the
@@ -344,20 +339,20 @@ type WorkerEnv struct {
 }
 
 // RunWorker executes the worker protocol until a shutdown update (Iter < 0)
-// or the updates channel closes: take the next pending model, sleep the
+// or the updates channel closes: skip to the newest pending model, sleep the
 // drawn broadcast + compute latency, compute the real partial gradients,
-// encode, sleep the upload latency, reply. In pipelined mode the latency
-// sleeps are preemptible — a fresher update aborts the stale iteration
-// immediately, and queued stale models are skipped. In barrier mode the
-// worker serializes iterations and replies to EVERY query in order, even
-// when it has fallen behind the master's broadcasts — the master discards
-// the stale replies, exactly as the simulator models every alive worker
-// computing every iteration, and the run's reply traffic stays identical
-// run to run (bccbench's comm sweep asserts this reproducibility). An
-// env.Faults plan is consulted before any iteration work: crashed
-// iterations are skipped entirely (no latency draws, no compute, no
-// transmission — exactly what the simulator models) and slowdown windows
-// stretch the latency sleeps.
+// encode, sleep the upload latency, reply. A worker only ever works for the
+// newest query it has seen: the engine broadcasts iteration t+1 only after t
+// has decoded (barrier or pipelined), so a fresher update proves every older
+// reply useless. Queued stale models are skipped at the top of each round and
+// all three latency sleeps are cut short by a fresher update (or a shutdown),
+// which is what the simulator and the paper's i.i.d. delay model assume —
+// every round starts with all workers idle, no straggler carries a backlog
+// into the next one. Which stale replies still get sent is therefore
+// timing-dependent; what the master counts is not. An env.Faults plan is
+// consulted before any iteration work: crashed iterations are skipped
+// entirely (no latency draws, no compute, no transmission — exactly what the
+// simulator models) and slowdown windows stretch the latency sleeps.
 func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error) error {
 	env.Latency = withFaultSlowdowns(env.Latency, env.Faults)
 	cp, err := env.Comm.resolve(env.Model.Dim())
@@ -373,7 +368,7 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 	// level from the broadcast itself, via immutable per-level plan views —
 	// never via the shared plan's mutable active level, which the master's
 	// controller may have advanced already (the channel fabric shares the
-	// plan object; pipelined workers may lag a broadcast behind).
+	// plan object; a worker may lag a broadcast behind).
 	rp, _ := env.Plan.(coding.Retunable)
 	var levelPlans []coding.Plan
 	var levelPoints []int
@@ -395,6 +390,9 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 	// Per-worker partial-gradient scratch, reused across iterations; message
 	// payloads are drawn from env.Bufs and owned by the receiver once sent.
 	var parts [][]float64
+	// One timer serves every latency sleep, so sleeping allocates nothing.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	var mu ModelUpdate
 	havePending := false
 	for {
@@ -406,22 +404,18 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			}
 		}
 		havePending = false
-		// Pipelined: skip to the most recent pending update — stale work
-		// would be preempted anyway. Barrier runs process every query in
-		// order and reply to each, exactly what the simulator models, so the
-		// reply stream (and its measured byte total) is identical run to run.
-		if env.Pipelined {
-		drain:
-			for {
-				select {
-				case next, ok := <-updates:
-					if !ok {
-						return nil
-					}
-					mu = next
-				default:
-					break drain
+		// Skip to the most recent pending update: the master has decoded every
+		// iteration before it.
+	drain:
+		for {
+			select {
+			case next, ok := <-updates:
+				if !ok {
+					return nil
 				}
+				mu = next
+			default:
+				break drain
 			}
 		}
 		if mu.Iter < 0 {
@@ -442,13 +436,13 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			}
 			encPlan, assign, pts = levelPlans[L-1], fullAssign[:L], levelPoints[L]
 		}
-		if next, preempted := sleepOrPreempt(env.Latency.Broadcast(env.Index, iter), scale, updates, env.Pipelined); preempted {
+		if next, preempted := sleepOrPreempt(timer, env.Latency.Broadcast(env.Index, iter), scale, updates); preempted {
 			mu, havePending = next, true
 			continue
 		}
 		comp := env.Latency.Compute(env.Index, iter, pts)
 		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, env.ComputeParallelism, parts)
-		if next, preempted := sleepOrPreempt(comp, scale, updates, env.Pipelined); preempted {
+		if next, preempted := sleepOrPreempt(timer, comp, scale, updates); preempted {
 			mu, havePending = next, true
 			continue
 		}
@@ -460,7 +454,7 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 		for _, m := range msgs {
 			units += m.Units
 		}
-		if next, preempted := sleepOrPreempt(env.Latency.Upload(env.Index, iter, units*cp.frac), scale, updates, env.Pipelined); preempted {
+		if next, preempted := sleepOrPreempt(timer, env.Latency.Upload(env.Index, iter, units*cp.frac), scale, updates); preempted {
 			// The encoded payloads never leave this worker: recycle them, or
 			// every preempted straggler would drain the pool.
 			recycleMsgs(env.Bufs, msgs)
@@ -473,20 +467,15 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 	}
 }
 
-// sleepOrPreempt sleeps the scaled virtual duration. When preemptible, a
+// sleepOrPreempt sleeps the scaled virtual duration on the worker's timer. A
 // model update arriving mid-sleep cuts it short and is handed back to the
 // caller; a closed channel is reported as a shutdown update.
-func sleepOrPreempt(virtualSeconds, scale float64, updates <-chan ModelUpdate, preemptible bool) (ModelUpdate, bool) {
+func sleepOrPreempt(timer *time.Timer, virtualSeconds, scale float64, updates <-chan ModelUpdate) (ModelUpdate, bool) {
 	if virtualSeconds <= 0 {
 		return ModelUpdate{}, false
 	}
-	d := time.Duration(virtualSeconds * scale * float64(time.Second))
-	if !preemptible {
-		time.Sleep(d)
-		return ModelUpdate{}, false
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	// Go 1.23+ timers: Reset discards any tick of the previous sleep.
+	timer.Reset(time.Duration(virtualSeconds * scale * float64(time.Second)))
 	select {
 	case mu, ok := <-updates:
 		if !ok {
@@ -521,9 +510,8 @@ func recycleMsgs(pool *BufferPool, msgs []coding.Message) {
 type chanFabric struct {
 	inboxes []chan ModelUpdate
 	replies chan Reply
-	// done, closed by Close, unblocks workers still pushing backlog replies
-	// after the master stopped reading (barrier workers reply to every
-	// queued query, so a straggler can finish its backlog post-run).
+	// done, closed by Close, unblocks a worker still pushing a reply after
+	// the master stopped reading.
 	done  chan struct{}
 	once  sync.Once
 	alive int
@@ -556,7 +544,6 @@ func newChanFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Faults:             cfg.Faults,
 			Comm:               cfg.Comm,
 			ComputeParallelism: cfg.ComputeParallelism,
-			Pipelined:          cfg.Pipelined,
 			Bufs:               pool,
 		}
 		go func() {

@@ -41,40 +41,6 @@ func shardedMut(m int) func(*Config) {
 	return func(cfg *Config) { cfg.MasterShards = m }
 }
 
-// compareScenarioRuns asserts run `got` is indistinguishable from `ref` in
-// every runtime-independent observable. wall also compares the virtual
-// decode walls (sim vs sim only; live walls are real time).
-func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, wall bool) {
-	t.Helper()
-	if len(got.res.Iters) != len(ref.res.Iters) {
-		t.Fatalf("%s completed %d iterations, reference %d", label, len(got.res.Iters), len(ref.res.Iters))
-	}
-	for i, it := range got.res.Iters {
-		want := ref.res.Iters[i]
-		// The NaN Loss sentinel compares unequal to itself; neutralize it so
-		// struct equality checks the rest. Live timings and measured wire
-		// bytes are real observations (the scatter plane's framing genuinely
-		// differs), so they are excluded like the unsharded suite excludes
-		// them.
-		it.Loss, want.Loss = 0, 0
-		if !wall {
-			it.Wall, want.Wall = 0, 0
-			it.Comm, want.Comm = 0, 0
-			it.WireBytesIn, want.WireBytesIn = 0, 0
-			it.WireBytesOut, want.WireBytesOut = 0, 0
-		}
-		if it != want {
-			t.Errorf("%s iter %d: stats %+v, reference %+v", label, i, it, want)
-		}
-	}
-	if d := vecmath.MaxAbsDiff(got.res.FinalW, ref.res.FinalW); d != 0 {
-		t.Errorf("%s final weights differ from reference by %v", label, d)
-	}
-	if gotTr, wantTr := strings.Join(got.events, "\n"), strings.Join(ref.events, "\n"); gotTr != wantTr {
-		t.Errorf("%s fault-event trace:\n%s\nreference saw:\n%s", label, gotTr, wantTr)
-	}
-}
-
 // TestShardedMasterConformance runs the scenario matrix sharded: sim at
 // M ∈ {1, 2, 4} against the unsharded sim reference, and the live/tcp
 // runtimes at M ∈ {2, 4} (M=1 never engages the shard group — the

@@ -27,12 +27,12 @@ import (
 // simulated iteration therefore allocates nothing — the property the
 // allocation-regression tests pin.
 //
-// Pipelined mode needs no special handling here: cancelling stale work the
-// instant the next broadcast reaches a worker means every round starts with
-// all workers idle, which is precisely what simulating each iteration as an
-// isolated round already models. Per-iteration stats therefore coincide by
-// construction; only Result.TotalElapsed differs (barrier rounds also wait
-// for the straggler tail to finish draining).
+// Neither mode needs special handling here: live workers drop stale work the
+// instant a fresher broadcast reaches them (RunWorker), so every round starts
+// with all workers idle, which is precisely what simulating each iteration as
+// an isolated round already models. Per-iteration stats coincide across
+// barrier and pipelined by construction; only Result.TotalElapsed differs
+// (barrier accounting also charges the straggler tail's drain).
 
 // RunSim executes the training run on the discrete-event simulator.
 func RunSim(cfg *Config) (*Result, error) {

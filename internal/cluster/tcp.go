@@ -154,7 +154,6 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Comm:               cfg.Comm,
 			Faults:             cfg.Faults,
 			ComputeParallelism: cfg.ComputeParallelism,
-			Pipelined:          cfg.Pipelined,
 			ShardAddrs:         shardAddrs,
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
@@ -375,7 +374,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		return fmt.Errorf("cluster: worker %d hello: %w", env.Index, err)
 	}
 	// A dedicated reader streams model updates into a channel so the worker
-	// loop can observe fresh broadcasts mid-sleep (pipelined cancellation).
+	// loop can observe fresh broadcasts mid-sleep and abandon stale work.
 	// The codec's read and write halves are independent, so the reader
 	// goroutine and the reply writes below do not race. done keeps the
 	// reader from leaking on a full buffer if RunWorker exits on a send

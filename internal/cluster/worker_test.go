@@ -1,0 +1,192 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+)
+
+// The worker-loop tests drive RunWorker directly — a scripted updates
+// channel in, a recording send out — and pin the one worker semantics: a
+// worker only ever works for the newest query it has seen, a fresher query
+// (or a shutdown) cuts any latency sleep short without leaking the encoded
+// payload, and sleeping allocates nothing.
+
+// longSleep is a virtual latency no test waits out (TimeScale 1): a phase
+// that sleeps it only ever ends by preemption.
+const longSleep = 60.0
+
+// signalLatency is Fixed plus a notification each time the worker draws an
+// upload latency — the last thing it does before the upload sleep.
+type signalLatency struct {
+	Fixed
+	uploading chan int
+}
+
+func (l signalLatency) Upload(w, iter int, units float64) float64 {
+	l.uploading <- iter
+	return l.Fixed.Upload(w, iter, units)
+}
+
+// workerRig is one RunWorker goroutine (worker 0 of a small bcc run) with
+// its channels exposed.
+type workerRig struct {
+	env     WorkerEnv
+	updates chan ModelUpdate
+	replies chan Reply
+	done    chan error
+	query   []float64
+}
+
+// newWorkerRig prepares the rig without starting the worker, so a test can
+// queue updates before it wakes.
+func newWorkerRig(t *testing.T, lat Latency) *workerRig {
+	t.Helper()
+	cfg, mod := buildRun(t, "bcc", 8, 4, 2, 1, 901, lat)
+	return &workerRig{
+		env: WorkerEnv{Index: 0, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
+			Latency: lat, TimeScale: 1, Bufs: NewBufferPool(mod.Dim(), 0)},
+		updates: make(chan ModelUpdate, 8),
+		replies: make(chan Reply, 8),
+		done:    make(chan error, 1),
+		query:   make([]float64, mod.Dim()),
+	}
+}
+
+func (r *workerRig) start() {
+	go func() {
+		r.done <- RunWorker(r.env, r.updates, func(rep Reply) error {
+			r.replies <- rep
+			return nil
+		})
+	}()
+}
+
+func (r *workerRig) send(iter int) { r.updates <- ModelUpdate{Iter: iter, Query: r.query} }
+
+// wait returns once RunWorker has, failing if that takes anywhere near
+// longSleep.
+func (r *workerRig) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case err := <-r.done:
+		if err != nil {
+			t.Fatalf("RunWorker: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunWorker did not return; a latency sleep was not preempted")
+	}
+}
+
+func (r *workerRig) pooled() int {
+	r.env.Bufs.mu.Lock()
+	defer r.env.Bufs.mu.Unlock()
+	return len(r.env.Bufs.free)
+}
+
+// TestWorkerSkipsToNewestQuery: queries t, t+1, t+2 queued before the worker
+// wakes produce exactly one reply, for t+2.
+func TestWorkerSkipsToNewestQuery(t *testing.T) {
+	r := newWorkerRig(t, Zero{})
+	for iter := 0; iter < 3; iter++ {
+		r.send(iter)
+	}
+	r.start()
+	rep := <-r.replies
+	if rep.Iter != 2 {
+		t.Fatalf("first reply is for iteration %d, want the newest queued (2)", rep.Iter)
+	}
+	r.send(-1)
+	r.wait(t)
+	if n := len(r.replies); n != 0 {
+		t.Fatalf("%d replies beyond the one for the newest query", n)
+	}
+}
+
+// TestWorkerPreemptedUploadSendsNothing: a fresher query arriving during the
+// upload sleep drops the stale iteration — no reply — and the payload it had
+// already encoded goes back to the pool: three preempted rounds run on one
+// buffer, which is in the free list at exit (Gets == Puts).
+func TestWorkerPreemptedUploadSendsNothing(t *testing.T) {
+	lat := signalLatency{Fixed{PerUnit: longSleep}, make(chan int)}
+	r := newWorkerRig(t, lat)
+	r.start()
+	r.send(0)
+	for iter := 0; iter < 3; iter++ {
+		if got := <-lat.uploading; got != iter {
+			t.Fatalf("worker reached the upload of iteration %d, want %d", got, iter)
+		}
+		// The payload is encoded and the worker is entering its upload sleep.
+		if iter < 2 {
+			r.send(iter + 1)
+		} else {
+			r.send(-1)
+		}
+	}
+	r.wait(t)
+	if n := len(r.replies); n != 0 {
+		t.Fatalf("%d replies sent for preempted iterations", n)
+	}
+	if n := r.pooled(); n != 1 {
+		t.Fatalf("pool holds %d buffers after three preempted rounds, want the 1 they shared", n)
+	}
+}
+
+// TestWorkerShutdownCutsSleep: a shutdown update or a closed updates channel
+// ends the worker mid-sleep, in each of the three latency phases.
+func TestWorkerShutdownCutsSleep(t *testing.T) {
+	phases := map[string]Fixed{
+		"broadcast": {BroadcastTime: longSleep},
+		"compute":   {PerPoint: longSleep},
+		"upload":    {PerUnit: longSleep},
+	}
+	for phase, lat := range phases {
+		for _, closed := range []bool{false, true} {
+			name := phase + "/shutdown"
+			if closed {
+				name = phase + "/closed"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				r := newWorkerRig(t, lat)
+				r.start()
+				r.send(0)
+				time.Sleep(20 * time.Millisecond) // let it reach the sleep
+				if closed {
+					close(r.updates)
+				} else {
+					r.send(-1)
+				}
+				r.wait(t)
+				if n := len(r.replies); n != 0 {
+					t.Fatalf("%d replies from an interrupted iteration", n)
+				}
+			})
+		}
+	}
+}
+
+// TestWorkerSleepsZeroAllocs pins the preemptible sleeps at 0 allocations by
+// differencing: a steady-state round with three non-zero latency sleeps costs
+// what a zero-latency round (which never touches the timer) costs.
+func TestWorkerSleepsZeroAllocs(t *testing.T) {
+	perRound := func(lat Latency) float64 {
+		r := newWorkerRig(t, lat)
+		r.start()
+		iter := 0
+		round := func() {
+			r.send(iter)
+			iter++
+			recycleMsgs(r.env.Bufs, (<-r.replies).Msgs)
+		}
+		round() // warm the pool and the worker's gradient scratch
+		allocs := testing.AllocsPerRun(100, round)
+		r.send(-1)
+		r.wait(t)
+		return allocs
+	}
+	base := perRound(Zero{})
+	slept := perRound(Fixed{BroadcastTime: 20e-6, PerPoint: 5e-6, PerUnit: 20e-6})
+	if slept > base {
+		t.Fatalf("a round with latency sleeps costs %.0f allocs, %.0f without: the sleeps allocate", slept, base)
+	}
+}

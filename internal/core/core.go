@@ -332,9 +332,9 @@ type Spec struct {
 	// TCP runtime's "wire" frame codec (0 = default 512). Chunking changes
 	// streaming granularity only, never the bytes or the results.
 	WireChunk int
-	// Pipelined broadcasts iteration k+1 the moment iteration k decodes and
-	// cancels straggler work in flight, instead of serializing iterations
-	// at the workers (see cluster.Config.Pipelined).
+	// Pipelined makes Result.TotalElapsed charge each iteration up to its
+	// decode instant instead of the end of its straggler tail; workers
+	// abandon stale work either way (see cluster.Config.Pipelined).
 	Pipelined bool
 	// TimeScale converts virtual seconds to real sleeps on live runtimes.
 	TimeScale float64

@@ -244,7 +244,6 @@ func (j *Job) WorkerEnv(index int) cluster.WorkerEnv {
 		Codec:              "wire",
 		Comm:               j.Spec.comm(),
 		ComputeParallelism: j.Spec.ComputeParallelism,
-		Pipelined:          j.Spec.Pipelined,
 	}
 }
 
