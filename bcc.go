@@ -26,11 +26,10 @@ import (
 // field documentation. Zero values select sensible defaults (SchemeBCC,
 // Nesterov optimizer, the sim runtime). All runtimes drive the same master
 // engine over different transports, and workers always drop work for a
-// query the master has moved past; Pipelined only makes TotalElapsed charge
-// each iteration up to its decode instant instead of the end of its
-// straggler tail. The run-lifecycle fields — Observer, StopWhen, GradNormTol,
-// CheckpointEvery/CheckpointPath, DropProb/DropSeed, ComputeParallelism,
-// DecodeParallelism — are honoured identically on every runtime, and
+// query the master has moved past. The run-lifecycle fields — Observer,
+// StopWhen, GradNormTol, CheckpointEvery/CheckpointPath, DropProb/DropSeed,
+// ComputeParallelism, DecodeParallelism — are honoured identically on every
+// runtime, and
 // Density switches the synthetic generator to sparse CSR features (worker
 // gradients then cost O(nnz) instead of O(rows·p)). MasterShards > 1
 // partitions the master's decode + update data plane into M shards owning
@@ -43,8 +42,8 @@ type Spec = core.Spec
 type Job = core.Job
 
 // Result aggregates a run: final weights, per-iteration stats, timing
-// totals (including the end-to-end TotalElapsed, whose accounting
-// Spec.Pipelined selects), and the empirical recovery threshold and
+// totals (TotalWall up to each decode instant, TotalElapsed up to the end of
+// each round's straggler tail), and the empirical recovery threshold and
 // communication load.
 type Result = cluster.Result
 

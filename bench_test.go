@@ -525,18 +525,15 @@ func BenchmarkRuntimes(b *testing.B) {
 	// must add no measurable overhead to the engine loop (compare the
 	// ns/cluster-iter of "sim" vs "sim-observed").
 	cases := []struct {
-		name      string
-		runtime   core.Runtime
-		pipelined bool
-		observed  bool
+		name     string
+		runtime  core.Runtime
+		observed bool
 	}{
-		{"sim", core.RuntimeSim, false, false},
-		{"sim-observed", core.RuntimeSim, false, true},
-		{"live", core.RuntimeLive, false, false},
-		{"live-observed", core.RuntimeLive, false, true},
-		{"tcp", core.RuntimeTCP, false, false},
-		// Pipelined live exercises the preemptible worker path.
-		{"live-pipelined", core.RuntimeLive, true, false},
+		{"sim", core.RuntimeSim, false},
+		{"sim-observed", core.RuntimeSim, true},
+		{"live", core.RuntimeLive, false},
+		{"live-observed", core.RuntimeLive, true},
+		{"tcp", core.RuntimeTCP, false},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -548,7 +545,6 @@ func BenchmarkRuntimes(b *testing.B) {
 					Examples: 8, Workers: 8, Load: 2,
 					DataPoints: 64, Dim: 64, Iterations: iters,
 					Seed: 11, Runtime: tc.runtime, TimeScale: 1e-9,
-					Pipelined: tc.pipelined,
 				}
 				if tc.observed {
 					spec.Observer = cluster.ObserverFuncs{
@@ -572,10 +568,10 @@ func BenchmarkRuntimes(b *testing.B) {
 	}
 }
 
-// benchTCPCodec measures a full training run over loopback TCP with the
-// given frame codec; the payload is a p=2048 gradient, so codec overhead is
+// BenchmarkTCPCodecWire measures a full training run over loopback TCP in
+// wire frames; the payload is a p=2048 gradient, so codec overhead is
 // visible.
-func benchTCPCodec(b *testing.B, codec string) {
+func BenchmarkTCPCodecWire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		job, err := core.NewJob(core.Spec{
 			Examples: 10, Workers: 10, Load: 2,
@@ -589,16 +585,8 @@ func benchTCPCodec(b *testing.B, codec string) {
 			Plan: job.Plan, Model: job.Model, Units: job.Units, Opt: job.Opt,
 			Iterations: 5,
 		}
-		if _, err := cluster.RunLive(cfg, cluster.LiveOptions{
-			TimeScale: 1e-9, TCP: true, Codec: codec,
-		}); err != nil {
+		if _, err := cluster.RunLive(cfg, cluster.LiveOptions{TimeScale: 1e-9, TCP: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkTCPCodecGob measures the gob frame codec end to end.
-func BenchmarkTCPCodecGob(b *testing.B) { benchTCPCodec(b, "gob") }
-
-// BenchmarkTCPCodecWire measures the compact binary frame codec end to end.
-func BenchmarkTCPCodecWire(b *testing.B) { benchTCPCodec(b, "wire") }

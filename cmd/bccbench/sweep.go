@@ -561,7 +561,7 @@ func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 	for rep := 0; rep < 3; rep++ {
 		cfg.Opt = optimize.NewNesterov(make([]float64, mod.Dim()), optimize.Constant(0.5))
 		start := time.Now()
-		r, err := cluster.RunLive(cfg, cluster.LiveOptions{TCP: true, Codec: "wire", Timeout: 30 * time.Second, Drain: true})
+		r, err := cluster.RunLive(cfg, cluster.LiveOptions{TCP: true, Timeout: 30 * time.Second, Drain: true})
 		if err != nil {
 			return sweepComm{}, err
 		}

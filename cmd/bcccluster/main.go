@@ -50,11 +50,9 @@ func main() {
 		seed      = fs.Uint64("seed", 1, "shared seed (must match across processes)")
 		index     = fs.Int("index", 0, "worker index (worker role only)")
 		wait      = fs.Duration("timeout", 60*time.Second, "per-iteration / accept timeout")
-		frame     = fs.String("frame", "gob", "frame encoding: gob|wire (must match across processes)")
 		codec     = fs.String("codec", "raw64", "payload codec: raw64|f32|topk (must match across processes)")
 		topk      = fs.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
-		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements for -frame wire (0 = default)")
-		pipe      = fs.Bool("pipelined", false, "master: charge elapsed time up to each iteration's decode instant instead of the end of its straggler tail (workers drop stale work either way)")
+		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements (0 = default; must match across processes)")
 		drop      = fs.Float64("drop", 0, "master-side probability in [0,1) of losing each worker transmission")
 		dropSeed  = fs.Uint64("drop-seed", 0, "seed for the -drop fault pattern (master role only)")
 		faultsN   = fs.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|")+" (must match across processes)")
@@ -134,9 +132,9 @@ func main() {
 				}
 			}
 			fmt.Printf("master: %d shard data planes on %s .. %s\n", len(shardAddrs), shardAddrs[0], shardAddrs[len(shardAddrs)-1])
-			fab, err = cluster.ServeMasterScatterPool(ln, shardLns, *n, *n, *wait, *frame, nil, comm, job.Model.Dim())
+			fab, err = cluster.ServeMasterScatterPool(ln, shardLns, *n, *n, *wait, nil, comm, job.Model.Dim())
 		} else {
-			fab, err = cluster.ServeMaster(ln, *n, *wait, *frame, comm, job.Model.Dim())
+			fab, err = cluster.ServeMaster(ln, *n, *wait, comm, job.Model.Dim())
 		}
 		if err != nil {
 			fail(err)
@@ -149,7 +147,6 @@ func main() {
 			Units:              job.Units,
 			Opt:                job.Opt,
 			Iterations:         *iters,
-			Pipelined:          *pipe,
 			DropProb:           *drop,
 			DropSeed:           *dropSeed,
 			Faults:             job.Faults,
@@ -204,7 +201,6 @@ func main() {
 			Units:              job.Units,
 			Latency:            cluster.Zero{},
 			TimeScale:          1,
-			Codec:              *frame,
 			Comm:               comm,
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,

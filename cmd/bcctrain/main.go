@@ -54,7 +54,6 @@ func main() {
 		codec     = flag.String("codec", "raw64", "payload codec: raw64|f32|topk (lossy codecs compress gradient traffic deterministically)")
 		topk      = flag.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
 		chunk     = flag.Int("chunk", 0, "wire framing chunk size in elements for the tcp runtime's wire frames (0 = default)")
-		pipe      = flag.Bool("pipelined", false, "charge elapsed time up to each iteration's decode instant instead of the end of its straggler tail (workers drop stale work either way)")
 		ec2       = flag.Bool("ec2", false, "inject the calibrated EC2-like straggler profile")
 		dead      = flag.String("dead", "", "comma-separated worker indices that never respond")
 		drop      = flag.Float64("drop", 0, "probability in [0,1) of losing each worker transmission")
@@ -94,7 +93,6 @@ func main() {
 		Payload:            core.Payload(*codec),
 		TopK:               *topk,
 		WireChunk:          *chunk,
-		Pipelined:          *pipe,
 		DropProb:           *drop,
 		DropSeed:           *dropSeed,
 		FaultScenario:      *faultsN,

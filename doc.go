@@ -44,14 +44,14 @@
 // decodability, advance the optimizer, record stats). The three runtimes —
 // Spec.Runtime RuntimeSim (discrete-event simulated), RuntimeLive (one
 // goroutine per worker over channels) and RuntimeTCP (real loopback
-// sockets, gob or compact binary frames) — are thin transports feeding that
+// sockets, compact binary frames) — are thin transports feeding that
 // engine, so recovery thresholds and comm loads are identical across them
 // for the same spec and seed. On every runtime the next query is broadcast
 // once an iteration has decoded and workers drop straggler work still in
 // flight for an older one, so a straggler never carries a backlog into the
-// next round. Spec.Pipelined only selects what Result.TotalElapsed charges
-// per iteration: up to the decode instant, or (barrier, the default) up to
-// the end of the round's straggler tail.
+// next round. Result.TotalWall charges each iteration up to its decode
+// instant; Result.TotalElapsed charges it up to the end of the round's
+// straggler tail.
 //
 // # Run lifecycle: contexts, observers, early stopping
 //
@@ -90,8 +90,7 @@
 // Every decision is a pure function of the plan's rules and a single seed
 // — nothing is drawn at query time — so the sim, live and tcp runtimes
 // replay bit-identical fault sequences, which the scenario conformance
-// suite pins (identical iterates and fault-event traces across runtimes,
-// barrier and pipelined).
+// suite pins (identical iterates and fault-event traces across runtimes).
 //
 // Spec.FaultScenario selects a named scenario from the library instead:
 // steady, slow-decile, flaky-tail, rolling-restart, partition, burst-drop
@@ -135,7 +134,7 @@
 // consecutive quiet iterations (default 3). Because the controller consults
 // only the plan's pure per-iteration schedule (never clocks), the level
 // trajectory is a pure function of (spec, seed, scenario), and adaptive runs
-// are bit-identical across sim, live and tcp, barrier and pipelined — each
+// are bit-identical across sim, live and tcp — each
 // broadcast stamps its level, so remote workers encode at exactly the level
 // the master decodes. IterStats.Level records the trajectory,
 // Result.LevelSwitches counts re-tunes, and service jobs export both on

@@ -1,5 +1,5 @@
 // TCP cluster: the same BCC training job, but master and workers exchange
-// models and coded gradients over REAL loopback TCP sockets (gob-encoded),
+// models and coded gradients over REAL loopback TCP sockets (wire frames),
 // with per-worker goroutines sleeping their drawn straggler latencies. The
 // run is deadline-bounded through RunContext and observed live through an
 // Observer. For a multi-PROCESS cluster, see cmd/bcccluster.

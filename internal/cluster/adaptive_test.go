@@ -11,7 +11,7 @@ import (
 
 // The nested-adaptive axis of the conformance matrix: a run whose redundancy
 // level is re-tuned mid-flight by the AIMD controller must stay bit-identical
-// across the sim, live and tcp runtimes, in barrier and pipelined mode. The
+// across the sim, live and tcp runtimes. The
 // controller reads only the fault plan's pure per-iteration schedule (never
 // clocks), so the level trajectory is a pure function of (seed, scenario) and
 // every runtime must realize the same one.
@@ -37,12 +37,11 @@ func adaptiveSwitchPlan() *faults.Plan {
 // runAdaptive executes one nested-adaptive run: the scenario topology with
 // the "nested" family instead of fixed bcc, the AIMD controller on the
 // engine, and the given fault plan. run is nil for the sim reference.
-func runAdaptive(t *testing.T, plan *faults.Plan, iters int, pipelined bool, run func(cfg *Config) (*Result, error)) scenarioRun {
+func runAdaptive(t *testing.T, plan *faults.Plan, iters int, run func(cfg *Config) (*Result, error)) scenarioRun {
 	t.Helper()
 	cfg, _ := buildRun(t, "nested", scenarioM, scenarioN, scenarioR, iters, scenarioSeed,
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
-	cfg.Pipelined = pipelined
 	cfg.DecodeParallelism = 2
 	cfg.Controller = &AIMDController{Window: 2}
 	var events []string
@@ -61,47 +60,40 @@ func runAdaptive(t *testing.T, plan *faults.Plan, iters int, pipelined bool, run
 
 // TestScenarioNestedAdaptiveConformance pins the mid-run level switch across
 // runtimes: under the engineered switch schedule the sim reference must
-// actually re-tune (both down and back up), and live and tcp-wire must
+// actually re-tune (both down and back up), and live and tcp must
 // reproduce the identical per-iteration level trajectory, recovery stats,
-// bit-identical weights and fault-event trace, in barrier and pipelined mode.
+// bit-identical weights and fault-event trace.
 func TestScenarioNestedAdaptiveConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
 	}
 	const iters = 8
-	for _, pipelined := range []bool{false, true} {
-		pipelined := pipelined
-		mode := "barrier"
-		if pipelined {
-			mode = "pipelined"
+	// One cell, labelled like the scenario matrix's (see scenario_test.go).
+	t.Run("barrier", func(t *testing.T) {
+		ref := runAdaptive(t, adaptiveSwitchPlan(), iters, nil)
+		if len(ref.res.Iters) != iters {
+			t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), iters)
 		}
-		t.Run(mode, func(t *testing.T) {
-			t.Parallel()
-			ref := runAdaptive(t, adaptiveSwitchPlan(), iters, pipelined, nil)
-			if len(ref.res.Iters) != iters {
-				t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), iters)
+		if ref.res.LevelSwitches < 2 {
+			t.Fatalf("switch schedule produced only %d level switches; the adaptive axis is not exercised", ref.res.LevelSwitches)
+		}
+		down, up := false, false
+		for i := 1; i < len(ref.res.Iters); i++ {
+			prev, cur := ref.res.Iters[i-1].Level, ref.res.Iters[i].Level
+			down = down || cur < prev
+			up = up || cur > prev
+		}
+		if !down || !up {
+			t.Fatalf("level trajectory %v never switched both ways", levelsOf(ref.res))
+		}
+		for _, rt := range scenarioRuntimes() {
+			got := runAdaptive(t, adaptiveSwitchPlan(), iters, rt.run)
+			compareScenarioRuns(t, rt.name, got, ref, false)
+			if got.res.LevelSwitches != ref.res.LevelSwitches {
+				t.Errorf("%s counted %d level switches, sim %d", rt.name, got.res.LevelSwitches, ref.res.LevelSwitches)
 			}
-			if ref.res.LevelSwitches < 2 {
-				t.Fatalf("switch schedule produced only %d level switches; the adaptive axis is not exercised", ref.res.LevelSwitches)
-			}
-			down, up := false, false
-			for i := 1; i < len(ref.res.Iters); i++ {
-				prev, cur := ref.res.Iters[i-1].Level, ref.res.Iters[i].Level
-				down = down || cur < prev
-				up = up || cur > prev
-			}
-			if !down || !up {
-				t.Fatalf("level trajectory %v never switched both ways", levelsOf(ref.res))
-			}
-			for _, rt := range scenarioRuntimes() {
-				got := runAdaptive(t, adaptiveSwitchPlan(), iters, pipelined, rt.run)
-				compareScenarioRuns(t, rt.name, got, ref, false)
-				if got.res.LevelSwitches != ref.res.LevelSwitches {
-					t.Errorf("%s counted %d level switches, sim %d", rt.name, got.res.LevelSwitches, ref.res.LevelSwitches)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestScenarioNestedAdaptiveLibrary runs the nested-adaptive stack through a
@@ -115,9 +107,9 @@ func TestScenarioNestedAdaptiveLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runAdaptive(t, plan, scenarioIters, false, nil)
+	ref := runAdaptive(t, plan, scenarioIters, nil)
 	for _, rt := range scenarioRuntimes() {
-		compareScenarioRuns(t, rt.name, runAdaptive(t, plan, scenarioIters, false, rt.run), ref, false)
+		compareScenarioRuns(t, rt.name, runAdaptive(t, plan, scenarioIters, rt.run), ref, false)
 	}
 }
 
@@ -125,8 +117,8 @@ func TestScenarioNestedAdaptiveLibrary(t *testing.T) {
 // runs realize the same level trajectory and weights — the controller holds
 // no hidden clock or map-order dependence.
 func TestNestedAdaptiveDeterministicRerun(t *testing.T) {
-	a := runAdaptive(t, adaptiveSwitchPlan(), 8, false, nil)
-	b := runAdaptive(t, adaptiveSwitchPlan(), 8, false, nil)
+	a := runAdaptive(t, adaptiveSwitchPlan(), 8, nil)
+	b := runAdaptive(t, adaptiveSwitchPlan(), 8, nil)
 	la, lb := levelsOf(a.res), levelsOf(b.res)
 	for i := range la {
 		if la[i] != lb[i] {

@@ -89,17 +89,6 @@ type Config struct {
 	// sharded.go); schemes or optimizers without slice capabilities fall
 	// back to the serial path silently.
 	MasterShards int
-	// Pipelined selects how Result.TotalElapsed accounts an iteration: as
-	// ending at its decode instant (true) or once the round's straggler
-	// tail has drained (false, the barrier accounting). It is a master-side
-	// accounting choice and nothing else: the engine broadcasts iteration
-	// k+1 only after k has decoded either way, and workers always abandon
-	// work for a query the master has moved past (see RunWorker), so every
-	// round starts with all workers idle and per-iteration stats are
-	// identical in both modes. The tail is modelled on the sim runtime; the
-	// live master never waits for it, so there the two accountings differ
-	// only by the instants between decode and the end of the arrival loop.
-	Pipelined bool
 	// Controller, if non-nil and Plan implements coding.Retunable, re-tunes
 	// the plan's active redundancy level at the top of every iteration (see
 	// controller.go): the engine gathers deterministic fault-plan telemetry,
@@ -326,13 +315,15 @@ type Result struct {
 	// TotalWall, TotalCompute, TotalComm are sums over iterations.
 	TotalWall, TotalCompute, TotalComm float64
 	// TotalElapsed sums each iteration's full duration, straggler tail
-	// included. On the sim runtime it is modelled: in barrier mode each
-	// round additionally waits for the tail to finish draining, while in
-	// pipelined mode each round ends at its decode instant (so
-	// TotalElapsed == TotalWall). On the live runtimes it is measured
-	// (scaled real seconds per iteration); master work between iterations
-	// — optimizer advance, LossEvery evaluations — is not timed on any
-	// runtime.
+	// included; TotalWall is the same sum up to each decode instant. On the
+	// sim runtime the tail is modelled: each round ends once its last
+	// transmission has finished draining. On the live runtimes it is
+	// measured (scaled real seconds per iteration); the master never waits
+	// for the tail there — workers drop work for a query the master has
+	// moved past — so the two totals differ only by the instants between
+	// decode and the end of the arrival loop. Master work between
+	// iterations — optimizer advance, LossEvery evaluations — is not timed
+	// on any runtime.
 	TotalElapsed float64
 	// AvgWorkersHeard is the empirical recovery threshold (Definition 2).
 	AvgWorkersHeard float64

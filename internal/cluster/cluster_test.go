@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -709,35 +710,10 @@ func TestTCPMatchesChannelRuntime(t *testing.T) {
 	}
 }
 
-func TestTCPWireCodecMatchesGob(t *testing.T) {
-	mk := func() (*Config, *model.Logistic) {
-		return buildRun(t, "bcc", 8, 16, 2, 6, 27, Zero{})
-	}
-	cfgA, _ := mk()
-	a, err := RunLive(cfgA, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "gob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgB, _ := mk()
-	bRes, err := RunLive(cfgB, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "wire"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vecmath.MaxAbsDiff(a.FinalW, bRes.FinalW); d != 0 {
-		t.Fatalf("wire and gob codecs produced different weights: %v", d)
-	}
-	// Arrival order (and hence how many messages the master counts) is
-	// scheduling-dependent in live mode; both runs must simply have moved
-	// real payload.
-	if a.TotalBytes == 0 || bRes.TotalBytes == 0 {
-		t.Fatalf("payload bytes: gob %d, wire %d", a.TotalBytes, bRes.TotalBytes)
-	}
-}
-
 func TestTCPWireCodecComplexScheme(t *testing.T) {
 	// cyclicmds ships Imag payloads; the wire codec must carry them.
 	cfg, mod := buildRun(t, "cyclicmds", 8, 8, 2, 5, 28, Zero{})
-	res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "wire"})
+	res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,6 +727,18 @@ func TestUnknownCodecRejected(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 16, 2, 2, 29, Zero{})
 	if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "json"}); err == nil {
 		t.Fatal("unknown codec accepted")
+	}
+	// The other two deprecated names refuse the removed gob encoding.
+	if err := DialAndServeWorker("127.0.0.1:1", WorkerEnv{Codec: "gob"}); err == nil || !strings.Contains(err.Error(), "unknown codec") {
+		t.Fatalf("WorkerEnv.Codec gob: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if _, err := ServeMasterPool(ln, 1, time.Second, "gob", nil, CommOptions{}, 4); err == nil || !strings.Contains(err.Error(), "unknown codec") {
+		t.Fatalf("ServeMasterPool codecName gob: %v", err)
 	}
 }
 
@@ -832,7 +820,7 @@ func TestServeMasterExternalWorkers(t *testing.T) {
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
-	fab, err := ServeMaster(ln, 4, 10*time.Second, "gob", CommOptions{}, cfg.Model.Dim())
+	fab, err := ServeMaster(ln, 4, 10*time.Second, CommOptions{}, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,8 +842,94 @@ func TestServeMasterAcceptTimeout(t *testing.T) {
 	}
 	defer ln.Close()
 	// No workers dial: accept must time out rather than hang.
-	if _, err := ServeMaster(ln, 1, 100*time.Millisecond, "gob", CommOptions{}, 4); err == nil {
+	if _, err := ServeMaster(ln, 1, 100*time.Millisecond, CommOptions{}, 4); err == nil {
 		t.Fatal("accept with no workers should time out")
+	}
+}
+
+// gobHello is what a worker built when gob was the default frame encoding
+// opened its connection with: the gob encoder's stream for the handshake struct
+// {Worker: 0, Payload: "raw64", Chunk: 512}, type definition included.
+const gobHello = "G\x7f\x03\x01\x01\x05Hello\x01\xff\x80\x00\x01\x05\x01\x06Worker\x01\x04\x00\x01\aPayload\x01\f\x00" +
+	"\x01\x04TopK\x01\x04\x00\x01\x05Chunk\x01\x04\x00\x01\x06Shards\x01\x04\x00\x00\x00\x0e\xff\x80\x02\x05raw64\x02\xfe\x04\x00\x00"
+
+// TestHandshakeRefusesBadPeers pins the accept path against peers that are
+// not wire workers — one that connects and never speaks, an old gob-framed
+// worker, one that opens with an unknown frame kind — on the primary
+// listener and on a scatter shard listener. Each must fail the handshake
+// within the accept timeout instead of wedging the master.
+func TestHandshakeRefusesBadPeers(t *testing.T) {
+	const dim, timeout = 4, 200 * time.Millisecond
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		return ln
+	}
+	dial := func(ln net.Listener) net.Conn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	peers := []struct{ name, opening string }{
+		{"silent", ""},
+		{"gob-hello", gobHello},
+		{"unknown-kind", "\xee"},
+	}
+	for _, peer := range peers {
+		for _, onShard := range []bool{false, true} {
+			listener, want := "primary", "tcp handshake"
+			if onShard {
+				listener, want = "shard", "scatter shard 0 handshake"
+			}
+			t.Run(peer.name+"/"+listener, func(t *testing.T) {
+				ln := listen()
+				serve := func() (Fabric, error) { return ServeMasterPool(ln, 1, timeout, "", nil, CommOptions{}, dim) }
+				target := ln
+				if onShard {
+					shardLn := listen()
+					serve = func() (Fabric, error) {
+						return ServeMasterScatterPool(ln, []net.Listener{shardLn}, 1, 1, timeout, nil, CommOptions{}, dim)
+					}
+					target = shardLn
+					// A wire worker passes the primary handshake, so the bad
+					// peer is the one the shard accept meets.
+					cp, err := CommOptions{}.resolve(dim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := cp.hello(0)
+					h.Shards = 1
+					if err := newWireCodec(dial(ln), nil, cp).WriteHello(h); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := io.WriteString(dial(target), peer.opening); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					fab, err := serve()
+					if err == nil {
+						fab.Close()
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("peer got %v, want a %q error", err, want)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("master still blocked in the handshake after 2s")
+				}
+			})
+		}
 	}
 }
 

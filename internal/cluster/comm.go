@@ -17,7 +17,7 @@ import (
 // transform is a pure function of the payload values, applied exactly once
 // per payload at each runtime's wire boundary (during serialization on TCP,
 // in process on sim and channels), so the same spec + seed + codec produces
-// bit-identical results on sim, live and tcp, barrier or pipelined.
+// bit-identical results on sim, live and tcp.
 type CommOptions struct {
 	// Payload names the codec: "" or "raw64" (default, lossless), "f32"
 	// (float32 quantization of query and reply vectors), or "topk" (keep the
@@ -128,9 +128,9 @@ func (p commPlane) msgBytes(msg coding.Message) int {
 // applyReplyCodec runs every payload of msgs through the canonical lossy
 // transform in place. A nil coder (raw64) is a no-op. The runtimes that
 // never serialize call this at their wire-equivalent boundary: the sim
-// transport right after encoding, the channel fabric in its send path. The
-// TCP fabrics instead transform during (gob) or as (wire) serialization —
-// each payload is transformed exactly once on every runtime.
+// transport right after encoding, the channel fabric in its send path, the
+// scatter plane before slicing. The TCP fabric otherwise transforms as it
+// serializes — each payload is transformed exactly once on every runtime.
 func applyReplyCodec(coder *wire.VecCoder, msgs []coding.Message) {
 	if coder == nil {
 		return
@@ -144,12 +144,12 @@ func applyReplyCodec(coder *wire.VecCoder, msgs []coding.Message) {
 // hello builds the handshake frame a TCP worker announces itself with: its
 // index plus the resolved comm-plane parameters (effective chunk, so "0 =
 // default" and an explicit 512 agree).
-func (p commPlane) hello(worker int) Hello {
-	return Hello{
-		Worker:  worker,
-		Payload: p.pc.Codec.String(),
-		TopK:    p.pc.TopK,
-		Chunk:   p.pc.ChunkElems(),
+func (p commPlane) hello(worker int) wire.Hello {
+	return wire.Hello{
+		Worker: worker,
+		Codec:  p.pc.Codec,
+		TopK:   p.pc.TopK,
+		Chunk:  p.pc.ChunkElems(),
 	}
 }
 
@@ -157,9 +157,9 @@ func (p commPlane) hello(worker int) Hello {
 // A silent mismatch would corrupt every payload (the master would parse f32
 // bytes as float64s, or scatter top-k pairs it never receives), so the
 // handshake is the last safe moment to fail.
-func (p commPlane) checkHello(h Hello) error {
-	if h.Payload != p.pc.Codec.String() {
-		return fmt.Errorf("payload codec mismatch: worker %q, master %q", h.Payload, p.pc.Codec)
+func (p commPlane) checkHello(h wire.Hello) error {
+	if h.Codec != p.pc.Codec {
+		return fmt.Errorf("payload codec mismatch: worker %q, master %q", h.Codec, p.pc.Codec)
 	}
 	if h.TopK != p.pc.TopK {
 		return fmt.Errorf("top-k mismatch: worker %d, master %d", h.TopK, p.pc.TopK)

@@ -30,45 +30,31 @@ func codecAxis() []CommOptions {
 }
 
 // TestScenarioConformanceCodecs extends the conformance suite with the codec
-// axis: under a lossy payload codec, the live channel runtime and BOTH tcp
-// frame encodings must reproduce the sim reference bit for bit — the lossy
+// axis: under a lossy payload codec, the live channel runtime and the tcp
+// runtime must reproduce the sim reference bit for bit — the lossy
 // transform is a pure function applied exactly once per payload, wherever
 // each runtime's wire boundary happens to be.
 func TestScenarioConformanceCodecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
 	}
-	opts := func(tcp bool, codec string) LiveOptions {
-		return LiveOptions{TimeScale: scenarioScale, Timeout: 60 * time.Second, TCP: tcp, Codec: codec}
-	}
-	runtimes := []engineRuntime{
-		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(false, "")) }},
-		{"tcp-gob", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(true, "gob")) }},
-		{"tcp-wire", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(true, "wire")) }},
-	}
 	for _, scenario := range []string{"steady", "flaky-tail"} {
-		for _, pipelined := range []bool{false, true} {
-			for _, comm := range codecAxis() {
-				scenario, pipelined, comm := scenario, pipelined, comm
-				mode := "barrier"
-				if pipelined {
-					mode = "pipelined"
-				}
-				label := comm.Payload
-				if comm.TopK != 0 || comm.Chunk != 0 {
-					label = comm.Payload + "-tuned"
-				}
-				t.Run(scenario+"/"+mode+"/"+label, func(t *testing.T) {
-					t.Parallel()
-					ref := runScenarioComm(t, scenario, pipelined, comm, nil)
-					if len(ref.res.Iters) != scenarioIters {
-						t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
-					}
-					for _, rt := range runtimes {
-						compareScenarioRuns(t, rt.name, runScenarioComm(t, scenario, pipelined, comm, rt.run), ref, false)
-					}
-				})
+		for _, comm := range codecAxis() {
+			scenario, comm := scenario, comm
+			label := comm.Payload
+			if comm.TopK != 0 || comm.Chunk != 0 {
+				label = comm.Payload + "-tuned"
 			}
+			t.Run(scenario+"/barrier/"+label, func(t *testing.T) {
+				t.Parallel()
+				ref := runScenarioComm(t, scenario, comm, nil)
+				if len(ref.res.Iters) != scenarioIters {
+					t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
+				}
+				for _, rt := range scenarioRuntimes() {
+					compareScenarioRuns(t, rt.name, runScenarioComm(t, scenario, comm, rt.run), ref, false)
+				}
+			})
 		}
 	}
 }
@@ -184,33 +170,28 @@ func TestCommOptionsValidation(t *testing.T) {
 
 // TestTCPHandshakeRejectsCodecMismatch pins the negotiation contract: a
 // worker announcing a different payload codec than the master must be
-// refused at accept time, for both frame encodings.
+// refused at accept time.
 func TestTCPHandshakeRejectsCodecMismatch(t *testing.T) {
-	for _, frame := range []string{"gob", "wire"} {
-		frame := frame
-		t.Run(frame, func(t *testing.T) {
-			cfg, _ := buildRun(t, "bcc", 8, 4, 2, 2, 51, Zero{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			env := WorkerEnv{
-				Index: 0, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
-				Latency: Zero{}, TimeScale: 1e-5, Codec: frame,
-				Comm: CommOptions{Payload: "f32"},
-			}
-			go func() { _ = DialAndServeWorker(ln.Addr().String(), env) }()
-			_, err = ServeMaster(ln, 1, 5*time.Second, frame, CommOptions{Payload: "topk"}, cfg.Model.Dim())
-			if err == nil || !strings.Contains(err.Error(), "payload codec mismatch") {
-				t.Fatalf("mismatched handshake accepted: %v", err)
-			}
-		})
+	cfg, _ := buildRun(t, "bcc", 8, 4, 2, 2, 51, Zero{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	env := WorkerEnv{
+		Index: 0, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
+		Latency: Zero{}, TimeScale: 1e-5,
+		Comm: CommOptions{Payload: "f32"},
+	}
+	go func() { _ = DialAndServeWorker(ln.Addr().String(), env) }()
+	_, err = ServeMaster(ln, 1, 5*time.Second, CommOptions{Payload: "topk"}, cfg.Model.Dim())
+	if err == nil || !strings.Contains(err.Error(), "payload codec mismatch") {
+		t.Fatalf("mismatched handshake accepted: %v", err)
 	}
 }
 
 // TestTCPChunkSizeInvariance pins the chunking contract end to end: the
-// chunk size is streaming granularity only, so tcp-wire runs with wildly
+// chunk size is streaming granularity only, so tcp runs with wildly
 // different chunk sizes produce bit-identical results and identical modelled
 // byte counts.
 func TestTCPChunkSizeInvariance(t *testing.T) {
@@ -218,7 +199,7 @@ func TestTCPChunkSizeInvariance(t *testing.T) {
 		t.Helper()
 		cfg, _ := buildRunDim(t, "bcc", 8, 4, 2, 4, 52, Zero{}, 53)
 		cfg.Comm = CommOptions{Payload: "f32", Chunk: chunk}
-		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: "wire"})
+		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +247,7 @@ func TestWireAccountingMatchesAnalytic(t *testing.T) {
 			cfg.Comm = CommOptions{Payload: codec}
 			var stats []IterStats
 			cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) { stats = append(stats, st) }}
-			if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: "wire"}); err != nil {
+			if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true}); err != nil {
 				t.Fatal(err)
 			}
 			// Queries are quantized under f32 but ship dense under topk.
@@ -321,37 +302,9 @@ func TestWireAccountingZeroOffWire(t *testing.T) {
 	}
 }
 
-// TestWireAccountingPositiveOnTCP checks the other side of the boundary:
-// a tcp run must report nonzero measured traffic in both directions, with
-// the gob encoding strictly larger than the compact wire encoding for the
-// same run. Uncoded, so that every reply is counted and none can be skipped
-// as stale: the two totals cover the same frames.
-func TestWireAccountingPositiveOnTCP(t *testing.T) {
-	run := func(frame string) *Result {
-		t.Helper()
-		cfg, _ := buildRunDim(t, "uncoded", 4, 4, 1, 3, 55, Zero{}, 64)
-		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: frame})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	wireRes, gobRes := run("wire"), run("gob")
-	if wireRes.TotalWireIn <= 0 || wireRes.TotalWireOut <= 0 {
-		t.Fatalf("wire frames measured %d/%d bytes, want positive", wireRes.TotalWireIn, wireRes.TotalWireOut)
-	}
-	if gobRes.TotalWireIn <= wireRes.TotalWireIn {
-		t.Fatalf("gob reply traffic %d not above wire %d", gobRes.TotalWireIn, wireRes.TotalWireIn)
-	}
-	// The modelled payload accounting must be identical across frame codecs.
-	if wireRes.TotalBytes != gobRes.TotalBytes {
-		t.Fatalf("modelled bytes differ across frame codecs: %d vs %d", wireRes.TotalBytes, gobRes.TotalBytes)
-	}
-}
-
 // TestCodecCompressionOnWire measures the headline claim at the socket
 // layer: relative to raw64, f32 must cut reply traffic by at least 40% and
-// topk at K = dim/16 by at least 4x on the tcp runtime with wire frames.
+// topk at K = dim/16 by at least 4x on the tcp runtime.
 // Uncoded, so that every run sends exactly one reply per worker per iteration
 // (a bcc worker may skip an iteration the master has already decoded).
 func TestCodecCompressionOnWire(t *testing.T) {
@@ -359,7 +312,7 @@ func TestCodecCompressionOnWire(t *testing.T) {
 		t.Helper()
 		cfg, _ := buildRunDim(t, "uncoded", 4, 4, 1, 4, 56, Zero{}, 1024)
 		cfg.Comm = CommOptions{Payload: codec}
-		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: "wire"})
+		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,16 +375,12 @@ func TestBroadcastFrameMatchesWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			codec, err := newFrameCodec("wire", conn, nil, cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := codec.WriteHello(cp.hello(w)); err != nil {
+			if err := newWireCodec(conn, nil, cp).WriteHello(cp.hello(w)); err != nil {
 				t.Fatal(err)
 			}
 			conns[w] = conn
 		}
-		fab, err := ServeMaster(ln, workers, 5*time.Second, "wire", comm, dim)
+		fab, err := ServeMaster(ln, workers, 5*time.Second, comm, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +388,7 @@ func TestBroadcastFrameMatchesWriter(t *testing.T) {
 		ww := wire.NewWriter(&want)
 		ww.SetPayload(cp.pc)
 		for _, mu := range updates {
-			if err := ww.WriteModel(wire.Model{Iter: mu.Iter, Level: mu.Level, Query: mu.Query}); err != nil {
+			if err := ww.WriteModel(mu); err != nil {
 				t.Fatal(err)
 			}
 			if err := fab.Broadcast(mu); err != nil {

@@ -355,13 +355,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 				spans = append(spans, span)
 			}
 		}
-		if cfg.Pipelined {
-			// The next broadcast goes out the moment this iteration
-			// decodes; straggler work in flight is cancelled.
-			totalElapsed += st.Wall
-		} else {
-			totalElapsed += src.RoundEnd()
-		}
+		totalElapsed += src.RoundEnd()
 		src.Finish()
 		if tracing {
 			cfg.Trace.Add(trace.Iteration{Iter: iter, DecodeTime: st.Wall, Spans: spans})

@@ -35,15 +35,14 @@ func staggered(n, points int) Fixed {
 
 // equivCase is one row of the cross-runtime equivalence table.
 type equivCase struct {
-	name      string
-	scheme    string
-	m, n, r   int
-	iters     int
-	seed      uint64
-	dead      []int
-	dropProb  float64
-	dropSeed  uint64
-	pipelined bool
+	name     string
+	scheme   string
+	m, n, r  int
+	iters    int
+	seed     uint64
+	dead     []int
+	dropProb float64
+	dropSeed uint64
 }
 
 func (c equivCase) config(t *testing.T) *Config {
@@ -54,7 +53,6 @@ func (c equivCase) config(t *testing.T) *Config {
 	cfg.Dead = c.dead
 	cfg.DropProb = c.dropProb
 	cfg.DropSeed = c.dropSeed
-	cfg.Pipelined = c.pipelined
 	return cfg
 }
 
@@ -65,22 +63,20 @@ type engineRuntime struct {
 }
 
 func equivRuntimes() []engineRuntime {
-	liveOpts := func(tcp bool, codec string) LiveOptions {
-		return LiveOptions{TimeScale: liveEquivScale, Timeout: 60 * time.Second, TCP: tcp, Codec: codec}
+	liveOpts := func(tcp bool) LiveOptions {
+		return LiveOptions{TimeScale: liveEquivScale, Timeout: 60 * time.Second, TCP: tcp}
 	}
 	return []engineRuntime{
 		{"sim", RunSim},
-		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(false, "")) }},
-		{"tcp-gob", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(true, "gob")) }},
-		{"tcp-wire", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(true, "wire")) }},
+		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(false)) }},
+		{"tcp", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(true)) }},
 	}
 }
 
-// TestRuntimesEquivalent asserts that the sim, live and tcp runtimes (the
-// latter under both frame codecs) produce identical per-iteration recovery
-// thresholds, comm loads and payload bytes, and bit-identical weights, for
-// the same Spec-level inputs and seed — including dead-worker and DropProb
-// fault injection and pipelined mode.
+// TestRuntimesEquivalent asserts that the sim, live and tcp runtimes produce
+// identical per-iteration recovery thresholds, comm loads and payload bytes,
+// and bit-identical weights, for the same Spec-level inputs and seed —
+// including dead-worker and DropProb fault injection.
 func TestRuntimesEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
@@ -91,7 +87,6 @@ func TestRuntimesEquivalent(t *testing.T) {
 		{name: "cyclicrep-dead", scheme: "cyclicrep", m: 6, n: 6, r: 2, iters: 2, seed: 52, dead: []int{2}},
 		{name: "cyclicmds-wirepayload", scheme: "cyclicmds", m: 6, n: 6, r: 2, iters: 2, seed: 53},
 		{name: "bcc-drops", scheme: "bcc", m: 8, n: 12, r: 2, iters: 2, seed: 54, dropProb: 0.2, dropSeed: 7},
-		{name: "bcc-pipelined", scheme: "bcc", m: 8, n: 6, r: 2, iters: 2, seed: 50, pipelined: true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -134,50 +129,35 @@ func TestRuntimesEquivalent(t *testing.T) {
 	}
 }
 
-// TestPipelinedSimMatchesBarrierStats checks the sim transport's documented
-// property: pipelining cannot change per-iteration stats (cancel-on-receive
-// means every round starts with all workers idle), it only removes the
-// barrier wait from the end-to-end time.
-func TestPipelinedSimMatchesBarrierStats(t *testing.T) {
-	run := func(pipelined bool) *Result {
-		// One heavy straggler: its arrival trails the decode point, so the
-		// barrier must wait for it while the pipelined master does not.
-		lat := Fixed{PerPoint: 0.01, PerUnit: 1, Factor: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 50}}
-		cfg, _ := buildRun(t, "bcc", 8, 10, 2, 6, 60, lat)
-		cfg.IngressPerUnit = 0.01
-		cfg.Pipelined = pipelined
-		res, err := RunSim(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// TestSimElapsedChargesStragglerTail pins the sim's two end-to-end totals:
+// TotalWall sums each iteration's decode instant, while TotalElapsed also
+// charges the straggler tail that drains after it.
+func TestSimElapsedChargesStragglerTail(t *testing.T) {
+	// One heavy straggler: its arrival trails every decode point.
+	lat := Fixed{PerPoint: 0.01, PerUnit: 1, Factor: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 50}}
+	cfg, _ := buildRun(t, "bcc", 8, 10, 2, 6, 60, lat)
+	cfg.IngressPerUnit = 0.01
+	res, err := RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	barrier, pipe := run(false), run(true)
-	if d := vecmath.MaxAbsDiff(barrier.FinalW, pipe.FinalW); d != 0 {
-		t.Fatalf("pipelining changed training by %v", d)
+	var wall float64
+	for _, it := range res.Iters {
+		wall += it.Wall
 	}
-	for i := range barrier.Iters {
-		a, b := barrier.Iters[i], pipe.Iters[i]
-		// NaN Loss sentinels compare unequal; neutralize them first.
-		a.Loss, b.Loss = 0, 0
-		if a != b {
-			t.Fatalf("iteration %d stats differ: %+v vs %+v", i, barrier.Iters[i], pipe.Iters[i])
-		}
+	if res.TotalWall != wall {
+		t.Fatalf("TotalWall %v, want the sum of iteration walls %v", res.TotalWall, wall)
 	}
-	if pipe.TotalElapsed != pipe.TotalWall {
-		t.Fatalf("pipelined elapsed %v should equal decode-time total %v", pipe.TotalElapsed, pipe.TotalWall)
-	}
-	if barrier.TotalElapsed <= pipe.TotalElapsed {
-		t.Fatalf("barrier elapsed %v not above pipelined %v despite a straggler tail",
-			barrier.TotalElapsed, pipe.TotalElapsed)
+	if res.TotalElapsed <= res.TotalWall {
+		t.Fatalf("TotalElapsed %v not above TotalWall %v despite a straggler tail", res.TotalElapsed, res.TotalWall)
 	}
 }
 
-// TestPipelinedLiveCancelsStragglers runs the goroutine runtime in pipelined
-// mode with one catastrophically slow worker: the fresher broadcasts must
-// preempt its stale sleeps so the run finishes fast, and cancellation must
-// not perturb the training outcome.
-func TestPipelinedLiveCancelsStragglers(t *testing.T) {
+// TestLiveCancelsStragglers runs the goroutine runtime with one
+// catastrophically slow worker: the fresher broadcasts must preempt its
+// stale sleeps so the run finishes fast, and cancellation must not perturb
+// the training outcome.
+func TestLiveCancelsStragglers(t *testing.T) {
 	factors := make([]float64, 30)
 	for i := range factors {
 		factors[i] = 1
@@ -186,7 +166,6 @@ func TestPipelinedLiveCancelsStragglers(t *testing.T) {
 	lat := Fixed{PerPoint: 1e-4, PerUnit: 0.01, Factor: factors}
 	mk := func() *Config {
 		cfg, _ := buildRun(t, "bcc", 10, 30, 2, 4, 61, lat)
-		cfg.Pipelined = true
 		return cfg
 	}
 	start := time.Now()
@@ -195,7 +174,7 @@ func TestPipelinedLiveCancelsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("pipelined run waited for the straggler: %v", elapsed)
+		t.Fatalf("live run waited for the straggler: %v", elapsed)
 	}
 	simCfg := mk()
 	simRes, err := RunSim(simCfg)
@@ -203,39 +182,7 @@ func TestPipelinedLiveCancelsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := vecmath.MaxAbsDiff(res.FinalW, simRes.FinalW); d != 0 {
-		t.Fatalf("pipelined live weights differ from sim by %v", d)
-	}
-}
-
-// TestPipelinedTCPEndToEnd drives pipelined mode through the TCP fabric and
-// the compact wire codec together. The straggler factors make slow workers'
-// sleeps genuinely outlast decode points, so fresher broadcasts must
-// preempt stale sleeps over real sockets (the reader-channel path).
-func TestPipelinedTCPEndToEnd(t *testing.T) {
-	factors := make([]float64, 16)
-	for i := range factors {
-		factors[i] = 1
-	}
-	factors[3], factors[9] = 200, 500
-	lat := Fixed{PerPoint: 1e-3, PerUnit: 0.05, Factor: factors}
-	mk := func() *Config {
-		cfg, _ := buildRun(t, "bcc", 8, 16, 2, 5, 62, lat)
-		cfg.Pipelined = true
-		return cfg
-	}
-	res, err := RunLive(mk(), LiveOptions{TimeScale: 1e-3, TCP: true, Codec: "wire", Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simRes, err := RunSim(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vecmath.MaxAbsDiff(res.FinalW, simRes.FinalW); d != 0 {
-		t.Fatalf("pipelined tcp weights differ from sim by %v", d)
-	}
-	if res.TotalBytes == 0 {
-		t.Fatal("pipelined tcp run reported zero bytes")
+		t.Fatalf("live weights differ from sim by %v", d)
 	}
 }
 
@@ -250,9 +197,9 @@ func TestRunTransportValidates(t *testing.T) {
 }
 
 // TestRunTransportSimRoundTrip exercises RunTransport on a valid config so
-// the exported path is known-good, and checks the barrier-mode elapsed
-// bookkeeping: with zero latency and no ingress cost every round ends at
-// time 0 on the virtual clock.
+// the exported path is known-good, and checks the elapsed bookkeeping: with
+// zero latency and no ingress cost every round ends at time 0 on the
+// virtual clock.
 func TestRunTransportSimRoundTrip(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 8, 2, 4, 64, Zero{})
 	res, err := RunTransport(cfg, newSimTransport(cfg))

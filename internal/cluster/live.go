@@ -8,6 +8,7 @@ import (
 
 	"bcc/internal/coding"
 	"bcc/internal/faults"
+	"bcc/internal/wire"
 )
 
 // The live runtimes execute the run with real concurrent workers — one
@@ -18,27 +19,19 @@ import (
 // (engine.go) by the single liveTransport below; the master iteration logic
 // itself lives in the engine, not here.
 
-// ModelUpdate is the master-to-worker broadcast for one iteration. Iter < 0
-// signals shutdown.
-type ModelUpdate struct {
-	Iter  int
-	Query []float64
-	// Level is the active redundancy level of a Retunable plan for this
-	// iteration (controller.go): the worker encodes with that level's plan
-	// and processes only the matching prefix of its assignment. 0 on fixed
-	// plans (and treated as "use the plan's max level" defensively).
-	Level int
-}
+// ModelUpdate is the master-to-worker broadcast for one iteration, the wire
+// model frame itself. Iter < 0 signals shutdown. Level is the active
+// redundancy level of a Retunable plan for this iteration (controller.go):
+// the worker encodes with that level's plan and processes only the matching
+// prefix of its assignment. 0 on fixed plans (and treated as "use the plan's
+// max level" defensively).
+type ModelUpdate = wire.Model
 
-// Reply is a worker-to-master transmission: the encoded messages of one
-// iteration plus the worker's drawn (virtual) compute time, which the master
-// uses for the paper's computation-time metric.
-type Reply struct {
-	Iter    int
-	Worker  int
-	Compute float64
-	Msgs    []coding.Message
-}
+// Reply is a worker-to-master transmission, the wire reply frame itself: the
+// encoded messages of one iteration plus the worker's drawn (virtual)
+// compute time, which the master uses for the paper's computation-time
+// metric.
+type Reply = wire.Reply
 
 // LiveOptions tunes the goroutine/TCP runtimes.
 type LiveOptions struct {
@@ -47,11 +40,13 @@ type LiveOptions struct {
 	TimeScale float64
 	// Timeout aborts an iteration whose decoder starves (default 30 s).
 	Timeout time.Duration
-	// TCP routes all traffic through real loopback TCP sockets (gob-encoded)
+	// TCP routes all traffic through real loopback TCP sockets (wire frames)
 	// instead of in-process channels.
 	TCP bool
-	// Codec selects the TCP frame encoding: "gob" (default) or "wire" (the
-	// compact binary codec of internal/wire). Ignored without TCP.
+	// Codec named the TCP frame encoding.
+	//
+	// Deprecated: wire is the only frame encoding; leave Codec empty. "" and
+	// "wire" are accepted, anything else fails the run.
 	Codec string
 	// Drain makes the run end only after the fabric has drained: every
 	// in-flight straggler reply frame is read off the sockets (and counted)
@@ -101,6 +96,9 @@ func RunLiveContext(ctx context.Context, cfg *Config, opts LiveOptions) (*Result
 	var fab fabric
 	var err error
 	if opts.TCP {
+		if err := checkFrameCodec(opts.Codec); err != nil {
+			return nil, err
+		}
 		fab, err = newTCPFabric(cfg, opts)
 	} else {
 		fab, err = newChanFabric(cfg, opts)
@@ -314,8 +312,10 @@ type WorkerEnv struct {
 	// iteration's work: while crashed it computes and transmits nothing, and
 	// scheduled slowdown windows multiply its compute and upload latency.
 	Faults *faults.Plan
-	// Codec selects the TCP frame encoding ("" = gob); must match the
-	// master. Unused by the channel fabric.
+	// Codec named the TCP frame encoding.
+	//
+	// Deprecated: wire is the only frame encoding; leave Codec empty. "" and
+	// "wire" are accepted, anything else fails DialAndServeWorker.
 	Codec string
 	// Comm configures the payload codec; must match the master's
 	// Config.Comm (the TCP handshake verifies this).
@@ -343,12 +343,12 @@ type WorkerEnv struct {
 // drawn broadcast + compute latency, compute the real partial gradients,
 // encode, sleep the upload latency, reply. A worker only ever works for the
 // newest query it has seen: the engine broadcasts iteration t+1 only after t
-// has decoded (barrier or pipelined), so a fresher update proves every older
-// reply useless. Queued stale models are skipped at the top of each round and
-// all three latency sleeps are cut short by a fresher update (or a shutdown),
-// which is what the simulator and the paper's i.i.d. delay model assume —
-// every round starts with all workers idle, no straggler carries a backlog
-// into the next one. Which stale replies still get sent is therefore
+// has decoded, so a fresher update proves every older reply useless. Queued
+// stale models are skipped at the top of each round and all three latency
+// sleeps are cut short by a fresher update (or a shutdown), which is what
+// the simulator and the paper's i.i.d. delay model assume — every round
+// starts with all workers idle, no straggler carries a backlog into the
+// next one. Which stale replies still get sent is therefore
 // timing-dependent; what the master counts is not. An env.Faults plan is
 // consulted before any iteration work: crashed iterations are skipped
 // entirely (no latency draws, no compute, no transmission — exactly what the

@@ -65,15 +65,15 @@ func TestDrainFabricWaitsForWorkers(t *testing.T) {
 	for w := 0; w < 6; w++ {
 		env := WorkerEnv{
 			Index: w, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
-			Latency: Zero{}, Codec: "wire", Comm: cfg.Comm,
+			Latency: Zero{}, Comm: cfg.Comm,
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
-	fab, err := ServeMasterPool(ln, 6, 10*time.Second, "wire", cfg.Buffers(), cfg.Comm, cfg.Model.Dim())
+	fab, err := ServeMasterPool(ln, 6, 10*time.Second, "", cfg.Buffers(), cfg.Comm, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWithFabricContext(context.Background(), cfg, fab, LiveOptions{TCP: true, Codec: "wire"})
+	res, err := RunWithFabricContext(context.Background(), cfg, fab, LiveOptions{TCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

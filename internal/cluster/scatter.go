@@ -23,13 +23,13 @@ import (
 // payloads enter through M parallel sockets with per-shard measured byte
 // accounting.
 //
-// Slice frames are ordinary reply frames over the negotiated frame codec
-// (gob or wire) carrying the worker's metadata plus each message's
-// [lo, hi) slice. The worker applies the lossy payload transform once
-// in-process — the same wire boundary the channel fabric uses — and the
-// slice frames themselves travel raw64: a slice of a transformed vector is
-// not the transform of the slice, so re-encoding per shard would corrupt
-// values (topk) or double-quantize byte counts; shipping the transformed
+// Slice frames are ordinary wire reply frames carrying the worker's
+// metadata plus each message's [lo, hi) slice. The worker applies the lossy
+// payload transform once in-process — the same wire boundary the channel
+// fabric uses — and the slice frames themselves travel raw64: a slice of a
+// transformed vector is not the transform of the slice, so re-encoding per
+// shard would corrupt values (topk) or double-quantize byte counts; shipping
+// the transformed
 // values dense keeps every decoded coordinate bit-identical to the
 // single-socket runtimes at the cost of not realizing topk's wire-byte
 // savings on the scatter plane (measured bytes are observations, never
@@ -38,7 +38,7 @@ import (
 // The shard map (count + chunk-aligned bounds) is deterministic from the
 // run's spec, so it is never shipped whole: workers and master derive it
 // independently via shardBounds, and the handshake verifies the shard COUNT
-// (Hello.Shards) like the codec parameters — a disagreement would land
+// (wire.Hello.Shards) like the codec parameters — a disagreement would land
 // coordinates on the wrong shard.
 
 // scatterSlot is one worker's reassembly state: slices arrive on M
@@ -198,9 +198,9 @@ func scatterCommPlane(cp commPlane, dim int) (commPlane, error) {
 // newScatterFabric wraps an accepted primary fabric with shard listeners and
 // accepts the workers' shard connections: exactly one connection per (alive
 // worker, shard), each handshaking with the worker's index and the agreed
-// shard count. Must be called after the primary accept so every worker is
-// known to be dialing.
-func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int, timeout time.Duration, codecName string, pool *BufferPool, cp commPlane, dim, shards int) (*scatterFabric, error) {
+// shard count; timeout bounds each accept and each hello read. Must be
+// called after the primary accept so every worker is known to be dialing.
+func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, cp commPlane, dim, shards int) (*scatterFabric, error) {
 	scp, err := scatterCommPlane(cp, dim)
 	if err != nil {
 		return nil, err
@@ -232,13 +232,8 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 			// Nested counters: the inner conn feeds the shard's own in/out
 			// totals, the outer one the fabric-wide totals the engine samples.
 			conn := CountConn(CountConn(raw, &f.shardIn[s], &f.shardOut[s]), &f.bytesIn, &f.bytesOut)
-			codec, err := newFrameCodec(codecName, conn, nil, scp)
-			if err != nil {
-				conn.Close()
-				f.Close()
-				return nil, err
-			}
-			hello, err := codec.ReadHello()
+			codec := newWireCodec(conn, nil, scp)
+			hello, err := codec.ReadHello(timeout)
 			if err != nil {
 				conn.Close()
 				f.Close()
@@ -257,7 +252,7 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 			}
 			f.shardConns = append(f.shardConns, conn)
 			f.readers.Add(1)
-			go func(shard int, codec frameCodec) {
+			go func(shard int, codec *wireCodec) {
 				defer f.readers.Done()
 				for {
 					rep, err := codec.ReadReply()
@@ -304,17 +299,17 @@ func listenShards(shards int) ([]net.Listener, error) {
 // given the shard listeners' addresses (Assign.ShardPorts /
 // WorkerEnv.ShardAddrs) and the same shard count in its spec. The caller
 // owns the listeners; Close on the returned fabric closes them.
-func ServeMasterScatterPool(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
+func ServeMasterScatterPool(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
 	}
 	shards := len(shardLns)
-	primary, err := acceptWorkers(ln, alive, timeout, codecName, pool, comm, dim, shards)
+	primary, err := acceptWorkers(ln, alive, timeout, pool, comm, dim, shards)
 	if err != nil {
 		return nil, err
 	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, timeout, codecName, pool, cp, dim, shards)
+	fab, err := newScatterFabric(primary, shardLns, n, alive, timeout, pool, cp, dim, shards)
 	if err != nil {
 		primary.Close()
 		return nil, err
@@ -324,8 +319,8 @@ func ServeMasterScatterPool(ln net.Listener, shardLns []net.Listener, n, alive i
 
 // dialShards opens the worker side of the scatter plane: one connection per
 // shard address, each handshaking with the worker's identity and shard
-// count. Returns the per-shard frame codecs and a closer.
-func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCodec, func(), error) {
+// count. Returns the per-shard codecs and a closer.
+func dialShards(addrs []string, worker int, cp commPlane, dim int) ([]*wireCodec, func(), error) {
 	scp, err := scatterCommPlane(cp, dim)
 	if err != nil {
 		return nil, nil, err
@@ -336,24 +331,20 @@ func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCo
 			c.Close()
 		}
 	}
-	codecs := make([]frameCodec, 0, len(addrs))
+	codecs := make([]*wireCodec, 0, len(addrs))
 	for s, addr := range addrs {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			closeAll()
-			return nil, nil, fmt.Errorf("cluster: worker %d dial shard %d: %w", env.Index, s, err)
+			return nil, nil, fmt.Errorf("cluster: worker %d dial shard %d: %w", worker, s, err)
 		}
 		conns = append(conns, conn)
-		codec, err := newFrameCodec(env.Codec, conn, nil, scp)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		h := scp.hello(env.Index)
+		codec := newWireCodec(conn, nil, scp)
+		h := scp.hello(worker)
 		h.Shards = len(addrs)
 		if err := codec.WriteHello(h); err != nil {
 			closeAll()
-			return nil, nil, fmt.Errorf("cluster: worker %d shard %d hello: %w", env.Index, s, err)
+			return nil, nil, fmt.Errorf("cluster: worker %d shard %d hello: %w", worker, s, err)
 		}
 		codecs = append(codecs, codec)
 	}
@@ -366,7 +357,7 @@ func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCo
 // The slice headers repeat the reply metadata so each shard frame is
 // self-contained. Payload buffers are recycled once every slice is on the
 // wire.
-func scatterSend(codecs []frameCodec, bounds []int, coder *wire.VecCoder, bufs *BufferPool) func(Reply) error {
+func scatterSend(codecs []*wireCodec, bounds []int, coder *wire.VecCoder, bufs *BufferPool) func(Reply) error {
 	// Reusable per-shard message scratch; the backing arrays grow once.
 	scratch := make([][]coding.Message, len(codecs))
 	return func(r Reply) error {

@@ -13,7 +13,7 @@ import (
 
 // The scenario conformance suite: every named fault scenario must produce
 // bit-identical iterates and identical fault-event traces on the sim, live
-// and tcp runtimes, in both barrier and pipelined mode. The suite leans on
+// and tcp runtimes. The suite leans on
 // the same staggered-latency construction as the cross-runtime equivalence
 // tests — worker w's (equal-load) computation finishes (w+1) virtual
 // seconds after broadcast, so arrival order is fixed — and on the fault
@@ -22,6 +22,10 @@ import (
 // slowed arrival times distinct from every unslowed one (products of
 // distinct staggers with factors 6 or 8 never collide with staggers 1..n),
 // so the realized order stays deterministic on the live runtimes too.
+//
+// Matrix cells are labelled "/barrier", the engine's round structure on
+// every runtime: the next query goes out only once the current one has
+// decoded, and Result.TotalElapsed charges each round's straggler tail.
 
 // scenarioTopology is the shared conformance run shape: bcc with 2 batches
 // over 8 workers (high redundancy, decode from any batch-covering prefix),
@@ -45,22 +49,22 @@ type scenarioRun struct {
 
 // runScenario executes the named scenario on one runtime. run is nil for
 // the sim reference.
-func runScenario(t *testing.T, name string, pipelined bool, run func(cfg *Config) (*Result, error)) scenarioRun {
+func runScenario(t *testing.T, name string, run func(cfg *Config) (*Result, error)) scenarioRun {
 	t.Helper()
-	return runScenarioComm(t, name, pipelined, CommOptions{}, run)
+	return runScenarioComm(t, name, CommOptions{}, run)
 }
 
 // runScenarioComm is runScenario with an explicit payload-codec
 // configuration — the codec axis of the conformance matrix.
-func runScenarioComm(t *testing.T, name string, pipelined bool, comm CommOptions, run func(cfg *Config) (*Result, error)) scenarioRun {
+func runScenarioComm(t *testing.T, name string, comm CommOptions, run func(cfg *Config) (*Result, error)) scenarioRun {
 	t.Helper()
-	return runScenarioCfg(t, name, pipelined, comm, nil, run)
+	return runScenarioCfg(t, name, comm, nil, run)
 }
 
 // runScenarioCfg is the fully general scenario runner: mut, if non-nil, may
 // adjust the built Config before the run (the sharded-master conformance
 // suite sets MasterShards through it).
-func runScenarioCfg(t *testing.T, name string, pipelined bool, comm CommOptions, mut func(*Config), run func(cfg *Config) (*Result, error)) scenarioRun {
+func runScenarioCfg(t *testing.T, name string, comm CommOptions, mut func(*Config), run func(cfg *Config) (*Result, error)) scenarioRun {
 	t.Helper()
 	plan, err := faults.Scenario(name, scenarioN, 9)
 	if err != nil {
@@ -69,7 +73,6 @@ func runScenarioCfg(t *testing.T, name string, pipelined bool, comm CommOptions,
 	cfg, _ := buildRun(t, "bcc", scenarioM, scenarioN, scenarioR, scenarioIters, scenarioSeed,
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
-	cfg.Pipelined = pipelined
 	cfg.Comm = comm
 	// The conformance matrix runs with decode parallelism on: every runtime
 	// must still match the sim reference (and the golden traces) exactly
@@ -103,12 +106,12 @@ func runScenarioCfg(t *testing.T, name string, pipelined bool, comm CommOptions,
 // scenarioRuntimes lists the runtimes under conformance; sim is the
 // reference implementation.
 func scenarioRuntimes() []engineRuntime {
-	opts := func(tcp bool, codec string) LiveOptions {
-		return LiveOptions{TimeScale: scenarioScale, Timeout: 60 * time.Second, TCP: tcp, Codec: codec}
+	opts := func(tcp bool) LiveOptions {
+		return LiveOptions{TimeScale: scenarioScale, Timeout: 60 * time.Second, TCP: tcp}
 	}
 	return []engineRuntime{
-		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(false, "")) }},
-		{"tcp-wire", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(true, "wire")) }},
+		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(false)) }},
+		{"tcp", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(true)) }},
 	}
 }
 
@@ -151,32 +154,25 @@ func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, sim b
 }
 
 // TestScenarioConformance is the tentpole suite: for every named scenario,
-// in barrier and pipelined mode, the live and tcp runtimes must reproduce
-// the sim reference exactly — per-iteration recovery thresholds, comm
-// loads, payload bytes, gradient norms, bit-identical final weights and an
-// identical fault-event trace.
+// the live and tcp runtimes must reproduce the sim reference exactly —
+// per-iteration recovery thresholds, comm loads, payload bytes, gradient
+// norms, bit-identical final weights and an identical fault-event trace.
 func TestScenarioConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
 	}
 	for _, name := range faults.Names() {
-		for _, pipelined := range []bool{false, true} {
-			name, pipelined := name, pipelined
-			mode := "barrier"
-			if pipelined {
-				mode = "pipelined"
+		name := name
+		t.Run(name+"/barrier", func(t *testing.T) {
+			t.Parallel()
+			ref := runScenario(t, name, nil)
+			if len(ref.res.Iters) != scenarioIters {
+				t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
 			}
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				ref := runScenario(t, name, pipelined, nil)
-				if len(ref.res.Iters) != scenarioIters {
-					t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
-				}
-				for _, rt := range scenarioRuntimes() {
-					compareScenarioRuns(t, rt.name, runScenario(t, name, pipelined, rt.run), ref, false)
-				}
-			})
-		}
+			for _, rt := range scenarioRuntimes() {
+				compareScenarioRuns(t, rt.name, runScenario(t, name, rt.run), ref, false)
+			}
+		})
 	}
 }
 
@@ -186,12 +182,12 @@ func TestScenarioConformance(t *testing.T) {
 // worker sets or event traces) while still training to the same optimum
 // tolerance as an unfaulted run.
 func TestScenarioFaultsPerturbTraining(t *testing.T) {
-	steady := runScenario(t, "steady", false, nil)
+	steady := runScenario(t, "steady", nil)
 	if len(steady.events) != 0 {
 		t.Fatalf("steady scenario emitted events: %v", steady.events)
 	}
 	for _, name := range []string{"flaky-tail", "rolling-restart", "partition", "slow-decile"} {
-		got := runScenario(t, name, false, nil)
+		got := runScenario(t, name, nil)
 		if len(got.events) == 0 {
 			t.Errorf("scenario %s emitted no fault events", name)
 		}

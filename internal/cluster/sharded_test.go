@@ -18,8 +18,8 @@ import (
 )
 
 // The sharded-master conformance suite: Config.MasterShards must be a pure
-// performance knob. For every fault scenario, in barrier and pipelined mode,
-// on the sim, live and tcp runtimes, a sharded run must reproduce the
+// performance knob. For every fault scenario, on the sim, live and tcp
+// runtimes, a sharded run must reproduce the
 // unsharded run exactly — identical per-iteration stats, bit-identical final
 // weights and an identical fault-event trace — for every tested shard count,
 // including configured counts above the model's chunk count (clamped by
@@ -51,35 +51,29 @@ func TestShardedMasterConformance(t *testing.T) {
 	}
 	comm := CommOptions{Chunk: shardedChunk}
 	for _, name := range faults.Names() {
-		for _, pipelined := range []bool{false, true} {
-			name, pipelined := name, pipelined
-			mode := "barrier"
-			if pipelined {
-				mode = "pipelined"
+		name := name
+		t.Run(name+"/barrier", func(t *testing.T) {
+			t.Parallel()
+			ref := runScenarioCfg(t, name, comm, nil, nil)
+			if len(ref.res.Iters) != scenarioIters {
+				t.Fatalf("unsharded sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
 			}
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				ref := runScenarioCfg(t, name, pipelined, comm, nil, nil)
-				if len(ref.res.Iters) != scenarioIters {
-					t.Fatalf("unsharded sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
+			for _, m := range []int{1, 2, 4} {
+				got := runScenarioCfg(t, name, comm, shardedMut(m), nil)
+				compareScenarioRuns(t, fmt.Sprintf("sim/M=%d", m), got, ref, true)
+				if m > 1 {
+					checkShardStats(t, fmt.Sprintf("sim/M=%d", m), got.res, m, shardedChunk, false)
 				}
-				for _, m := range []int{1, 2, 4} {
-					got := runScenarioCfg(t, name, pipelined, comm, shardedMut(m), nil)
-					compareScenarioRuns(t, fmt.Sprintf("sim/M=%d", m), got, ref, true)
-					if m > 1 {
-						checkShardStats(t, fmt.Sprintf("sim/M=%d", m), got.res, m, shardedChunk, false)
-					}
+			}
+			for _, m := range []int{2, 4} {
+				for _, rt := range scenarioRuntimes() {
+					label := fmt.Sprintf("%s/M=%d", rt.name, m)
+					got := runScenarioCfg(t, name, comm, shardedMut(m), rt.run)
+					compareScenarioRuns(t, label, got, ref, false)
+					checkShardStats(t, label, got.res, m, shardedChunk, rt.name == "tcp")
 				}
-				for _, m := range []int{2, 4} {
-					for _, rt := range scenarioRuntimes() {
-						label := fmt.Sprintf("%s/M=%d", rt.name, m)
-						got := runScenarioCfg(t, name, pipelined, comm, shardedMut(m), rt.run)
-						compareScenarioRuns(t, label, got, ref, false)
-						checkShardStats(t, label, got.res, m, shardedChunk, rt.name == "tcp-wire")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -151,7 +145,7 @@ func TestShardedScatterMeasuredBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp run sleeps real time")
 	}
-	opts := LiveOptions{TimeScale: 1e-6, Timeout: 60 * time.Second, TCP: true, Codec: "wire", Drain: true}
+	opts := LiveOptions{TimeScale: 1e-6, Timeout: 60 * time.Second, TCP: true, Drain: true}
 	run := func(shards int) *Result {
 		cfg, _ := buildRunDim(t, "bcc", 8, 8, 4, 4, 407, Zero{}, 64)
 		cfg.Comm = CommOptions{Chunk: 8}
@@ -194,7 +188,7 @@ func TestShardedLossyCodecsBitExact(t *testing.T) {
 		payload := payload
 		t.Run(payload, func(t *testing.T) {
 			t.Parallel()
-			opts := LiveOptions{TimeScale: 1e-6, Timeout: 60 * time.Second, TCP: true, Codec: "wire"}
+			opts := LiveOptions{TimeScale: 1e-6, Timeout: 60 * time.Second, TCP: true}
 			run := func(shards int) *Result {
 				cfg, _ := buildRunDim(t, "bcc", 8, 8, 4, 3, 408, Zero{}, 64)
 				cfg.Comm = CommOptions{Payload: payload, Chunk: 8}

@@ -27,12 +27,11 @@ import (
 // simulated iteration therefore allocates nothing — the property the
 // allocation-regression tests pin.
 //
-// Neither mode needs special handling here: live workers drop stale work the
-// instant a fresher broadcast reaches them (RunWorker), so every round starts
-// with all workers idle, which is precisely what simulating each iteration as
-// an isolated round already models. Per-iteration stats coincide across
-// barrier and pipelined by construction; only Result.TotalElapsed differs
-// (barrier accounting also charges the straggler tail's drain).
+// Live workers drop stale work the instant a fresher broadcast reaches them
+// (RunWorker), so every round starts with all workers idle, which is
+// precisely what simulating each iteration as an isolated round already
+// models. The straggler tail still ends each round: RoundEnd charges its
+// drain to Result.TotalElapsed, while Result.TotalWall stops at the decode.
 
 // RunSim executes the training run on the discrete-event simulator.
 func RunSim(cfg *Config) (*Result, error) {
@@ -241,8 +240,8 @@ func (s *simSource) Next() (Arrival, bool, error) {
 
 func (s *simSource) Wall() float64 { return s.wall }
 
-// RoundEnd is when the last transmission finishes draining — the instant
-// the master's barrier would release in non-pipelined mode.
+// RoundEnd is when the last transmission finishes draining — the end of the
+// round, straggler tail included.
 func (s *simSource) RoundEnd() float64 {
 	if len(s.arrivals) == 0 {
 		return 0

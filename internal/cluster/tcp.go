@@ -15,41 +15,23 @@ import (
 // loopback sockets — the messages genuinely leave the process boundary
 // through the kernel's TCP stack. It backs both the in-process
 // RunLive(..., TCP: true) mode and the multi-process cmd/bcccluster tool.
-// Frames are encoded by a pluggable codec: "gob" (default) or the compact
-// "wire" binary codec (LiveOptions.Codec); both endpoints must agree.
+// Frames use the compact binary encoding of internal/wire, the only frame
+// encoding: each connection opens with a wire.Hello carrying the worker's
+// index and resolved comm-plane parameters (payload codec, top-K, chunk,
+// shard count), which the master verifies against its own before admitting
+// it — a mismatch would silently corrupt every payload.
 //
 // The master's side of a connection is read-only apart from broadcasts, and
-// a broadcast is the same bytes for every worker: under the wire codec the
-// fabric encodes each model update once into a frame it owns and writes that
-// slice to every socket, so per-connection write state does not exist.
-
-// Hello is the first frame a worker sends after dialing. Beyond the worker
-// index it carries the worker's resolved comm-plane parameters — payload
-// codec name, top-K count and effective chunk size — which the master
-// verifies against its own before admitting the connection: a codec mismatch
-// would silently corrupt every payload, so it is rejected at handshake time.
-type Hello struct {
-	Worker  int
-	Payload string
-	TopK    int
-	Chunk   int
-	// Shards is the master-shard count the worker was configured with (0 =
-	// unsharded). Under the scatter data plane (scatter.go) workers slice
-	// every reply across per-shard listeners, so a shard-map disagreement
-	// would land coordinates on the wrong shard; the handshake rejects it
-	// like a codec mismatch.
-	Shards int
-}
+// a broadcast is the same bytes for every worker: the fabric encodes each
+// model update once into a frame it owns and writes that slice to every
+// socket, so per-connection write state does not exist.
 
 type tcpFabric struct {
 	ln    net.Listener
 	conns []net.Conn
 	// frame is the current broadcast, encoded by fw; reused every iteration.
-	frame wire.Frame
-	fw    *wire.Writer
-	// gobs is non-nil under the gob frame codec only: a gob stream carries
-	// per-connection type state, so there each connection encodes for itself.
-	gobs    []*gobCodec
+	frame   wire.Frame
+	fw      *wire.Writer
 	replies chan Reply
 	alive   int
 	mu      sync.Mutex
@@ -71,9 +53,9 @@ func (f *tcpFabric) WireTotals() (in, out int64) {
 }
 
 // countingConn counts every byte crossing a master-side connection into the
-// fabric's totals. Wrapping the conn (rather than instrumenting codecs) means
-// the count is the genuine wire traffic: frame headers, handshakes and
-// payloads alike, for any frame codec.
+// fabric's totals. Wrapping the conn (rather than instrumenting the codec)
+// means the count is the genuine wire traffic: frame headers, handshakes and
+// payloads alike.
 type countingConn struct {
 	net.Conn
 	in, out *atomic.Int64
@@ -150,7 +132,6 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Units:              cfg.Units,
 			Latency:            cfg.latency(),
 			TimeScale:          opts.TimeScale,
-			Codec:              opts.Codec,
 			Comm:               cfg.Comm,
 			Faults:             cfg.Faults,
 			ComputeParallelism: cfg.ComputeParallelism,
@@ -159,7 +140,7 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
 
-	primary, err := acceptWorkers(ln, alive, opts.Timeout, opts.Codec, cfg.buffers(), cfg.Comm, cfg.Model.Dim(), shards)
+	primary, err := acceptWorkers(ln, alive, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim(), shards)
 	if err != nil {
 		closeShards()
 		ln.Close()
@@ -168,7 +149,7 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	if shards == 0 {
 		return primary, nil
 	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, opts.Timeout, opts.Codec, cfg.buffers(), cfg.comm(), cfg.Model.Dim(), shards)
+	fab, err := newScatterFabric(primary, shardLns, n, alive, opts.Timeout, cfg.buffers(), cfg.comm(), cfg.Model.Dim(), shards)
 	if err != nil {
 		primary.Close()
 		return nil, err
@@ -177,12 +158,13 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 }
 
 // acceptWorkers accepts exactly `alive` handshaking connections on ln and
-// assembles the fabric around them. pool, if non-nil, backs the codecs'
-// reply deserialization so gradient payloads land in recycled buffers. comm
-// and dim resolve the master's comm plane; each worker's hello must declare
-// the same payload codec, top-K and chunk size — and the same master-shard
-// count `shards` (0 = unsharded) — or the handshake fails.
-func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim, shards int) (*tcpFabric, error) {
+// assembles the fabric around them. timeout bounds each accept and each
+// hello read. pool, if non-nil, backs the codecs' reply deserialization so
+// gradient payloads land in recycled buffers. comm and dim resolve the
+// master's comm plane; each worker's hello must declare the same payload
+// codec, top-K and chunk size — and the same master-shard count `shards`
+// (0 = unsharded) — or the handshake fails.
+func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim, shards int) (*tcpFabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
@@ -207,13 +189,8 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 			return nil, fmt.Errorf("cluster: tcp accept %d/%d: %w", i, alive, err)
 		}
 		conn := countingConn{Conn: raw, in: &f.bytesIn, out: &f.bytesOut}
-		codec, err := newFrameCodec(codecName, conn, pool, cp)
-		if err != nil {
-			conn.Close()
-			f.Close()
-			return nil, err
-		}
-		hello, err := codec.ReadHello()
+		codec := newWireCodec(conn, pool, cp)
+		hello, err := codec.ReadHello(timeout)
 		if err != nil {
 			conn.Close()
 			f.Close()
@@ -231,12 +208,9 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 				hello.Worker, hello.Shards, shards)
 		}
 		f.conns = append(f.conns, conn)
-		if g, ok := codec.(*gobCodec); ok {
-			f.gobs = append(f.gobs, g)
-		}
 		// Reader: stream this worker's replies into the shared channel.
 		f.readers.Add(1)
-		go func(codec frameCodec) {
+		go func(codec *wireCodec) {
 			defer f.readers.Done()
 			for {
 				rep, err := codec.ReadReply()
@@ -251,16 +225,8 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 }
 
 func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
-	if f.gobs != nil {
-		for i, g := range f.gobs {
-			if err := g.WriteModel(mu); err != nil {
-				return fmt.Errorf("cluster: tcp broadcast to conn %d: %w", i, err)
-			}
-		}
-		return nil
-	}
 	f.frame = f.frame[:0]
-	if err := f.fw.WriteModel(wire.Model{Iter: mu.Iter, Level: mu.Level, Query: mu.Query}); err != nil {
+	if err := f.fw.WriteModel(mu); err != nil {
 		return fmt.Errorf("cluster: tcp broadcast encode: %w", err)
 	}
 	for i, conn := range f.conns {
@@ -340,9 +306,11 @@ func (f *tcpFabric) Close() error {
 // DialAndServeWorker connects to a master at addr, performs the handshake
 // and serves the worker protocol until the connection closes or the master
 // sends a shutdown update. It is used by the in-process TCP runtime and by
-// the out-of-process worker command. env.Codec selects the frame encoding
-// and must match the master's.
+// the out-of-process worker command.
 func DialAndServeWorker(addr string, env WorkerEnv) error {
+	if err := checkFrameCodec(env.Codec); err != nil {
+		return err
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("cluster: worker %d dial: %w", env.Index, err)
@@ -358,10 +326,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	}
 	// The worker's reads are model broadcasts, not replies, so its codec
 	// needs no reply pool.
-	codec, err := newFrameCodec(env.Codec, conn, nil, cp)
-	if err != nil {
-		return err
-	}
+	codec := newWireCodec(conn, nil, cp)
 	if env.Bufs == nil && env.Model != nil {
 		// A TCP worker's payloads are fully serialized by the time WriteReply
 		// returns, so a small private pool recycled in the send path makes
@@ -410,7 +375,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		// Sharded master: replies scatter as coordinate slices across the
 		// per-shard connections; the primary connection carries only the
 		// handshake and model broadcasts (scatter.go).
-		shardCodecs, closeShards, err := dialShards(env.ShardAddrs, env, cp, dim)
+		shardCodecs, closeShards, err := dialShards(env.ShardAddrs, env.Index, cp, dim)
 		if err != nil {
 			return err
 		}
@@ -423,14 +388,14 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 
 // ServeMaster accepts `alive` worker connections on ln and returns a fabric
 // for RunWithFabric; used by cmd/bcccluster where workers are separate
-// processes. codecName must match the workers' ("" = gob), and comm (with
-// the model dimension dim) must match the CommOptions given to every worker
-// — each handshake is verified against it. The caller owns ln's lifetime via
+// processes. comm (with the model dimension dim) must match the CommOptions
+// given to every worker — each handshake is verified against it. timeout
+// bounds each accept and each hello read. The caller owns ln's lifetime via
 // the returned fabric's Close. Reply payloads are allocated per frame here
 // (the engine's pool still bounds master-side retention); the in-process TCP
 // runtime wires a shared pool instead.
-func ServeMaster(ln net.Listener, alive int, timeout time.Duration, codecName string, comm CommOptions, dim int) (Fabric, error) {
-	return acceptWorkers(ln, alive, timeout, codecName, nil, comm, dim, 0)
+func ServeMaster(ln net.Listener, alive int, timeout time.Duration, comm CommOptions, dim int) (Fabric, error) {
+	return acceptWorkers(ln, alive, timeout, nil, comm, dim, 0)
 }
 
 // ServeMasterPool is ServeMaster with a caller-supplied payload-buffer
@@ -439,8 +404,16 @@ func ServeMaster(ln net.Listener, alive int, timeout time.Duration, codecName st
 // daemon, which runs one engine per job over leased fleet workers) keeps
 // the allocation-free steady state of the in-process TCP runtime. Pass
 // Config.Buffers() of the run the fabric will drive.
+//
+// Deprecated: the codecName parameter only survives for existing callers
+// and goes once none passes it; it must be "" or "wire", the only frame
+// encoding.
 func ServeMasterPool(ln net.Listener, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
-	return acceptWorkers(ln, alive, timeout, codecName, pool, comm, dim, 0)
+	if err := checkFrameCodec(codecName); err != nil {
+		ln.Close() // as a failed accept would: dialing workers must not hang
+		return nil, err
+	}
+	return acceptWorkers(ln, alive, timeout, pool, comm, dim, 0)
 }
 
 // Fabric is the exported face of the master-side substrate, for callers

@@ -111,10 +111,9 @@ var runtimes = map[Runtime]func(ctx context.Context, cfg *cluster.Config, spec S
 		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale})
 	},
 	RuntimeTCP: func(ctx context.Context, cfg *cluster.Config, spec Spec) (*cluster.Result, error) {
-		// The compact binary frames: the payload codec shrinks what actually
-		// crosses the socket (gob frames, still selectable in bcccluster via
-		// -frame, carry identical values but fixed-width encodings).
-		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale, TCP: true, Codec: "wire"})
+		// Wire frames: the payload codec shrinks what actually crosses the
+		// socket.
+		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale, TCP: true})
 	},
 }
 
@@ -322,20 +321,16 @@ type Spec struct {
 	// Payload selects the comm-plane payload codec: PayloadRaw64 (default,
 	// lossless), PayloadF32 or PayloadTopK. Lossy codecs are deterministic:
 	// the same spec + seed + codec gives bit-identical results on every
-	// runtime, barrier or pipelined.
+	// runtime.
 	Payload Payload
 	// TopK is the number of coordinates kept per reply vector under
 	// PayloadTopK (0 = Dim/16 rounded up, the K = p/16 operating point);
 	// setting it with any other codec is an error.
 	TopK int
 	// WireChunk is the wire framing chunk size in float64 elements for the
-	// TCP runtime's "wire" frame codec (0 = default 512). Chunking changes
-	// streaming granularity only, never the bytes or the results.
+	// TCP runtime's frames (0 = default 512). Chunking changes streaming
+	// granularity only, never the bytes or the results.
 	WireChunk int
-	// Pipelined makes Result.TotalElapsed charge each iteration up to its
-	// decode instant instead of the end of its straggler tail; workers
-	// abandon stale work either way (see cluster.Config.Pipelined).
-	Pipelined bool
 	// TimeScale converts virtual seconds to real sleeps on live runtimes.
 	TimeScale float64
 	// LossEvery records full training loss every k iterations (0 = never).
@@ -616,7 +611,6 @@ func (j *Job) clusterConfig() *cluster.Config {
 		Comm:               j.Spec.comm(),
 		LossEvery:          j.Spec.LossEvery,
 		Trace:              j.Spec.Trace,
-		Pipelined:          j.Spec.Pipelined,
 		Observer:           j.Spec.Observer,
 		StopWhen:           stop,
 		CheckpointEvery:    j.Spec.CheckpointEvery,

@@ -88,7 +88,6 @@ type remoteSpec struct {
 	Payload            Payload      `json:"payload,omitempty"`
 	TopK               int          `json:"top_k,omitempty"`
 	WireChunk          int          `json:"wire_chunk,omitempty"`
-	Pipelined          bool         `json:"pipelined,omitempty"`
 	TimeScale          float64      `json:"time_scale,omitempty"`
 	LossEvery          int          `json:"loss_every,omitempty"`
 	GradNormTol        float64      `json:"grad_norm_tol,omitempty"`
@@ -149,7 +148,6 @@ func EncodeSpec(s Spec) ([]byte, error) {
 		Payload:            norm.Payload,
 		TopK:               norm.TopK,
 		WireChunk:          norm.WireChunk,
-		Pipelined:          norm.Pipelined,
 		TimeScale:          norm.TimeScale,
 		LossEvery:          norm.LossEvery,
 		GradNormTol:        norm.GradNormTol,
@@ -198,7 +196,6 @@ func DecodeSpec(data []byte) (Spec, error) {
 		Payload:            rs.Payload,
 		TopK:               rs.TopK,
 		WireChunk:          rs.WireChunk,
-		Pipelined:          rs.Pipelined,
 		TimeScale:          rs.TimeScale,
 		LossEvery:          rs.LossEvery,
 		GradNormTol:        rs.GradNormTol,
@@ -241,7 +238,6 @@ func (j *Job) WorkerEnv(index int) cluster.WorkerEnv {
 		Latency:            lat,
 		TimeScale:          j.Spec.TimeScale,
 		Faults:             j.Faults,
-		Codec:              "wire",
 		Comm:               j.Spec.comm(),
 		ComputeParallelism: j.Spec.ComputeParallelism,
 	}

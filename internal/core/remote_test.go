@@ -37,7 +37,6 @@ func TestSpecEncodeDecodeRoundTrip(t *testing.T) {
 		Payload:            PayloadTopK,
 		TopK:               8,
 		WireChunk:          128,
-		Pipelined:          true,
 		TimeScale:          1e-4,
 		LossEvery:          5,
 		GradNormTol:        1e-9,
@@ -120,6 +119,10 @@ func TestSpecDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeSpec([]byte(`{"unknown_field":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	// An older submitter's spec still carrying the removed option.
+	if _, err := DecodeSpec([]byte(`{"pipelined":true}`)); err == nil || !strings.Contains(err.Error(), `"pipelined"`) {
+		t.Fatalf("spec with pipelined: err = %v, want an error naming the field", err)
 	}
 	if _, err := DecodeSpec([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")

@@ -560,9 +560,9 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 			shardClns[s] = &countingListener{Listener: sln, in: &d.fleetIn, out: &d.fleetOut}
 		}
 		fab, err = cluster.ServeMasterScatterPool(cln, shardClns, rec.spec.Workers, len(alive),
-			d.opts.LeaseTimeout, "wire", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
+			d.opts.LeaseTimeout, cfg.Buffers(), job.Comm(), cfg.Model.Dim())
 	} else {
-		fab, err = cluster.ServeMasterPool(cln, len(alive), d.opts.LeaseTimeout, "wire", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
+		fab, err = cluster.ServeMasterPool(cln, len(alive), d.opts.LeaseTimeout, "", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
 	}
 	if err != nil {
 		// acceptWorkers closed the primary listener; assigned workers fail
@@ -575,7 +575,6 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		TimeScale: rec.spec.TimeScale,
 		Timeout:   d.opts.LeaseTimeout,
 		TCP:       true,
-		Codec:     "wire",
 		Drain:     true,
 	})
 	// Wait for each worker's clean close so tearing down the data plane

@@ -1,9 +1,9 @@
-// Package wire is a compact, allocation-conscious binary codec for the
-// cluster protocol frames (model broadcasts, worker replies, handshakes).
-// It exists because encoding/gob pays reflection and type-dictionary costs
-// on every 64 KB gradient payload; this codec writes float64 slices as raw
-// little-endian words. The TCP fabric can run on either codec (see
-// cluster.LiveOptions.Codec); both sides of a connection must agree.
+// Package wire is the compact, allocation-conscious binary encoding of the
+// cluster protocol frames (model broadcasts, worker replies, handshakes) and
+// the only frame encoding the TCP fabric speaks: float64 slices travel as
+// raw little-endian words with no reflection or per-stream type state. The
+// frame bodies are the cluster's own types (Msg is coding.Message), so
+// encoding and decoding copy no fields.
 //
 // Frame layout (all integers little-endian):
 //
@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"bcc/internal/coding"
 )
 
 // Frame kinds.
@@ -84,15 +86,8 @@ type Model struct {
 	Query []float64
 }
 
-// Msg mirrors coding.Message on the wire (kept dependency-free so the codec
-// can be tested and benchmarked standalone).
-type Msg struct {
-	From  int
-	Tag   int
-	Units float64
-	Vec   []float64
-	Imag  []float64
-}
+// Msg is one coded message of a reply frame.
+type Msg = coding.Message
 
 // Reply is a worker-reply frame body.
 type Reply struct {
