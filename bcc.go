@@ -27,7 +27,7 @@ import (
 // Nesterov optimizer, the sim runtime). All runtimes drive the same master
 // engine over different transports, and workers always drop work for a
 // query the master has moved past. The run-lifecycle fields — Observer,
-// StopWhen, GradNormTol, CheckpointEvery/CheckpointPath, DropProb/DropSeed,
+// StopWhen, GradNormTol, CheckpointEvery/CheckpointPath, Faults,
 // ComputeParallelism, DecodeParallelism — are honoured identically on every
 // runtime, and
 // Density switches the synthetic generator to sparse CSR features (worker
@@ -62,17 +62,17 @@ type ShardStats = cluster.ShardStats
 // redundancy). Test with errors.Is.
 var ErrStalled = cluster.ErrStalled
 
-// ErrBelowThreshold is returned when dead workers or the fault plan leave
-// an iteration with fewer reachable workers than the scheme can possibly
-// decode from: the run degrades explicitly before the doomed iteration,
-// keeping the completed iterations as a partial Result. It also matches
-// ErrStalled under errors.Is.
+// ErrBelowThreshold is returned when the fault plan (crashes, partitions,
+// drop bursts or i.i.d. drops) leaves an iteration with fewer reachable
+// workers than the scheme can possibly decode from: the run degrades
+// explicitly before the doomed iteration, keeping the completed iterations
+// as a partial Result. It also matches ErrStalled under errors.Is.
 var ErrBelowThreshold = cluster.ErrBelowThreshold
 
 // NewJob generates the synthetic dataset of the paper's §III-C and
 // materializes a training job for the given spec. Misconfigured options —
-// unknown Scheme/Optimizer/Runtime, out-of-range DropProb — fail here with
-// an *OptionError instead of deep inside the run.
+// unknown Scheme/Optimizer/Runtime, an invalid or mis-sized Faults plan —
+// fail here with an *OptionError instead of deep inside the run.
 func NewJob(spec Spec) (*Job, error) { return core.NewJob(spec) }
 
 // Train is the one-call convenience: build the job and run it.
@@ -219,12 +219,13 @@ func CombineObservers(obs ...Observer) Observer { return cluster.MultiObserver(o
 // ---------------------------------------------------------------------------
 
 // FaultPlan deterministically schedules per-worker, per-iteration fault
-// events — crashes and restarts, transient slowdown windows, master-side
-// partition windows and correlated drop bursts — all derived from a single
-// seed, so the sim, live and tcp runtimes replay identical fault sequences.
-// Set one on Spec.Faults (or name a library scenario via
-// Spec.FaultScenario). Scheduled events reach Spec.Observer through
-// OnWorkerFault.
+// events — crashes and restarts (a dead worker is a crash at iteration 0),
+// transient slowdown windows, master-side partition windows, correlated drop
+// bursts and i.i.d. drops (Drop) — all derived from a single seed, so the
+// sim, live and tcp runtimes replay identical fault sequences. It is the
+// only fault input: set one on Spec.Faults (or name a library scenario via
+// Spec.FaultScenario; Spec.FaultPlan resolves either). Scheduled events
+// reach Spec.Observer through OnWorkerFault.
 type FaultPlan = faults.Plan
 
 // The FaultPlan rule types: FaultCrash takes a worker down at an iteration

@@ -209,8 +209,8 @@ func TestTrainContextCancelPublic(t *testing.T) {
 }
 
 func TestSpecReachesFaultInjection(t *testing.T) {
-	// DropProb/DropSeed are first-class Spec fields: on a lossy network the
-	// master needs extra workers per round to reach coverage, so the
+	// I.i.d. loss is fault-plan content (FaultPlan.Drop): on a lossy network
+	// the master needs extra workers per round to reach coverage, so the
 	// realized recovery threshold must not drop below the clean run's.
 	clean, err := Train(Spec{
 		Examples: 8, Workers: 24, Load: 2,
@@ -222,7 +222,7 @@ func TestSpecReachesFaultInjection(t *testing.T) {
 	lossy, err := Train(Spec{
 		Examples: 8, Workers: 24, Load: 2,
 		DataPoints: 64, Dim: 8, Iterations: 10, Seed: 6,
-		DropProb: 0.4, DropSeed: 9,
+		Faults: &FaultPlan{N: 24, Seed: 9, Drop: 0.4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +231,9 @@ func TestSpecReachesFaultInjection(t *testing.T) {
 		t.Fatalf("dropping 40%% of transmissions should not lower the threshold: %v vs %v",
 			lossy.AvgWorkersHeard, clean.AvgWorkersHeard)
 	}
-	if _, err := Train(Spec{Examples: 8, Workers: 8, DataPoints: 32, Dim: 4, Iterations: 1, Load: 1, DropProb: 2}); err == nil {
-		t.Fatal("out-of-range DropProb accepted")
+	if _, err := Train(Spec{Examples: 8, Workers: 8, DataPoints: 32, Dim: 4, Iterations: 1, Load: 1,
+		Faults: &FaultPlan{N: 8, Drop: 2}}); err == nil {
+		t.Fatal("out-of-range FaultPlan.Drop accepted")
 	}
 	var oe *OptionError
 	if _, err := NewJob(Spec{Scheme: "bogus", Examples: 4, Workers: 4, DataPoints: 8, Dim: 2, Iterations: 1, Load: 1}); !errors.As(err, &oe) {

@@ -53,8 +53,7 @@ func main() {
 		codec     = fs.String("codec", "raw64", "payload codec: raw64|f32|topk (must match across processes)")
 		topk      = fs.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
 		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements (0 = default; must match across processes)")
-		drop      = fs.Float64("drop", 0, "master-side probability in [0,1) of losing each worker transmission")
-		dropSeed  = fs.Uint64("drop-seed", 0, "seed for the -drop fault pattern (master role only)")
+		drop      = fs.Float64("drop", 0, "master: probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
 		faultsN   = fs.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|")+" (must match across processes)")
 		faultSd   = fs.Uint64("fault-seed", 0, "seed for the -faults scenario (0 = derive from -seed; must match across processes)")
 		parallel  = fs.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
@@ -132,7 +131,7 @@ func main() {
 				}
 			}
 			fmt.Printf("master: %d shard data planes on %s .. %s\n", len(shardAddrs), shardAddrs[0], shardAddrs[len(shardAddrs)-1])
-			fab, err = cluster.ServeMasterScatterPool(ln, shardLns, *n, *n, *wait, nil, comm, job.Model.Dim())
+			fab, err = cluster.ServeMasterScatterPool(ln, shardLns, *n, *wait, nil, comm, job.Model.Dim())
 		} else {
 			fab, err = cluster.ServeMaster(ln, *n, *wait, comm, job.Model.Dim())
 		}
@@ -141,14 +140,14 @@ func main() {
 		}
 		defer fab.Close()
 		fmt.Println("master: all workers connected, training")
+		// Only the master consults MasterDrop, so -drop lives on its plan alone.
+		job.Faults.Drop = *drop
 		cfg := &cluster.Config{
 			Plan:               job.Plan,
 			Model:              job.Model,
 			Units:              job.Units,
 			Opt:                job.Opt,
 			Iterations:         *iters,
-			DropProb:           *drop,
-			DropSeed:           *dropSeed,
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,
 			DecodeParallelism:  *decodePar,

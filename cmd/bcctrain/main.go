@@ -55,11 +55,10 @@ func main() {
 		topk      = flag.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
 		chunk     = flag.Int("chunk", 0, "wire framing chunk size in elements for the tcp runtime's wire frames (0 = default)")
 		ec2       = flag.Bool("ec2", false, "inject the calibrated EC2-like straggler profile")
-		dead      = flag.String("dead", "", "comma-separated worker indices that never respond")
-		drop      = flag.Float64("drop", 0, "probability in [0,1) of losing each worker transmission")
-		dropSeed  = flag.Uint64("drop-seed", 0, "seed for the -drop fault pattern (0 = default)")
+		dead      = flag.String("dead", "", "comma-separated worker indices that never respond (fault-plan crashes at iteration 0)")
+		drop      = flag.Float64("drop", 0, "probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
 		faultsN   = flag.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|"))
-		faultSd   = flag.Uint64("fault-seed", 0, "seed for the -faults scenario (0 = derive from -seed)")
+		faultSd   = flag.Uint64("fault-seed", 0, "seed for the -faults scenario and the -drop pattern (0 = derive from -seed)")
 		parallel  = flag.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
 		decodePar = flag.Int("decode-parallel", 0, "goroutines for the master's decode combination (0/1 = serial; bit-identical results)")
 		shards    = flag.Int("master-shards", 0, "master shards owning contiguous coordinate slices of decode+update (0/1 = unsharded; bit-identical results)")
@@ -93,8 +92,6 @@ func main() {
 		Payload:            core.Payload(*codec),
 		TopK:               *topk,
 		WireChunk:          *chunk,
-		DropProb:           *drop,
-		DropSeed:           *dropSeed,
 		FaultScenario:      *faultsN,
 		FaultSeed:          *faultSd,
 		ComputeParallelism: *parallel,
@@ -114,14 +111,24 @@ func main() {
 		spec.Latency = lat
 		spec.IngressPerUnit = 5.5e-3
 	}
-	if *dead != "" {
-		for _, tok := range strings.Split(*dead, ",") {
-			idx, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				fail(fmt.Errorf("bad -dead entry %q: %w", tok, err))
-			}
-			spec.Dead = append(spec.Dead, idx)
+	if *dead != "" || *drop != 0 {
+		// -dead and -drop are spellings of fault-plan content: extend the
+		// plan the spec resolves to (the -faults scenario, or an empty plan).
+		plan, err := spec.FaultPlan()
+		if err != nil {
+			fail(err)
 		}
+		if *dead != "" {
+			for _, tok := range strings.Split(*dead, ",") {
+				idx, err := strconv.Atoi(strings.TrimSpace(tok))
+				if err != nil {
+					fail(fmt.Errorf("bad -dead entry %q: %w", tok, err))
+				}
+				plan.Crashes = append(plan.Crashes, faults.Crash{Worker: idx})
+			}
+		}
+		plan.Drop = *drop
+		spec.Faults = plan
 	}
 	if *submit != "" {
 		// Remote submission ships only the serializable spec; process-local

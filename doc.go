@@ -80,17 +80,18 @@
 //
 // # Fault injection: deterministic and replayable
 //
-// Beyond the simple knobs (Spec.Dead never-responding workers,
-// Spec.DropProb i.i.d. message loss), a FaultPlan on Spec.Faults schedules
-// rich per-worker, per-iteration fault events: crashes with optional
-// restart-after-k (FaultCrash), transient — optionally recurring —
-// slowdown windows multiplying a worker's compute/upload latency
-// (FaultSlowdown), master-side partition windows over contiguous worker
-// ranges (FaultPartition), and correlated drop bursts (FaultDropBursts).
-// Every decision is a pure function of the plan's rules and a single seed
-// — nothing is drawn at query time — so the sim, live and tcp runtimes
-// replay bit-identical fault sequences, which the scenario conformance
-// suite pins (identical iterates and fault-event traces across runtimes).
+// A FaultPlan on Spec.Faults is the one fault input. It schedules
+// per-worker, per-iteration fault events: crashes with optional
+// restart-after-k (FaultCrash; a worker that never responds is a crash at
+// iteration 0), transient — optionally recurring — slowdown windows
+// multiplying a worker's compute/upload latency (FaultSlowdown), master-side
+// partition windows over contiguous worker ranges (FaultPartition),
+// correlated drop bursts (FaultDropBursts) and i.i.d. message loss
+// (FaultPlan.Drop). Every decision is a pure function of the plan's rules
+// and a single seed — nothing is drawn at query time — so the sim, live and
+// tcp runtimes replay bit-identical fault sequences, which the scenario
+// conformance suite pins (identical iterates and fault-event traces across
+// runtimes).
 //
 // Spec.FaultScenario selects a named scenario from the library instead:
 // steady, slow-decile, flaky-tail, rolling-restart, partition, burst-drop
@@ -99,18 +100,20 @@
 // separate processes holding the same flags agree on the schedule.
 //
 // Scheduled events are delivered to Observer.OnWorkerFault as FaultEvents
-// in a deterministic order. When faults leave an iteration with fewer
-// reachable workers than the scheme can possibly decode from (the
-// converse bound coding.MinResponders), the run degrades explicitly:
-// ErrBelowThreshold (wrapping ErrStalled), the completed iterations as a
-// partial Result, and a "degraded" fault event — instead of wedging the
-// transport until its timeout.
+// in a deterministic order. When faults — drops included — leave an
+// iteration with fewer reachable workers than the scheme can possibly decode
+// from (the converse bound coding.MinResponders), the run degrades
+// explicitly: ErrBelowThreshold (wrapping ErrStalled), the completed
+// iterations as a partial Result, and a "degraded" fault event — instead of
+// wedging the transport until its timeout. A stall the count cannot predict
+// (enough workers reachable, but some data left uncovered) is detected after
+// the fact and returns ErrStalled with the same event.
 //
 // Scheme, Optimizer and Runtime are typed option values with declared
 // constants (SchemeBCC, OptimizerNesterov, RuntimeSim, ...) validated
 // against their registries at NewJob time; any misconfiguration — unknown
-// names, out-of-range DropProb — fails fast with a single error shape,
-// *OptionError (inspect with errors.As). Plain string literals still
+// names, an invalid or mis-sized FaultPlan — fails fast with a single error
+// shape, *OptionError (inspect with errors.As). Plain string literals still
 // assign to these fields, so Spec literals compile unchanged; note one
 // breaking rename, though: bcc.Scheme previously aliased the plan-builder
 // interface, which now lives under bcc.SchemeBuilder.

@@ -14,8 +14,14 @@ import (
 	"bcc"
 )
 
-func run(scheme bcc.Scheme, m, n, r int, dead []int) (*bcc.Result, error) {
-	return bcc.Train(bcc.Spec{
+// spec builds the job with the given workers dead: each is a fault-plan
+// crash at iteration 0 that never restarts.
+func spec(scheme bcc.Scheme, m, n, r int, dead []int) bcc.Spec {
+	plan := &bcc.FaultPlan{N: n}
+	for _, w := range dead {
+		plan.Crashes = append(plan.Crashes, bcc.FaultCrash{Worker: w, At: 0})
+	}
+	return bcc.Spec{
 		Examples:   m,
 		Workers:    n,
 		Load:       r,
@@ -24,8 +30,8 @@ func run(scheme bcc.Scheme, m, n, r int, dead []int) (*bcc.Result, error) {
 		Dim:        100,
 		Iterations: 20,
 		Seed:       11,
-		Dead:       dead,
-	})
+		Faults:     plan,
+	}
 }
 
 func main() {
@@ -43,7 +49,7 @@ func main() {
 			for i := range dead {
 				dead[i] = i * 3 // workers 0, 3, 6
 			}
-			res, err := run(scheme, m, n, r, dead)
+			res, err := bcc.Train(spec(scheme, m, n, r, dead))
 			switch {
 			case err == nil:
 				fmt.Printf("%-12s %-8d trained (avg K %.1f, accuracy %.3f)\n",
@@ -86,10 +92,7 @@ func main() {
 // trainAccuracy reruns the job to compute accuracy (Train returns only the
 // result; rebuilding keeps the example short).
 func trainAccuracy(scheme bcc.Scheme, m, n, r int, dead []int) float64 {
-	job, err := bcc.NewJob(bcc.Spec{
-		Examples: m, Workers: n, Load: r, Scheme: scheme,
-		DataPoints: m * 8, Dim: 100, Iterations: 20, Seed: 11, Dead: dead,
-	})
+	job, err := bcc.NewJob(spec(scheme, m, n, r, dead))
 	if err != nil {
 		log.Fatal(err)
 	}

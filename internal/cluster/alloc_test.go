@@ -54,76 +54,50 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSimZeroAllocsWithFaults differs the same way under DropProb fault
-// injection: the per-iteration drop map is allowed (it is per iteration, not
-// per message), so this pins a small constant bound per iteration rather
-// than strict zero — catching any per-message regression on the fault path.
-func TestSimZeroAllocsWithFaults(t *testing.T) {
-	const shortIters, longIters = 2, 10
-	mk := func(iters int) (*Config, *simTransport) {
-		// High redundancy (2 batches, 16 workers) so 10% drops never stall.
-		cfg, _ := buildRun(t, "bcc", 8, 16, 4, iters, 78, Zero{})
-		cfg.DropProb = 0.1
-		cfg.DropSeed = 7
-		return cfg, newSimTransport(cfg)
-	}
-	cfgShort, trShort := mk(shortIters)
-	cfgLong, trLong := mk(longIters)
-	run := func(cfg *Config, tr *simTransport) {
-		if _, err := RunTransport(cfg, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run(cfgShort, trShort)
-	run(cfgLong, trLong)
-	short := testing.AllocsPerRun(10, func() { run(cfgShort, trShort) })
-	long := testing.AllocsPerRun(10, func() { run(cfgLong, trLong) })
-	perIter := (long - short) / float64(longIters-shortIters)
-	// One map allocation per iteration for the drop draw; 4 leaves headroom
-	// for map-internal buckets while still catching per-message regressions
-	// (12 workers' messages would dwarf it).
-	if perIter > 4 {
-		t.Fatalf("fault-injected iterations allocate %.2f allocs/iter (want <= 4: the drop map only)", perIter)
-	}
-}
-
 // TestSimZeroAllocsWithFaultPlan pins the steady-state allocation budget of
 // the FaultPlan path: every per-iteration fault decision — crash windows,
-// slowdown factors, partition and burst drop checks, the engine's
+// slowdown factors, partition, burst and i.i.d. drop checks, the engine's
 // reachable-worker accounting — is a pure function consulted in place, so a
 // fault-injected iteration allocates exactly as much as a fault-free one
 // (zero per worker message). Differencing two run lengths over the SAME
 // deterministic fault schedule isolates any regression.
 func TestSimZeroAllocsWithFaultPlan(t *testing.T) {
 	const shortIters, longIters = 2, 10
-	plan := &faults.Plan{N: 16, Seed: 5,
-		Crashes:    []faults.Crash{{Worker: 0, At: 1, RestartAfter: 2}},
-		Slowdowns:  []faults.Slowdown{{Worker: 3, From: 0, Every: 3, Span: 1, Factor: 4}},
-		Partitions: []faults.Partition{{From: 4, To: 6, Lo: 8, Hi: 10}},
-		Bursts:     &faults.DropBursts{StartProb: 0.3, Length: 2, Frac: 0.4},
+	plans := map[string]*faults.Plan{
+		"rules": {N: 16, Seed: 5,
+			Crashes:    []faults.Crash{{Worker: 0, At: 1, RestartAfter: 2}},
+			Slowdowns:  []faults.Slowdown{{Worker: 3, From: 0, Every: 3, Span: 1, Factor: 4}},
+			Partitions: []faults.Partition{{From: 4, To: 6, Lo: 8, Hi: 10}},
+			Bursts:     &faults.DropBursts{StartProb: 0.3, Length: 2, Frac: 0.4},
+		},
+		"drop": {N: 16, Seed: 7, Drop: 0.1},
 	}
-	mk := func(iters int) (*Config, *simTransport) {
-		// High redundancy (2 batches, 16 workers) so the scheduled faults
-		// never stall a decode.
-		cfg, _ := buildRun(t, "bcc", 8, 16, 4, iters, 79, Zero{})
-		cfg.Faults = plan
-		return cfg, newSimTransport(cfg)
-	}
-	cfgShort, trShort := mk(shortIters)
-	cfgLong, trLong := mk(longIters)
-	run := func(cfg *Config, tr *simTransport) {
-		if _, err := RunTransport(cfg, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run(cfgShort, trShort)
-	run(cfgLong, trLong)
-	short := testing.AllocsPerRun(10, func() { run(cfgShort, trShort) })
-	long := testing.AllocsPerRun(10, func() { run(cfgLong, trLong) })
-	if long > short {
-		perIter := (long - short) / float64(longIters-shortIters)
-		t.Fatalf("fault-plan iterations allocate: %.1f allocs for %d iterations vs %.1f for %d (%.2f allocs/iter, want 0)",
-			long, longIters, short, shortIters, perIter)
+	for name, plan := range plans {
+		t.Run(name, func(t *testing.T) {
+			mk := func(iters int) (*Config, *simTransport) {
+				// High redundancy (2 batches, 16 workers) so the scheduled
+				// faults never stall a decode.
+				cfg, _ := buildRun(t, "bcc", 8, 16, 4, iters, 79, Zero{})
+				cfg.Faults = plan
+				return cfg, newSimTransport(cfg)
+			}
+			cfgShort, trShort := mk(shortIters)
+			cfgLong, trLong := mk(longIters)
+			run := func(cfg *Config, tr *simTransport) {
+				if _, err := RunTransport(cfg, tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(cfgShort, trShort)
+			run(cfgLong, trLong)
+			short := testing.AllocsPerRun(10, func() { run(cfgShort, trShort) })
+			long := testing.AllocsPerRun(10, func() { run(cfgLong, trLong) })
+			if long > short {
+				perIter := (long - short) / float64(longIters-shortIters)
+				t.Fatalf("fault-plan iterations allocate: %.1f allocs for %d iterations vs %.1f for %d (%.2f allocs/iter, want 0)",
+					long, longIters, short, shortIters, perIter)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"bcc/internal/faults"
 	"bcc/internal/model"
 	"bcc/internal/optimize"
-	"bcc/internal/rngutil"
 	"bcc/internal/stats"
 	"bcc/internal/trace"
 	"bcc/internal/vecmath"
@@ -39,24 +38,16 @@ type Config struct {
 	// times roughly proportional to the recovery threshold (§III-C). Zero
 	// disables the bottleneck (infinitely fast master NIC).
 	IngressPerUnit float64
-	// Dead lists worker indices that never respond (fault injection).
-	Dead []int
-	// DropProb makes the master lose each worker transmission independently
-	// with this probability (fault injection for lossy networks; workers do
-	// not retransmit). Drops are drawn deterministically from DropSeed.
-	DropProb float64
-	// DropSeed seeds the drop draws (only used when DropProb > 0).
-	DropSeed uint64
 	// Faults, if non-nil, deterministically schedules per-worker fault
-	// events — crashes and restarts, transient slowdown windows, master-side
-	// partition windows and correlated drop bursts — identically on every
+	// events — crashes and restarts (a worker that never answers is a crash
+	// at iteration 0), transient slowdown windows, master-side partition
+	// windows, correlated drop bursts and i.i.d. drops — identically on every
 	// runtime (see internal/faults). Crashed workers do no work, slowdown
-	// windows multiply the Latency model's compute and upload draws, and
-	// partitioned/burst-dropped transmissions are discarded by the master
-	// like DropProb losses. Scheduled events are surfaced through
-	// Observer.OnWorkerFault, and an iteration whose reachable workers fall
-	// below the scheme's decodable minimum fails fast with
-	// ErrBelowThreshold.
+	// windows multiply the Latency model's compute and upload draws, and lost
+	// transmissions are discarded by the master. Scheduled events are
+	// surfaced through Observer.OnWorkerFault, and an iteration whose
+	// reachable workers fall below the scheme's decodable minimum fails fast
+	// with ErrBelowThreshold.
 	Faults *faults.Plan
 	// LossEvery, if positive, evaluates full training loss every k
 	// iterations and records it in the stats (costly for large models).
@@ -149,6 +140,19 @@ func (c *Config) comm() commPlane {
 	return c.cp
 }
 
+// iterPayloads bounds the payload buffers one iteration keeps in flight: n
+// workers times messages-per-worker, each message holding up to two buffers
+// (Vec + Imag). Every message carries one communication unit, so
+// CommLoadPerWorker bounds the per-worker message count.
+func (c *Config) iterPayloads() int {
+	_, n, _ := c.Plan.Params()
+	perWorker := int(math.Ceil(c.Plan.CommLoadPerWorker()))
+	if perWorker < 1 {
+		perWorker = 1
+	}
+	return 2 * n * perWorker
+}
+
 // buffers returns the run's shared payload-buffer pool, creating it on first
 // use. It must first be called while setup is still single-threaded (the
 // engine and every transport constructor do); afterwards the pool itself is
@@ -157,20 +161,11 @@ func (c *Config) buffers() *BufferPool {
 	if c.bufs == nil {
 		cap := c.PoolCap
 		if cap <= 0 {
-			_, n, _ := c.Plan.Params()
-			// An iteration keeps up to n * messages-per-worker payloads in
-			// flight, each message holding up to two buffers (Vec + Imag) —
-			// 2*n*perWorker — and every message carries one communication unit,
-			// so CommLoadPerWorker bounds the per-worker message count. Doubling
-			// that (to 4*n*perWorker) covers a straggler round still draining
-			// while the next one encodes; the cap only bounds
+			// Twice one iteration's payloads covers a straggler round still
+			// draining while the next one encodes; the cap only bounds
 			// retention, a too-small value would silently re-allocate every
 			// iteration.
-			perWorker := int(math.Ceil(c.Plan.CommLoadPerWorker()))
-			if perWorker < 1 {
-				perWorker = 1
-			}
-			cap = 4*n*perWorker + 64
+			cap = 2*c.iterPayloads() + 64
 		}
 		c.bufs = NewBufferPool(c.Model.Dim(), cap)
 	}
@@ -186,9 +181,6 @@ func (c *Config) Buffers() *BufferPool { return c.buffers() }
 func (c *Config) validate() error {
 	if c.Plan == nil || c.Model == nil || c.Opt == nil {
 		return errors.New("cluster: Config needs Plan, Model and Opt")
-	}
-	if c.DropProb < 0 || c.DropProb >= 1 {
-		return fmt.Errorf("cluster: DropProb %v outside [0, 1)", c.DropProb)
 	}
 	if c.ComputeParallelism < 0 {
 		return fmt.Errorf("cluster: ComputeParallelism %d must be non-negative", c.ComputeParallelism)
@@ -229,11 +221,6 @@ func (c *Config) validate() error {
 	if total != c.Model.NumExamples() {
 		return fmt.Errorf("cluster: units cover %d rows, model has %d", total, c.Model.NumExamples())
 	}
-	for _, d := range c.Dead {
-		if d < 0 || d >= n {
-			return fmt.Errorf("cluster: dead worker %d out of range [0,%d)", d, n)
-		}
-	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
 			return err
@@ -255,14 +242,6 @@ func (c *Config) latency() Latency {
 		return Zero{}
 	}
 	return c.Latency
-}
-
-func (c *Config) deadSet() map[int]bool {
-	dead := make(map[int]bool, len(c.Dead))
-	for _, d := range c.Dead {
-		dead[d] = true
-	}
-	return dead
 }
 
 // IterStats records one iteration's measurements, mirroring the breakdown of
@@ -502,17 +481,18 @@ func evalParts(mod gradientModel, units [][]int, assign []int, q []float64, part
 }
 
 // ErrStalled is returned when every alive worker has reported and the
-// decoder still cannot reconstruct the gradient (e.g. too many dead workers
-// for the scheme's redundancy).
+// decoder still cannot reconstruct the gradient (e.g. crashes or losses left
+// some data uncovered although enough workers answered).
 var ErrStalled = errors.New("cluster: all alive workers reported but gradient is not decodable")
 
-// ErrBelowThreshold is returned when dead workers or the fault plan leave
-// an iteration with fewer reachable workers than the scheme can possibly
-// decode from (coding.MinResponders): the engine degrades explicitly before
-// running the doomed iteration, keeping the completed iterations as a
-// partial Result. It matches ErrStalled under errors.Is (without inheriting
-// its all-workers-reported message — on this path the iteration never ran),
-// so errors.Is(err, ErrStalled) continues to identify every
+// ErrBelowThreshold is returned when the fault plan (crashes, partitions,
+// drop bursts and i.i.d. drops alike) leaves an iteration with fewer
+// reachable workers than the scheme can possibly decode from
+// (coding.MinResponders): the engine degrades explicitly before running the
+// doomed iteration, keeping the completed iterations as a partial Result.
+// It matches ErrStalled under errors.Is (without inheriting its
+// all-workers-reported message — on this path the iteration never ran), so
+// errors.Is(err, ErrStalled) continues to identify every
 // unrecoverable-gradient failure.
 var ErrBelowThreshold error = belowThresholdError{}
 
@@ -525,31 +505,6 @@ func (belowThresholdError) Error() string {
 // Is makes errors.Is(ErrBelowThreshold, ErrStalled) true: both report an
 // unrecoverable gradient, they differ only in when that was detected.
 func (belowThresholdError) Is(target error) bool { return target == ErrStalled }
-
-// dropper decides, deterministically from its seed, whether a transmission
-// is lost. A nil dropper never drops.
-type dropper struct {
-	prob float64
-	rng  *rngutil.RNG
-}
-
-func (c *Config) newDropper() *dropper {
-	if c.DropProb <= 0 {
-		return nil
-	}
-	seed := c.DropSeed
-	if seed == 0 {
-		seed = 0xd20b
-	}
-	return &dropper{prob: c.DropProb, rng: rngutil.New(seed)}
-}
-
-func (d *dropper) drop() bool {
-	if d == nil {
-		return false
-	}
-	return d.rng.Bernoulli(d.prob)
-}
 
 // finishIteration folds the decoded gradient into the optimizer and fills
 // the iteration stats shared by all runtimes. grad is the engine's reusable

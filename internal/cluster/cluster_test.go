@@ -12,6 +12,7 @@ import (
 	"bcc/internal/coding"
 	"bcc/internal/coupon"
 	"bcc/internal/dataset"
+	"bcc/internal/faults"
 	"bcc/internal/model"
 	"bcc/internal/optimize"
 	"bcc/internal/rngutil"
@@ -59,6 +60,16 @@ func buildRunDim(t *testing.T, scheme string, m, n, r, iterations int, seed uint
 		Iterations: iterations,
 		Latency:    lat,
 	}, mod
+}
+
+// crashPlan is the fault plan of an n-worker run whose dead workers never
+// answer: each is a crash at iteration 0 that never restarts.
+func crashPlan(n int, dead ...int) *faults.Plan {
+	p := &faults.Plan{N: n}
+	for _, w := range dead {
+		p.Crashes = append(p.Crashes, faults.Crash{Worker: w, At: 0})
+	}
+	return p
 }
 
 // referenceWeights runs the same optimizer sequentially on exact full
@@ -195,7 +206,7 @@ func TestSimCyclicRepWaitsExactlyThreshold(t *testing.T) {
 
 func TestSimDeadWorkersCodedSchemeSurvives(t *testing.T) {
 	cfg, mod := buildRun(t, "cyclicrep", 12, 12, 3, 15, 12, Zero{})
-	cfg.Dead = []int{2, 7} // s = 2 tolerated
+	cfg.Faults = crashPlan(12, 2, 7) // s = 2 tolerated
 	res, err := RunSim(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +224,7 @@ func TestSimDeadWorkersCodedSchemeSurvives(t *testing.T) {
 
 func TestSimDeadWorkersBeyondToleranceStall(t *testing.T) {
 	cfg, _ := buildRun(t, "cyclicrep", 12, 12, 3, 5, 13, Zero{})
-	cfg.Dead = []int{1, 2, 3} // s = 2 < 3 dead
+	cfg.Faults = crashPlan(12, 1, 2, 3) // s = 2 < 3 dead
 	_, err := RunSim(cfg)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("expected ErrStalled, got %v", err)
@@ -222,7 +233,7 @@ func TestSimDeadWorkersBeyondToleranceStall(t *testing.T) {
 
 func TestSimUncodedAnyDeathStalls(t *testing.T) {
 	cfg, _ := buildRun(t, "uncoded", 12, 12, 1, 5, 14, Zero{})
-	cfg.Dead = []int{5}
+	cfg.Faults = crashPlan(12, 5)
 	_, err := RunSim(cfg)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("expected ErrStalled, got %v", err)
@@ -249,7 +260,7 @@ func TestSimBCCDeadWorkerSurvivesWhenBatchCovered(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no duplicated batch in this placement")
 	}
-	cfg.Dead = []int{victim}
+	cfg.Faults = crashPlan(24, victim)
 	if _, err := RunSim(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +589,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("zero iterations accepted")
 	}
 	bad3 := *cfg
-	bad3.Dead = []int{99}
+	bad3.Faults = crashPlan(4, 99)
 	if _, err := RunSim(&bad3); err == nil {
 		t.Fatal("out-of-range dead worker accepted")
 	}
@@ -668,7 +679,7 @@ func TestLiveStragglerSkipped(t *testing.T) {
 
 func TestLiveStalledDetection(t *testing.T) {
 	cfg, _ := buildRun(t, "uncoded", 8, 8, 1, 3, 23, Zero{})
-	cfg.Dead = []int{3}
+	cfg.Faults = crashPlan(8, 3)
 	_, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 10 * time.Second})
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("expected ErrStalled, got %v", err)
@@ -758,8 +769,7 @@ func TestDropInjectionBCCSurvives(t *testing.T) {
 	// With generous redundancy (n = 4x batches) BCC rides out a 20% message
 	// loss rate: every batch usually has several holders per iteration.
 	cfg, mod := buildRun(t, "bcc", 8, 32, 2, 12, 37, Zero{})
-	cfg.DropProb = 0.2
-	cfg.DropSeed = 9
+	cfg.Faults = &faults.Plan{N: 32, Seed: 9, Drop: 0.2}
 	res, err := RunSim(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -771,31 +781,39 @@ func TestDropInjectionBCCSurvives(t *testing.T) {
 }
 
 func TestDropInjectionUncodedStalls(t *testing.T) {
-	// Uncoded has zero redundancy: with a high drop rate over enough
-	// iterations some worker's message is lost and the run stalls.
+	// Uncoded has zero redundancy: over enough iterations some worker's
+	// message is lost. Drops are plan content, so the engine sees the doomed
+	// iteration coming and degrades before running it, keeping the
+	// iterations that completed.
+	plan := &faults.Plan{N: 12, Seed: 10, Drop: 0.05}
 	cfg, _ := buildRun(t, "uncoded", 12, 12, 1, 50, 38, Zero{})
-	cfg.DropProb = 0.3
-	cfg.DropSeed = 10
-	_, err := RunSim(cfg)
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("expected ErrStalled under drops, got %v", err)
+	cfg.Faults = plan
+	res, err := RunSim(cfg)
+	if !errors.Is(err, ErrBelowThreshold) || !errors.Is(err, ErrStalled) {
+		t.Fatalf("expected ErrBelowThreshold (an ErrStalled) under drops, got %v", err)
+	}
+	doomed := 0
+	for reachableWorkers(plan, 12, doomed) == 12 {
+		doomed++
+	}
+	if res == nil || len(res.Iters) != doomed {
+		t.Fatalf("partial result %v, want the %d iterations before the first drop", res, doomed)
 	}
 }
 
 func TestDropInjectionLiveRuntime(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 32, 2, 6, 39, Zero{})
-	cfg.DropProb = 0.2
-	cfg.DropSeed = 11
+	cfg.Faults = &faults.Plan{N: 32, Seed: 11, Drop: 0.2}
 	if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 20 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDropProbValidation(t *testing.T) {
+func TestPlanDropValidation(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 16, 2, 2, 40, Zero{})
-	cfg.DropProb = 1.5
+	cfg.Faults = &faults.Plan{N: 16, Drop: 1.5}
 	if _, err := RunSim(cfg); err == nil {
-		t.Fatal("DropProb > 1 accepted")
+		t.Fatal("plan Drop > 1 accepted")
 	}
 }
 
@@ -894,7 +912,7 @@ func TestHandshakeRefusesBadPeers(t *testing.T) {
 				if onShard {
 					shardLn := listen()
 					serve = func() (Fabric, error) {
-						return ServeMasterScatterPool(ln, []net.Listener{shardLn}, 1, 1, timeout, nil, CommOptions{}, dim)
+						return ServeMasterScatterPool(ln, []net.Listener{shardLn}, 1, timeout, nil, CommOptions{}, dim)
 					}
 					target = shardLn
 					// A wire worker passes the primary handshake, so the bad

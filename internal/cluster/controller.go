@@ -16,7 +16,7 @@ import (
 //
 // Determinism contract: Telemetry is assembled exclusively from
 // runtime-independent inputs — the deterministic fault plan's pure
-// per-iteration queries, the configured dead set, and the previous
+// per-iteration queries and the previous
 // iteration's realized threshold (itself pinned identical across runtimes
 // by the conformance suite). A controller that is a pure function of its
 // Telemetry sequence therefore makes the same decisions on sim, live and
@@ -44,15 +44,14 @@ type Telemetry struct {
 	// N is the fleet size.
 	N int
 	// Reachable counts workers that can contribute to this iteration's
-	// decode: alive, not crashed and not scheduled to be partitioned or
-	// burst-dropped.
+	// decode: not crashed and not scheduled to be partitioned or dropped.
 	Reachable int
-	// Down counts workers that do no work this iteration: configured dead
-	// or crashed by the fault plan.
+	// Down counts workers the fault plan has crashed: they do no work this
+	// iteration.
 	Down int
 	// Lost counts workers whose transmission is scheduled to be lost on the
-	// master's side (partition window or drop burst): they compute but will
-	// not contribute.
+	// master's side (partition window, drop burst or i.i.d. drop): they
+	// compute but will not contribute.
 	Lost int
 	// Slow counts workers inside a scheduled slowdown window: they will
 	// contribute, but late.
@@ -66,9 +65,9 @@ type Telemetry struct {
 }
 
 // gatherTelemetry assembles the iteration's controller signal from the
-// fault plan's pure queries and the dead set — O(n), allocation-free, and
-// identical on every runtime.
-func gatherTelemetry(plan *faults.Plan, dead map[int]bool, n, iter, reachable, prevHeard int, rp coding.Retunable) Telemetry {
+// fault plan's pure queries — O(n), allocation-free, and identical on every
+// runtime.
+func gatherTelemetry(plan *faults.Plan, n, iter, reachable, prevHeard int, rp coding.Retunable) Telemetry {
 	t := Telemetry{
 		Iter:      iter,
 		N:         n,
@@ -80,7 +79,7 @@ func gatherTelemetry(plan *faults.Plan, dead map[int]bool, n, iter, reachable, p
 	}
 	for w := 0; w < n; w++ {
 		switch {
-		case dead[w] || !plan.Active(w, iter):
+		case !plan.Active(w, iter):
 			t.Down++
 		case !plan.Contributing(w, iter):
 			t.Lost++

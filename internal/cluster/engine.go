@@ -81,8 +81,8 @@ type Arrival struct {
 // ArrivalSource yields one iteration's arrivals in the order the master
 // receives them.
 type ArrivalSource interface {
-	// Next blocks for the next arrival. ok=false means every alive worker
-	// has been accounted for this iteration (arrived, died, or had its
+	// Next blocks for the next arrival. ok=false means every worker has
+	// been accounted for this iteration (arrived, crashed, or had its
 	// transmission dropped); a non-nil error aborts the run (timeout,
 	// broken connection, cancelled context).
 	Next() (arr Arrival, ok bool, err error)
@@ -153,9 +153,12 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 			defer shards.stop()
 		}
 	}
-	var qbuf []float64   // reusable quantized-query scratch (lossy codecs)
-	var lossRows []int   // AllRows scratch for LossEvery evaluations
-	var used [][]float64 // consumed payload buffers, recycled post-decode
+	var qbuf []float64 // reusable quantized-query scratch (lossy codecs)
+	var lossRows []int // AllRows scratch for LossEvery evaluations
+	// Consumed payload buffers, recycled post-decode. Sized for an iteration
+	// that hears every worker, so what a run allocates does not depend on
+	// how many replies its busiest iteration took.
+	used := make([][]float64, 0, cfg.iterPayloads())
 	var totalElapsed float64
 	// Measured comm accounting: transports with real sockets expose running
 	// byte totals; the engine records per-iteration deltas. The baseline
@@ -201,7 +204,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	// at the top of each iteration, and iterations that the plan leaves
 	// without enough reachable workers to possibly decode degrade
 	// explicitly instead of wedging the transport.
-	dead := cfg.deadSet()
 	_, n, _ := cfg.Plan.Params()
 	minResponders := coding.MinResponders(cfg.Plan)
 	// Adaptive redundancy (controller.go): a Retunable plan plus a
@@ -231,7 +233,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		if cfg.Faults != nil && cfg.Observer != nil {
 			cfg.Faults.EventsAt(iter, cfg.Observer.OnWorkerFault)
 		}
-		reachable := reachableWorkers(cfg.Faults, dead, n, iter)
+		reachable := reachableWorkers(cfg.Faults, n, iter)
 		if reachable < minResponders {
 			degraded(iter)
 			return finish(), fmt.Errorf(
@@ -239,7 +241,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 				iter, reachable, cfg.Plan.Scheme(), minResponders, ErrBelowThreshold)
 		}
 		if ctl != nil {
-			lvl := ctl.Retune(gatherTelemetry(cfg.Faults, dead, n, iter, reachable, prevHeard, rp))
+			lvl := ctl.Retune(gatherTelemetry(cfg.Faults, n, iter, reachable, prevHeard, rp))
 			if lvl < rp.MinLevel() {
 				lvl = rp.MinLevel()
 			}
@@ -406,40 +408,14 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 }
 
 // reachableWorkers counts the workers that can possibly contribute to
-// iteration iter's decode: not configured dead, not crashed, and not
-// scheduled to have their transmission lost (partition window or drop
-// burst). Random DropProb losses are NOT included — they are drawn at the
-// transports, and the stall path reports them after the fact.
-func reachableWorkers(plan *faults.Plan, dead map[int]bool, n, iter int) int {
-	reachable := n - len(dead)
-	if plan == nil {
-		return reachable
-	}
-	reachable = 0
+// iteration iter's decode: not crashed and not scheduled to have their
+// transmission lost (partition window, drop burst or i.i.d. drop).
+func reachableWorkers(plan *faults.Plan, n, iter int) int {
+	reachable := 0
 	for w := 0; w < n; w++ {
-		if !dead[w] && plan.Contributing(w, iter) {
+		if plan.Contributing(w, iter) {
 			reachable++
 		}
 	}
 	return reachable
-}
-
-// drawDrops draws one iteration's lost transmissions: one Bernoulli draw per
-// alive worker in index order. Every transport consumes the dropper stream
-// through this helper, so for a given DropSeed the fault pattern is
-// identical across the sim, live and tcp runtimes.
-func drawDrops(d *dropper, dead map[int]bool, n int) map[int]bool {
-	if d == nil {
-		return nil
-	}
-	lost := make(map[int]bool)
-	for w := 0; w < n; w++ {
-		if dead[w] {
-			continue
-		}
-		if d.drop() {
-			lost[w] = true
-		}
-	}
-	return lost
 }

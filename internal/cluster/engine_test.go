@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bcc/internal/faults"
 	"bcc/internal/vecmath"
 )
 
@@ -35,14 +36,12 @@ func staggered(n, points int) Fixed {
 
 // equivCase is one row of the cross-runtime equivalence table.
 type equivCase struct {
-	name     string
-	scheme   string
-	m, n, r  int
-	iters    int
-	seed     uint64
-	dead     []int
-	dropProb float64
-	dropSeed uint64
+	name    string
+	scheme  string
+	m, n, r int
+	iters   int
+	seed    uint64
+	faults  *faults.Plan
 }
 
 func (c equivCase) config(t *testing.T) *Config {
@@ -50,9 +49,7 @@ func (c equivCase) config(t *testing.T) *Config {
 	// buildRun gives every worker points = 4*r raw points (equal loads), so
 	// the staggered factors alone fix the arrival order.
 	cfg, _ := buildRun(t, c.scheme, c.m, c.n, c.r, c.iters, c.seed, staggered(c.n, 4*c.r))
-	cfg.Dead = c.dead
-	cfg.DropProb = c.dropProb
-	cfg.DropSeed = c.dropSeed
+	cfg.Faults = c.faults
 	return cfg
 }
 
@@ -76,7 +73,7 @@ func equivRuntimes() []engineRuntime {
 // TestRuntimesEquivalent asserts that the sim, live and tcp runtimes produce
 // identical per-iteration recovery thresholds, comm loads and payload bytes,
 // and bit-identical weights, for the same Spec-level inputs and seed —
-// including dead-worker and DropProb fault injection.
+// including fault plans with a dead worker and with i.i.d. drops.
 func TestRuntimesEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
@@ -84,9 +81,9 @@ func TestRuntimesEquivalent(t *testing.T) {
 	cases := []equivCase{
 		{name: "bcc", scheme: "bcc", m: 8, n: 6, r: 2, iters: 2, seed: 50},
 		{name: "uncoded", scheme: "uncoded", m: 6, n: 6, r: 1, iters: 2, seed: 51},
-		{name: "cyclicrep-dead", scheme: "cyclicrep", m: 6, n: 6, r: 2, iters: 2, seed: 52, dead: []int{2}},
+		{name: "cyclicrep-dead", scheme: "cyclicrep", m: 6, n: 6, r: 2, iters: 2, seed: 52, faults: crashPlan(6, 2)},
 		{name: "cyclicmds-wirepayload", scheme: "cyclicmds", m: 6, n: 6, r: 2, iters: 2, seed: 53},
-		{name: "bcc-drops", scheme: "bcc", m: 8, n: 12, r: 2, iters: 2, seed: 54, dropProb: 0.2, dropSeed: 7},
+		{name: "bcc-drops", scheme: "bcc", m: 8, n: 12, r: 2, iters: 2, seed: 54, faults: &faults.Plan{N: 12, Seed: 7, Drop: 0.2}},
 	}
 	for _, tc := range cases {
 		tc := tc

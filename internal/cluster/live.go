@@ -72,8 +72,6 @@ func (o *LiveOptions) defaults() {
 type fabric interface {
 	Broadcast(mu ModelUpdate) error
 	Replies() <-chan Reply
-	// AliveWorkers returns how many workers will reply each iteration.
-	AliveWorkers() int
 	Close() error
 }
 
@@ -115,16 +113,13 @@ func RunLiveContext(ctx context.Context, cfg *Config, opts LiveOptions) (*Result
 // ---------------------------------------------------------------------------
 
 type liveTransport struct {
-	cfg    *Config
-	pool   *BufferPool
-	fab    fabric
-	opts   LiveOptions
-	dead   map[int]bool
-	drops  *dropper
-	faults *faults.Plan
-	n      int
-	frac   float64          // payload byte width relative to raw64
-	rp     coding.Retunable // non-nil on Retunable plans: broadcasts carry the level
+	cfg  *Config
+	pool *BufferPool
+	fab  fabric
+	opts LiveOptions
+	n    int
+	frac float64          // payload byte width relative to raw64
+	rp   coding.Retunable // non-nil on Retunable plans: broadcasts carry the level
 }
 
 func newLiveTransport(cfg *Config, fab fabric, opts LiveOptions) *liveTransport {
@@ -132,16 +127,13 @@ func newLiveTransport(cfg *Config, fab fabric, opts LiveOptions) *liveTransport 
 	_, n, _ := cfg.Plan.Params()
 	rp, _ := cfg.Plan.(coding.Retunable)
 	return &liveTransport{
-		rp:     rp,
-		cfg:    cfg,
-		pool:   cfg.buffers(),
-		fab:    fab,
-		opts:   opts,
-		dead:   cfg.deadSet(),
-		drops:  cfg.newDropper(),
-		faults: cfg.Faults,
-		n:      n,
-		frac:   cfg.comm().frac,
+		rp:   rp,
+		cfg:  cfg,
+		pool: cfg.buffers(),
+		fab:  fab,
+		opts: opts,
+		n:    n,
+		frac: cfg.comm().frac,
 	}
 }
 
@@ -184,17 +176,14 @@ func (t *liveTransport) DrainWire() {
 }
 
 // expectedReplies counts the workers that will transmit for iteration iter:
-// the fabric's alive workers minus those the fault plan has crashed.
-// Partitioned and burst-dropped workers still transmit (the loss is on the
-// master's side), so they stay in the count and their arrivals are
-// discarded in Next.
+// every worker the fault plan has not crashed. Workers whose transmission is
+// lost (partition, burst or i.i.d. drop) still transmit — the loss is on the
+// master's side — so they stay in the count and their arrivals are discarded
+// in Next.
 func (t *liveTransport) expectedReplies(iter int) int {
-	if t.faults == nil {
-		return t.fab.AliveWorkers()
-	}
 	expected := 0
 	for w := 0; w < t.n; w++ {
-		if !t.dead[w] && t.faults.Active(w, iter) {
+		if t.cfg.Faults.Active(w, iter) {
 			expected++
 		}
 	}
@@ -206,7 +195,6 @@ func (t *liveTransport) Traits() Traits { return Traits{} }
 func (t *liveTransport) Shutdown() { _ = t.fab.Broadcast(ModelUpdate{Iter: -1}) }
 
 func (t *liveTransport) Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error) {
-	lost := drawDrops(t.drops, t.dead, t.n)
 	mu := ModelUpdate{Iter: iter, Query: query}
 	if t.rp != nil {
 		// Read on the engine goroutine, after the controller's SetLevel and
@@ -221,7 +209,6 @@ func (t *liveTransport) Broadcast(ctx context.Context, iter int, query []float64
 		t:        t,
 		ctx:      ctx,
 		iter:     iter,
-		lost:     lost,
 		expected: t.expectedReplies(iter),
 		start:    time.Now(),
 		deadline: time.NewTimer(t.opts.Timeout),
@@ -232,7 +219,6 @@ type liveSource struct {
 	t        *liveTransport
 	ctx      context.Context
 	iter     int
-	lost     map[int]bool
 	expected int
 	start    time.Time
 	deadline *time.Timer
@@ -254,9 +240,9 @@ func (s *liveSource) Next() (Arrival, bool, error) {
 				continue
 			}
 			s.replies++
-			if s.lost[rep.Worker] || s.t.faults.MasterDrop(rep.Worker, s.iter) {
-				// Transmission lost in the network (random drop, partition
-				// window or drop burst); the worker will not retransmit, but
+			if s.t.cfg.Faults.MasterDrop(rep.Worker, s.iter) {
+				// Transmission lost in the network (partition window, drop
+				// burst or i.i.d. drop); the worker will not retransmit, but
 				// its reply still counts toward the stall check above. The
 				// lost payload is recycled like the wire would discard it.
 				recycleMsgs(s.t.pool, rep.Msgs)
@@ -512,25 +498,21 @@ type chanFabric struct {
 	replies chan Reply
 	// done, closed by Close, unblocks a worker still pushing a reply after
 	// the master stopped reading.
-	done  chan struct{}
-	once  sync.Once
-	alive int
+	done chan struct{}
+	once sync.Once
 }
 
 func newChanFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	_, n, _ := cfg.Plan.Params()
-	dead := cfg.deadSet()
 	pool := cfg.buffers() // created before any worker goroutine starts
 	f := &chanFabric{
 		inboxes: make([]chan ModelUpdate, n),
 		replies: make(chan Reply, n*4),
 		done:    make(chan struct{}),
-		alive:   n - len(dead),
 	}
+	// Every worker runs, crashed ones included: a crashed worker idles on
+	// its inbox for the iterations the fault plan keeps it down.
 	for w := 0; w < n; w++ {
-		if dead[w] {
-			continue
-		}
 		// Deep enough that the master never blocks on a straggler's inbox.
 		inbox := make(chan ModelUpdate, cfg.Iterations+2)
 		f.inboxes[w] = inbox
@@ -572,24 +554,18 @@ func newChanFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 
 func (f *chanFabric) Broadcast(mu ModelUpdate) error {
 	for _, inbox := range f.inboxes {
-		if inbox == nil {
-			continue
-		}
 		inbox <- mu
 	}
 	return nil
 }
 
 func (f *chanFabric) Replies() <-chan Reply { return f.replies }
-func (f *chanFabric) AliveWorkers() int     { return f.alive }
 
 func (f *chanFabric) Close() error {
 	f.once.Do(func() {
 		close(f.done)
 		for _, inbox := range f.inboxes {
-			if inbox != nil {
-				close(inbox)
-			}
+			close(inbox)
 		}
 	})
 	return nil

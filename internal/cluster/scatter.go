@@ -196,11 +196,11 @@ func scatterCommPlane(cp commPlane, dim int) (commPlane, error) {
 }
 
 // newScatterFabric wraps an accepted primary fabric with shard listeners and
-// accepts the workers' shard connections: exactly one connection per (alive
-// worker, shard), each handshaking with the worker's index and the agreed
+// accepts the workers' shard connections: exactly one connection per (worker,
+// shard), each handshaking with the worker's index and the agreed
 // shard count; timeout bounds each accept and each hello read. Must be
 // called after the primary accept so every worker is known to be dialing.
-func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, cp commPlane, dim, shards int) (*scatterFabric, error) {
+func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n int, timeout time.Duration, pool *BufferPool, cp commPlane, dim, shards int) (*scatterFabric, error) {
 	scp, err := scatterCommPlane(cp, dim)
 	if err != nil {
 		return nil, err
@@ -214,10 +214,10 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 		dim:       dim,
 		pool:      pool,
 		slots:     make([]scatterSlot, n),
-		out:       make(chan Reply, alive*4+4),
+		out:       make(chan Reply, n*4+4),
 	}
 	for s, ln := range shardLns {
-		for i := 0; i < alive; i++ {
+		for i := 0; i < n; i++ {
 			if tl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok && timeout > 0 {
 				if err := tl.SetDeadline(time.Now().Add(timeout)); err != nil {
 					f.Close()
@@ -227,7 +227,7 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 			raw, err := ln.Accept()
 			if err != nil {
 				f.Close()
-				return nil, fmt.Errorf("cluster: scatter shard %d accept %d/%d: %w", s, i, alive, err)
+				return nil, fmt.Errorf("cluster: scatter shard %d accept %d/%d: %w", s, i, n, err)
 			}
 			// Nested counters: the inner conn feeds the shard's own in/out
 			// totals, the outer one the fabric-wide totals the engine samples.
@@ -294,22 +294,23 @@ func listenShards(shards int) ([]net.Listener, error) {
 // ServeMasterScatterPool is ServeMasterPool for a sharded master: the
 // primary listener carries handshakes and model broadcasts, and shardLns
 // (one per master shard, in shard order) receive the workers' scattered
-// reply slices. n is the cluster size (worker indices are validated against
-// it), alive the number of workers that will dial. Every worker must be
+// reply slices. n is the cluster size: every one of the n workers dials
+// (crashed ones included), and worker indices are validated against it.
+// Every worker must be
 // given the shard listeners' addresses (Assign.ShardPorts /
 // WorkerEnv.ShardAddrs) and the same shard count in its spec. The caller
 // owns the listeners; Close on the returned fabric closes them.
-func ServeMasterScatterPool(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
+func ServeMasterScatterPool(ln net.Listener, shardLns []net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
 	}
 	shards := len(shardLns)
-	primary, err := acceptWorkers(ln, alive, timeout, pool, comm, dim, shards)
+	primary, err := acceptWorkers(ln, n, timeout, pool, comm, dim, shards)
 	if err != nil {
 		return nil, err
 	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, timeout, pool, cp, dim, shards)
+	fab, err := newScatterFabric(primary, shardLns, n, timeout, pool, cp, dim, shards)
 	if err != nil {
 		primary.Close()
 		return nil, err

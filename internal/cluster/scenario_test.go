@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bcc/internal/coding"
 	"bcc/internal/faults"
 	"bcc/internal/vecmath"
 )
@@ -66,10 +67,22 @@ func runScenarioComm(t *testing.T, name string, comm CommOptions, run func(cfg *
 // suite sets MasterShards through it).
 func runScenarioCfg(t *testing.T, name string, comm CommOptions, mut func(*Config), run func(cfg *Config) (*Result, error)) scenarioRun {
 	t.Helper()
+	return runPlanCfg(t, scenarioPlan(t, name), comm, mut, run)
+}
+
+// scenarioPlan builds the named library scenario at the conformance size.
+func scenarioPlan(t *testing.T, name string) *faults.Plan {
+	t.Helper()
 	plan, err := faults.Scenario(name, scenarioN, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plan
+}
+
+// runPlanCfg is runScenarioCfg over an explicit fault plan.
+func runPlanCfg(t *testing.T, plan *faults.Plan, comm CommOptions, mut func(*Config), run func(cfg *Config) (*Result, error)) scenarioRun {
+	t.Helper()
 	cfg, _ := buildRun(t, "bcc", scenarioM, scenarioN, scenarioR, scenarioIters, scenarioSeed,
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
@@ -98,7 +111,7 @@ func runScenarioCfg(t *testing.T, name string, comm CommOptions, mut func(*Confi
 	}
 	res, err := run(cfg)
 	if err != nil {
-		t.Fatalf("scenario %s: %v", name, err)
+		t.Fatalf("fault plan %+v: %v", plan, err)
 	}
 	return scenarioRun{res: res, events: events}
 }
@@ -154,23 +167,41 @@ func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, sim b
 }
 
 // TestScenarioConformance is the tentpole suite: for every named scenario,
-// the live and tcp runtimes must reproduce the sim reference exactly —
-// per-iteration recovery thresholds, comm loads, payload bytes, gradient
-// norms, bit-identical final weights and an identical fault-event trace.
+// and for plan content no scenario uses (i.i.d. drops plus a worker dead
+// from the start), the live and tcp runtimes must reproduce the sim
+// reference exactly — per-iteration recovery thresholds, comm loads, payload
+// bytes, gradient norms, bit-identical final weights and an identical
+// fault-event trace.
 func TestScenarioConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
 	}
+	type cell struct {
+		name string
+		plan *faults.Plan
+		// first, if set, is the reference trace's first event.
+		first string
+	}
+	cells := []cell{{
+		name:  "drop-crash0",
+		plan:  &faults.Plan{N: scenarioN, Seed: 9, Drop: 0.15, Crashes: []faults.Crash{{Worker: 2, At: 0}}},
+		first: "iter=0 crash w2",
+	}}
 	for _, name := range faults.Names() {
-		name := name
-		t.Run(name+"/barrier", func(t *testing.T) {
+		cells = append(cells, cell{name: name, plan: scenarioPlan(t, name)})
+	}
+	for _, c := range cells {
+		t.Run(c.name+"/barrier", func(t *testing.T) {
 			t.Parallel()
-			ref := runScenario(t, name, nil)
+			ref := runPlanCfg(t, c.plan, CommOptions{}, nil, nil)
 			if len(ref.res.Iters) != scenarioIters {
 				t.Fatalf("sim completed %d iterations, want %d", len(ref.res.Iters), scenarioIters)
 			}
+			if c.first != "" && (len(ref.events) == 0 || ref.events[0] != c.first) {
+				t.Fatalf("sim fault trace %v, want it to open with %q", ref.events, c.first)
+			}
 			for _, rt := range scenarioRuntimes() {
-				compareScenarioRuns(t, rt.name, runScenario(t, name, rt.run), ref, false)
+				compareScenarioRuns(t, rt.name, runPlanCfg(t, c.plan, CommOptions{}, nil, rt.run), ref, false)
 			}
 		})
 	}
@@ -265,14 +296,32 @@ func TestScenarioBelowThresholdDegrades(t *testing.T) {
 	}
 }
 
-// TestScenarioStallEmitsDegradedSignal covers the other degradation arm:
-// an unplanned stall (random DropProb loss on a zero-redundancy scheme) is
-// detected after the fact and still signals the observer with KindDegraded
-// before returning ErrStalled.
+// TestScenarioStallEmitsDegradedSignal covers the other degradation arm: a
+// stall the reachable-worker count cannot predict. Every holder of one bcc
+// batch is dead while enough workers stay reachable to pass the
+// MinResponders check, so the iteration runs, every reachable worker
+// reports, and the decoder still lacks that batch: the stall is detected
+// after the fact and still signals the observer with KindDegraded before
+// returning ErrStalled.
 func TestScenarioStallEmitsDegradedSignal(t *testing.T) {
-	cfg, _ := buildRun(t, "uncoded", 12, 12, 1, 50, 403, Zero{})
-	cfg.DropProb = 0.3
-	cfg.DropSeed = 10
+	const n = 12
+	cfg, _ := buildRun(t, "bcc", 8, n, 4, 5, 403, Zero{})
+	// Kill the holders of the least-replicated batch (keyed by its first
+	// unit).
+	holders := map[int][]int{}
+	for w, a := range cfg.Plan.Assignments() {
+		holders[a[0]] = append(holders[a[0]], w)
+	}
+	var victims []int
+	for _, ws := range holders {
+		if victims == nil || len(ws) < len(victims) {
+			victims = ws
+		}
+	}
+	cfg.Faults = crashPlan(n, victims...)
+	if reach, need := n-len(victims), coding.MinResponders(cfg.Plan); reach < need {
+		t.Fatalf("placement leaves %d reachable workers, below MinResponders %d: no stall to observe", reach, need)
+	}
 	degradedSeen := false
 	cfg.Observer = ObserverFuncs{Fault: func(ev faults.Event) {
 		degradedSeen = degradedSeen || ev.Kind == faults.KindDegraded
@@ -282,7 +331,7 @@ func TestScenarioStallEmitsDegradedSignal(t *testing.T) {
 		t.Fatalf("expected ErrStalled, got %v", err)
 	}
 	if errors.Is(err, ErrBelowThreshold) {
-		t.Fatalf("random drops are not plan-predictable; err %v must not claim fail-fast", err)
+		t.Fatalf("an uncovered batch is invisible to the reachable count; err %v must not claim fail-fast", err)
 	}
 	if !degradedSeen {
 		t.Fatal("stall did not emit a KindDegraded event")

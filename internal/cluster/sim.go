@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"bcc/internal/coding"
-	"bcc/internal/faults"
 	"bcc/internal/trace"
 	"bcc/internal/wire"
 )
@@ -53,9 +52,6 @@ type simTransport struct {
 	cfg    *Config
 	pool   *BufferPool
 	lat    Latency
-	dead   map[int]bool
-	drops  *dropper
-	faults *faults.Plan
 	points []int
 	n      int
 	coder  *wire.VecCoder // lossy payload transform (nil for raw64)
@@ -90,9 +86,6 @@ func newSimTransport(cfg *Config) *simTransport {
 		cfg:        cfg,
 		pool:       cfg.buffers(),
 		lat:        withFaultSlowdowns(cfg.latency(), cfg.Faults),
-		dead:       cfg.deadSet(),
-		drops:      cfg.newDropper(),
-		faults:     cfg.Faults,
 		points:     workerPoints(cfg.Plan, cfg.Units),
 		n:          n,
 		coder:      cp.newCoder(),
@@ -137,7 +130,6 @@ func cmpArrival(a, b simArrival) int {
 // messages queue behind each other; with zero cost the drain is
 // instantaneous at the arrival time.
 func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error) {
-	lost := drawDrops(t.drops, t.dead, t.n)
 	// On Retunable plans the iteration runs at the level the engine's
 	// controller just activated: workers process only the active prefix of
 	// their assignment, exactly like a live worker told the level in its
@@ -151,14 +143,8 @@ func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if t.dead[w] {
-			continue
-		}
-		if !t.faults.Active(w, iter) {
-			continue // crashed this iteration: no compute, no transmission
-		}
-		if lost[w] || t.faults.MasterDrop(w, iter) {
-			continue // transmission lost in the network this iteration
+		if !t.cfg.Faults.Contributing(w, iter) {
+			continue // crashed, or its transmission is lost this iteration
 		}
 		assign, pts := t.cfg.Plan.Assignments()[w], t.points[w]
 		if level > 0 {

@@ -33,7 +33,6 @@ type tcpFabric struct {
 	frame   wire.Frame
 	fw      *wire.Writer
 	replies chan Reply
-	alive   int
 	mu      sync.Mutex
 	closed  bool
 	// readers tracks the per-connection reader goroutines so DrainFabric can
@@ -82,12 +81,11 @@ func (c countingConn) Write(p []byte) (int, error) {
 }
 
 // newTCPFabric starts a loopback listener, spawns one in-process worker
-// goroutine per alive worker that dials it, and wires reader goroutines
-// into the replies channel.
+// goroutine per worker that dials it, and wires reader goroutines into the
+// replies channel. Crashed workers connect too: they handshake and idle for
+// the iterations the fault plan keeps them down.
 func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	_, n, _ := cfg.Plan.Params()
-	dead := cfg.deadSet()
-	alive := n - len(dead)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("cluster: tcp listen: %w", err)
@@ -122,9 +120,6 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	// Spawn workers that dial the listener and speak the protocol.
 	addr := ln.Addr().String()
 	for w := 0; w < n; w++ {
-		if dead[w] {
-			continue
-		}
 		env := WorkerEnv{
 			Index:              w,
 			Plan:               cfg.Plan,
@@ -140,7 +135,7 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
 
-	primary, err := acceptWorkers(ln, alive, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim(), shards)
+	primary, err := acceptWorkers(ln, n, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim(), shards)
 	if err != nil {
 		closeShards()
 		ln.Close()
@@ -149,7 +144,7 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	if shards == 0 {
 		return primary, nil
 	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, opts.Timeout, cfg.buffers(), cfg.comm(), cfg.Model.Dim(), shards)
+	fab, err := newScatterFabric(primary, shardLns, n, opts.Timeout, cfg.buffers(), cfg.comm(), cfg.Model.Dim(), shards)
 	if err != nil {
 		primary.Close()
 		return nil, err
@@ -157,23 +152,23 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	return fab, nil
 }
 
-// acceptWorkers accepts exactly `alive` handshaking connections on ln and
+// acceptWorkers accepts exactly n handshaking connections on ln and
 // assembles the fabric around them. timeout bounds each accept and each
 // hello read. pool, if non-nil, backs the codecs' reply deserialization so
 // gradient payloads land in recycled buffers. comm and dim resolve the
 // master's comm plane; each worker's hello must declare the same payload
 // codec, top-K and chunk size — and the same master-shard count `shards`
 // (0 = unsharded) — or the handshake fails.
-func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim, shards int) (*tcpFabric, error) {
+func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim, shards int) (*tcpFabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
 	}
-	f := &tcpFabric{ln: ln, replies: make(chan Reply, alive*4+4), alive: alive}
-	f.conns = make([]net.Conn, 0, alive)
+	f := &tcpFabric{ln: ln, replies: make(chan Reply, n*4+4)}
+	f.conns = make([]net.Conn, 0, n)
 	f.fw = wire.NewFrameWriter(&f.frame)
 	f.fw.SetPayload(cp.pc)
-	for i := 0; i < alive; i++ {
+	for i := 0; i < n; i++ {
 		// Deadline-bound the accept when the listener supports it (TCP
 		// listeners do; wrappers forward it), so a worker that never dials
 		// cannot wedge the master.
@@ -186,7 +181,7 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, pool *Buff
 		raw, err := ln.Accept()
 		if err != nil {
 			f.Close()
-			return nil, fmt.Errorf("cluster: tcp accept %d/%d: %w", i, alive, err)
+			return nil, fmt.Errorf("cluster: tcp accept %d/%d: %w", i, n, err)
 		}
 		conn := countingConn{Conn: raw, in: &f.bytesIn, out: &f.bytesOut}
 		codec := newWireCodec(conn, pool, cp)
@@ -238,7 +233,6 @@ func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
 }
 
 func (f *tcpFabric) Replies() <-chan Reply { return f.replies }
-func (f *tcpFabric) AliveWorkers() int     { return f.alive }
 
 // drainReaders waits (up to timeout) for every connection reader to observe
 // its worker's clean close — a worker closes its side after receiving the
@@ -386,7 +380,8 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	return RunWorker(env, updates, send)
 }
 
-// ServeMaster accepts `alive` worker connections on ln and returns a fabric
+// ServeMaster accepts the n worker connections of an n-worker run on ln —
+// crashed workers included, which handshake and idle — and returns a fabric
 // for RunWithFabric; used by cmd/bcccluster where workers are separate
 // processes. comm (with the model dimension dim) must match the CommOptions
 // given to every worker — each handshake is verified against it. timeout
@@ -394,8 +389,8 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 // the returned fabric's Close. Reply payloads are allocated per frame here
 // (the engine's pool still bounds master-side retention); the in-process TCP
 // runtime wires a shared pool instead.
-func ServeMaster(ln net.Listener, alive int, timeout time.Duration, comm CommOptions, dim int) (Fabric, error) {
-	return acceptWorkers(ln, alive, timeout, nil, comm, dim, 0)
+func ServeMaster(ln net.Listener, n int, timeout time.Duration, comm CommOptions, dim int) (Fabric, error) {
+	return acceptWorkers(ln, n, timeout, nil, comm, dim, 0)
 }
 
 // ServeMasterPool is ServeMaster with a caller-supplied payload-buffer
@@ -408,12 +403,12 @@ func ServeMaster(ln net.Listener, alive int, timeout time.Duration, comm CommOpt
 // Deprecated: the codecName parameter only survives for existing callers
 // and goes once none passes it; it must be "" or "wire", the only frame
 // encoding.
-func ServeMasterPool(ln net.Listener, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
+func ServeMasterPool(ln net.Listener, n int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
 	if err := checkFrameCodec(codecName); err != nil {
 		ln.Close() // as a failed accept would: dialing workers must not hang
 		return nil, err
 	}
-	return acceptWorkers(ln, alive, timeout, pool, comm, dim, 0)
+	return acceptWorkers(ln, n, timeout, pool, comm, dim, 0)
 }
 
 // Fabric is the exported face of the master-side substrate, for callers

@@ -186,7 +186,7 @@ func typedNames[K ~string, V any](m map[K]V) []K {
 // reports through this one type, so callers can errors.As for it and print
 // the known values.
 type OptionError struct {
-	// Option is the Spec field name, e.g. "Scheme" or "DropProb".
+	// Option is the Spec field name, e.g. "Scheme" or "Faults".
 	Option string
 	// Value is the offending value, formatted.
 	Value string
@@ -275,26 +275,20 @@ type Spec struct {
 	Latency cluster.Latency
 	// IngressPerUnit is the master's per-message-unit drain cost.
 	IngressPerUnit float64
-	// Dead workers never respond.
-	Dead []int
-	// DropProb makes the master lose each worker transmission independently
-	// with this probability (fault injection for lossy networks; workers do
-	// not retransmit). Must lie in [0, 1).
-	DropProb float64
-	// DropSeed seeds the drop draws (only used when DropProb > 0); the
-	// fault pattern is identical across runtimes for a given seed.
-	DropSeed uint64
 	// Faults, if non-nil, deterministically schedules worker fault events —
-	// crashes/restarts, slowdown windows, partitions, drop bursts — replayed
-	// identically on every runtime (see internal/faults). Takes precedence
-	// over FaultScenario.
+	// crashes/restarts (a worker that never responds is a crash at iteration
+	// 0), slowdown windows, partitions, drop bursts and i.i.d. drops
+	// (Plan.Drop) — replayed identically on every runtime (see
+	// internal/faults). Its N must equal Workers. Takes precedence over
+	// FaultScenario.
 	Faults *faults.Plan
 	// FaultScenario names a fault scenario from the library (faults.Names():
 	// steady, flaky-tail, rolling-restart, partition, burst-drop,
 	// slow-decile); the plan is built for Workers workers at NewJob time.
 	FaultScenario string
 	// FaultSeed seeds the scenario's probabilistic rules (0 = derived from
-	// Seed), so the same spec replays the same fault sequence everywhere.
+	// Seed), so the same spec replays the same fault sequence everywhere; see
+	// FaultPlan.
 	FaultSeed uint64
 	// ComputeParallelism fans each worker's per-example gradient
 	// computations out over this many goroutines (0/1 = serial); results
@@ -417,9 +411,6 @@ func (s *Spec) validateOptions() error {
 	if err := s.Runtime.Validate(); err != nil {
 		return err
 	}
-	if s.DropProb < 0 || s.DropProb >= 1 {
-		return &OptionError{Option: "DropProb", Value: fmt.Sprintf("%v", s.DropProb), Reason: "outside [0, 1)"}
-	}
 	if s.ComputeParallelism < 0 {
 		return &OptionError{Option: "ComputeParallelism", Value: fmt.Sprintf("%d", s.ComputeParallelism), Reason: "must be non-negative"}
 	}
@@ -477,8 +468,39 @@ func (s *Spec) validateOptions() error {
 		if err := s.Faults.Validate(); err != nil {
 			return &OptionError{Option: "Faults", Value: "plan", Reason: err.Error()}
 		}
+		if s.Faults.N != s.Workers {
+			return &OptionError{Option: "Faults", Value: "plan",
+				Reason: fmt.Sprintf("built for %d workers, spec has Workers=%d", s.Faults.N, s.Workers)}
+		}
 	}
 	return nil
+}
+
+// FaultPlan resolves the fault plan a job built from the spec runs under:
+// Faults itself when set, else the FaultScenario built for Workers workers,
+// else an empty plan. A scenario's probabilistic rules and Plan.Drop draw
+// from the plan seed: FaultSeed, or a seed derived from Seed when FaultSeed
+// is 0. A fresh plan (scenario or empty) is the caller's to extend, which is
+// how bcctrain's -dead and -drop build theirs.
+func (s Spec) FaultPlan() (*faults.Plan, error) {
+	s = s.withDefaults()
+	if s.Faults != nil {
+		return s.Faults, nil
+	}
+	// A fixed non-zero mix keeps the derived fault stream independent of the
+	// data/placement streams while staying a pure function of Seed.
+	seed := s.FaultSeed
+	if seed == 0 {
+		seed = s.Seed ^ 0xfa417_5eed
+	}
+	if s.FaultScenario == "" {
+		return &faults.Plan{N: s.Workers, Seed: seed}, nil
+	}
+	fp, err := faults.Scenario(s.FaultScenario, s.Workers, seed)
+	if err != nil {
+		return nil, fmt.Errorf("core: fault scenario %s: %w", s.FaultScenario, err)
+	}
+	return fp, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -495,8 +517,8 @@ type Job struct {
 	Plan  coding.Plan
 	Units [][]int
 	Opt   optimize.Optimizer
-	// Faults is the resolved fault plan of the run: Spec.Faults, or the
-	// Spec.FaultScenario built for this cluster size; nil without either.
+	// Faults is the resolved fault plan of the run (Spec.FaultPlan): never
+	// nil, empty when the spec schedules no faults.
 	Faults *faults.Plan
 	// Resumed is the number of iterations already completed against this
 	// job's optimizer state before the next run — set by RestoreCheckpoint,
@@ -509,7 +531,7 @@ type Job struct {
 // NewJob generates the synthetic dataset and materializes the job. All
 // randomness (data, placement, latency seeds if the caller builds them from
 // the same stream) derives from spec.Seed. Option misconfiguration —
-// unknown scheme/optimizer/runtime, out-of-range fault-injection knobs —
+// unknown scheme/optimizer/runtime, an invalid or mis-sized fault plan —
 // fails here with an *OptionError rather than at Run time.
 func NewJob(spec Spec) (*Job, error) {
 	s := spec.withDefaults()
@@ -550,18 +572,9 @@ func NewJobWithData(spec Spec, ds *dataset.Dataset, rng *rngutil.RNG) (*Job, err
 		return nil, fmt.Errorf("core: planning %s: %w", s.Scheme, err)
 	}
 	mod := &model.Logistic{Data: ds, Lambda: s.Lambda}
-	fp := s.Faults
-	if fp == nil && s.FaultScenario != "" {
-		// A fixed non-zero mix keeps the derived fault stream independent of
-		// the data/placement streams while staying a pure function of Seed.
-		fseed := s.FaultSeed
-		if fseed == 0 {
-			fseed = s.Seed ^ 0xfa417_5eed
-		}
-		fp, err = faults.Scenario(s.FaultScenario, s.Workers, fseed)
-		if err != nil {
-			return nil, fmt.Errorf("core: fault scenario %s: %w", s.FaultScenario, err)
-		}
+	fp, err := s.FaultPlan()
+	if err != nil {
+		return nil, err
 	}
 	// validateOptions above guarantees the registry entry exists.
 	build := optimizers[s.Optimizer]
@@ -600,9 +613,6 @@ func (j *Job) clusterConfig() *cluster.Config {
 		Iterations:         j.Spec.Iterations,
 		Latency:            j.Spec.Latency,
 		IngressPerUnit:     j.Spec.IngressPerUnit,
-		Dead:               j.Spec.Dead,
-		DropProb:           j.Spec.DropProb,
-		DropSeed:           j.Spec.DropSeed,
 		Faults:             j.Faults,
 		ComputeParallelism: j.Spec.ComputeParallelism,
 		DecodeParallelism:  j.Spec.DecodeParallelism,

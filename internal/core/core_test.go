@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -471,7 +472,8 @@ func TestOptionErrorsFailFast(t *testing.T) {
 		{"scheme", func(s *Spec) { s.Scheme = "nope" }, "Scheme"},
 		{"optimizer", func(s *Spec) { s.Optimizer = "adamw" }, "Optimizer"},
 		{"runtime", func(s *Spec) { s.Runtime = "quantum" }, "Runtime"},
-		{"dropprob", func(s *Spec) { s.DropProb = 1.5 }, "DropProb"},
+		{"drop", func(s *Spec) { s.Faults = &faults.Plan{N: 4, Drop: 1.5} }, "Faults"},
+		{"faults-size", func(s *Spec) { s.Faults = &faults.Plan{N: 3} }, "Faults"},
 		{"parallelism", func(s *Spec) { s.ComputeParallelism = -2 }, "ComputeParallelism"},
 		{"checkpoint-every", func(s *Spec) { s.CheckpointEvery = -1 }, "CheckpointEvery"},
 		{"checkpoint-path", func(s *Spec) { s.CheckpointEvery = 3 }, "CheckpointPath"},
@@ -621,6 +623,24 @@ func TestFaultScenarioSpec(t *testing.T) {
 	}
 	if d := vecmath.MaxAbsDiff(resA.FinalW, resB.FinalW); d != 0 {
 		t.Fatalf("identical faulted specs trained different weights: %v", d)
+	}
+
+	// Without a plan or scenario the job still runs under one — the empty
+	// plan on the scenario seed rule, i.e. the steady scenario — so callers
+	// can extend it (bcctrain's -dead and -drop).
+	base := Spec{Examples: 8, Workers: 8, Seed: 5}
+	empty, err := base.FaultPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	steadySpec := base
+	steadySpec.FaultScenario = "steady"
+	steady, err := steadySpec.FaultPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(empty, steady) || empty.N != 8 || empty.Seed == 0 {
+		t.Fatalf("empty plan %+v, steady scenario %+v", empty, steady)
 	}
 
 	// An explicit Spec.Faults plan takes precedence over the scenario name.

@@ -75,9 +75,6 @@ type remoteSpec struct {
 	Optimizer          Optimizer    `json:"optimizer,omitempty"`
 	Seed               uint64       `json:"seed,omitempty"`
 	IngressPerUnit     float64      `json:"ingress_per_unit,omitempty"`
-	Dead               []int        `json:"dead,omitempty"`
-	DropProb           float64      `json:"drop_prob,omitempty"`
-	DropSeed           uint64       `json:"drop_seed,omitempty"`
 	Faults             *faults.Plan `json:"faults,omitempty"`
 	FaultScenario      string       `json:"fault_scenario,omitempty"`
 	FaultSeed          uint64       `json:"fault_seed,omitempty"`
@@ -103,7 +100,7 @@ type remoteSpec struct {
 func EncodeSpec(s Spec) ([]byte, error) {
 	switch {
 	case s.Latency != nil:
-		return nil, fmt.Errorf("core: spec with a Latency model cannot be submitted remotely (latency models are process-local; use Dead/Faults/DropProb for reproducible straggling)")
+		return nil, fmt.Errorf("core: spec with a Latency model cannot be submitted remotely (latency models are process-local; use Faults or FaultScenario for reproducible straggling)")
 	case s.Observer != nil:
 		return nil, fmt.Errorf("core: spec with an Observer cannot be submitted remotely (watch the job through the service status surface instead)")
 	case s.StopWhen != nil:
@@ -135,9 +132,6 @@ func EncodeSpec(s Spec) ([]byte, error) {
 		Optimizer:          norm.Optimizer,
 		Seed:               norm.Seed,
 		IngressPerUnit:     norm.IngressPerUnit,
-		Dead:               norm.Dead,
-		DropProb:           norm.DropProb,
-		DropSeed:           norm.DropSeed,
 		Faults:             norm.Faults,
 		FaultScenario:      norm.FaultScenario,
 		FaultSeed:          norm.FaultSeed,
@@ -183,9 +177,6 @@ func DecodeSpec(data []byte) (Spec, error) {
 		Optimizer:          rs.Optimizer,
 		Seed:               rs.Seed,
 		IngressPerUnit:     rs.IngressPerUnit,
-		Dead:               rs.Dead,
-		DropProb:           rs.DropProb,
-		DropSeed:           rs.DropSeed,
 		Faults:             rs.Faults,
 		FaultScenario:      rs.FaultScenario,
 		FaultSeed:          rs.FaultSeed,

@@ -27,10 +27,7 @@ func TestSpecEncodeDecodeRoundTrip(t *testing.T) {
 		StepSize:           0.25,
 		Optimizer:          OptimizerGD,
 		Seed:               99,
-		Dead:               []int{1},
-		DropProb:           0.05,
-		DropSeed:           7,
-		Faults:             &faults.Plan{N: 6, Seed: 3, Crashes: []faults.Crash{{Worker: 2, At: 5, RestartAfter: 2}}},
+		Faults:             &faults.Plan{N: 6, Seed: 3, Drop: 0.05, Crashes: []faults.Crash{{Worker: 1}, {Worker: 2, At: 5, RestartAfter: 2}}},
 		ComputeParallelism: 2,
 		DecodeParallelism:  2,
 		Runtime:            RuntimeTCP,
@@ -120,9 +117,14 @@ func TestSpecDecodeRejects(t *testing.T) {
 	if _, err := DecodeSpec([]byte(`{"unknown_field":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	// An older submitter's spec still carrying the removed option.
-	if _, err := DecodeSpec([]byte(`{"pipelined":true}`)); err == nil || !strings.Contains(err.Error(), `"pipelined"`) {
-		t.Fatalf("spec with pipelined: err = %v, want an error naming the field", err)
+	// An older submitter's spec still carrying a removed option: pipelined,
+	// or the fault fields that Faults carries as a crash at iteration 0 and
+	// Plan.Drop.
+	for _, legacy := range []string{`{"pipelined":true}`, `{"dead":[1]}`, `{"drop_prob":0.1}`, `{"drop_seed":7}`} {
+		field := legacy[1:strings.Index(legacy, ":")]
+		if _, err := DecodeSpec([]byte(legacy)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("spec %s: err = %v, want an error naming %s", legacy, err, field)
+		}
 	}
 	if _, err := DecodeSpec([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")

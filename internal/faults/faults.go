@@ -18,12 +18,14 @@
 //     cluster package applies it on top of the configured Latency model's
 //     compute and upload draws.
 //   - MasterDrop(w, iter) is the MASTER-side state: the worker's
-//     transmission this iteration is lost before the master can use it,
-//     either because a partition window makes the worker range unreachable
-//     or because a correlated drop burst is in progress. Live workers still
-//     compute and transmit (they cannot know the network ate the message);
-//     the master discards the arrival, exactly like the i.i.d. DropProb
-//     fault the fabric already had.
+//     transmission this iteration is lost before the master can use it:
+//     a partition window makes the worker range unreachable, a correlated
+//     drop burst is in progress, or the i.i.d. Drop draw lost it. Live
+//     workers still compute and transmit (they cannot know the network ate
+//     the message); the master discards the arrival.
+//
+// Plan is the only scheduled-fault input of the cluster: a worker that never
+// answers is a Crash at iteration 0, and i.i.d. message loss is Plan.Drop.
 //
 // EventsAt exposes the schedule as a deterministic event trace (crashes,
 // restarts, window and partition edges, burst starts) that the master
@@ -163,7 +165,7 @@ func (p Partition) covers(w, iter int) bool {
 // iteration); while a burst is in progress — Length iterations from its
 // start, overlapping bursts merge — each worker's transmission is lost with
 // probability Frac (a seeded draw per worker and iteration). This is the
-// correlated counterpart of the fabric's i.i.d. DropProb.
+// correlated counterpart of Plan.Drop.
 type DropBursts struct {
 	// StartProb is the per-iteration burst-start probability in [0, 1].
 	StartProb float64
@@ -181,10 +183,14 @@ type Plan struct {
 	// N is the worker count the plan is built for; it must match the
 	// cluster's n.
 	N int
-	// Seed drives every probabilistic decision (drop bursts). Two plans
-	// with equal rules and seeds schedule identical fault sequences on
+	// Seed drives every probabilistic decision (drop bursts and Drop). Two
+	// plans with equal rules and seeds schedule identical fault sequences on
 	// every runtime.
 	Seed uint64
+	// Drop is the i.i.d. master-side loss probability in [0, 1): each
+	// worker's transmission of each iteration is lost independently with
+	// this probability (workers do not retransmit). Drops emit no event.
+	Drop float64
 
 	Crashes    []Crash
 	Slowdowns  []Slowdown
@@ -200,6 +206,9 @@ func (p *Plan) Validate() error {
 	}
 	if p.N <= 0 {
 		return fmt.Errorf("faults: plan needs a positive worker count N, got %d", p.N)
+	}
+	if p.Drop < 0 || p.Drop >= 1 {
+		return fmt.Errorf("faults: drop probability %v outside [0,1)", p.Drop)
 	}
 	for _, c := range p.Crashes {
 		if c.Worker < 0 || c.Worker >= p.N {
@@ -277,7 +286,8 @@ func (p *Plan) SlowFactor(w, iter int) float64 {
 }
 
 // MasterDrop reports whether worker w's transmission of iteration iter is
-// lost before the master can use it (partition window or drop burst).
+// lost before the master can use it (partition window, drop burst or i.i.d.
+// Drop).
 func (p *Plan) MasterDrop(w, iter int) bool {
 	if p == nil {
 		return false
@@ -287,16 +297,16 @@ func (p *Plan) MasterDrop(w, iter int) bool {
 			return true
 		}
 	}
-	if p.Bursts != nil && p.burstActive(iter) {
-		return p.u01(tagBurstDrop, uint64(iter), uint64(w)) < p.Bursts.Frac
+	if p.Bursts != nil && p.burstActive(iter) && p.u01(tagBurstDrop, uint64(iter), uint64(w)) < p.Bursts.Frac {
+		return true
 	}
-	return false
+	return p.Drop > 0 && p.u01(tagDrop, uint64(iter), uint64(w)) < p.Drop
 }
 
 // Contributing reports whether worker w can possibly contribute to
 // iteration iter's decode: it is active and its transmission is not
-// scheduled to be lost. The master engine sums this over the non-dead
-// workers to detect iterations that cannot decode before running them.
+// scheduled to be lost. The master engine sums this over the workers to
+// detect iterations that cannot decode before running them.
 func (p *Plan) Contributing(w, iter int) bool {
 	return p.Active(w, iter) && !p.MasterDrop(w, iter)
 }
@@ -376,6 +386,7 @@ func (p *Plan) Events(iters int) []Event {
 const (
 	tagBurstStart uint64 = 0xb075_7a77
 	tagBurstDrop  uint64 = 0xd307_d0bb
+	tagDrop       uint64 = 0x11d_d409
 )
 
 // u01 returns a uniform [0,1) draw that is a pure function of the plan

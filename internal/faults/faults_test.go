@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,64 @@ func TestBurstsAreDeterministicAndBursty(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 42 and 43 schedule identical drop patterns")
+	}
+}
+
+// TestDropIsIIDAndDeterministic checks the i.i.d. Drop rule: the same
+// answer for the same (worker, iteration) on every call, a loss frequency
+// inside a binomial confidence interval around Drop, no events, and draws
+// independent of the burst stream under the same seed.
+func TestDropIsIIDAndDeterministic(t *testing.T) {
+	const p, n, iters = 0.1, 50, 2000
+	drop := &Plan{N: n, Seed: 42, Drop: p}
+	if err := drop.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bursts := &Plan{N: n, Seed: 42, Bursts: &DropBursts{StartProb: 1, Length: 1, Frac: 0.5}}
+	var lost, burstLost, both int
+	for iter := 0; iter < iters; iter++ {
+		for w := 0; w < n; w++ {
+			d := drop.MasterDrop(w, iter)
+			if d != drop.MasterDrop(w, iter) {
+				t.Fatalf("drop decision (%d,%d) changed between calls", w, iter)
+			}
+			if !drop.Active(w, iter) || drop.Contributing(w, iter) == d {
+				t.Fatalf("drop at (%d,%d): Active/Contributing disagree with MasterDrop", w, iter)
+			}
+			b := bursts.MasterDrop(w, iter)
+			if d {
+				lost++
+			}
+			if b {
+				burstLost++
+			}
+			if d && b {
+				both++
+			}
+		}
+	}
+	// 4.5 standard deviations: the draws are seeded, so this is a fixed
+	// outcome, not a flaky bound.
+	within := func(count, draws int, q float64) bool {
+		mean := float64(draws) * q
+		return math.Abs(float64(count)-mean) <= 4.5*math.Sqrt(mean*(1-q))
+	}
+	total := n * iters
+	if !within(lost, total, p) {
+		t.Fatalf("%d drops in %d draws, outside the binomial CI around p=%v", lost, total, p)
+	}
+	// Independence: among the transmissions the burst stream loses, the
+	// i.i.d. stream still loses a fraction p.
+	if !within(both, burstLost, p) {
+		t.Fatalf("%d of %d burst-lost transmissions also drop, outside the binomial CI around p=%v", both, burstLost, p)
+	}
+	if evs := drop.Events(iters); len(evs) != 0 {
+		t.Fatalf("Drop emitted events: %v", evs[:1])
+	}
+	for _, bad := range []float64{-0.1, 1, 1.5} {
+		if err := (&Plan{N: 2, Drop: bad}).Validate(); err == nil {
+			t.Fatalf("Drop %v validated", bad)
+		}
 	}
 }
 

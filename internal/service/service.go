@@ -24,12 +24,12 @@
 // lease ends.
 //
 // Admission is strictly FIFO: the head of the queue starts when enough
-// workers are idle (a TCP job needs its spec's alive worker count; sim and
-// live jobs need none and run on daemon-local goroutines); until then the
-// head blocks the queue. Leases release on every exit path — completion,
-// cancellation, degrade below the recovery threshold, worker crash —
-// because the engine broadcasts its shutdown frame on every exit path, so
-// queued jobs start without restarting workers.
+// workers are idle (a TCP job leases its spec's Workers, crashed ones
+// included; sim and live jobs need none and run on daemon-local
+// goroutines); until then the head blocks the queue. Leases release on
+// every exit path — completion, cancellation, degrade below the recovery
+// threshold, worker crash — because the engine broadcasts its shutdown frame
+// on every exit path, so queued jobs start without restarting workers.
 package service
 
 import (
@@ -425,22 +425,6 @@ func (d *Daemon) runJob(ctx context.Context, rec *jobRecord, leased []*fleetWork
 	d.finishJob(rec, res, err)
 }
 
-// aliveIndices lists the job's worker indices minus the spec's Dead set, in
-// index order — the identities the leased fleet workers assume.
-func aliveIndices(spec core.Spec) []int {
-	dead := make(map[int]bool, len(spec.Dead))
-	for _, w := range spec.Dead {
-		dead[w] = true
-	}
-	out := make([]int, 0, spec.Workers)
-	for w := 0; w < spec.Workers; w++ {
-		if !dead[w] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // countingListener wraps a job's data-plane listener so every accepted
 // connection counts its traffic into the daemon's fleet totals (on top of
 // the per-fabric counters the accept path adds). It forwards SetDeadline so
@@ -492,7 +476,6 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		d.mu.Unlock()
 	}()
 	port := ln.Addr().(*net.TCPAddr).Port
-	alive := aliveIndices(rec.spec)
 	// A sharded master scatters the data plane: one extra listener per shard
 	// on the same host, with the ports shipped in every Assign frame so the
 	// workers can dial them (the shard map itself is derived from the spec).
@@ -540,7 +523,7 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		shardPorts[s] = sln.Addr().(*net.TCPAddr).Port
 	}
 	for i, fw := range leased {
-		a := wire.Assign{Job: uint64(rec.id), Index: alive[i], Port: port, ShardPorts: shardPorts, Spec: rec.specBytes}
+		a := wire.Assign{Job: uint64(rec.id), Index: i, Port: port, ShardPorts: shardPorts, Spec: rec.specBytes}
 		if werr := fw.w.WriteAssign(a); werr != nil {
 			d.dropWorker(fw, werr)
 			// Workers after fw were never assigned: return them directly.
@@ -559,10 +542,10 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		for s, sln := range shardLns {
 			shardClns[s] = &countingListener{Listener: sln, in: &d.fleetIn, out: &d.fleetOut}
 		}
-		fab, err = cluster.ServeMasterScatterPool(cln, shardClns, rec.spec.Workers, len(alive),
+		fab, err = cluster.ServeMasterScatterPool(cln, shardClns, rec.spec.Workers,
 			d.opts.LeaseTimeout, cfg.Buffers(), job.Comm(), cfg.Model.Dim())
 	} else {
-		fab, err = cluster.ServeMasterPool(cln, len(alive), d.opts.LeaseTimeout, "", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
+		fab, err = cluster.ServeMasterPool(cln, rec.spec.Workers, d.opts.LeaseTimeout, "", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
 	}
 	if err != nil {
 		// acceptWorkers closed the primary listener; assigned workers fail
@@ -658,7 +641,7 @@ func (d *Daemon) SubmitEncoded(data []byte) (JobStatus, error) {
 	}
 	need := 0
 	if spec.Runtime == core.RuntimeTCP {
-		need = spec.Workers - len(spec.Dead)
+		need = spec.Workers
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

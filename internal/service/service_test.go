@@ -75,6 +75,29 @@ func waitWorkers(t *testing.T, d *Daemon, n int) {
 	}
 }
 
+// waitIdle polls until n fleet workers are idle. A worker reports Idle on
+// its control connection only after its lease's data plane has closed,
+// which can trail the job's terminal state.
+func waitIdle(t *testing.T, d *Daemon, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		idle := 0
+		for _, ws := range d.Workers() {
+			if ws.State == "idle" {
+				idle++
+			}
+		}
+		if idle == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers %+v, want %d idle", d.Workers(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // tcpSpec builds a small remote-submittable TCP job.
 func tcpSpec(scheme core.Scheme, n int, seed uint64, iters int) core.Spec {
 	return core.Spec{
@@ -360,6 +383,57 @@ func TestLeaseReleaseOnDegrade(t *testing.T) {
 	}
 }
 
+// TestDeadWorkerLeasesAllN: a TCP job whose fault plan crashes worker 1
+// from iteration 0 leases all n fleet workers — the crashed one handshakes
+// and idles — and ends done, with the crash counted as a fault event.
+func TestDeadWorkerLeasesAllN(t *testing.T) {
+	const n = 4
+	d, stop := startFleet(t, n, Options{})
+	defer stop()
+
+	spec := tcpSpec(core.SchemeCyclicRep, n, 35, 6) // r = 2 tolerates one dead worker
+	spec.Faults = &faults.Plan{N: n, Crashes: []faults.Crash{{Worker: 1, At: 0}}}
+	st, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != core.JobRunning {
+		t.Fatalf("job state %s, want running on the %d idle workers", st.State, n)
+	}
+	fin, err := d.Wait(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != core.JobDone || fin.Iter != 6 {
+		t.Fatalf("state %s iter %d (%s), want done/6", fin.State, fin.Iter, fin.Err)
+	}
+	if fin.Faults == 0 {
+		t.Fatal("the iteration-0 crash reached no fault counter")
+	}
+	// Every fleet worker served the job's lease once.
+	waitIdle(t, d, n)
+	for _, ws := range d.Workers() {
+		if ws.Leases != 1 {
+			t.Fatalf("workers after the job: %+v, want each leased once", d.Workers())
+		}
+	}
+}
+
+// TestSubmitRejectsMisSizedPlan: a fault plan built for another cluster size
+// is refused at Submit, before any worker is leased.
+func TestSubmitRejectsMisSizedPlan(t *testing.T) {
+	d, stop := startFleet(t, 4, Options{})
+	defer stop()
+	spec := tcpSpec(core.SchemeCyclicRep, 4, 37, 3)
+	spec.Faults = &faults.Plan{N: 3}
+	if st, err := d.Submit(spec); err == nil || !strings.Contains(err.Error(), "Faults") {
+		t.Fatalf("mis-sized plan: status %+v, err %v; want a Faults option error", st, err)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected spec still queued: %+v", jobs)
+	}
+}
+
 // TestDrainNoGoroutineLeak: a full lifecycle — fleet joins, jobs run, one
 // still running at drain time — tears down with zero leaked goroutines.
 // Drain cancels the in-flight job after the grace context expires and keeps
@@ -429,6 +503,7 @@ func TestHTTPSurface(t *testing.T) {
 	if _, err := d.Wait(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
+	waitIdle(t, d, 2)
 
 	get := func(path string) string {
 		t.Helper()

@@ -53,8 +53,8 @@ type JobStatus struct {
 	Scheme  string        `json:"scheme"`
 	Runtime string        `json:"runtime"`
 	Payload string        `json:"payload,omitempty"`
-	// Workers is the spec's cluster size n; for TCP jobs the alive subset is
-	// leased from the fleet.
+	// Workers is the spec's cluster size n; a TCP job leases all n from the
+	// fleet.
 	Workers    int `json:"workers"`
 	Iterations int `json:"iterations"`
 
