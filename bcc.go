@@ -28,13 +28,13 @@ import (
 // engine over different transports, and workers always drop work for a
 // query the master has moved past. The run-lifecycle fields — Observer,
 // StopWhen, GradNormTol, CheckpointEvery/CheckpointPath, Faults,
-// ComputeParallelism, DecodeParallelism — are honoured identically on every
-// runtime, and
+// ComputeParallelism — are honoured identically on every runtime, and
 // Density switches the synthetic generator to sparse CSR features (worker
-// gradients then cost O(nnz) instead of O(rows·p)). MasterShards > 1
-// partitions the master's decode + update data plane into M shards owning
-// contiguous coordinate slices — bit-identical results on every runtime,
-// with per-shard measurements in Result.Shards.
+// gradients then cost O(nnz) instead of O(rows·p)). MasterShards > 1 is the
+// one way to split the master's work across cores: it partitions the decode
+// + update data plane into M shards owning contiguous coordinate slices —
+// bit-identical results on every runtime, with per-shard measurements in
+// Result.Shards.
 type Spec = core.Spec
 
 // Job is a materialized training run; create with NewJob, execute with Run

@@ -327,25 +327,13 @@ func BenchmarkDecode(b *testing.B) {
 	for _, scheme := range coding.Names() {
 		for _, dim := range []int{1024, 16384} {
 			b.Run(fmt.Sprintf("%s/p=%d", scheme, dim), func(b *testing.B) {
-				benchDecodeDim(b, scheme, dim, 0)
+				benchDecodeDim(b, scheme, dim)
 			})
 		}
 	}
 }
 
-// BenchmarkDecodeParallel measures the sharded decode of the schemes whose
-// combination fans out across cores, at the dimension where sharding pays.
-func BenchmarkDecodeParallel(b *testing.B) {
-	for _, scheme := range []string{"cyclicrep", "cyclicmds", "bccmulti"} {
-		for _, par := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s/p=16384/par=%d", scheme, par), func(b *testing.B) {
-				benchDecodeDim(b, scheme, 16384, par)
-			})
-		}
-	}
-}
-
-func benchDecodeDim(b *testing.B, scheme string, dim, decodePar int) {
+func benchDecodeDim(b *testing.B, scheme string, dim int) {
 	plan, gs := benchPlanDim(b, scheme, 50, 50, 10, dim)
 	assign := plan.Assignments()
 	order := rngutil.New(3).Perm(50)
@@ -358,7 +346,6 @@ func benchDecodeDim(b *testing.B, scheme string, dim, decodePar int) {
 		msgs[w] = coding.Encode(plan, w, parts)
 	}
 	dec := plan.NewDecoder()
-	coding.SetDecodeParallelism(dec, decodePar)
 	dst := make([]float64, dim)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -468,24 +455,6 @@ func BenchmarkGemv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vecmath.Gemv(a, x)
-	}
-}
-
-// BenchmarkParallelGemv measures the sharded variant.
-func BenchmarkParallelGemv(b *testing.B) {
-	rng := rngutil.New(7)
-	a := vecmath.NewMatrix(2048, 512)
-	for i := range a.Data {
-		a.Data[i] = rng.Normal()
-	}
-	x := make([]float64, 512)
-	for i := range x {
-		x[i] = rng.Normal()
-	}
-	b.SetBytes(2048 * 512 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vecmath.ParallelGemv(a, x, 0)
 	}
 }
 

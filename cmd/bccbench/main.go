@@ -12,7 +12,7 @@
 //
 // -sweep switches to the performance sweep instead: the compute plane
 // (dense-vs-sparse worker gradients across densities and dimensions, decode
-// across payload sizes and DecodeParallelism), the comm plane (payload
+// across payload sizes), the comm plane (payload
 // codec × dimension × workers over tcp loopback with measured wire bytes),
 // the service plane (jobs × workers throughput through the multi-tenant
 // daemon, queue-vs-run time split), the sharded master (coordinate-
@@ -47,7 +47,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "deadline for the whole suite (0 = none); Ctrl-C also aborts cleanly")
 		csvDir     = flag.String("csv", "", "directory to also write <id>.csv files into")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		sweep      = flag.Bool("sweep", false, "run the performance sweep (gradients × density, decode × parallelism, codec × dim × workers over tcp, service jobs × workers, sharded master, adaptive-redundancy race) instead of paper artifacts")
+		sweep      = flag.Bool("sweep", false, "run the performance sweep (gradients × density, decode × dim, codec × dim × workers over tcp, service jobs × workers, sharded master, adaptive-redundancy race) instead of paper artifacts")
 		sweepOut   = flag.String("sweep-out", "BENCH_PR9.json", "where -sweep writes its JSON report")
 		sweepQuick = flag.Bool("sweep-quick", false, "tiny -sweep sizes for a fast smoke run")
 	)

@@ -2,7 +2,7 @@ package main
 
 // The performance sweep behind BENCH_PR9.json: dense-vs-sparse worker
 // gradient cost across densities and dimensions, the master's decode path
-// across payload sizes and DecodeParallelism levels, the comm plane —
+// across payload sizes, the comm plane —
 // payload codec × dimension × workers over real tcp loopback with the
 // engine's measured wire-byte accounting — the service plane: jobs × workers
 // batch throughput through the multi-tenant daemon with the queue-vs-run
@@ -59,7 +59,6 @@ type sweepGradient struct {
 type sweepDecode struct {
 	Scheme   string  `json:"scheme"`
 	P        int     `json:"p"`
-	Parallel int     `json:"parallelism"`
 	NsOp     float64 `json:"ns_op"`
 	AllocsOp int64   `json:"allocs_op"`
 }
@@ -156,8 +155,8 @@ type sweepReport struct {
 	Adaptive    []sweepAdaptive   `json:"adaptive"`
 }
 
-// runSweep executes the dense-vs-sparse × density × parallelism sweep and
-// writes the JSON report to path.
+// runSweep executes the performance sweep and writes the JSON report to
+// path.
 func runSweep(path string, quick bool) error {
 	dims := []int{1024, 16384}
 	rows := 256
@@ -180,9 +179,8 @@ func runSweep(path string, quick bool) error {
 		},
 		Notes: []string{
 			"gradient: full-pass worker gradient (model.FullGradientInto, logistic) over `rows` points at dimension p; dense visits all rows*p entries, CSR only the nnz stored ones — bit-identical results, speedup = dense_ns/csr_ns",
-			"decode: BenchmarkDecode methodology (offer-until-decodable + DecodeInto on a reused decoder, m=n=" + fmt.Sprint(decN) + " r=" + fmt.Sprint(decR) + "); parallelism > 1 shards the decode combination element-wise with bit-identical output",
-			"parallelism speedups require gomaxprocs > 1: vecmath.Shard caps the fan-out at GOMAXPROCS, so on a single-CPU host the parallel rows degrade to the serial partition (one chunk) and measure only the fixed sharding overhead (one closure alloc per decode), not a win",
-			"serial decode rows (parallelism=1) pin the zero-steady-state-alloc invariant of the PR 3 data plane (allocs_op 0 after the one-time solve-cache warmup); compare ns_op against BENCH_PR3.json decode at p=1024 under the same methodology",
+			"decode: BenchmarkDecode methodology (offer-until-decodable + DecodeInto on a reused decoder, m=n=" + fmt.Sprint(decN) + " r=" + fmt.Sprint(decR) + ")",
+			"decode rows pin the zero-steady-state-alloc invariant of the pooled data plane (allocs_op 0 after the one-time solve-cache warmup); compare ns_op against BENCH_PR3.json decode at p=1024 under the same methodology",
 			"comm: full tcp-loopback training runs (wire frames, zero injected latency, scheme bcc m=n r=n/4, wall = best of 3 reps) with the measured wire-byte accounting of the engine; runs end only after the fabric drains (LiveOptions.Drain); wire_out (query broadcasts) is rep-identical and asserted equal across reps, wire_in (worker->master reply frames) is timing-dependent because workers abandon iterations the master has already decoded, so it is asserted between the counted payload bytes and one reply per worker per iteration and reported from the rep that sent the most; in_vs_raw64 and wall_vs_raw64 compare each codec against the raw64 row of the same (p, workers) cell",
 			"comm wall caveat: on this zero-latency single-host loopback the byte savings buy no transfer time, so wall_vs_raw64 only bounds the codecs' CPU overhead (top-k selection is O(p log K) per reply); the latency win of smaller payloads shows up when transfer time is real — the sim runtime models it by scaling upload/ingress latency with the codec's byte fraction",
 			"comm: f32 halves reply payload words, topk (K=p/16 by default) keeps K index+value pairs per vector — queries stay dense (raw64 under topk, f32-quantized under f32), so wire_out shrinks only under f32",
@@ -190,7 +188,7 @@ func runSweep(path string, quick bool) error {
 			"service caveat: on this single-CPU host concurrent tenants time-share one core, so jobs_per_s does not scale with fleet size; the rows still pin the queue-vs-run accounting and the admission behaviour",
 			"sharded decode: BenchmarkDecode methodology with the master-shard split — offer until decodable, then M persistent shard goroutines (the engine's two-channel-ops dispatch) each DecodeSliceInto + scale + UpdateSlice their contiguous chunk-aligned coordinate slice, the in-process masterShards hot path; shards=1 is the same loop on one slice, vs_m1 = ns_op / that row's ns_op; results are bit-identical at every M and allocs_op pins the zero-steady-state-alloc invariant of the sharded engine",
 			"sharded endtoend: the comm-sweep methodology at shards=M — full tcp-loopback run where workers scatter reply slices to M per-shard listeners and the sharded engine decodes; wire_in_bytes_iter counts ALL data-plane sockets (primary + shards), so it matches the unsharded row up to the scatter plane's raw64 slice framing; vs_m1 = wall_s / the shards=1 row's wall_s",
-			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group (and the scatter plane's extra sockets), not the multi-core decode win; on a multi-core host the decode rows scale with min(M, cores) exactly like DecodeParallelism",
+			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group (and the scatter plane's extra sockets), not the multi-core decode win; on a multi-core host the decode rows scale with min(M, cores)",
 			"adaptive: sim-runtime race at m=n=8, load r=4 (nested levels 1..4), deterministic staggered latency — at full load worker w's compute finishes (w+1) virtual units after broadcast and compute time scales with the active level — so wall_virtual and parts are machine-independent modelled scores (this host is single-core, so counted work beats wall-clock as the compute metric); parts = sum over iterations of level*n encoded parts computed by the cluster (fixed schemes always compute the full load r per worker)",
 			"adaptive policies: 'adaptive' is nested + the AIMD controller (margin 1, window 2); 'nested-L<k>' pins the same family at level k via FixedLevelController; 'bcc'/'cyclicmds' are the fixed codes at load r — every policy sees the identical fault schedule, and vs_max ratios compare against the straggler-proof nested-L4 row of the same scenario",
 			"adaptive headline (bursty-tail: three tail workers slowed 6-8x in 3-iteration bursts every 12, quiet otherwise): only full redundancy rides out the bursts without waiting on a slowed worker, yet it pays 4 parts/worker every quiet iteration; the controller tracks the bursts at level 4 and decays through quiet stretches, completing the same iterations with 25% fewer encoded parts than every fixed code that rides out the bursts (nested-L4, bcc, cyclicmds) at lower modelled wall than nested-L4/cyclicmds, while every lower fixed level that computes fewer parts pays 1.2-2.3x the wall stuck waiting on burst-slowed workers — no fixed row beats the adaptive run on both axes",
@@ -211,15 +209,13 @@ func runSweep(path string, quick bool) error {
 	}
 	for _, scheme := range []string{"cyclicrep", "cyclicmds", "bccmulti"} {
 		for _, p := range dims {
-			for _, par := range []int{1, 2, 4} {
-				d, err := benchDecode(scheme, decM, decN, decR, p, par)
-				if err != nil {
-					return err
-				}
-				rep.Decode = append(rep.Decode, d)
-				fmt.Printf("decode %-10s p=%-6d par=%d  %-12.0f ns/op  %d allocs/op\n",
-					scheme, p, par, d.NsOp, d.AllocsOp)
+			d, err := benchDecode(scheme, decM, decN, decR, p)
+			if err != nil {
+				return err
 			}
+			rep.Decode = append(rep.Decode, d)
+			fmt.Printf("decode %-10s p=%-6d  %-12.0f ns/op  %d allocs/op\n",
+				scheme, p, d.NsOp, d.AllocsOp)
 		}
 	}
 	commDims := []int{1024, 16384}
@@ -823,7 +819,7 @@ func chunkAlignedBounds(dim, shards, chunk int) []int {
 
 // benchDecode measures one offer-until-decodable round plus DecodeInto on a
 // reused decoder, exactly like the package BenchmarkDecode.
-func benchDecode(scheme string, m, n, r, p, par int) (sweepDecode, error) {
+func benchDecode(scheme string, m, n, r, p int) (sweepDecode, error) {
 	s, err := coding.Lookup(scheme)
 	if err != nil {
 		return sweepDecode{}, err
@@ -852,7 +848,6 @@ func benchDecode(scheme string, m, n, r, p, par int) (sweepDecode, error) {
 		msgs[w] = coding.Encode(plan, w, parts)
 	}
 	dec := plan.NewDecoder()
-	coding.SetDecodeParallelism(dec, par)
 	dst := make([]float64, p)
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -874,7 +869,6 @@ func benchDecode(scheme string, m, n, r, p, par int) (sweepDecode, error) {
 	return sweepDecode{
 		Scheme:   scheme,
 		P:        p,
-		Parallel: par,
 		NsOp:     float64(res.NsPerOp()),
 		AllocsOp: res.AllocsPerOp(),
 	}, nil

@@ -39,29 +39,28 @@ func main() {
 	role := os.Args[1]
 	fs := flag.NewFlagSet(role, flag.ExitOnError)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:9777", "master listen/dial address")
-		scheme    = fs.String("scheme", "bcc", "gradient-coding scheme")
-		m         = fs.Int("m", 12, "example units")
-		n         = fs.Int("n", 4, "workers")
-		r         = fs.Int("r", 3, "computational load")
-		iters     = fs.Int("iters", 20, "gradient iterations")
-		points    = fs.Int("points", 10, "data points per unit")
-		dim       = fs.Int("dim", 100, "feature dimension")
-		seed      = fs.Uint64("seed", 1, "shared seed (must match across processes)")
-		index     = fs.Int("index", 0, "worker index (worker role only)")
-		wait      = fs.Duration("timeout", 60*time.Second, "per-iteration / accept timeout")
-		codec     = fs.String("codec", "raw64", "payload codec: raw64|f32|topk (must match across processes)")
-		topk      = fs.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
-		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements (0 = default; must match across processes)")
-		drop      = fs.Float64("drop", 0, "master: probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
-		faultsN   = fs.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|")+" (must match across processes)")
-		faultSd   = fs.Uint64("fault-seed", 0, "seed for the -faults scenario (0 = derive from -seed; must match across processes)")
-		parallel  = fs.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
-		decodePar = fs.Int("decode-parallel", 0, "master: goroutines for the decode combination (0/1 = serial; bit-identical results)")
-		shards    = fs.Int("master-shards", 0, "master shards with scatter data planes on the master port +1..+M (0/1 = unsharded; must match across processes)")
-		adapt     = fs.Bool("adapt", false, "master: with -scheme nested, retune the redundancy level each iteration with the built-in straggler-tracking controller")
-		adaptWin  = fs.Int("adapt-window", 0, "master: with -adapt, consecutive over-provisioned iterations before stepping the level down (0 = default 3)")
-		progress  = fs.Bool("progress", false, "master: print a live per-iteration progress line")
+		addr     = fs.String("addr", "127.0.0.1:9777", "master listen/dial address")
+		scheme   = fs.String("scheme", "bcc", "gradient-coding scheme")
+		m        = fs.Int("m", 12, "example units")
+		n        = fs.Int("n", 4, "workers")
+		r        = fs.Int("r", 3, "computational load")
+		iters    = fs.Int("iters", 20, "gradient iterations")
+		points   = fs.Int("points", 10, "data points per unit")
+		dim      = fs.Int("dim", 100, "feature dimension")
+		seed     = fs.Uint64("seed", 1, "shared seed (must match across processes)")
+		index    = fs.Int("index", 0, "worker index (worker role only)")
+		wait     = fs.Duration("timeout", 60*time.Second, "per-iteration / accept timeout")
+		codec    = fs.String("codec", "raw64", "payload codec: raw64|f32|topk (must match across processes)")
+		topk     = fs.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
+		chunk    = fs.Int("chunk", 0, "wire framing chunk size in elements (0 = default; must match across processes)")
+		drop     = fs.Float64("drop", 0, "master: probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
+		faultsN  = fs.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|")+" (must match across processes)")
+		faultSd  = fs.Uint64("fault-seed", 0, "seed for the -faults scenario (0 = derive from -seed; must match across processes)")
+		parallel = fs.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
+		shards   = fs.Int("master-shards", 0, "master shards with scatter data planes on the master port +1..+M (0/1 = unsharded; must match across processes)")
+		adapt    = fs.Bool("adapt", false, "master: with -scheme nested, retune the redundancy level each iteration with the built-in straggler-tracking controller")
+		adaptWin = fs.Int("adapt-window", 0, "master: with -adapt, consecutive over-provisioned iterations before stepping the level down (0 = default 3)")
+		progress = fs.Bool("progress", false, "master: print a live per-iteration progress line")
 	)
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fail(err)
@@ -150,7 +149,6 @@ func main() {
 			Iterations:         *iters,
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,
-			DecodeParallelism:  *decodePar,
 			MasterShards:       effShards,
 			Comm:               comm,
 		}

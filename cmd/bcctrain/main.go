@@ -40,40 +40,39 @@ import (
 
 func main() {
 	var (
-		scheme    = flag.String("scheme", "bcc", "gradient code: bcc|uncoded|cyclicrep|cyclicmds|fractional|randomized")
-		m         = flag.Int("m", 50, "number of example units")
-		n         = flag.Int("n", 50, "number of workers")
-		r         = flag.Int("r", 10, "computational load (units per worker)")
-		iters     = flag.Int("iters", 100, "gradient iterations")
-		points    = flag.Int("points", 10, "raw data points per unit")
-		dim       = flag.Int("dim", 800, "feature dimension p")
-		step      = flag.Float64("step", 0.5, "learning rate")
-		optName   = flag.String("opt", "nesterov", "optimizer: nesterov|gd")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		runtime   = flag.String("runtime", "sim", "runtime: sim|live|tcp")
-		codec     = flag.String("codec", "raw64", "payload codec: raw64|f32|topk (lossy codecs compress gradient traffic deterministically)")
-		topk      = flag.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
-		chunk     = flag.Int("chunk", 0, "wire framing chunk size in elements for the tcp runtime's wire frames (0 = default)")
-		ec2       = flag.Bool("ec2", false, "inject the calibrated EC2-like straggler profile")
-		dead      = flag.String("dead", "", "comma-separated worker indices that never respond (fault-plan crashes at iteration 0)")
-		drop      = flag.Float64("drop", 0, "probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
-		faultsN   = flag.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|"))
-		faultSd   = flag.Uint64("fault-seed", 0, "seed for the -faults scenario and the -drop pattern (0 = derive from -seed)")
-		parallel  = flag.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
-		decodePar = flag.Int("decode-parallel", 0, "goroutines for the master's decode combination (0/1 = serial; bit-identical results)")
-		shards    = flag.Int("master-shards", 0, "master shards owning contiguous coordinate slices of decode+update (0/1 = unsharded; bit-identical results)")
-		adapt     = flag.Bool("adapt", false, "with -scheme nested: retune the redundancy level each iteration with the built-in straggler-tracking controller")
-		adaptWin  = flag.Int("adapt-window", 0, "with -adapt: consecutive over-provisioned iterations before stepping the level down (0 = default 3)")
-		density   = flag.Float64("density", 0, "feature density in (0,1) for a sparse CSR dataset (0 = dense)")
-		timeout   = flag.Duration("timeout", 0, "deadline for the whole run (0 = none); on expiry partial stats are printed")
-		progress  = flag.Bool("progress", false, "print a live per-iteration progress line (iter, workers heard, grad norm)")
-		gradTol   = flag.Float64("grad-tol", 0, "stop early once the gradient norm falls to this tolerance (0 = run all iterations)")
-		lossEv    = flag.Int("loss-every", 10, "record training loss every k iterations (0=never)")
-		doTrace   = flag.Bool("trace", false, "print an ASCII Gantt of the first iteration (sim runtime)")
-		ckptOut   = flag.String("checkpoint", "", "write optimizer state here after the run")
-		ckptEv    = flag.Int("checkpoint-every", 0, "also auto-checkpoint to -checkpoint every k iterations during the run")
-		resume    = flag.String("resume", "", "restore optimizer state from this checkpoint before running")
-		submit    = flag.String("submit", "", "submit the job to a bccserve daemon at this address instead of running locally")
+		scheme   = flag.String("scheme", "bcc", "gradient code: bcc|uncoded|cyclicrep|cyclicmds|fractional|randomized")
+		m        = flag.Int("m", 50, "number of example units")
+		n        = flag.Int("n", 50, "number of workers")
+		r        = flag.Int("r", 10, "computational load (units per worker)")
+		iters    = flag.Int("iters", 100, "gradient iterations")
+		points   = flag.Int("points", 10, "raw data points per unit")
+		dim      = flag.Int("dim", 800, "feature dimension p")
+		step     = flag.Float64("step", 0.5, "learning rate")
+		optName  = flag.String("opt", "nesterov", "optimizer: nesterov|gd")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		runtime  = flag.String("runtime", "sim", "runtime: sim|live|tcp")
+		codec    = flag.String("codec", "raw64", "payload codec: raw64|f32|topk (lossy codecs compress gradient traffic deterministically)")
+		topk     = flag.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
+		chunk    = flag.Int("chunk", 0, "wire framing chunk size in elements for the tcp runtime's wire frames (0 = default)")
+		ec2      = flag.Bool("ec2", false, "inject the calibrated EC2-like straggler profile")
+		dead     = flag.String("dead", "", "comma-separated worker indices that never respond (fault-plan crashes at iteration 0)")
+		drop     = flag.Float64("drop", 0, "probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
+		faultsN  = flag.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|"))
+		faultSd  = flag.Uint64("fault-seed", 0, "seed for the -faults scenario and the -drop pattern (0 = derive from -seed)")
+		parallel = flag.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
+		shards   = flag.Int("master-shards", 0, "master shards owning contiguous coordinate slices of decode+update (0/1 = unsharded; bit-identical results)")
+		adapt    = flag.Bool("adapt", false, "with -scheme nested: retune the redundancy level each iteration with the built-in straggler-tracking controller")
+		adaptWin = flag.Int("adapt-window", 0, "with -adapt: consecutive over-provisioned iterations before stepping the level down (0 = default 3)")
+		density  = flag.Float64("density", 0, "feature density in (0,1) for a sparse CSR dataset (0 = dense)")
+		timeout  = flag.Duration("timeout", 0, "deadline for the whole run (0 = none); on expiry partial stats are printed")
+		progress = flag.Bool("progress", false, "print a live per-iteration progress line (iter, workers heard, grad norm)")
+		gradTol  = flag.Float64("grad-tol", 0, "stop early once the gradient norm falls to this tolerance (0 = run all iterations)")
+		lossEv   = flag.Int("loss-every", 10, "record training loss every k iterations (0=never)")
+		doTrace  = flag.Bool("trace", false, "print an ASCII Gantt of the first iteration (sim runtime)")
+		ckptOut  = flag.String("checkpoint", "", "write optimizer state here after the run")
+		ckptEv   = flag.Int("checkpoint-every", 0, "also auto-checkpoint to -checkpoint every k iterations during the run")
+		resume   = flag.String("resume", "", "restore optimizer state from this checkpoint before running")
+		submit   = flag.String("submit", "", "submit the job to a bccserve daemon at this address instead of running locally")
 	)
 	flag.Parse()
 
@@ -95,7 +94,6 @@ func main() {
 		FaultScenario:      *faultsN,
 		FaultSeed:          *faultSd,
 		ComputeParallelism: *parallel,
-		DecodeParallelism:  *decodePar,
 		MasterShards:       *shards,
 		AdaptRedundancy:    *adapt,
 		AdaptWindow:        *adaptWin,

@@ -180,16 +180,13 @@
 // holding the same nonzeros, so runtime conformance and checkpoint
 // compatibility are storage-independent.
 //
-// Two parallelism knobs shard hot loops across cores, both bit-exact by
-// construction (element-wise sharding with deterministic fixed partitions,
-// fan-out capped at GOMAXPROCS): Spec.ComputeParallelism fans a worker's
-// per-example gradients out, and Spec.DecodeParallelism shards the
-// master's per-iteration decode combination (cyclicrep/cyclicmds/bccmulti)
-// through the optional coding.ParallelDecoder capability. Neither knob
-// changes any decoded bit on any runtime — parallelism here is a
-// wall-clock knob, never a numerics knob. The compute-plane sweep
+// Spec.ComputeParallelism fans a worker's per-example gradients out over
+// goroutines, each accumulating into its own buffer, so results are
+// bit-exact for every setting; the master side splits its work across cores
+// only through Spec.MasterShards (see the sharded master below). The
+// compute-plane sweep
 //
-//	bccbench -sweep            # dense-vs-CSR x density, decode x parallelism
+//	bccbench -sweep            # dense-vs-CSR x density, decode x dim
 //
 // writes BENCH_PR5.json (committed: ~10x worker-gradient speedup at 5%
 // density and p=16384, ~42x at 1%, with the zero-alloc steady state
@@ -285,8 +282,7 @@
 // and bcctrain's -checkpoint/-resume take the sharded path automatically
 // whenever MasterShards > 1. BENCH_PR8.json records the
 // committed sweep (single-core host: the rows bound dispatch overhead; the
-// decode slices scale with min(M, cores) on multi-core hosts, exactly like
-// DecodeParallelism).
+// decode slices scale with min(M, cores) on multi-core hosts).
 //
 // # Running as a service
 //

@@ -1,7 +1,7 @@
 // Sparse compute plane walkthrough: generate a high-dimensional sparse
 // dataset (CSR storage), measure the O(nnz)-vs-O(rows·p) worker-gradient
 // gap against a densified copy of the SAME data, verify the gradients are
-// bit-identical, then train with decode parallelism on — and finally load a
+// bit-identical, then train with a sharded master — and finally load a
 // LIBSVM-format snippet, the interchange format real sparse datasets
 // (news20, RCV1, ...) ship in.
 //
@@ -38,10 +38,10 @@ func main() {
 		Examples: 40, Workers: 40, Load: 8,
 		DataPoints: rows, Dim: p, Density: density,
 		Scheme: bcc.SchemeCyclicRep, Iterations: 20, Seed: 7,
-		// Shard the master's decode combination (a p-dimensional linear
-		// fold for cyclicrep) across cores; decoded gradients are
-		// bit-identical to the serial path at ANY setting.
-		DecodeParallelism: 4,
+		// Split the master's decode and update into 4 coordinate slices
+		// (16 wire chunks of 512 at p = 8192), one goroutine each; decoded
+		// gradients are bit-identical to the unsharded master.
+		MasterShards: 4,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -42,7 +42,6 @@ func runAdaptive(t *testing.T, plan *faults.Plan, iters int, run func(cfg *Confi
 	cfg, _ := buildRun(t, "nested", scenarioM, scenarioN, scenarioR, iters, scenarioSeed,
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
-	cfg.DecodeParallelism = 2
 	cfg.Controller = &AIMDController{Window: 2}
 	var events []string
 	cfg.Observer = ObserverFuncs{Fault: func(ev faults.Event) {

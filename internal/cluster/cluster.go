@@ -61,13 +61,6 @@ type Config struct {
 	// accumulates into its own buffer, so results are bit-for-bit identical
 	// to the serial path.
 	ComputeParallelism int
-	// DecodeParallelism shards the master's per-iteration decode combination
-	// — the p-dimensional linear fold of cyclicrep/cyclicmds/bccmulti — over
-	// this many goroutines (0/1 = serial). The sharding is element-wise with
-	// deterministic fixed shards, so decoded gradients are bit-for-bit
-	// identical to the serial path on every runtime; schemes without a
-	// dimension-wise combination ignore the knob.
-	DecodeParallelism int
 	// MasterShards partitions the master's data plane coordinate-wise into
 	// this many contiguous shards (0/1 = the serial master). Each shard
 	// independently decodes, scales and optimizer-updates its own slice of
@@ -185,8 +178,8 @@ func (c *Config) validate() error {
 	if c.ComputeParallelism < 0 {
 		return fmt.Errorf("cluster: ComputeParallelism %d must be non-negative", c.ComputeParallelism)
 	}
-	if c.DecodeParallelism < 0 {
-		return fmt.Errorf("cluster: DecodeParallelism %d must be non-negative", c.DecodeParallelism)
+	if c.IngressPerUnit < 0 || math.IsNaN(c.IngressPerUnit) {
+		return fmt.Errorf("cluster: IngressPerUnit %v must be non-negative", c.IngressPerUnit)
 	}
 	if c.MasterShards < 0 {
 		return fmt.Errorf("cluster: MasterShards %d must be non-negative", c.MasterShards)

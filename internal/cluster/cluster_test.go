@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -18,6 +19,7 @@ import (
 	"bcc/internal/rngutil"
 	"bcc/internal/trace"
 	"bcc/internal/vecmath"
+	"bcc/internal/wire"
 )
 
 // buildRun assembles a full Config for the given scheme over a synthetic
@@ -28,9 +30,9 @@ func buildRun(t *testing.T, scheme string, m, n, r, iterations int, seed uint64,
 	return buildRunDim(t, scheme, m, n, r, iterations, seed, lat, 12)
 }
 
-// buildRunDim is buildRun at a chosen feature dimension — the decode
-// parallelism tests need dim >= 1024, vecmath.Shard's inline cutoff, or the
-// sharded path under test never actually fans out.
+// buildRunDim is buildRun at a chosen feature dimension — the sharded decode
+// test needs dim above the 512-element default wire chunk, or every
+// coordinate lands on master shard 0.
 func buildRunDim(t *testing.T, scheme string, m, n, r, iterations int, seed uint64, lat Latency, dim int) (*Config, *model.Logistic) {
 	t.Helper()
 	rng := rngutil.New(seed)
@@ -433,62 +435,39 @@ func TestComputeParallelismBitExact(t *testing.T) {
 	}
 }
 
-// TestDecodeParallelismBitExact mirrors TestComputeParallelismBitExact for
-// the master's decode fan-out: every parallelism level must reproduce the
-// serial run's final weights bit-for-bit, on every scheme whose decode
-// combination is sharded. Dim 1500 exceeds vecmath.Shard's inline cutoff
-// (1024), so the parallel levels genuinely fan out instead of folding back
-// to the serial code path.
+// TestDecodeParallelismBitExact pins the master's one way to split decode
+// work across cores, MasterShards, on every scheme whose decode is a
+// p-dimensional fold other than plain BCC (which the sharded conformance
+// matrix covers): each shard count must reproduce the unsharded run's final
+// weights and every iteration's gradient norm bit-for-bit. Dim 1500 at the
+// default 512-element wire chunk gives 3 chunks, so M=2 and M=3 genuinely
+// split the decode instead of putting every coordinate on shard 0.
 func TestDecodeParallelismBitExact(t *testing.T) {
-	for _, scheme := range []string{"cyclicrep", "cyclicmds", "bccmulti"} {
+	for _, scheme := range []string{"cyclicrep", "cyclicmds", "bccmulti", "nested"} {
 		t.Run(scheme, func(t *testing.T) {
-			run := func(par int) *Result {
+			run := func(shards int) *Result {
 				cfg, _ := buildRunDim(t, scheme, 16, 16, 4, 6, 34, Zero{}, 1500)
-				cfg.DecodeParallelism = par
+				cfg.MasterShards = shards
 				res, err := RunSim(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			serial := run(0)
-			for _, par := range []int{2, 4, 8, 64} {
-				parallel := run(par)
-				if d := vecmath.MaxAbsDiff(serial.FinalW, parallel.FinalW); d != 0 {
-					t.Fatalf("decode parallelism %d diverged from serial by %v", par, d)
+			serial := run(1)
+			for _, m := range []int{2, 3} {
+				sharded := run(m)
+				checkShardStats(t, fmt.Sprintf("M=%d", m), sharded, m, wire.DefaultChunk, false)
+				if d := vecmath.MaxAbsDiff(serial.FinalW, sharded.FinalW); d != 0 {
+					t.Fatalf("M=%d diverged from M=1 by %v", m, d)
 				}
 				for i := range serial.Iters {
-					if serial.Iters[i].GradNorm != parallel.Iters[i].GradNorm {
-						t.Fatalf("decode parallelism %d changed iter %d gradient norm", par, i)
+					if serial.Iters[i].GradNorm != sharded.Iters[i].GradNorm {
+						t.Fatalf("M=%d changed iter %d gradient norm", m, i)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestDecodeParallelismLiveRuntime checks the knob end to end on the live
-// transport (the decode runs on the master engine, so every runtime shares
-// the same sharded path). The staggered latency fixes the arrival ORDER:
-// cyclicrep's decode coefficients depend on which responder subset arrives
-// first, so only runs with identical arrival orders are comparable
-// bit-for-bit.
-func TestDecodeParallelismLiveRuntime(t *testing.T) {
-	if testing.Short() {
-		t.Skip("staggered live runs sleep real time")
-	}
-	mk := func(par int) *Result {
-		cfg, _ := buildRunDim(t, "cyclicrep", 8, 8, 2, 4, 35, staggered(8, 4*2), 1500)
-		cfg.DecodeParallelism = par
-		res, err := RunLive(cfg, LiveOptions{TimeScale: liveEquivScale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := mk(0), mk(4)
-	if d := vecmath.MaxAbsDiff(a.FinalW, b.FinalW); d != 0 {
-		t.Fatalf("live parallel decode diverged by %v", d)
 	}
 }
 

@@ -140,7 +140,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	traits := tr.Traits()
 	virtual := traits.Virtual
 	dec := cfg.Plan.NewDecoder()
-	coding.SetDecodeParallelism(dec, cfg.DecodeParallelism)
 	grad := make([]float64, cfg.Model.Dim())
 	cp := cfg.comm()
 	// The sharded master data plane (sharded.go): coordinate-partitioned

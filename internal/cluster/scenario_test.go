@@ -87,18 +87,10 @@ func runPlanCfg(t *testing.T, plan *faults.Plan, comm CommOptions, mut func(*Con
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
 	cfg.Comm = comm
-	// The conformance matrix runs with decode parallelism on: every runtime
-	// must still match the sim reference (and the golden traces) exactly
-	// with the knob set. At this suite's small dimension the Shard cutoff
-	// keeps the fold inline, so what this pins is the knob's cross-runtime
-	// plumbing being a pure no-op on results; the REAL fan-out's
-	// bit-exactness is pinned by TestDecodeParallelismBitExact (dim 1500)
-	// and the coding-level tests (dim 2048). ComputeParallelism stays
-	// serial here only because worker-side fan-out adds real compute-time
-	// jitter to the staggered-arrival construction on loaded machines; its
-	// bit-exactness is pinned by the dedicated TestComputeParallelism*
-	// tests.
-	cfg.DecodeParallelism = 2
+	// ComputeParallelism stays serial here because worker-side fan-out adds
+	// real compute-time jitter to the staggered-arrival construction on
+	// loaded machines; its bit-exactness is pinned by the dedicated
+	// TestComputeParallelism* tests.
 	if mut != nil {
 		mut(cfg)
 	}

@@ -190,11 +190,7 @@ type coverageDecoder struct {
 	units    float64
 	covered  int
 	scale    func(covered int) float64
-	par      int // DecodeInto goroutine fan-out (0/1 = serial)
 }
-
-// SetDecodeParallelism implements ParallelDecoder.
-func (d *coverageDecoder) SetDecodeParallelism(workers int) { d.par = workers }
 
 func (d *coverageDecoder) Offer(msg Message) bool {
 	if d.Decodable() {
@@ -215,18 +211,10 @@ func (d *coverageDecoder) Offer(msg Message) bool {
 func (d *coverageDecoder) Decodable() bool { return d.covered >= d.need }
 
 // DecodeInto sums the kept batch messages (scaled for the approximate
-// schemes). With SetDecodeParallelism > 1 the fold is sharded over the
-// output dimensions via decodeRange, bit-for-bit equal to the serial
-// slot-order sum.
+// schemes).
 func (d *coverageDecoder) DecodeInto(dst []float64) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
-	}
-	if d.par > 1 {
-		vecmath.Shard(len(dst), d.par, func(lo, hi int) {
-			d.decodeRange(dst, lo, hi)
-		})
-		return nil
 	}
 	s := d.scale(d.covered)
 	sumSparseInto(dst, d.kept)

@@ -144,16 +144,12 @@ type mdsDecoder struct {
 	re, im  [][]float64
 	units   float64
 	coeffs  []complex128
-	par     int // DecodeInto goroutine fan-out (0/1 = serial)
 
 	// Scratch reused across iterations (see codedDecoder).
 	sortBuf  []int
 	keyBuf   []byte
 	coeffBuf []complex128
 }
-
-// SetDecodeParallelism implements ParallelDecoder.
-func (d *mdsDecoder) SetDecodeParallelism(workers int) { d.par = workers }
 
 func (d *mdsDecoder) Offer(msg Message) bool {
 	if d.Decodable() {
@@ -225,22 +221,11 @@ func (d *mdsDecoder) Decodable() bool { return d.coeffs != nil }
 // DecodeInto combines the complex messages and writes the real part; the
 // imaginary part of the true combination is identically zero (the decode
 // identity sum_i a_i B[i][u] = 1 holds in C and the gradients are real).
-// With SetDecodeParallelism > 1 the output dimensions are sharded across
-// goroutines; each element folds its per-worker terms in the same order as
-// the serial loop, so results are bit-for-bit identical.
 func (d *mdsDecoder) DecodeInto(dst []float64) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
 	}
-	if d.par > 1 {
-		vecmath.Shard(len(dst), d.par, func(lo, hi int) {
-			d.decodeRange(dst, lo, hi)
-		})
-	} else {
-		// Plain call: the serial hot path must not pay the heap-allocated
-		// closure the goroutine fan-out needs.
-		d.decodeRange(dst, 0, len(dst))
-	}
+	d.decodeRange(dst, 0, len(dst))
 	return nil
 }
 

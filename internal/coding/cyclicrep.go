@@ -221,7 +221,6 @@ type codedDecoder struct {
 	vecs    [][]float64
 	units   float64
 	coeffs  []float64 // decoding vector a in arrival order, set once solvable
-	par     int       // DecodeInto goroutine fan-out (0/1 = serial)
 
 	// Scratch reused across iterations: responder-set key building and the
 	// arrival-order coefficient view of a cached by-worker solve.
@@ -229,9 +228,6 @@ type codedDecoder struct {
 	keyBuf   []byte
 	coeffBuf []float64
 }
-
-// SetDecodeParallelism implements ParallelDecoder.
-func (d *codedDecoder) SetDecodeParallelism(workers int) { d.par = workers }
 
 func (d *codedDecoder) Offer(msg Message) bool {
 	if d.Decodable() {
@@ -290,21 +286,12 @@ func (d *codedDecoder) trySolve() {
 
 func (d *codedDecoder) Decodable() bool { return d.coeffs != nil }
 
-// DecodeInto combines the kept messages with the solved coefficients. With
-// SetDecodeParallelism > 1 the p-dimensional combination is sharded across
-// goroutines element-wise over decodeRange, bit-for-bit equal to the serial
-// fold.
+// DecodeInto combines the kept messages with the solved coefficients.
 func (d *codedDecoder) DecodeInto(dst []float64) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
 	}
-	if d.par > 1 {
-		vecmath.Shard(len(dst), d.par, func(lo, hi int) {
-			d.decodeRange(dst, lo, hi)
-		})
-	} else {
-		vecmath.LinearCombinationInto(dst, d.coeffs, d.vecs[:len(d.coeffs)])
-	}
+	vecmath.LinearCombinationInto(dst, d.coeffs, d.vecs[:len(d.coeffs)])
 	return nil
 }
 

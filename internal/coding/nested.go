@@ -194,9 +194,9 @@ func (p *nestedPlan) NewDecoder() Decoder {
 }
 
 // nestedDecoder delegates one iteration's decode to the level snapshotted at
-// the last Reset. It forwards the ParallelDecoder and SliceDecoder
-// capabilities so sharded masters (which capture the capability once per
-// run) keep working across level switches.
+// the last Reset. It forwards the SliceDecoder capability so sharded masters
+// (which capture the capability once per run) keep working across level
+// switches.
 type nestedDecoder struct {
 	plan   *nestedPlan
 	decs   []*codedDecoder
@@ -216,14 +216,6 @@ func (d *nestedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	return d.active.DecodeSliceInto(dst, lo, hi)
 }
 
-// SetDecodeParallelism implements ParallelDecoder (applied to every level so
-// the engine's once-per-run call covers all future switches).
-func (d *nestedDecoder) SetDecodeParallelism(workers int) {
-	for _, dec := range d.decs {
-		dec.SetDecodeParallelism(workers)
-	}
-}
-
 // Reset implements Decoder: drop buffer references and re-snapshot the
 // active level for the next iteration.
 func (d *nestedDecoder) Reset() {
@@ -232,9 +224,8 @@ func (d *nestedDecoder) Reset() {
 }
 
 var (
-	_ Scheme          = Nested{}
-	_ Retunable       = (*nestedPlan)(nil)
-	_ minResponders   = (*nestedPlan)(nil)
-	_ ParallelDecoder = (*nestedDecoder)(nil)
-	_ SliceDecoder    = (*nestedDecoder)(nil)
+	_ Scheme        = Nested{}
+	_ Retunable     = (*nestedPlan)(nil)
+	_ minResponders = (*nestedPlan)(nil)
+	_ SliceDecoder  = (*nestedDecoder)(nil)
 )

@@ -420,42 +420,12 @@ func sumSparseSliceInto(dst []float64, vs [][]float64, lo, hi int) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Decode parallelism
-// ---------------------------------------------------------------------------
-
-// ParallelDecoder is the optional Decoder capability behind the engine's
-// DecodeParallelism knob: decoders whose DecodeInto is a p-dimensional
-// linear combination (cyclicrep, cyclicmds, the batch-coverage decoders)
-// shard that combination across up to `workers` goroutines. The sharding is
-// element-wise over the output vector with every element folding its terms
-// in the serial order, so decoded gradients are bit-for-bit identical to
-// the serial path for every worker count.
-type ParallelDecoder interface {
-	Decoder
-	// SetDecodeParallelism fixes the goroutine fan-out of subsequent
-	// DecodeInto calls (0/1 = serial). Callers set it once after NewDecoder,
-	// before the decoder is shared with the iteration loop.
-	SetDecodeParallelism(workers int)
-}
-
-// SetDecodeParallelism applies the decode fan-out to decoders that support
-// it and is a no-op for the rest (a scheme whose decode is not a dimension-
-// wise combination has nothing to shard).
-func SetDecodeParallelism(d Decoder, workers int) {
-	if pd, ok := d.(ParallelDecoder); ok {
-		pd.SetDecodeParallelism(workers)
-	}
-}
-
-// SliceDecoder is the optional Decoder capability behind streaming decode:
-// a decoder whose output elements are independent can reconstruct an
-// arbitrary output slice [lo, hi) on its own. Each slice folds its terms in
-// the serial order, so any partition of [0, p) — the engine's goroutine
-// shards, or the comm plane's wire chunks as they arrive — reproduces
-// DecodeInto bit-for-bit. The ParallelDecoder implementations (cyclicrep,
-// cyclicmds, the batch-coverage decoders) all provide it, and their
-// DecodeInto parallel paths are sharded over exactly this primitive.
+// SliceDecoder is the optional Decoder capability behind streaming decode
+// and the sharded master: a decoder whose output elements are independent
+// can reconstruct an arbitrary output slice [lo, hi) on its own. Each slice
+// folds its terms in the serial order, so any partition of [0, p) — the
+// engine's MasterShards goroutines, or the comm plane's wire chunks as they
+// arrive — reproduces DecodeInto bit-for-bit.
 type SliceDecoder interface {
 	Decoder
 	// DecodeSliceInto reconstructs output elements [lo, hi) of the decoded
@@ -471,4 +441,14 @@ func checkDecodeSlice(dst []float64, lo, hi int) error {
 		return fmt.Errorf("coding: decode slice [%d, %d) out of range for %d-dim output", lo, hi, len(dst))
 	}
 	return nil
+}
+
+// ParallelDecoder was the capability behind a per-decoder goroutine fan-out.
+//
+// Deprecated: no decoder implements it; the master splits decode work across
+// cores only through MasterShards and SliceDecoder. The declaration remains
+// for the benchmark harness's decoder wrapper and will be removed with it.
+type ParallelDecoder interface {
+	Decoder
+	SetDecodeParallelism(workers int)
 }

@@ -8,6 +8,32 @@ import (
 	"bcc/internal/vecmath"
 )
 
+// encodeAll builds one iteration's messages for every worker of the plan at
+// the given payload dimension.
+func encodeAll(t *testing.T, plan Plan, dim int, seed uint64) [][]Message {
+	t.Helper()
+	m, n, _ := plan.Params()
+	rng := rngutil.New(seed)
+	gs := make([][]float64, m)
+	for u := range gs {
+		g := make([]float64, dim)
+		for i := range g {
+			g[i] = rng.Normal()
+		}
+		gs[u] = g
+	}
+	assign := plan.Assignments()
+	msgs := make([][]Message, n)
+	for w := 0; w < n; w++ {
+		parts := make([][]float64, len(assign[w]))
+		for k, u := range assign[w] {
+			parts[k] = gs[u]
+		}
+		msgs[w] = Encode(plan, w, parts)
+	}
+	return msgs
+}
+
 // slicePlanFor builds a plan for the scheme at the test topology. The
 // registry covers most schemes; genbcc and partitioned are load-specific and
 // unregistered, so they are constructed explicitly with uneven (genbcc) and

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -294,11 +295,6 @@ type Spec struct {
 	// computations out over this many goroutines (0/1 = serial); results
 	// are bit-for-bit identical to the serial path.
 	ComputeParallelism int
-	// DecodeParallelism shards the master's per-iteration decode
-	// combination (cyclicrep/cyclicmds/bccmulti) over this many goroutines
-	// (0/1 = serial); element-wise sharding keeps decoded gradients
-	// bit-for-bit identical to the serial path on every runtime.
-	DecodeParallelism int
 	// MasterShards partitions the master's data plane coordinate-wise into
 	// this many contiguous shards (0/1 = unsharded): each shard decodes,
 	// scales and updates its own slice of the model concurrently while a thin
@@ -411,11 +407,14 @@ func (s *Spec) validateOptions() error {
 	if err := s.Runtime.Validate(); err != nil {
 		return err
 	}
+	if s.Iterations < 0 {
+		return &OptionError{Option: "Iterations", Value: fmt.Sprintf("%d", s.Iterations), Reason: "must be non-negative"}
+	}
+	if s.IngressPerUnit < 0 || math.IsNaN(s.IngressPerUnit) {
+		return &OptionError{Option: "IngressPerUnit", Value: fmt.Sprintf("%v", s.IngressPerUnit), Reason: "must be non-negative"}
+	}
 	if s.ComputeParallelism < 0 {
 		return &OptionError{Option: "ComputeParallelism", Value: fmt.Sprintf("%d", s.ComputeParallelism), Reason: "must be non-negative"}
-	}
-	if s.DecodeParallelism < 0 {
-		return &OptionError{Option: "DecodeParallelism", Value: fmt.Sprintf("%d", s.DecodeParallelism), Reason: "must be non-negative"}
 	}
 	if s.MasterShards < 0 {
 		return &OptionError{Option: "MasterShards", Value: fmt.Sprintf("%d", s.MasterShards), Reason: "must be non-negative"}
@@ -615,7 +614,6 @@ func (j *Job) clusterConfig() *cluster.Config {
 		IngressPerUnit:     j.Spec.IngressPerUnit,
 		Faults:             j.Faults,
 		ComputeParallelism: j.Spec.ComputeParallelism,
-		DecodeParallelism:  j.Spec.DecodeParallelism,
 		MasterShards:       j.Spec.MasterShards,
 		Controller:         ctl,
 		Comm:               j.Spec.comm(),

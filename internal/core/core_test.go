@@ -474,6 +474,9 @@ func TestOptionErrorsFailFast(t *testing.T) {
 		{"runtime", func(s *Spec) { s.Runtime = "quantum" }, "Runtime"},
 		{"drop", func(s *Spec) { s.Faults = &faults.Plan{N: 4, Drop: 1.5} }, "Faults"},
 		{"faults-size", func(s *Spec) { s.Faults = &faults.Plan{N: 3} }, "Faults"},
+		{"iterations", func(s *Spec) { s.Iterations = -1 }, "Iterations"},
+		{"ingress", func(s *Spec) { s.IngressPerUnit = -1 }, "IngressPerUnit"},
+		{"ingress-nan", func(s *Spec) { s.IngressPerUnit = math.NaN() }, "IngressPerUnit"},
 		{"parallelism", func(s *Spec) { s.ComputeParallelism = -2 }, "ComputeParallelism"},
 		{"checkpoint-every", func(s *Spec) { s.CheckpointEvery = -1 }, "CheckpointEvery"},
 		{"checkpoint-path", func(s *Spec) { s.CheckpointEvery = 3 }, "CheckpointPath"},

@@ -79,7 +79,6 @@ type remoteSpec struct {
 	FaultScenario      string       `json:"fault_scenario,omitempty"`
 	FaultSeed          uint64       `json:"fault_seed,omitempty"`
 	ComputeParallelism int          `json:"compute_parallelism,omitempty"`
-	DecodeParallelism  int          `json:"decode_parallelism,omitempty"`
 	MasterShards       int          `json:"master_shards,omitempty"`
 	Runtime            Runtime      `json:"runtime,omitempty"`
 	Payload            Payload      `json:"payload,omitempty"`
@@ -136,7 +135,6 @@ func EncodeSpec(s Spec) ([]byte, error) {
 		FaultScenario:      norm.FaultScenario,
 		FaultSeed:          norm.FaultSeed,
 		ComputeParallelism: norm.ComputeParallelism,
-		DecodeParallelism:  norm.DecodeParallelism,
 		MasterShards:       norm.MasterShards,
 		Runtime:            norm.Runtime,
 		Payload:            norm.Payload,
@@ -181,7 +179,6 @@ func DecodeSpec(data []byte) (Spec, error) {
 		FaultScenario:      rs.FaultScenario,
 		FaultSeed:          rs.FaultSeed,
 		ComputeParallelism: rs.ComputeParallelism,
-		DecodeParallelism:  rs.DecodeParallelism,
 		MasterShards:       rs.MasterShards,
 		Runtime:            rs.Runtime,
 		Payload:            rs.Payload,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,7 +30,6 @@ func TestSpecEncodeDecodeRoundTrip(t *testing.T) {
 		Seed:               99,
 		Faults:             &faults.Plan{N: 6, Seed: 3, Drop: 0.05, Crashes: []faults.Crash{{Worker: 1}, {Worker: 2, At: 5, RestartAfter: 2}}},
 		ComputeParallelism: 2,
-		DecodeParallelism:  2,
 		Runtime:            RuntimeTCP,
 		Payload:            PayloadTopK,
 		TopK:               8,
@@ -118,13 +118,19 @@ func TestSpecDecodeRejects(t *testing.T) {
 		t.Fatal("unknown field accepted")
 	}
 	// An older submitter's spec still carrying a removed option: pipelined,
-	// or the fault fields that Faults carries as a crash at iteration 0 and
-	// Plan.Drop.
-	for _, legacy := range []string{`{"pipelined":true}`, `{"dead":[1]}`, `{"drop_prob":0.1}`, `{"drop_seed":7}`} {
+	// the fault fields that Faults carries as a crash at iteration 0 and
+	// Plan.Drop, or the decode fan-out that MasterShards replaced.
+	for _, legacy := range []string{`{"pipelined":true}`, `{"dead":[1]}`, `{"drop_prob":0.1}`, `{"drop_seed":7}`, `{"decode_parallelism":2}`} {
 		field := legacy[1:strings.Index(legacy, ":")]
 		if _, err := DecodeSpec([]byte(legacy)); err == nil || !strings.Contains(err.Error(), field) {
 			t.Fatalf("spec %s: err = %v, want an error naming %s", legacy, err, field)
 		}
+	}
+	// Negative counts and costs fail at decode time with an *OptionError,
+	// before a service job leases workers for them.
+	var oe *OptionError
+	if _, err := DecodeSpec([]byte(`{"iterations":-3,"ingress_per_unit":-1}`)); !errors.As(err, &oe) {
+		t.Fatalf("negative iterations and ingress: err = %v, want an *OptionError", err)
 	}
 	if _, err := DecodeSpec([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")

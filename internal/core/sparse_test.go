@@ -106,7 +106,4 @@ func TestSparseOptionValidation(t *testing.T) {
 	if _, err := NewJob(Spec{Density: -0.1}); !errors.As(err, &optErr) || optErr.Option != "Density" {
 		t.Fatalf("Density=-0.1: %v", err)
 	}
-	if _, err := NewJob(Spec{DecodeParallelism: -1}); !errors.As(err, &optErr) || optErr.Option != "DecodeParallelism" {
-		t.Fatalf("DecodeParallelism=-1: %v", err)
-	}
 }

@@ -68,7 +68,7 @@ func (m *Matrix) RowTo(i int, dst []float64) {
 // MulVecInto implements AnyMatrix via the dense GemvInto kernel.
 func (m *Matrix) MulVecInto(dst, x []float64) { GemvInto(dst, m, x) }
 
-// MulVecTInto implements AnyMatrix via the blocked GemvTInto kernel.
+// MulVecTInto implements AnyMatrix via GemvTInto.
 func (m *Matrix) MulVecTInto(dst, x []float64) { GemvTInto(dst, m, x) }
 
 var _ AnyMatrix = (*Matrix)(nil)

@@ -6,19 +6,14 @@
 // row kernels cost O(nnz) instead of O(cols) — with bit-identical results
 // on finite data holding the same nonzeros.
 //
-// All kernels come in a plain serial form; the ones on the training hot
-// path also have parallel variants (ParallelGemvInto, ParallelGemvTInto,
-// ParallelLinearCombinationInto, ParallelAxpy) built on Shard. These shard
-// the OUTPUT elements, each of which folds its terms in the serial order,
-// so the parallel variants are bit-for-bit equal to the serial ones for
-// every worker count; tests pin this.
+// Every kernel is serial. The master splits decode work across cores one
+// level up, by handing each of its MasterShards goroutines a contiguous
+// coordinate slice (see the cluster package), never inside a kernel.
 package vecmath
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Zeros returns a fresh zero vector of length n.
@@ -209,117 +204,24 @@ func GemvT(a *Matrix, x []float64) []float64 {
 }
 
 // GemvTInto computes dst = A^T*x in place, fully overwriting dst. It panics
-// on dimension mismatch. It delegates to the blocked column-sharded kernel
-// at default parallelism: each output element accumulates its row terms in
-// row order regardless of the shard count, so the result is bit-for-bit
-// identical to the historical serial Fill+Axpy sweep.
+// on dimension mismatch. It sweeps the rows once in order, accumulating
+// dst[j] += x[i]*A[i][j], so every output element folds its row terms in row
+// order.
 func GemvTInto(dst []float64, a *Matrix, x []float64) {
-	ParallelGemvTInto(dst, a, x, 0)
-}
-
-// ParallelGemvTInto computes dst = A^T*x, sharding the output columns over
-// up to `workers` goroutines (0 = DefaultParallelism, 1 = inline). Each
-// shard owns a contiguous column block [lo, hi) and sweeps every row once,
-// accumulating dst[j] += x[i]*A[i][j] in row order — the exact operation
-// sequence of the serial transpose sweep, so results are bit-for-bit equal
-// for every worker count.
-func ParallelGemvTInto(dst []float64, a *Matrix, x []float64, workers int) {
 	if a.Rows != len(x) {
 		panic(fmt.Sprintf("vecmath: GemvT dimension mismatch %dx%d ^T * %d", a.Rows, a.Cols, len(x)))
 	}
 	if len(dst) != a.Cols {
 		panic(fmt.Sprintf("vecmath: GemvTInto output length %d != %d cols", len(dst), a.Cols))
 	}
-	Shard(a.Cols, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = 0
+	Fill(dst, 0)
+	for i := 0; i < a.Rows; i++ {
+		xi := x[i]
+		row := a.Row(i)
+		for j := range dst {
+			dst[j] += xi * row[j]
 		}
-		for i := 0; i < a.Rows; i++ {
-			xi := x[i]
-			row := a.Row(i)
-			for j := lo; j < hi; j++ {
-				dst[j] += xi * row[j]
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Parallel kernels
-// ---------------------------------------------------------------------------
-
-// DefaultParallelism is the goroutine fan-out used by the parallel kernels
-// when the caller passes workers <= 0.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// Shard invokes fn(lo, hi) over a balanced partition of [0, n) using at most
-// `workers` goroutines (0 = DefaultParallelism) and waits for completion.
-// Small inputs (n < 1024) and workers <= 1 run inline, so serial callers pay
-// no goroutine or allocation cost. The partition is a pure function of
-// (n, workers): deterministic fixed shards, which is what lets the
-// element-sharded kernels built on it stay bit-for-bit reproducible.
-func Shard(n, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = DefaultParallelism()
 	}
-	// Fan-out beyond the scheduler's parallelism is pure overhead (the
-	// goroutines just time-slice one another), so oversubscribed requests
-	// are capped — on a single-P runtime every Shard call runs inline and
-	// keeps the serial path's zero-allocation guarantee. Results do not
-	// depend on the realized worker count (element-wise sharding), so the
-	// cap never changes output bits.
-	if max := DefaultParallelism(); workers > max {
-		workers = max
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 1024 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParallelAxpy computes y += alpha*x using up to `workers` goroutines.
-// Element-wise sharding makes it bit-for-bit identical to Axpy.
-func ParallelAxpy(alpha float64, x, y []float64, workers int) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: ParallelAxpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	Shard(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
-}
-
-// ParallelGemv computes y = A*x sharding rows across goroutines; each output
-// element is a serial dot product so the result is bit-for-bit equal to Gemv.
-func ParallelGemv(a *Matrix, x []float64, workers int) []float64 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("vecmath: ParallelGemv dimension mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	y := make([]float64, a.Rows)
-	Shard(a.Rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] = Dot(a.Row(i), x)
-		}
-	})
-	return y
 }
 
 // SumVectors returns the element-wise sum of the given equal-length vectors.
@@ -383,52 +285,4 @@ func LinearCombinationInto(dst []float64, coeffs []float64, vs [][]float64) {
 	for i, v := range vs {
 		Axpy(coeffs[i], v, dst)
 	}
-}
-
-// ParallelGemvInto computes dst = A*x, sharding the output rows over up to
-// `workers` goroutines (0 = DefaultParallelism, 1 = inline). Each output
-// element is a serial dot product, so the result is bit-for-bit equal to
-// GemvInto for every worker count.
-func ParallelGemvInto(dst []float64, a *Matrix, x []float64, workers int) {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("vecmath: Gemv dimension mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	if len(dst) != a.Rows {
-		panic(fmt.Sprintf("vecmath: GemvInto output length %d != %d rows", len(dst), a.Rows))
-	}
-	Shard(a.Rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = Dot(a.Row(i), x)
-		}
-	})
-}
-
-// ParallelLinearCombinationInto computes sum_i coeffs[i]*vs[i] into dst,
-// fully overwriting it, sharding the OUTPUT elements over up to `workers`
-// goroutines (0 = DefaultParallelism, 1 = inline). Every element t
-// accumulates its terms coeffs[i]*vs[i][t] in slice order i = 0, 1, ... —
-// the same per-element operation sequence as LinearCombinationInto — so the
-// result is bit-for-bit identical to the serial kernel for every worker
-// count. This is the decode hot loop the coded schemes shard across cores.
-func ParallelLinearCombinationInto(dst []float64, coeffs []float64, vs [][]float64, workers int) {
-	if len(vs) == 0 {
-		panic("vecmath: ParallelLinearCombinationInto of empty set")
-	}
-	if len(coeffs) != len(vs) {
-		panic(fmt.Sprintf("vecmath: ParallelLinearCombinationInto arity mismatch %d vs %d", len(coeffs), len(vs)))
-	}
-	if len(dst) != len(vs[0]) {
-		panic(fmt.Sprintf("vecmath: ParallelLinearCombinationInto output length %d != %d", len(dst), len(vs[0])))
-	}
-	Shard(len(dst), workers, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			dst[t] = 0
-		}
-		for i, v := range vs {
-			c := coeffs[i]
-			for t := lo; t < hi; t++ {
-				dst[t] += c * v[t]
-			}
-		}
-	})
 }

@@ -145,38 +145,6 @@ func TestGemvT(t *testing.T) {
 	}
 }
 
-func TestParallelAxpyMatchesSerial(t *testing.T) {
-	rng := rngutil.New(3)
-	for _, n := range []int{0, 1, 100, 5000} {
-		x := randVec(rng, n)
-		y1 := randVec(rng, n)
-		y2 := Clone(y1)
-		Axpy(1.7, x, y1)
-		ParallelAxpy(1.7, x, y2, 4)
-		for i := range y1 {
-			if y1[i] != y2[i] {
-				t.Fatalf("n=%d: parallel axpy diverged at %d: %v vs %v", n, i, y1[i], y2[i])
-			}
-		}
-	}
-}
-
-func TestParallelGemvMatchesSerial(t *testing.T) {
-	rng := rngutil.New(4)
-	a := NewMatrix(137, 64)
-	for i := range a.Data {
-		a.Data[i] = rng.Normal()
-	}
-	x := randVec(rng, 64)
-	y1 := Gemv(a, x)
-	y2 := ParallelGemv(a, x, 8)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("parallel gemv diverged at row %d", i)
-		}
-	}
-}
-
 func TestSumVectors(t *testing.T) {
 	s := SumVectors([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if s[0] != 9 || s[1] != 12 {

@@ -7,7 +7,7 @@ import (
 
 // TestSparsePublicAPI exercises the sparse entry points end to end through
 // the public surface: load a LIBSVM snippet, pad it to the model dimension,
-// train with decode parallelism on, and check the run is deterministic.
+// train, and check the run is deterministic.
 func TestSparsePublicAPI(t *testing.T) {
 	var sb strings.Builder
 	// 24 rows, 3 units of 8, alternating labels over 16 features.
@@ -33,7 +33,6 @@ func TestSparsePublicAPI(t *testing.T) {
 		job, err := NewJobWithData(Spec{
 			Examples: 6, Workers: 6, Load: 2,
 			Scheme: SchemeCyclicRep, Iterations: 5, Seed: 9,
-			DecodeParallelism: 4,
 		}, ds)
 		if err != nil {
 			t.Fatal(err)
