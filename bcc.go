@@ -516,8 +516,9 @@ func ServeFleetWorker(ctx context.Context, addr, name string) error {
 // recorders, checkpoint paths) cannot travel and are rejected here.
 func EncodeSpec(s Spec) ([]byte, error) { return core.EncodeSpec(s) }
 
-// DecodeSpec is the inverse of EncodeSpec; unknown fields are rejected and
-// the result is normalized (defaults applied, options validated).
+// DecodeSpec is the inverse of EncodeSpec; unknown fields and trailing data
+// are rejected and the result is normalized (defaults applied, options
+// validated).
 func DecodeSpec(data []byte) (Spec, error) { return core.DecodeSpec(data) }
 
 // ---------------------------------------------------------------------------

@@ -315,6 +315,7 @@ func submitRemote(addr string, spec core.Spec, progress bool, timeout time.Durat
 	fmt.Printf("iterations completed:   %d/%d\n", fin.Iter, fin.Iterations)
 	fmt.Printf("queue / run seconds:    %.3f / %.3f\n", fin.QueueSeconds, fin.RunSeconds)
 	fmt.Printf("final gradient norm:    %.4e\n", fin.GradNorm)
+	fmt.Printf("avg workers heard (K):  %.2f\n", fin.AvgWorkersHeard)
 	if fin.Loss != 0 {
 		fmt.Printf("last sampled loss:      %.5f\n", fin.Loss)
 	}

@@ -95,9 +95,9 @@
 //
 // Spec.FaultScenario selects a named scenario from the library instead:
 // steady, slow-decile, flaky-tail, rolling-restart, partition, burst-drop
-// (FaultScenarios lists them; bcctrain/bcccluster expose them as -faults).
-// A scenario is built for the job's cluster size from (name, n, seed), so
-// separate processes holding the same flags agree on the schedule.
+// (FaultScenarios lists them; bcctrain exposes them as -faults). A scenario
+// is built for the job's cluster size from (name, n, seed), so separate
+// processes holding the same spec agree on the schedule.
 //
 // Scheduled events are delivered to Observer.OnWorkerFault as FaultEvents
 // in a deterministic order. When faults — drops included — leave an
@@ -130,7 +130,7 @@
 // prefix of what it already holds.
 //
 // Spec.AdaptRedundancy hooks the AIMD redundancy controller onto the engine
-// loop (CLI: -adapt on bcctrain/bcccluster): before each broadcast it reads
+// loop (CLI: -adapt on bcctrain): before each broadcast it reads
 // the iteration's fault telemetry — down, unreachable and slowed workers per
 // the fault plan — and re-tunes the level, jumping up immediately when
 // stragglers appear and stepping down one level after Spec.AdaptWindow
@@ -195,7 +195,7 @@
 // # The comm plane: payload codecs, chunked frames, measured bytes
 //
 // What crosses the wire each iteration is controlled by a pluggable payload
-// codec, Spec.Payload (CLI: -codec on bcctrain/bcccluster):
+// codec, Spec.Payload (CLI: -codec on bcctrain):
 //
 //   - PayloadRaw64 (default): dense float64 payloads, bit-exact — every
 //     conformance golden and checkpoint is unchanged under it.
@@ -240,7 +240,7 @@
 // Spec.MasterShards = M > 1 partitions the master's per-iteration data plane
 // — decode, gradient scaling, optimizer update — into M shards, each owning
 // a contiguous slice of the p model coordinates (CLI: -master-shards on
-// bcctrain/bcccluster). The shard map is deterministic: [0, p) is cut at
+// bcctrain). The shard map is deterministic: [0, p) is cut at
 // wire-chunk boundaries (Spec.WireChunk, default 512 elements) into M
 // contiguous ranges, whole chunks distributed as evenly as possible with
 // earlier shards taking the extra chunk; with more shards than chunks the

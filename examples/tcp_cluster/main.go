@@ -2,7 +2,8 @@
 // models and coded gradients over REAL loopback TCP sockets (wire frames),
 // with per-worker goroutines sleeping their drawn straggler latencies. The
 // run is deadline-bounded through RunContext and observed live through an
-// Observer. For a multi-PROCESS cluster, see cmd/bcccluster.
+// Observer. For a multi-PROCESS cluster, run a cmd/bccserve daemon with
+// bccserve -join workers and submit the job with bcctrain -submit.
 //
 //	go run ./examples/tcp_cluster
 package main

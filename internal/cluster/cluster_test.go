@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -797,8 +798,8 @@ func TestPlanDropValidation(t *testing.T) {
 }
 
 func TestServeMasterExternalWorkers(t *testing.T) {
-	// The cmd/bcccluster path: the caller owns the listener, workers dial
-	// in on their own (as separate processes would), and the master runs
+	// The service daemon's path: the caller owns the listener, workers dial
+	// in on their own (as leased fleet processes do), and the master runs
 	// over the assembled fabric.
 	cfg, mod := buildRun(t, "bcc", 8, 4, 2, 6, 36, Zero{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -817,18 +818,18 @@ func TestServeMasterExternalWorkers(t *testing.T) {
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
-	fab, err := ServeMaster(ln, 4, 10*time.Second, CommOptions{}, cfg.Model.Dim())
+	fab, err := ServeMasterPool(ln, 4, 10*time.Second, "", nil, CommOptions{}, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fab.Close()
-	res, err := RunWithFabric(cfg, fab, LiveOptions{TimeScale: 1e-5, Timeout: 10 * time.Second})
+	res, err := RunWithFabricContext(context.Background(), cfg, fab, LiveOptions{TimeScale: 1e-5, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := referenceWeights(mod, 6)
 	if d := vecmath.MaxAbsDiff(res.FinalW, ref); d > 1e-6 {
-		t.Fatalf("ServeMaster-trained weights differ from reference by %v", d)
+		t.Fatalf("externally-served weights differ from reference by %v", d)
 	}
 }
 
@@ -839,7 +840,7 @@ func TestServeMasterAcceptTimeout(t *testing.T) {
 	}
 	defer ln.Close()
 	// No workers dial: accept must time out rather than hang.
-	if _, err := ServeMaster(ln, 1, 100*time.Millisecond, CommOptions{}, 4); err == nil {
+	if _, err := ServeMasterPool(ln, 1, 100*time.Millisecond, "", nil, CommOptions{}, 4); err == nil {
 		t.Fatal("accept with no workers should time out")
 	}
 }

@@ -184,7 +184,7 @@ func TestTCPHandshakeRejectsCodecMismatch(t *testing.T) {
 		Comm: CommOptions{Payload: "f32"},
 	}
 	go func() { _ = DialAndServeWorker(ln.Addr().String(), env) }()
-	_, err = ServeMaster(ln, 1, 5*time.Second, CommOptions{Payload: "topk"}, cfg.Model.Dim())
+	_, err = ServeMasterPool(ln, 1, 5*time.Second, "", nil, CommOptions{Payload: "topk"}, cfg.Model.Dim())
 	if err == nil || !strings.Contains(err.Error(), "payload codec mismatch") {
 		t.Fatalf("mismatched handshake accepted: %v", err)
 	}
@@ -380,7 +380,7 @@ func TestBroadcastFrameMatchesWriter(t *testing.T) {
 			}
 			conns[w] = conn
 		}
-		fab, err := ServeMaster(ln, workers, 5*time.Second, comm, dim)
+		fab, err := ServeMasterPool(ln, workers, 5*time.Second, "", nil, comm, dim)
 		if err != nil {
 			t.Fatal(err)
 		}

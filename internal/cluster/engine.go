@@ -100,7 +100,7 @@ type ArrivalSource interface {
 }
 
 // RunTransport validates cfg and drives the full training run over an
-// already-constructed transport. RunSim, RunLive and RunWithFabric all
+// already-constructed transport. RunSim, RunLive and RunWithFabricContext all
 // funnel into it; it is exported so future runtimes outside this file can
 // reuse the engine unchanged.
 func RunTransport(cfg *Config, tr Transport) (*Result, error) {

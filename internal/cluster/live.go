@@ -279,7 +279,7 @@ func (s *liveSource) Finish()           { s.deadline.Stop() }
 
 // ---------------------------------------------------------------------------
 // Worker node logic (shared by the channel and TCP runtimes, and by the
-// out-of-process worker in cmd/bcccluster)
+// service's out-of-process fleet workers)
 // ---------------------------------------------------------------------------
 
 // WorkerEnv is everything one worker node needs to participate in a run.

@@ -49,7 +49,7 @@ func TestPoolCapValidate(t *testing.T) {
 }
 
 // TestDrainFabricWaitsForWorkers drives a run over a caller-owned TCP
-// fabric (the cmd/bcccluster and service-daemon ownership pattern) and
+// fabric (the service daemon's ownership pattern) and
 // asserts DrainFabric's contract: after the engine returns, the drain waits
 // until every worker has closed its side — so the master's Close cannot
 // reset a connection with a reply still in flight — and no reader or worker

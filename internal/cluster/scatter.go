@@ -266,7 +266,11 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n int, timeou
 						return
 					}
 					if ok {
-						f.out <- full
+						select {
+						case f.out <- full:
+						case <-f.quit:
+							return
+						}
 					}
 				}
 			}(s, codec)

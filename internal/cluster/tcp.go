@@ -14,7 +14,8 @@ import (
 // The TCP fabric runs the identical master/worker protocol over real
 // loopback sockets — the messages genuinely leave the process boundary
 // through the kernel's TCP stack. It backs both the in-process
-// RunLive(..., TCP: true) mode and the multi-process cmd/bcccluster tool.
+// RunLive(..., TCP: true) mode and the service daemon's leased jobs, whose
+// workers are separate processes (bccserve -join).
 // Frames use the compact binary encoding of internal/wire, the only frame
 // encoding: each connection opens with a wire.Hello carrying the worker's
 // index and resolved comm-plane parameters (payload codec, top-K, chunk,
@@ -33,8 +34,11 @@ type tcpFabric struct {
 	frame   wire.Frame
 	fw      *wire.Writer
 	replies chan Reply
-	mu      sync.Mutex
-	closed  bool
+	// quit is closed by Close, releasing readers parked on a full replies
+	// channel when a cancelled run tears down without a drain.
+	quit   chan struct{}
+	mu     sync.Mutex
+	closed bool
 	// readers tracks the per-connection reader goroutines so DrainFabric can
 	// wait for every worker's clean close before the master tears the
 	// connections down.
@@ -164,7 +168,7 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 	if err != nil {
 		return nil, err
 	}
-	f := &tcpFabric{ln: ln, replies: make(chan Reply, n*4+4)}
+	f := &tcpFabric{ln: ln, replies: make(chan Reply, n*4+4), quit: make(chan struct{})}
 	f.conns = make([]net.Conn, 0, n)
 	f.fw = wire.NewFrameWriter(&f.frame)
 	f.fw.SetPayload(cp.pc)
@@ -212,7 +216,11 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 				if err != nil {
 					return
 				}
-				f.replies <- rep
+				select {
+				case f.replies <- rep:
+				case <-f.quit:
+					return
+				}
 			}
 		}(codec)
 	}
@@ -291,6 +299,7 @@ func (f *tcpFabric) Close() error {
 		return nil
 	}
 	f.closed = true
+	close(f.quit)
 	for _, c := range f.conns {
 		_ = c.Close()
 	}
@@ -380,25 +389,18 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	return RunWorker(env, updates, send)
 }
 
-// ServeMaster accepts the n worker connections of an n-worker run on ln —
-// crashed workers included, which handshake and idle — and returns a fabric
-// for RunWithFabric; used by cmd/bcccluster where workers are separate
-// processes. comm (with the model dimension dim) must match the CommOptions
-// given to every worker — each handshake is verified against it. timeout
-// bounds each accept and each hello read. The caller owns ln's lifetime via
-// the returned fabric's Close. Reply payloads are allocated per frame here
-// (the engine's pool still bounds master-side retention); the in-process TCP
-// runtime wires a shared pool instead.
-func ServeMaster(ln net.Listener, n int, timeout time.Duration, comm CommOptions, dim int) (Fabric, error) {
-	return acceptWorkers(ln, n, timeout, nil, comm, dim, 0)
-}
-
-// ServeMasterPool is ServeMaster with a caller-supplied payload-buffer
-// pool: reply payloads deserialize straight into pooled buffers that the
-// engine recycles after each decode, so a long-running host (the service
-// daemon, which runs one engine per job over leased fleet workers) keeps
-// the allocation-free steady state of the in-process TCP runtime. Pass
-// Config.Buffers() of the run the fabric will drive.
+// ServeMasterPool accepts the n worker connections of an n-worker run on ln
+// — crashed workers included, which handshake and idle — and returns a
+// fabric for RunWithFabricContext; the service daemon uses it for each job's
+// leased fleet workers, which are separate processes. comm (with the model
+// dimension dim) must match the CommOptions given to every worker — each
+// handshake is verified against it. timeout bounds each accept and each
+// hello read. The caller owns ln's lifetime via the returned fabric's Close.
+// pool, if non-nil, backs reply payloads with pooled buffers that the engine
+// recycles after each decode, so a long-running host keeps the
+// allocation-free steady state of the in-process TCP runtime (pass
+// Config.Buffers() of the run the fabric will drive); with nil, payloads are
+// allocated per frame.
 //
 // Deprecated: the codecName parameter only survives for existing callers
 // and goes once none passes it; it must be "" or "wire", the only frame
@@ -412,20 +414,15 @@ func ServeMasterPool(ln net.Listener, n int, timeout time.Duration, codecName st
 }
 
 // Fabric is the exported face of the master-side substrate, for callers
-// (cmd/bcccluster) that manage their own listeners and then hand control to
-// RunWithFabric.
+// (the service daemon) that manage their own listeners and then hand control
+// to RunWithFabricContext.
 type Fabric = fabric
 
-// RunWithFabric drives the master engine over an already-connected fabric.
-// The caller retains ownership of the fabric and must Close it.
-func RunWithFabric(cfg *Config, fab Fabric, opts LiveOptions) (*Result, error) {
-	return RunWithFabricContext(context.Background(), cfg, fab, opts)
-}
-
-// RunWithFabricContext is RunWithFabric bounded by a context: cancellation
-// interrupts the master even while it blocks for replies and returns the
-// completed iterations' partial Result alongside ctx.Err(). The caller
-// still owns the fabric and must Close it to release worker connections.
+// RunWithFabricContext drives the master engine over an already-connected
+// fabric, bounded by a context: cancellation interrupts the master even
+// while it blocks for replies and returns the completed iterations' partial
+// Result alongside ctx.Err(). The caller retains ownership of the fabric and
+// must Close it to release worker connections.
 func RunWithFabricContext(ctx context.Context, cfg *Config, fab Fabric, opts LiveOptions) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -216,36 +216,41 @@ func (e *OptionError) Error() string {
 
 // Spec describes a distributed training job at the level a library user
 // thinks about it. Zero values select the documented defaults.
+//
+// Spec is also the control-plane wire format (EncodeSpec/DecodeSpec): every
+// pure-data field carries its JSON name, and the process-local fields —
+// Latency, Trace, Observer, StopWhen and checkpointing — are tagged "-" and
+// refused by EncodeSpec when set.
 type Spec struct {
 	// --- learning problem (paper §III-C data model) ---
 	// DataPoints is the number of raw training points d (default 100 per
 	// example unit).
-	DataPoints int
+	DataPoints int `json:"data_points,omitempty"`
 	// Dim is the feature dimension p (paper: 8000; default 200).
-	Dim int
+	Dim int `json:"dim,omitempty"`
 	// Separation scales the class means (paper: 1.5).
-	Separation float64
+	Separation float64 `json:"separation,omitempty"`
 	// StandardLabels switches to P(y=+1)=sigma(x^T w*); default is the
 	// paper's rule.
-	StandardLabels bool
+	StandardLabels bool `json:"standard_labels,omitempty"`
 	// Lambda is the L2 regularization strength (paper: 0).
-	Lambda float64
+	Lambda float64 `json:"lambda,omitempty"`
 	// Density, when in (0, 1), generates a SPARSE dataset (CSR storage,
 	// each feature nonzero with this probability) — the news20/RCV1-style
 	// workload class; worker gradient cost drops from O(rows*p) to O(nnz).
 	// 0 (default) and 1 keep the paper's dense generator.
-	Density float64
+	Density float64 `json:"density,omitempty"`
 
 	// --- distribution ---
 	// Examples is m, the number of coded work units.
-	Examples int
+	Examples int `json:"examples,omitempty"`
 	// Workers is n.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Load is r, the per-worker computational load in units.
-	Load int
+	Load int `json:"load,omitempty"`
 	// Scheme names the gradient code (default SchemeBCC). Untyped string
 	// constants assign directly: Spec{Scheme: "bcc"} keeps working.
-	Scheme Scheme
+	Scheme Scheme `json:"scheme,omitempty"`
 	// AdaptRedundancy enables the built-in straggler-tracking redundancy
 	// controller: every iteration the engine retunes the active level of the
 	// nested gradient code to the cheapest one whose decode threshold covers
@@ -253,48 +258,48 @@ type Spec struct {
 	// Scheme == SchemeNested (the only Retunable scheme). Controller
 	// decisions are a pure function of (seed, fault scenario, arrival
 	// history), so adaptive runs stay bit-identical across runtimes.
-	AdaptRedundancy bool
+	AdaptRedundancy bool `json:"adapt_redundancy,omitempty"`
 	// AdaptWindow is the controller's decrease patience: how many consecutive
 	// over-provisioned iterations it observes before stepping the level down
 	// by one (0 = default 3). Only meaningful with AdaptRedundancy.
-	AdaptWindow int
+	AdaptWindow int `json:"adapt_window,omitempty"`
 
 	// --- optimization ---
 	// Iterations of distributed gradient descent (paper: 100).
-	Iterations int
+	Iterations int `json:"iterations,omitempty"`
 	// StepSize is the constant learning rate (default 0.5).
-	StepSize float64
+	StepSize float64 `json:"step_size,omitempty"`
 	// Optimizer is OptimizerNesterov (default, as in the paper) or
 	// OptimizerGD.
-	Optimizer Optimizer
+	Optimizer Optimizer `json:"optimizer,omitempty"`
 
 	// --- environment ---
 	// Seed drives all randomness; runs with equal specs and seeds are
 	// bit-for-bit reproducible on the sim runtime.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Latency injects straggler behaviour (nil = no delays).
-	Latency cluster.Latency
+	Latency cluster.Latency `json:"-"`
 	// IngressPerUnit is the master's per-message-unit drain cost.
-	IngressPerUnit float64
+	IngressPerUnit float64 `json:"ingress_per_unit,omitempty"`
 	// Faults, if non-nil, deterministically schedules worker fault events —
 	// crashes/restarts (a worker that never responds is a crash at iteration
 	// 0), slowdown windows, partitions, drop bursts and i.i.d. drops
 	// (Plan.Drop) — replayed identically on every runtime (see
 	// internal/faults). Its N must equal Workers. Takes precedence over
 	// FaultScenario.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"faults,omitempty"`
 	// FaultScenario names a fault scenario from the library (faults.Names():
 	// steady, flaky-tail, rolling-restart, partition, burst-drop,
 	// slow-decile); the plan is built for Workers workers at NewJob time.
-	FaultScenario string
+	FaultScenario string `json:"fault_scenario,omitempty"`
 	// FaultSeed seeds the scenario's probabilistic rules (0 = derived from
 	// Seed), so the same spec replays the same fault sequence everywhere; see
 	// FaultPlan.
-	FaultSeed uint64
+	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// ComputeParallelism fans each worker's per-example gradient
 	// computations out over this many goroutines (0/1 = serial); results
 	// are bit-for-bit identical to the serial path.
-	ComputeParallelism int
+	ComputeParallelism int `json:"compute_parallelism,omitempty"`
 	// MasterShards partitions the master's data plane coordinate-wise into
 	// this many contiguous shards (0/1 = unsharded): each shard decodes,
 	// scales and updates its own slice of the model concurrently while a thin
@@ -303,50 +308,50 @@ type Spec struct {
 	// reply's coordinate slices to them (the scatter data plane). Results are
 	// bit-for-bit identical to the unsharded run on every runtime; see
 	// cluster.Config.MasterShards.
-	MasterShards int
+	MasterShards int `json:"master_shards,omitempty"`
 	// Runtime is RuntimeSim (default), RuntimeLive (goroutines+channels)
 	// or RuntimeTCP (goroutines over loopback sockets). All three run the
 	// same master engine over different transports.
-	Runtime Runtime
+	Runtime Runtime `json:"runtime,omitempty"`
 	// Payload selects the comm-plane payload codec: PayloadRaw64 (default,
 	// lossless), PayloadF32 or PayloadTopK. Lossy codecs are deterministic:
 	// the same spec + seed + codec gives bit-identical results on every
 	// runtime.
-	Payload Payload
+	Payload Payload `json:"payload,omitempty"`
 	// TopK is the number of coordinates kept per reply vector under
 	// PayloadTopK (0 = Dim/16 rounded up, the K = p/16 operating point);
 	// setting it with any other codec is an error.
-	TopK int
+	TopK int `json:"top_k,omitempty"`
 	// WireChunk is the wire framing chunk size in float64 elements for the
 	// TCP runtime's frames (0 = default 512). Chunking changes streaming
 	// granularity only, never the bytes or the results.
-	WireChunk int
+	WireChunk int `json:"wire_chunk,omitempty"`
 	// TimeScale converts virtual seconds to real sleeps on live runtimes.
-	TimeScale float64
+	TimeScale float64 `json:"time_scale,omitempty"`
 	// LossEvery records full training loss every k iterations (0 = never).
-	LossEvery int
+	LossEvery int `json:"loss_every,omitempty"`
 	// Trace records per-iteration worker timelines (sim runtime only).
-	Trace *trace.Recorder
+	Trace *trace.Recorder `json:"-"`
 
 	// --- run lifecycle ---
 	// Observer, if non-nil, receives per-iteration callbacks from the
 	// engine loop on every runtime (see cluster.Observer).
-	Observer cluster.Observer
+	Observer cluster.Observer `json:"-"`
 	// StopWhen, if non-nil, ends the run early (no error) after the first
 	// iteration whose final stats satisfy it.
-	StopWhen func(cluster.IterStats) bool
+	StopWhen func(cluster.IterStats) bool `json:"-"`
 	// GradNormTol, if positive, ends the run early once the decoded
 	// gradient's Euclidean norm falls to or below this tolerance. Composes
 	// with StopWhen (either condition stops).
-	GradNormTol float64
+	GradNormTol float64 `json:"grad_norm_tol,omitempty"`
 	// CheckpointEvery, if positive together with CheckpointPath, writes an
 	// optimizer checkpoint to CheckpointPath after every CheckpointEvery-th
 	// iteration (atomically; see Job.Checkpoint). The stored completed
 	// count is cumulative: this run's finished iterations plus any
 	// Job.Resumed base set by RestoreCheckpoint.
-	CheckpointEvery int
+	CheckpointEvery int `json:"-"`
 	// CheckpointPath is where periodic checkpoints are written.
-	CheckpointPath string
+	CheckpointPath string `json:"-"`
 }
 
 func (s *Spec) withDefaults() Spec {

@@ -478,6 +478,9 @@ func TestOptionErrorsFailFast(t *testing.T) {
 		{"ingress", func(s *Spec) { s.IngressPerUnit = -1 }, "IngressPerUnit"},
 		{"ingress-nan", func(s *Spec) { s.IngressPerUnit = math.NaN() }, "IngressPerUnit"},
 		{"parallelism", func(s *Spec) { s.ComputeParallelism = -2 }, "ComputeParallelism"},
+		{"master-shards", func(s *Spec) { s.MasterShards = -1 }, "MasterShards"},
+		// Dim 2 is one wire chunk, so a second shard would own nothing.
+		{"master-shards-over", func(s *Spec) { s.MasterShards = 2 }, "MasterShards"},
 		{"checkpoint-every", func(s *Spec) { s.CheckpointEvery = -1 }, "CheckpointEvery"},
 		{"checkpoint-path", func(s *Spec) { s.CheckpointEvery = 3 }, "CheckpointPath"},
 		{"grad-tol", func(s *Spec) { s.GradNormTol = -0.1 }, "GradNormTol"},

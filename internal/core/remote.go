@@ -1,5 +1,5 @@
-// Remote-job support: the serializable subset of Spec that travels over the
-// service control plane, plus the job-lifecycle vocabulary (IDs, queue
+// Remote-job support: the Spec wire codec of the service control plane,
+// plus the job-lifecycle vocabulary (IDs, queue
 // states) shared by the daemon, its clients and the fleet workers.
 //
 // A submitted job is rebuilt independently on both sides of the wire: the
@@ -12,10 +12,11 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"bcc/internal/cluster"
-	"bcc/internal/faults"
 )
 
 // JobID identifies a job accepted by a training-service daemon. IDs are
@@ -53,42 +54,6 @@ func (s JobState) Terminal() bool {
 	return false
 }
 
-// remoteSpec is the serializable shadow of Spec: exactly the fields that are
-// pure data. Process-local fields (Latency models, Observer hooks, StopWhen
-// closures, trace recorders, checkpoint paths) cannot travel and are
-// rejected by EncodeSpec with a field-naming error.
-type remoteSpec struct {
-	DataPoints         int          `json:"data_points,omitempty"`
-	Dim                int          `json:"dim,omitempty"`
-	Separation         float64      `json:"separation,omitempty"`
-	StandardLabels     bool         `json:"standard_labels,omitempty"`
-	Lambda             float64      `json:"lambda,omitempty"`
-	Density            float64      `json:"density,omitempty"`
-	Examples           int          `json:"examples,omitempty"`
-	Workers            int          `json:"workers,omitempty"`
-	Load               int          `json:"load,omitempty"`
-	Scheme             Scheme       `json:"scheme,omitempty"`
-	AdaptRedundancy    bool         `json:"adapt_redundancy,omitempty"`
-	AdaptWindow        int          `json:"adapt_window,omitempty"`
-	Iterations         int          `json:"iterations,omitempty"`
-	StepSize           float64      `json:"step_size,omitempty"`
-	Optimizer          Optimizer    `json:"optimizer,omitempty"`
-	Seed               uint64       `json:"seed,omitempty"`
-	IngressPerUnit     float64      `json:"ingress_per_unit,omitempty"`
-	Faults             *faults.Plan `json:"faults,omitempty"`
-	FaultScenario      string       `json:"fault_scenario,omitempty"`
-	FaultSeed          uint64       `json:"fault_seed,omitempty"`
-	ComputeParallelism int          `json:"compute_parallelism,omitempty"`
-	MasterShards       int          `json:"master_shards,omitempty"`
-	Runtime            Runtime      `json:"runtime,omitempty"`
-	Payload            Payload      `json:"payload,omitempty"`
-	TopK               int          `json:"top_k,omitempty"`
-	WireChunk          int          `json:"wire_chunk,omitempty"`
-	TimeScale          float64      `json:"time_scale,omitempty"`
-	LossEvery          int          `json:"loss_every,omitempty"`
-	GradNormTol        float64      `json:"grad_norm_tol,omitempty"`
-}
-
 // EncodeSpec serializes a spec for submission over the control plane. The
 // spec is normalized (defaults applied) and validated first, so daemon and
 // workers decode the identical fully-resolved spec even if their default
@@ -113,80 +78,22 @@ func EncodeSpec(s Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(remoteSpec{
-		DataPoints:         norm.DataPoints,
-		Dim:                norm.Dim,
-		Separation:         norm.Separation,
-		StandardLabels:     norm.StandardLabels,
-		Lambda:             norm.Lambda,
-		Density:            norm.Density,
-		Examples:           norm.Examples,
-		Workers:            norm.Workers,
-		Load:               norm.Load,
-		Scheme:             norm.Scheme,
-		AdaptRedundancy:    norm.AdaptRedundancy,
-		AdaptWindow:        norm.AdaptWindow,
-		Iterations:         norm.Iterations,
-		StepSize:           norm.StepSize,
-		Optimizer:          norm.Optimizer,
-		Seed:               norm.Seed,
-		IngressPerUnit:     norm.IngressPerUnit,
-		Faults:             norm.Faults,
-		FaultScenario:      norm.FaultScenario,
-		FaultSeed:          norm.FaultSeed,
-		ComputeParallelism: norm.ComputeParallelism,
-		MasterShards:       norm.MasterShards,
-		Runtime:            norm.Runtime,
-		Payload:            norm.Payload,
-		TopK:               norm.TopK,
-		WireChunk:          norm.WireChunk,
-		TimeScale:          norm.TimeScale,
-		LossEvery:          norm.LossEvery,
-		GradNormTol:        norm.GradNormTol,
-	})
+	return json.Marshal(norm)
 }
 
 // DecodeSpec parses EncodeSpec output back into a validated, normalized
 // Spec. Unknown fields are rejected: a spec from a newer peer carrying an
 // option this build does not understand must fail loudly, not silently run
-// a different job.
+// a different job. So is anything but whitespace after the spec value.
 func DecodeSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var rs remoteSpec
-	if err := dec.Decode(&rs); err != nil {
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("core: decoding remote spec: %w", err)
 	}
-	s := Spec{
-		DataPoints:         rs.DataPoints,
-		Dim:                rs.Dim,
-		Separation:         rs.Separation,
-		StandardLabels:     rs.StandardLabels,
-		Lambda:             rs.Lambda,
-		Density:            rs.Density,
-		Examples:           rs.Examples,
-		Workers:            rs.Workers,
-		Load:               rs.Load,
-		Scheme:             rs.Scheme,
-		AdaptRedundancy:    rs.AdaptRedundancy,
-		AdaptWindow:        rs.AdaptWindow,
-		Iterations:         rs.Iterations,
-		StepSize:           rs.StepSize,
-		Optimizer:          rs.Optimizer,
-		Seed:               rs.Seed,
-		IngressPerUnit:     rs.IngressPerUnit,
-		Faults:             rs.Faults,
-		FaultScenario:      rs.FaultScenario,
-		FaultSeed:          rs.FaultSeed,
-		ComputeParallelism: rs.ComputeParallelism,
-		MasterShards:       rs.MasterShards,
-		Runtime:            rs.Runtime,
-		Payload:            rs.Payload,
-		TopK:               rs.TopK,
-		WireChunk:          rs.WireChunk,
-		TimeScale:          rs.TimeScale,
-		LossEvery:          rs.LossEvery,
-		GradNormTol:        rs.GradNormTol,
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("core: decoding remote spec: trailing data after the spec")
 	}
 	return s.Normalized()
 }

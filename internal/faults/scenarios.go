@@ -7,10 +7,10 @@ import (
 )
 
 // The named scenario library: canonical fault regimes the conformance suite
-// (and the -faults flag of bcctrain/bcccluster) runs by name. Each builder
-// takes the cluster size n and a seed and returns a Plan; two processes
-// building the same (name, n, seed) triple — a bcccluster master and its
-// out-of-process workers, say — hold identical schedules.
+// (and the -faults flag of bcctrain) runs by name. Each builder takes the
+// cluster size n and a seed and returns a Plan; two processes building the
+// same (name, n, seed) triple — a service daemon and its out-of-process
+// fleet workers, say — hold identical schedules.
 //
 // The scenarios are sized relative to n so they scale from unit-test
 // clusters to large ones, and they are deliberately survivable for

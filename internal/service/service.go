@@ -485,17 +485,10 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 			sln.Close()
 		}
 	}
-	// Effective shard count: validation rejects over-sharded specs, but clamp
-	// anyway so a directly-constructed record can never lease ports (or bind
-	// listeners) for shards that would own empty coordinate slices.
-	shardCount := rec.spec.MasterShards
-	if shardCount > 1 {
-		if max, merr := job.Comm().MaxShards(cfg.Model.Dim()); merr == nil && shardCount > max {
-			shardCount = max
-		}
-	}
-	if shardCount > 1 {
-		for s := 0; s < shardCount; s++ {
+	// Job records come only from DecodeSpec, which rejects over-sharded
+	// specs, so every shard owns a non-empty coordinate slice.
+	if shards := rec.spec.MasterShards; shards > 1 {
+		for s := 0; s < shards; s++ {
 			sln, serr := net.Listen("tcp", net.JoinHostPort(host, "0"))
 			if serr != nil {
 				closeShardLns()

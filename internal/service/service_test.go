@@ -238,14 +238,25 @@ func TestConcurrentJobsConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Wait(ctx, stC.ID); err != nil {
+	finC, err := d.Wait(ctx, stC.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
 	resC, err := d.Result(stC.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameTrajectory(t, "sim job C", resC, runSolo(t, specC), true)
+	soloC := runSolo(t, specC)
+	sameTrajectory(t, "sim job C", resC, soloC, true)
+	// The status carries the run's empirical recovery threshold: the solo
+	// run's on the virtual clock, and each tcp job's own engine result.
+	if finC.AvgWorkersHeard != soloC.AvgWorkersHeard {
+		t.Fatalf("sim job C: status avg workers heard %v, solo %v", finC.AvgWorkersHeard, soloC.AvgWorkersHeard)
+	}
+	if finA.AvgWorkersHeard != resA.AvgWorkersHeard || finB.AvgWorkersHeard != resB.AvgWorkersHeard {
+		t.Fatalf("tcp jobs: status avg workers heard A=%v B=%v, results A=%v B=%v",
+			finA.AvgWorkersHeard, finB.AvgWorkersHeard, resA.AvgWorkersHeard, resB.AvgWorkersHeard)
+	}
 
 	// Status of a job that does not exist is an error carried in-band.
 	if _, err := c.Status(core.JobID(999)); err == nil || !strings.Contains(err.Error(), "no such job") {

@@ -38,6 +38,7 @@ type jobRecord struct {
 	wireIn       int64
 	wireOut      int64
 	workersHeard int
+	heardSum     int // workers heard, summed over completed iterations
 	faults       int
 	level        int                  // active redundancy level (adaptive nested jobs; 0 otherwise)
 	levelSwitch  int                  // level changes between consecutive iterations
@@ -74,7 +75,10 @@ type JobStatus struct {
 	WireIn       int64   `json:"wire_in,omitempty"`
 	WireOut      int64   `json:"wire_out,omitempty"`
 	WorkersHeard int     `json:"workers_heard,omitempty"`
-	Faults       int     `json:"faults,omitempty"`
+	// AvgWorkersHeard is the empirical recovery threshold: the mean workers
+	// heard over the completed iterations (Result.AvgWorkersHeard).
+	AvgWorkersHeard float64 `json:"avg_workers_heard,omitempty"`
+	Faults          int     `json:"faults,omitempty"`
 	// Level is the redundancy level the adaptive nested controller ran the
 	// last iteration at (0 for fixed-redundancy jobs); LevelSwitches counts
 	// how many times the level changed between consecutive iterations.
@@ -126,6 +130,9 @@ func (d *Daemon) statusLocked(rec *jobRecord) JobStatus {
 	if len(rec.shards) > 0 {
 		st.Shards = append([]cluster.ShardStats(nil), rec.shards...)
 	}
+	if rec.iter > 0 {
+		st.AvgWorkersHeard = float64(rec.heardSum) / float64(rec.iter)
+	}
 	if !math.IsNaN(rec.loss) {
 		st.Loss = rec.loss
 	}
@@ -164,6 +171,7 @@ func (d *Daemon) observe(rec *jobRecord) cluster.Observer {
 			rec.wireIn += int64(st.WireBytesIn)
 			rec.wireOut += int64(st.WireBytesOut)
 			rec.workersHeard = st.WorkersHeard
+			rec.heardSum += st.WorkersHeard
 			if st.Level > 0 {
 				if rec.level != 0 && st.Level != rec.level {
 					rec.levelSwitch++
