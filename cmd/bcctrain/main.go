@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"bcc/internal/cluster"
+	"bcc/internal/coding"
 	"bcc/internal/core"
 	"bcc/internal/experiments"
 	"bcc/internal/faults"
@@ -38,9 +39,14 @@ import (
 	"bcc/internal/trace"
 )
 
+// schemeUsage is the -scheme help text: every registered gradient code.
+func schemeUsage() string {
+	return "gradient code: " + strings.Join(coding.Names(), "|")
+}
+
 func main() {
 	var (
-		scheme   = flag.String("scheme", "bcc", "gradient code: bcc|uncoded|cyclicrep|cyclicmds|fractional|randomized")
+		scheme   = flag.String("scheme", "bcc", schemeUsage())
 		m        = flag.Int("m", 50, "number of example units")
 		n        = flag.Int("n", 50, "number of workers")
 		r        = flag.Int("r", 10, "computational load (units per worker)")

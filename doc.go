@@ -155,14 +155,16 @@
 // solves on the Plan, keyed by the responder set (order-independent, with
 // coefficients stored per worker), so the steady state solves no linear
 // systems at all. On the sim runtime this amounts to 0 heap
-// allocations per worker message (asserted by the allocation-regression
-// tests and the CI benchmark smoke).
+// allocations per worker message, and on the in-process TCP runtime to 0
+// per iteration (asserted by the allocation-regression tests and the CI
+// benchmark smoke).
 //
 // Ownership rule of thumb: whoever takes a payload buffer out of
 // circulation recycles it — the engine after a decode, the transport for
 // dropped/stale/post-decode messages, the TCP worker's send path once a
-// frame is serialized. Decoders only borrow buffers between Offer and
-// DecodeInto/Reset. Run
+// frame is serialized, its worker loop once a query is computed on.
+// Decoders only borrow buffers between Offer and DecodeInto/Reset; a
+// Broadcast consumes the query before it returns. Run
 //
 //	go test -run '^$' -bench 'BenchmarkDecode|BenchmarkRuntimes' -benchtime 100x .
 //
@@ -212,7 +214,8 @@
 //     stay dense (sparsifying the iterate would change the algorithm).
 //
 // On the TCP runtime's compact binary frames, payload vectors stream in
-// fixed-size chunks (Spec.WireChunk elements, default 512 = 4 KiB);
+// fixed-size chunks (Spec.WireChunk elements, default 512 = 4 KiB; raw64
+// vectors move as byte views of the float64 slices on little-endian hosts);
 // chunking is pure staging — the byte stream is identical for every chunk
 // size — and the master can fold each decoded chunk slice as it arrives
 // (wire.Reader.ReadReplyChunks over coding.SliceDecoder). The TCP handshake

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"bcc/internal/faults"
@@ -49,6 +51,51 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 				extraMsgs := float64((longIters - shortIters) * n)
 				t.Fatalf("steady-state iterations allocate: %.1f allocs for %d iterations vs %.1f for %d (%.3f allocs per worker message, want 0)",
 					long, longIters, short, shortIters, (long-short)/extraMsgs)
+			}
+		})
+	}
+}
+
+// TestTCPSteadyStateZeroAllocs is the tcp twin of
+// TestSimSteadyStateZeroAllocs: the in-process tcp runtime at n = 8,
+// p = 16384 — master engine, eight socket readers, eight worker loops, every
+// frame encoded and decoded — allocates nothing per steady-state iteration.
+// Queries land in recycled buffers, reply Msgs slices are recycled, and the
+// live source and its deadline timer are reused. cyclicmds adds the
+// imaginary payload plane of every message.
+//
+// A socket run's fixed cost (dials, goroutines, connection buffers) varies
+// by a few dozen allocations from run to run, more than a short and a long
+// run differ by, so the test differences the process's malloc count across
+// the steady iterations of one run instead. Repeated runs on one Config
+// share its pool and the plan's solve cache; the quietest run counts,
+// because a real per-iteration allocation shows in every run, while a pool
+// reaching a new peak of buffers in flight shows only in some.
+func TestTCPSteadyStateZeroAllocs(t *testing.T) {
+	for _, scheme := range []string{"bcc", "cyclicmds"} {
+		t.Run(scheme, func(t *testing.T) {
+			const warm, steady, runs, warmRuns = 30, 40, 8, 3
+			cfg, _ := buildRunDim(t, scheme, 8, 8, 3, warm+steady, 81, Zero{}, 16384)
+			var ms runtime.MemStats
+			var from, to uint64
+			cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) {
+				if st.Iter == warm-1 || st.Iter == warm+steady-1 {
+					runtime.ReadMemStats(&ms)
+					from, to = to, ms.Mallocs
+				}
+			}}
+			quietest := uint64(math.MaxUint64)
+			for run := 0; run < runs; run++ {
+				if _, err := RunLive(cfg, LiveOptions{TCP: true, Drain: true}); err != nil {
+					t.Fatal(err)
+				}
+				if run >= warmRuns {
+					quietest = min(quietest, to-from)
+				}
+			}
+			if quietest > 0 {
+				t.Fatalf("%d steady-state tcp iterations allocated %d objects in the quietest of %d runs, want 0",
+					steady, quietest, runs-warmRuns)
 			}
 		})
 	}

@@ -1,12 +1,16 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
 
-// BufferPool recycles the gradient-sized []float64 payload buffers that flow
-// through the iteration data plane: workers (or the TCP codec) draw message
-// payloads from the pool, the master returns them once an iteration's decode
-// is finished. In steady state every iteration therefore runs on the same
-// handful of buffers and the per-message path performs no heap allocations.
+	"bcc/internal/coding"
+)
+
+// BufferPool recycles the gradient-sized []float64 buffers that flow through
+// the iteration data plane: workers (or the TCP codec) draw message payloads
+// and TCP queries from the pool, the master returns payloads once an
+// iteration's decode is finished. In steady state every iteration therefore
+// runs on the same handful of buffers and performs no heap allocations.
 //
 // Ownership protocol (see also the package doc's "Performance" section):
 //
@@ -20,6 +24,9 @@ import "sync"
 //  4. Messages that never reach the decoder (dropped, stale, or arriving
 //     after the decode point) are returned by whichever component discarded
 //     them.
+//  5. A TCP worker reads each broadcast query into a buffer from its pool;
+//     RunWorker puts it back as soon as the query's gradients are computed
+//     (or the query is skipped for a newer one).
 //
 // The free list is a mutex-guarded stack rather than a sync.Pool: putting a
 // slice header into sync.Pool boxes it into an interface, which allocates on
@@ -27,11 +34,17 @@ import "sync"
 // exists for. The stack's backing array is retained across iterations, so
 // steady-state Get/Put touch no allocator at all. A nil *BufferPool is valid
 // and degrades to plain allocation.
+//
+// The pool also recycles the master's reply Msgs slices (getMsgs/putMsgs):
+// whoever hands a reply to the master — a tcp reader, the channel fabric's
+// send — builds its Msgs in a recycled slice, and the master returns the
+// slice once the engine has offered the messages or discarded the reply.
 type BufferPool struct {
 	dim  int
 	max  int // free-list cap: beyond it, Put drops the buffer for the GC
 	mu   sync.Mutex
 	free [][]float64
+	msgs [][]coding.Message // empty Msgs slices, capped at max like free
 }
 
 // defaultPoolCap bounds the free list when the caller does not size it; a
@@ -91,6 +104,38 @@ func (p *BufferPool) Put(b []float64) {
 	p.mu.Lock()
 	if len(p.free) < p.max {
 		p.free = append(p.free, b)
+	}
+	p.mu.Unlock()
+}
+
+// getMsgs returns an empty message slice, with a recycled backing array when
+// one is free (nil otherwise, or on a nil pool).
+func (p *BufferPool) getMsgs() []coding.Message {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.msgs)
+	if n == 0 {
+		return nil
+	}
+	m := p.msgs[n-1]
+	p.msgs[n-1] = nil
+	p.msgs = p.msgs[:n-1]
+	return m
+}
+
+// putMsgs recycles a Msgs slice nobody reads any more. Its elements are
+// cleared first, so the free list pins no payload buffer.
+func (p *BufferPool) putMsgs(m []coding.Message) {
+	if p == nil || cap(m) == 0 {
+		return
+	}
+	clear(m[:cap(m)])
+	p.mu.Lock()
+	if len(p.msgs) < p.max {
+		p.msgs = append(p.msgs, m[:0])
 	}
 	p.mu.Unlock()
 }

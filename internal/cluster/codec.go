@@ -19,16 +19,17 @@ type wireCodec struct {
 	// connections, and a Writer holds a 64 KB buffer.
 	w *wire.Writer
 	r *wire.Reader
-	// alloc supplies pooled payload buffers to ReadReplyInto; nil means
-	// plain allocation.
+	// alloc supplies pooled buffers to the reads — reply payloads on the
+	// master, queries on a worker; nil means plain allocation.
 	alloc wire.VecAlloc
 }
 
 // newWireCodec builds the codec for conn under the resolved comm plane cp:
 // payloads are serialized in the payload codec's compact representation.
-// pool, if non-nil, backs reply deserialization: gradient-sized payloads are
-// read straight into pooled buffers (the engine recycles them post-decode),
-// so the TCP master's steady-state receive path stops allocating.
+// pool, if non-nil, backs deserialization: gradient-sized vectors are read
+// straight into pooled buffers (the master's engine recycles reply payloads
+// post-decode, a worker its queries once computed on), so the steady-state
+// receive path of either end stops allocating.
 func newWireCodec(conn net.Conn, pool *BufferPool, cp commPlane) *wireCodec {
 	c := &wireCodec{conn: conn, pc: cp.pc, r: wire.NewReader(conn)}
 	c.r.SetPayload(cp.pc)
@@ -88,20 +89,18 @@ func (c *wireCodec) ReadModel() (ModelUpdate, error) {
 	if err := c.expect(wire.KindModel); err != nil {
 		return ModelUpdate{}, err
 	}
-	return c.r.ReadModel()
+	return c.r.ReadModelInto(c.alloc)
 }
 
 func (c *wireCodec) WriteReply(r Reply) error { return c.writer().WriteReply(r) }
 
-// ReadReply decodes the next reply frame into a fresh Msgs slice: the slice
-// travels with the reply to the master, which owns it from here on.
-func (c *wireCodec) ReadReply() (Reply, error) {
+// ReadReply decodes the next reply frame into rep, reusing the capacity of
+// rep.Msgs.
+func (c *wireCodec) ReadReply(rep *Reply) error {
 	if err := c.expect(wire.KindReply); err != nil {
-		return Reply{}, err
+		return err
 	}
-	var rep Reply
-	err := c.r.ReadReplyInto(&rep, c.alloc)
-	return rep, err
+	return c.r.ReadReplyInto(rep, c.alloc)
 }
 
 func (c *wireCodec) expect(kind byte) error {

@@ -35,11 +35,12 @@ import (
 type Transport interface {
 	// Broadcast announces iteration iter's query to every worker and
 	// returns the ArrivalSource for that iteration's worker transmissions.
-	// The query slice is owned by the transport after the call — except on
-	// SyncQuery transports, which must consume it before returning so the
-	// engine can reuse one query buffer across iterations. The context
-	// bounds the iteration: a blocking ArrivalSource.Next must return with
-	// an error no later than ctx's cancellation.
+	// It consumes the query before returning and keeps no reference to it:
+	// the engine reuses the buffer, and the optimizer its iterate, for the
+	// next iteration, so a transport whose workers read the query later
+	// takes its own copy. The context bounds the iteration: a blocking
+	// ArrivalSource.Next must return with an error no later than ctx's
+	// cancellation.
 	Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error)
 	// Shutdown tells the workers the run is over (best effort). The engine
 	// calls it on every exit path, including cancellation and errors.
@@ -48,18 +49,12 @@ type Transport interface {
 	Traits() Traits
 }
 
-// Traits describes a transport's clock and memory semantics to the engine.
+// Traits describes a transport's clock semantics to the engine.
 type Traits struct {
 	// Virtual is true when the transport runs on a modelled clock (the DES
 	// simulator): arrivals after the decode point can be drained for free,
 	// which is what makes per-iteration trace recording possible.
 	Virtual bool
-	// SyncQuery is true when Broadcast consumes the query synchronously and
-	// retains no reference to it after returning; the engine then skips the
-	// per-iteration defensive clone of the optimizer's query point. Live
-	// transports hand the query to concurrent workers and must leave this
-	// false.
-	SyncQuery bool
 }
 
 // Arrival is one worker transmission as observed by the master.
@@ -71,7 +66,9 @@ type Arrival struct {
 	Compute float64
 	// Units is the communication load of the transmission.
 	Units float64
-	// Msgs are the encoded messages to offer to the decoder.
+	// Msgs are the encoded messages to offer to the decoder. The slice (not
+	// the payloads, see BufferPool) is valid until the next Next or Finish
+	// call on the source that returned it.
 	Msgs []coding.Message
 	// Span carries the worker's modelled timeline on virtual transports
 	// (nil on live transports); the engine fills Span.Counted.
@@ -124,10 +121,10 @@ func RunTransportContext(ctx context.Context, cfg *Config, tr Transport) (*Resul
 //
 // The loop owns the steady-state allocation budget of the data plane: one
 // decoder reused across iterations (Reset between them), one decode buffer,
-// one query clone buffer on live transports, and the run's BufferPool to
-// which every consumed message payload is returned once its iteration has
-// decoded. After the first iteration warms the pool and scratch, processing
-// a worker message allocates nothing.
+// one quantized-query buffer under the f32 codec, and the run's BufferPool
+// to which every consumed message payload is returned once its iteration
+// has decoded. After the first iteration warms the pool and scratch, an
+// iteration allocates nothing on the sim and tcp runtimes.
 //
 // On cancellation the engine returns the partial Result of the iterations
 // already completed together with ctx.Err(); the in-flight iteration is
@@ -137,8 +134,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	defer tr.Shutdown()
 	pool := cfg.buffers()
 	iters := make([]IterStats, 0, cfg.Iterations)
-	traits := tr.Traits()
-	virtual := traits.Virtual
+	virtual := tr.Traits().Virtual
 	dec := cfg.Plan.NewDecoder()
 	grad := make([]float64, cfg.Model.Dim())
 	cp := cfg.comm()
@@ -264,8 +260,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 			}
 		}
 		q := cfg.Opt.Query()
-		switch {
-		case cp.lossyQuery() && traits.SyncQuery:
+		if cp.lossyQuery() {
 			// Quantize into engine-owned scratch — never the optimizer's
 			// iterate in place — so every runtime broadcasts the identical
 			// f32-rounded query while the master keeps full precision.
@@ -275,13 +270,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 			copy(qbuf, q)
 			wire.QuantizeF32(qbuf)
 			q = qbuf
-		case cp.lossyQuery():
-			q = vecmath.Clone(q)
-			wire.QuantizeF32(q)
-		case !traits.SyncQuery:
-			// Concurrent workers hold the broadcast query across iteration
-			// boundaries, so they get their own copy.
-			q = vecmath.Clone(q)
 		}
 		src, err := tr.Broadcast(ctx, iter, q)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"bcc/internal/coding"
 	"bcc/internal/faults"
+	"bcc/internal/vecmath"
 	"bcc/internal/wire"
 )
 
@@ -69,6 +70,12 @@ func (o *LiveOptions) defaults() {
 // fabric is the communication substrate under the live transport: the pipes
 // to the workers, nothing more. The master-side iteration semantics live in
 // the engine; the timing/fault bookkeeping lives in liveTransport.
+//
+// Broadcast consumes mu.Query before it returns (the tcp fabric encodes it
+// into its frame; the channel fabric hands its workers one shared copy), so
+// the caller may overwrite the query right after. Each Reply's Msgs slice is
+// the master's from then on: the live transport recycles it through the
+// run's BufferPool once the engine has offered its messages.
 type fabric interface {
 	Broadcast(mu ModelUpdate) error
 	Replies() <-chan Reply
@@ -120,20 +127,27 @@ type liveTransport struct {
 	n    int
 	frac float64          // payload byte width relative to raw64
 	rp   coding.Retunable // non-nil on Retunable plans: broadcasts carry the level
+	// src and deadline are reused by every iteration: the engine finishes one
+	// ArrivalSource before it broadcasts the next query.
+	src      liveSource
+	deadline *time.Timer
 }
 
 func newLiveTransport(cfg *Config, fab fabric, opts LiveOptions) *liveTransport {
 	opts.defaults()
 	_, n, _ := cfg.Plan.Params()
 	rp, _ := cfg.Plan.(coding.Retunable)
+	deadline := time.NewTimer(opts.Timeout)
+	deadline.Stop()
 	return &liveTransport{
-		rp:   rp,
-		cfg:  cfg,
-		pool: cfg.buffers(),
-		fab:  fab,
-		opts: opts,
-		n:    n,
-		frac: cfg.comm().frac,
+		rp:       rp,
+		cfg:      cfg,
+		pool:     cfg.buffers(),
+		fab:      fab,
+		opts:     opts,
+		n:        n,
+		frac:     cfg.comm().frac,
+		deadline: deadline,
 	}
 }
 
@@ -205,14 +219,15 @@ func (t *liveTransport) Broadcast(ctx context.Context, iter int, query []float64
 	if err := t.fab.Broadcast(mu); err != nil {
 		return nil, err
 	}
-	return &liveSource{
+	t.src = liveSource{
 		t:        t,
 		ctx:      ctx,
 		iter:     iter,
 		expected: t.expectedReplies(iter),
 		start:    time.Now(),
-		deadline: time.NewTimer(t.opts.Timeout),
-	}, nil
+	}
+	t.deadline.Reset(t.opts.Timeout)
+	return &t.src, nil
 }
 
 type liveSource struct {
@@ -221,11 +236,15 @@ type liveSource struct {
 	iter     int
 	expected int
 	start    time.Time
-	deadline *time.Timer
 	replies  int
+	// held is the Msgs slice of the arrival Next returned last; the engine is
+	// done with it by the next Next or Finish, which recycle it.
+	held []coding.Message
 }
 
 func (s *liveSource) Next() (Arrival, bool, error) {
+	s.t.pool.putMsgs(s.held)
+	s.held = nil
 	for {
 		if s.replies >= s.expected {
 			// Every transmitting worker has reported (some possibly dropped).
@@ -236,7 +255,7 @@ func (s *liveSource) Next() (Arrival, bool, error) {
 			if rep.Iter != s.iter {
 				// Stale reply from a straggler's previous round; its payload
 				// buffers will never reach the decoder, so recycle them here.
-				recycleMsgs(s.t.pool, rep.Msgs)
+				discardReply(s.t.pool, rep)
 				continue
 			}
 			s.replies++
@@ -245,7 +264,7 @@ func (s *liveSource) Next() (Arrival, bool, error) {
 				// burst or i.i.d. drop); the worker will not retransmit, but
 				// its reply still counts toward the stall check above. The
 				// lost payload is recycled like the wire would discard it.
-				recycleMsgs(s.t.pool, rep.Msgs)
+				discardReply(s.t.pool, rep)
 				continue
 			}
 			var units float64
@@ -259,10 +278,11 @@ func (s *liveSource) Next() (Arrival, bool, error) {
 				// transmitted bytes are.
 				sleepVirtual(s.t.cfg.IngressPerUnit*units*s.t.frac, s.t.opts.TimeScale)
 			}
+			s.held = rep.Msgs
 			return Arrival{Worker: rep.Worker, Compute: rep.Compute, Units: units, Msgs: rep.Msgs}, true, nil
 		case <-s.ctx.Done():
 			return Arrival{}, false, s.ctx.Err()
-		case <-s.deadline.C:
+		case <-s.t.deadline.C:
 			return Arrival{}, false, fmt.Errorf("cluster: iteration %d timed out after %v (%d/%d replies)",
 				s.iter, s.t.opts.Timeout, s.replies, s.expected)
 		}
@@ -275,7 +295,12 @@ func (s *liveSource) elapsed() float64 {
 
 func (s *liveSource) Wall() float64     { return s.elapsed() }
 func (s *liveSource) RoundEnd() float64 { return s.elapsed() }
-func (s *liveSource) Finish()           { s.deadline.Stop() }
+
+func (s *liveSource) Finish() {
+	s.t.deadline.Stop()
+	s.t.pool.putMsgs(s.held)
+	s.held = nil
+}
 
 // ---------------------------------------------------------------------------
 // Worker node logic (shared by the channel and TCP runtimes, and by the
@@ -309,11 +334,12 @@ type WorkerEnv struct {
 	// ComputeParallelism fans the per-example gradient computations out
 	// over this many goroutines (0/1 = serial).
 	ComputeParallelism int
-	// Bufs, if non-nil, supplies the worker's message payload buffers. The
-	// in-process fabrics share the run's master pool (the master recycles a
-	// payload once the iteration that consumed it has decoded); the
-	// out-of-process TCP worker uses a private pool whose buffers are
-	// recycled by its send function right after serialization.
+	// Bufs, if non-nil, supplies the worker's message payload buffers, and
+	// a TCP worker's query buffers. The in-process fabrics share the run's
+	// master pool (the master recycles a payload once the iteration that
+	// consumed it has decoded); an out-of-process TCP worker uses a private
+	// pool whose buffers are recycled by its send function right after
+	// serialization.
 	Bufs *BufferPool
 	// ShardAddrs, when the master is sharded with the scatter data plane,
 	// lists the per-shard listener addresses in shard order: the TCP worker
@@ -339,7 +365,19 @@ type WorkerEnv struct {
 // consulted before any iteration work: crashed iterations are skipped
 // entirely (no latency draws, no compute, no transmission — exactly what the
 // simulator models) and slowdown windows stretch the latency sleeps.
+//
+// The worker reuses one Msgs slice for every reply, so send must not retain
+// the Reply's Msgs slice after it returns (the payload buffers are the
+// receiver's, per the BufferPool protocol).
 func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error) error {
+	return runWorker(env, updates, send, nil)
+}
+
+// runWorker is RunWorker with a query-release hook: release, if non-nil,
+// receives each update's query once the worker is done reading it — its
+// gradients are computed, or a newer update superseded it — so the
+// connection that decoded it can reuse the buffer (DialAndServeWorker).
+func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error, release func([]float64)) error {
 	env.Latency = withFaultSlowdowns(env.Latency, env.Faults)
 	cp, err := env.Comm.resolve(env.Model.Dim())
 	if err != nil {
@@ -373,13 +411,22 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 	if scale <= 0 {
 		scale = 1e-3
 	}
-	// Per-worker partial-gradient scratch, reused across iterations; message
-	// payloads are drawn from env.Bufs and owned by the receiver once sent.
+	// Per-worker partial-gradient scratch and the Msgs slice, reused across
+	// iterations; message payloads are drawn from env.Bufs and owned by the
+	// receiver once sent.
 	var parts [][]float64
+	var msgs []coding.Message
 	// One timer serves every latency sleep, so sleeping allocates nothing.
 	timer := time.NewTimer(0)
 	defer timer.Stop()
+	// done hands mu's query back once the worker will not read it again.
 	var mu ModelUpdate
+	done := func() {
+		if release != nil && mu.Query != nil {
+			release(mu.Query)
+		}
+		mu.Query = nil
+	}
 	havePending := false
 	for {
 		if !havePending {
@@ -399,6 +446,7 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 				if !ok {
 					return nil
 				}
+				done()
 				mu = next
 			default:
 				break drain
@@ -408,6 +456,7 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			return nil
 		}
 		if !env.Faults.Active(env.Index, mu.Iter) {
+			done()
 			continue // crashed for this iteration: no work, no reply
 		}
 		iter := mu.Iter
@@ -423,19 +472,18 @@ func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			encPlan, assign, pts = levelPlans[L-1], fullAssign[:L], levelPoints[L]
 		}
 		if next, preempted := sleepOrPreempt(timer, env.Latency.Broadcast(env.Index, iter), scale, updates); preempted {
+			done()
 			mu, havePending = next, true
 			continue
 		}
 		comp := env.Latency.Compute(env.Index, iter, pts)
 		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, env.ComputeParallelism, parts)
+		done()
 		if next, preempted := sleepOrPreempt(timer, comp, scale, updates); preempted {
 			mu, havePending = next, true
 			continue
 		}
-		// The Msgs slice itself travels inside the Reply (the channel fabric
-		// hands it to the master by reference), so it cannot be reused here;
-		// only the payload buffers are pooled.
-		msgs := encPlan.EncodeInto(nil, env.Index, parts, env.Bufs)
+		msgs = encPlan.EncodeInto(msgs[:0], env.Index, parts, env.Bufs)
 		var units float64
 		for _, m := range msgs {
 			units += m.Units
@@ -489,6 +537,13 @@ func recycleMsgs(pool *BufferPool, msgs []coding.Message) {
 	}
 }
 
+// discardReply recycles a reply the master will not decode: its payload
+// buffers and its Msgs slice.
+func discardReply(pool *BufferPool, rep Reply) {
+	recycleMsgs(pool, rep.Msgs)
+	pool.putMsgs(rep.Msgs)
+}
+
 // ---------------------------------------------------------------------------
 // In-process channel fabric
 // ---------------------------------------------------------------------------
@@ -536,13 +591,16 @@ func newChanFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			coder := cfg.comm().newCoder()
 			send := func(r Reply) error {
 				applyReplyCodec(coder, r.Msgs)
+				// RunWorker reuses its Msgs slice; the master gets a copy of
+				// the message headers in a recycled one.
+				r.Msgs = append(pool.getMsgs(), r.Msgs...)
 				select {
 				case f.replies <- r:
 				case <-f.done:
-					// Fabric closed: nobody will read this reply. Recycle its
-					// payloads like a dropped transmission; the worker exits
-					// on its closed inbox.
-					recycleMsgs(pool, r.Msgs)
+					// Fabric closed: nobody will read this reply. Recycle it
+					// like a dropped transmission; the worker exits on its
+					// closed inbox.
+					discardReply(pool, r)
 				}
 				return nil
 			}
@@ -552,7 +610,12 @@ func newChanFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	return f, nil
 }
 
+// Broadcast hands every worker the same copy of the query: workers read it
+// concurrently, possibly after the engine has moved on and reused its buffer.
 func (f *chanFabric) Broadcast(mu ModelUpdate) error {
+	if mu.Query != nil {
+		mu.Query = vecmath.Clone(mu.Query)
+	}
 	for _, inbox := range f.inboxes {
 		inbox <- mu
 	}

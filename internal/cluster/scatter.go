@@ -111,9 +111,9 @@ func (f *scatterFabric) drainReaders(timeout time.Duration) bool {
 		case <-done:
 			return true
 		case rep := <-f.replies:
-			_ = rep
+			discardReply(f.pool, rep)
 		case rep := <-f.out:
-			recycleMsgs(f.pool, rep.Msgs)
+			discardReply(f.pool, rep)
 		case <-deadline.C:
 			return false
 		}
@@ -155,9 +155,10 @@ func (f *scatterFabric) ingest(shard int, rep Reply) (Reply, bool, error) {
 	}
 	p := slot.pending[rep.Iter]
 	if p == nil {
-		p = &scatterPending{compute: rep.Compute, msgs: make([]coding.Message, len(rep.Msgs))}
-		for i, m := range rep.Msgs {
-			p.msgs[i] = coding.Message{From: m.From, Tag: m.Tag, Units: m.Units}
+		// The assembled Msgs reach the engine, which recycles them.
+		p = &scatterPending{compute: rep.Compute, msgs: f.pool.getMsgs()}
+		for _, m := range rep.Msgs {
+			p.msgs = append(p.msgs, coding.Message{From: m.From, Tag: m.Tag, Units: m.Units})
 		}
 		slot.pending[rep.Iter] = p
 	}
@@ -254,9 +255,9 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n int, timeou
 			f.readers.Add(1)
 			go func(shard int, codec *wireCodec) {
 				defer f.readers.Done()
+				var rep Reply // ingest copies every frame out, so one serves all
 				for {
-					rep, err := codec.ReadReply()
-					if err != nil {
+					if err := codec.ReadReply(&rep); err != nil {
 						return
 					}
 					full, ok, err := f.ingest(shard, rep)

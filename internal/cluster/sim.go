@@ -94,7 +94,7 @@ func newSimTransport(cfg *Config) *simTransport {
 	}
 }
 
-func (t *simTransport) Traits() Traits { return Traits{Virtual: true, SyncQuery: true} }
+func (t *simTransport) Traits() Traits { return Traits{Virtual: true} }
 func (t *simTransport) Shutdown()      {}
 
 // simArrival is one worker transmission with its modelled timeline.

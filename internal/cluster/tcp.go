@@ -34,6 +34,9 @@ type tcpFabric struct {
 	frame   wire.Frame
 	fw      *wire.Writer
 	replies chan Reply
+	// pool backs the readers' reply payloads and Msgs slices (nil = fresh
+	// allocations).
+	pool *BufferPool
 	// quit is closed by Close, releasing readers parked on a full replies
 	// channel when a cancelled run tears down without a drain.
 	quit   chan struct{}
@@ -121,7 +124,10 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 		}
 	}
 
-	// Spawn workers that dial the listener and speak the protocol.
+	// Spawn workers that dial the listener and speak the protocol. Like the
+	// channel fabric's, they draw payloads (and here queries) from the run's
+	// pool: a worker puts each buffer back once it is on the wire (or
+	// computed on), so one pool serves both ends of every connection.
 	addr := ln.Addr().String()
 	for w := 0; w < n; w++ {
 		env := WorkerEnv{
@@ -134,6 +140,7 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Comm:               cfg.Comm,
 			Faults:             cfg.Faults,
 			ComputeParallelism: cfg.ComputeParallelism,
+			Bufs:               cfg.buffers(),
 			ShardAddrs:         shardAddrs,
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
@@ -168,7 +175,7 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 	if err != nil {
 		return nil, err
 	}
-	f := &tcpFabric{ln: ln, replies: make(chan Reply, n*4+4), quit: make(chan struct{})}
+	f := &tcpFabric{ln: ln, replies: make(chan Reply, n*4+4), pool: pool, quit: make(chan struct{})}
 	f.conns = make([]net.Conn, 0, n)
 	f.fw = wire.NewFrameWriter(&f.frame)
 	f.fw.SetPayload(cp.pc)
@@ -212,8 +219,8 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 		go func(codec *wireCodec) {
 			defer f.readers.Done()
 			for {
-				rep, err := codec.ReadReply()
-				if err != nil {
+				rep := Reply{Msgs: pool.getMsgs()}
+				if err := codec.ReadReply(&rep); err != nil {
 					return
 				}
 				select {
@@ -262,7 +269,7 @@ func (f *tcpFabric) drainReaders(timeout time.Duration) bool {
 		case rep := <-f.replies:
 			// In-flight straggler replies from the final iteration: nobody
 			// will decode them, drop them so their reader can exit.
-			_ = rep
+			discardReply(f.pool, rep)
 		case <-deadline.C:
 			return false
 		}
@@ -327,15 +334,15 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	if err != nil {
 		return fmt.Errorf("cluster: worker %d: %w", env.Index, err)
 	}
-	// The worker's reads are model broadcasts, not replies, so its codec
-	// needs no reply pool.
-	codec := newWireCodec(conn, nil, cp)
 	if env.Bufs == nil && env.Model != nil {
 		// A TCP worker's payloads are fully serialized by the time WriteReply
 		// returns, so a small private pool recycled in the send path makes
 		// the worker's steady-state encode allocation-free too.
 		env.Bufs = NewBufferPool(env.Model.Dim(), 64)
 	}
+	// The worker's reads are model broadcasts: each query lands in a buffer
+	// from the pool, which RunWorker puts back once it has computed on it.
+	codec := newWireCodec(conn, env.Bufs, cp)
 	h := cp.hello(env.Index)
 	h.Shards = len(env.ShardAddrs)
 	if err := codec.WriteHello(h); err != nil {
@@ -344,12 +351,12 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	// A dedicated reader streams model updates into a channel so the worker
 	// loop can observe fresh broadcasts mid-sleep and abandon stale work.
 	// The codec's read and write halves are independent, so the reader
-	// goroutine and the reply writes below do not race. done keeps the
-	// reader from leaking on a full buffer if RunWorker exits on a send
-	// error.
-	updates := make(chan ModelUpdate, 16)
-	done := make(chan struct{})
-	defer close(done)
+	// goroutine and the reply writes below do not race. At most one update
+	// waits in the channel: a newer one replaces it — RunWorker would skip
+	// it anyway — and its query buffer goes straight back to the pool, so a
+	// connection holds no query beyond the one in use, the one queued and
+	// the one being read.
+	updates := make(chan ModelUpdate, 1)
 	go func() {
 		defer close(updates)
 		for {
@@ -358,10 +365,13 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 				return
 			}
 			select {
-			case updates <- mu:
-			case <-done:
-				return
+			case stale := <-updates:
+				env.Bufs.Put(stale.Query)
+			default:
 			}
+			// Only this goroutine sends, so the channel has room: the send
+			// never blocks, even after RunWorker has returned.
+			updates <- mu
 			if mu.Iter < 0 {
 				return
 			}
@@ -386,7 +396,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		bounds := shardBounds(dim, len(env.ShardAddrs), cp.pc.ChunkElems())
 		send = scatterSend(shardCodecs, bounds, cp.newCoder(), env.Bufs)
 	}
-	return RunWorker(env, updates, send)
+	return runWorker(env, updates, send, env.Bufs.Put)
 }
 
 // ServeMasterPool accepts the n worker connections of an n-worker run on ln

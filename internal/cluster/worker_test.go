@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"bcc/internal/model"
+	"bcc/internal/vecmath"
 )
 
 // The worker-loop tests drive RunWorker directly — a scripted updates
@@ -99,6 +104,86 @@ func TestWorkerSkipsToNewestQuery(t *testing.T) {
 	r.wait(t)
 	if n := len(r.replies); n != 0 {
 		t.Fatalf("%d replies beyond the one for the newest query", n)
+	}
+}
+
+// queryCheckModel is a gradient model whose evaluations are slow and check
+// the query they read: every broadcast of the test below is a constant
+// vector, so an element that changes mid-evaluation means the query's
+// buffer was rewritten under the worker.
+type queryCheckModel struct {
+	*model.Logistic
+	torn *atomic.Int64
+}
+
+func (m queryCheckModel) SubsetGradient(w []float64, rows []int, out []float64) {
+	v := w[0]
+	time.Sleep(200 * time.Microsecond)
+	for _, x := range w {
+		if x != v {
+			m.torn.Add(1)
+			break
+		}
+	}
+	m.Logistic.SubsetGradient(w, rows, out)
+}
+
+// TestTCPWorkerQueryBufferNotRewritten: a TCP worker reads each query into a
+// recycled buffer. With broadcasts queued far faster than it computes — the
+// skip-to-newest path, both in the connection reader and in RunWorker — no
+// buffer is rewritten while a gradient evaluation still reads it, and the
+// worker answers the newest query. Under -race a rewrite also shows as a
+// data race.
+func TestTCPWorkerQueryBufferNotRewritten(t *testing.T) {
+	lat := Fixed{BroadcastTime: 1e-4, PerPoint: 1e-4}
+	cfg, mod := buildRun(t, "bcc", 8, 4, 2, 1, 901, lat)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var torn atomic.Int64
+	env := WorkerEnv{Index: 0, Plan: cfg.Plan, Model: queryCheckModel{mod, &torn}, Units: cfg.Units,
+		Latency: lat, TimeScale: 1, Bufs: NewBufferPool(mod.Dim(), 0)}
+	served := make(chan error, 1)
+	go func() { served <- DialAndServeWorker(ln.Addr().String(), env) }()
+	fab, err := acceptWorkers(ln, 1, 10*time.Second, nil, CommOptions{}, mod.Dim(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+
+	const rounds = 60
+	q := make([]float64, mod.Dim())
+	for iter := 0; iter < rounds; iter++ {
+		vecmath.Fill(q, float64(iter))
+		if err := fab.Broadcast(ModelUpdate{Iter: iter, Query: q}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond) // keep the reader busy while the worker computes
+	}
+	replies := 0
+	for last := -1; last < rounds-1; replies++ {
+		select {
+		case rep := <-fab.Replies():
+			if rep.Iter <= last {
+				t.Fatalf("reply for iteration %d after one for %d", rep.Iter, last)
+			}
+			last = rep.Iter
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no reply for the newest query %d after %d replies", rounds-1, replies)
+		}
+	}
+	if !DrainFabric(fab, 10*time.Second) {
+		t.Fatal("the worker did not close its connection after the shutdown")
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if n := torn.Load(); n > 0 {
+		t.Fatalf("%d gradient evaluations saw their query rewritten", n)
+	}
+	if replies >= rounds {
+		t.Fatalf("the worker answered all %d queries: none was queued behind another", rounds)
 	}
 }
 

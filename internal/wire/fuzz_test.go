@@ -32,6 +32,19 @@ func transformReply(pc PayloadConfig, rep Reply) Reply {
 	return out
 }
 
+// fuzzVec returns n standard-normal floats, or n adversarial bit patterns
+// (see adversarialVec).
+func fuzzVec(rng *rngutil.RNG, n int, adversarial bool) []float64 {
+	if adversarial {
+		return adversarialVec(rng, n)
+	}
+	v := make([]float64, n)
+	for j := range v {
+		v[j] = rng.Normal()
+	}
+	return v
+}
+
 // FuzzReplyRoundTrip mirrors internal/coding's property fuzzing for the
 // codec: pseudo-random reply frames — including the nil-vector sentinel and
 // empty vectors, under every payload codec and arbitrary chunk sizes — must
@@ -40,12 +53,17 @@ func transformReply(pc PayloadConfig, rep Reply) Reply {
 // reused Reply scratch), and the pooled read must agree with the plain
 // ReadReply.
 func FuzzReplyRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(1), uint16(4), false, false, uint8(0), uint8(0), uint16(0))
-	f.Add(uint64(2), uint8(3), uint16(0), true, false, uint8(1), uint8(0), uint16(1))
-	f.Add(uint64(3), uint8(0), uint16(9), false, true, uint8(2), uint8(3), uint16(8))
-	f.Add(uint64(4), uint8(5), uint16(700), true, true, uint8(2), uint8(40), uint16(699))
-	f.Add(uint64(5), uint8(2), uint16(512), false, false, uint8(1), uint8(0), uint16(513))
-	f.Fuzz(func(t *testing.T, seed uint64, nmsgs uint8, dim uint16, nilVec, nilImag bool, codec, topk uint8, chunk uint16) {
+	f.Add(uint64(1), uint8(1), uint16(4), false, false, uint8(0), uint8(0), uint16(0), false)
+	f.Add(uint64(2), uint8(3), uint16(0), true, false, uint8(1), uint8(0), uint16(1), false)
+	f.Add(uint64(3), uint8(0), uint16(9), false, true, uint8(2), uint8(3), uint16(8), false)
+	f.Add(uint64(4), uint8(5), uint16(700), true, true, uint8(2), uint8(40), uint16(699), false)
+	f.Add(uint64(5), uint8(2), uint16(512), false, false, uint8(1), uint8(0), uint16(513), false)
+	// Adversarial raw64 payloads (NaN payloads, ±0, subnormals, ±Inf) at the
+	// chunk sizes the byte-view tests pin: 1, 3, 512 and the whole vector.
+	for _, c := range [][2]uint16{{1, 40}, {3, 40}, {512, 600}, {600, 600}} {
+		f.Add(uint64(c[0]), uint8(2), c[1], false, false, uint8(0), uint8(0), c[0], true)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nmsgs uint8, dim uint16, nilVec, nilImag bool, codec, topk uint8, chunk uint16, adversarial bool) {
 		rng := rngutil.New(seed)
 		if dim > 2048 {
 			dim = dim % 2048
@@ -65,16 +83,10 @@ func FuzzReplyRoundTrip(f *testing.F) {
 					Units: rng.Float64(),
 				}
 				if !nilVec {
-					m.Vec = make([]float64, dim)
-					for j := range m.Vec {
-						m.Vec[j] = rng.Normal()
-					}
+					m.Vec = fuzzVec(rng, int(dim), adversarial)
 				}
 				if !nilImag {
-					m.Imag = make([]float64, dim)
-					for j := range m.Imag {
-						m.Imag[j] = rng.Normal()
-					}
+					m.Imag = fuzzVec(rng, int(dim), adversarial)
 				}
 				rep.Msgs[i] = m
 			}
@@ -162,14 +174,21 @@ func FuzzReplyRoundTrip(f *testing.F) {
 // an INDEPENDENT reader chunk size (chunking is pure staging, so any reader
 // granularity must parse any writer granularity), through an allocator that
 // returns stale NaN-poisoned buffers (the reader must overwrite every
-// element, including top-k's implicit zeros). Every strict prefix of the
-// frame must fail with an error — never panic, never succeed.
+// element, including top-k's implicit zeros). Both raw64 paths — byte views
+// and the portable per-element encoder — must write the same bytes and
+// decode them alike. Every strict prefix of the frame must fail with an
+// error — never panic, never succeed.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint16(8), uint8(0), uint16(0), uint16(0), uint16(0), false)
-	f.Add(uint64(2), uint8(1), uint16(512), uint8(0), uint16(511), uint16(513), uint16(40), false)
-	f.Add(uint64(3), uint8(2), uint16(100), uint8(9), uint16(1), uint16(512), uint16(90), false)
-	f.Add(uint64(4), uint8(2), uint16(0), uint8(3), uint16(7), uint16(3), uint16(5), true)
-	f.Fuzz(func(t *testing.T, seed uint64, codec uint8, dim uint16, topk uint8, wchunk, rchunk, cut uint16, nilVec bool) {
+	f.Add(uint64(1), uint8(0), uint16(8), uint8(0), uint16(0), uint16(0), uint16(0), false, false)
+	f.Add(uint64(2), uint8(1), uint16(512), uint8(0), uint16(511), uint16(513), uint16(40), false, false)
+	f.Add(uint64(3), uint8(2), uint16(100), uint8(9), uint16(1), uint16(512), uint16(90), false, false)
+	f.Add(uint64(4), uint8(2), uint16(0), uint8(3), uint16(7), uint16(3), uint16(5), true, false)
+	// Adversarial raw64 payloads at writer and reader chunk sizes 1, 3, 512
+	// and the whole vector, cut inside a chunk.
+	for _, c := range [][3]uint16{{1, 3, 40}, {3, 1, 40}, {512, 600, 600}, {600, 512, 600}} {
+		f.Add(uint64(c[0]), uint8(0), c[2], uint8(0), c[0], c[1], uint16(4100), false, true)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, codec uint8, dim uint16, topk uint8, wchunk, rchunk, cut uint16, nilVec, adversarial bool) {
 		rng := rngutil.New(seed)
 		dim = dim % 2048
 		cw := PayloadConfig{Codec: PayloadCodec(codec % 3), TopK: int(topk), Chunk: int(wchunk)}
@@ -180,40 +199,42 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		for i := range rep.Msgs {
 			m := Msg{From: i, Tag: i - 1, Units: rng.Float64()}
 			if !(nilVec && i == 0) {
-				m.Vec = make([]float64, dim)
-				for j := range m.Vec {
-					m.Vec[j] = rng.Normal()
-				}
+				m.Vec = fuzzVec(rng, int(dim), adversarial)
 			}
 			rep.Msgs[i] = m // Imag stays nil: the sentinel path under every codec
 		}
 		want := transformReply(cw, rep)
 
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		w.SetPayload(cw)
-		if err := w.WriteReply(rep); err != nil {
-			t.Fatal(err)
+		var frame []byte
+		for _, on := range encoderPaths() {
+			withByteViews(on, func() {
+				var buf bytes.Buffer
+				w := NewWriter(&buf)
+				w.SetPayload(cw)
+				if err := w.WriteReply(rep); err != nil {
+					t.Fatal(err)
+				}
+				if frame != nil && !bytes.Equal(buf.Bytes(), frame) {
+					t.Fatalf("the byte-view and portable encoders disagree")
+				}
+				frame = buf.Bytes()
+			})
 		}
-		frame := append([]byte(nil), buf.Bytes()...)
 
-		poisonAlloc := func(n int) []float64 {
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = math.NaN()
-			}
-			return b
+		for _, on := range encoderPaths() {
+			withByteViews(on, func() {
+				r := NewReader(bytes.NewReader(frame))
+				r.SetPayload(cr)
+				if k, err := r.NextKind(); err != nil || k != KindReply {
+					t.Fatalf("NextKind = %v, %v", k, err)
+				}
+				var got Reply
+				if err := r.ReadReplyInto(&got, poisonedAlloc); err != nil {
+					t.Fatal(err)
+				}
+				checkReplyEqual(t, &got, &want)
+			})
 		}
-		r := NewReader(bytes.NewReader(frame))
-		r.SetPayload(cr)
-		if k, err := r.NextKind(); err != nil || k != KindReply {
-			t.Fatalf("NextKind = %v, %v", k, err)
-		}
-		var got Reply
-		if err := r.ReadReplyInto(&got, poisonAlloc); err != nil {
-			t.Fatal(err)
-		}
-		checkReplyEqual(t, &got, &want)
 
 		// Truncated streams: every strict prefix must error out cleanly.
 		pre := int(cut) % len(frame)
@@ -221,7 +242,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		rt.SetPayload(cr)
 		var tr Reply
 		if _, err := rt.NextKind(); err == nil {
-			if err := rt.ReadReplyInto(&tr, poisonAlloc); err == nil {
+			if err := rt.ReadReplyInto(&tr, poisonedAlloc); err == nil {
 				t.Fatalf("reading a %d-byte prefix of a %d-byte frame succeeded", pre, len(frame))
 			}
 		}

@@ -22,12 +22,16 @@
 //	topk:  k:uint32 (idx:uint32 val:float32)*  (k pairs, idx strictly
 //	       ascending; queries stay raw64 under topk)
 //
-// Payload elements move through the codec in chunks of PayloadConfig.Chunk
-// elements (DefaultChunk unless configured): one bufio write / ReadFull per
-// chunk instead of one per word. Chunking is pure staging — the byte stream
-// is identical for every chunk size — but it is also the streaming decode
-// granularity: ReadReplyChunks hands each decoded chunk slice to the caller
-// while later chunks are still in flight.
+// On little-endian hosts a raw64 body is the float64 slice's own memory, so
+// it moves as a byte view of the caller's slice: one write from it, one
+// ReadFull into the destination, no per-element conversion and no staging
+// copy. Every other body — f32, topk, raw64 on big-endian hosts — is
+// converted word by word through a staging buffer of PayloadConfig.Chunk
+// elements (DefaultChunk unless configured), one write or ReadFull per
+// chunk. Chunking never changes the byte stream — it is identical for every
+// chunk size and on every host — but it is the streaming decode granularity:
+// ReadReplyChunks hands each decoded chunk slice to the caller, raw64
+// included, while later chunks are still in flight.
 package wire
 
 import (
@@ -36,9 +40,21 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"bcc/internal/coding"
 )
+
+// byteViews is set on little-endian hosts, where a float64's memory already
+// is its raw64 wire encoding: raw64 vectors then move as byte views (see
+// f64Bytes). On big-endian hosts every word is converted through staging.
+// It is a variable only so the tests can run the portable path on any host.
+var byteViews = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes views v's memory as its 8*len(v) bytes, without copying.
+func f64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
 
 // Frame kinds.
 const (
@@ -177,9 +193,10 @@ func (w *Writer) stage(n int) []byte {
 	return w.vbuf[:n]
 }
 
-// vecRaw writes a length-prefixed float64 slice, staging whole chunks through
-// the byte scratch so each chunk is one bufio write instead of one write per
-// word (the dominant cost on gradient-sized payloads).
+// vecRaw writes a length-prefixed float64 slice. On little-endian hosts the
+// body is one write of the slice's byte view — a bufio sink copies only what
+// fits its buffer and hands the rest straight to the connection — and
+// otherwise one write per chunk of words converted into the byte scratch.
 func (w *Writer) vecRaw(v []float64) error {
 	if v == nil {
 		return w.u32(nilLen)
@@ -187,11 +204,12 @@ func (w *Writer) vecRaw(v []float64) error {
 	if err := w.u32(uint32(len(v))); err != nil {
 		return err
 	}
+	if byteViews {
+		_, err := w.bw.Write(f64Bytes(v))
+		return err
+	}
 	for len(v) > 0 {
-		n := len(v)
-		if n > w.chunk {
-			n = w.chunk
-		}
+		n := min(len(v), w.chunk)
 		buf := w.stage(n * 8)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v[i]))
@@ -457,24 +475,38 @@ func vecBuf(alloc VecAlloc, n int) []float64 {
 // must be fully zeroed before any element is final).
 type ChunkFunc func(v []float64, lo, hi int)
 
-// vecRaw reads a raw64 vector body into a buffer from alloc.
+// vecRaw reads a raw64 vector body into a buffer from alloc: straight into
+// the buffer's byte view on little-endian hosts, through the byte scratch
+// otherwise. Without a ChunkFunc to feed, a byte-view read is one ReadFull of
+// the whole body, which bufio serves from the connection directly once its
+// own buffer is drained.
 func (r *Reader) vecRaw(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
 	}
 	v := vecBuf(alloc, n)
-	for off := 0; off < n; {
-		k := n - off
-		if k > r.chunk {
-			k = r.chunk
-		}
-		buf := r.stage(k * 8)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+	if byteViews && fn == nil {
+		if _, err := io.ReadFull(r.br, f64Bytes(v)); err != nil {
 			return nil, err
 		}
-		for i := 0; i < k; i++ {
-			v[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		return v, nil
+	}
+	for off := 0; off < n; {
+		k := min(n-off, r.chunk)
+		dst := v[off : off+k]
+		if byteViews {
+			if _, err := io.ReadFull(r.br, f64Bytes(dst)); err != nil {
+				return nil, err
+			}
+		} else {
+			buf := r.stage(k * 8)
+			if _, err := io.ReadFull(r.br, buf); err != nil {
+				return nil, err
+			}
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+			}
 		}
 		if fn != nil {
 			fn(v, off, off+k)
@@ -569,11 +601,11 @@ func (r *Reader) vecReply(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 
 // vecQuery dispatches a model query read (f32 quantizes queries, raw64
 // otherwise — mirroring Writer.vecQuery).
-func (r *Reader) vecQuery() ([]float64, error) {
+func (r *Reader) vecQuery(alloc VecAlloc) ([]float64, error) {
 	if r.pc.Codec == PayloadF32 {
-		return r.vecF32(nil, nil)
+		return r.vecF32(alloc, nil)
 	}
-	return r.vecRaw(nil, nil)
+	return r.vecRaw(alloc, nil)
 }
 
 // NextKind reads the next frame's kind byte. Data-plane and control-plane
@@ -617,8 +649,17 @@ func (r *Reader) ReadHello() (Hello, error) {
 	return Hello{Worker: int(w), Codec: PayloadCodec(codec), TopK: int(topk), Chunk: int(chunk), Shards: int(shards)}, nil
 }
 
-// ReadModel decodes a model body (after NextKind returned KindModel).
+// ReadModel decodes a model body (after NextKind returned KindModel) into a
+// freshly allocated query.
 func (r *Reader) ReadModel() (Model, error) {
+	return r.ReadModelInto(nil)
+}
+
+// ReadModelInto is ReadModel drawing the query buffer from alloc (nil means
+// a fresh allocation), the read path a TCP worker uses to reuse one query
+// buffer across broadcasts. A nil query on the wire (the shutdown frame)
+// decodes to nil without consulting alloc.
+func (r *Reader) ReadModelInto(alloc VecAlloc) (Model, error) {
 	iter, err := r.i64()
 	if err != nil {
 		return Model{}, err
@@ -627,7 +668,7 @@ func (r *Reader) ReadModel() (Model, error) {
 	if err != nil {
 		return Model{}, err
 	}
-	q, err := r.vecQuery()
+	q, err := r.vecQuery(alloc)
 	if err != nil {
 		return Model{}, err
 	}
