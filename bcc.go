@@ -52,8 +52,8 @@ type Result = cluster.Result
 type IterStats = cluster.IterStats
 
 // ShardStats is one master shard's cumulative measurements on a sharded run
-// (Spec.MasterShards > 1): the owned coordinate range [Lo, Hi), decode time,
-// bytes attributed to the slice, and queue depth. Reported in Result.Shards
+// (Spec.MasterShards > 1): the owned coordinate range [Lo, Hi), decode time
+// and modelled bytes attributed to the slice. Reported in Result.Shards
 // and, for service jobs, in JobStatus.Shards and the /metrics gauges.
 type ShardStats = cluster.ShardStats
 

@@ -16,7 +16,7 @@
 // codec × dimension × workers over tcp loopback with measured wire bytes),
 // the service plane (jobs × workers throughput through the multi-tenant
 // daemon, queue-vs-run time split), the sharded master (coordinate-
-// partitioned decode plus end-to-end scatter-plane runs at M ∈ {1, 2, 4}),
+// partitioned decode plus end-to-end tcp runs at M ∈ {1, 2, 4}),
 // and the adaptive-redundancy race (nested-adaptive vs every fixed level
 // and the fixed bcc/cyclicmds codes under straggler scenarios, with
 // per-run encoded-part counts), writing a JSON report (-sweep-out, default

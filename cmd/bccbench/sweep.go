@@ -7,12 +7,12 @@ package main
 // engine's measured wire-byte accounting — the service plane: jobs × workers
 // batch throughput through the multi-tenant daemon with the queue-vs-run
 // split of each tenant's lifetime — the sharded master: the
-// coordinate-partitioned decode hot path plus end-to-end scatter-plane runs
-// at M ∈ {1, 2, 4} shards — and the adaptive-redundancy race: the nested
-// family under the AIMD controller vs every fixed level of the same family
-// and the fixed bcc/cyclicmds codes, under straggler scenarios on the sim
-// runtime, scored by encoded parts computed and modelled wall-clock. Run
-// with
+// coordinate-partitioned decode hot path plus end-to-end tcp runs of the
+// shard group at M ∈ {1, 2, 4} shards — and the adaptive-redundancy race:
+// the nested family under the AIMD controller vs every fixed level of the
+// same family and the fixed bcc/cyclicmds codes, under straggler scenarios
+// on the sim runtime, scored by encoded parts computed and modelled
+// wall-clock. Run with
 //
 //	bccbench -sweep                       # full sizes, writes BENCH_PR9.json
 //	bccbench -sweep -sweep-quick          # tiny sizes for the CI smoke step
@@ -93,8 +93,8 @@ type sweepService struct {
 
 type sweepSharded struct {
 	// Mode is "decode" (offer + sharded DecodeSliceInto, BenchmarkDecode
-	// methodology) or "endtoend" (full tcp-loopback training run over the
-	// scatter data plane, benchComm methodology).
+	// methodology) or "endtoend" (full tcp-loopback training run of the
+	// sharded master, benchComm methodology).
 	Mode    string `json:"mode"`
 	Scheme  string `json:"scheme,omitempty"`
 	P       int    `json:"p"`
@@ -187,8 +187,8 @@ func runSweep(path string, quick bool) error {
 			"service: each row submits `jobs` identical tcp jobs (scheme bcc, job_workers each, real loopback sockets) to one in-process daemon leasing from `fleet_workers`; wall is first-submit to last-done, queue_s_total/run_s_total split every job's lifetime into FIFO admission wait vs engine time, and queue_s_max is the worst tenant's wait — rows where jobs*job_workers > fleet_workers show the queueing penalty, rows where it fits show near-zero queue time",
 			"service caveat: on this single-CPU host concurrent tenants time-share one core, so jobs_per_s does not scale with fleet size; the rows still pin the queue-vs-run accounting and the admission behaviour",
 			"sharded decode: BenchmarkDecode methodology with the master-shard split — offer until decodable, then M persistent shard goroutines (the engine's two-channel-ops dispatch) each DecodeSliceInto + scale + UpdateSlice their contiguous chunk-aligned coordinate slice, the in-process masterShards hot path; shards=1 is the same loop on one slice, vs_m1 = ns_op / that row's ns_op; results are bit-identical at every M and allocs_op pins the zero-steady-state-alloc invariant of the sharded engine",
-			"sharded endtoend: the comm-sweep methodology at shards=M — full tcp-loopback run where workers scatter reply slices to M per-shard listeners and the sharded engine decodes; wire_in_bytes_iter counts ALL data-plane sockets (primary + shards), so it matches the unsharded row up to the scatter plane's raw64 slice framing; vs_m1 = wall_s / the shards=1 row's wall_s",
-			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group (and the scatter plane's extra sockets), not the multi-core decode win; on a multi-core host the decode rows scale with min(M, cores)",
+			"sharded endtoend: the comm-sweep methodology at shards=M — full tcp-loopback run where each reply is one frame on its worker's connection and the M-shard group decodes and updates behind it; the reply bytes are bounded exactly as in the unsharded rows; vs_m1 = wall_s / the shards=1 row's wall_s",
+			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group, not the multi-core decode win; on a multi-core host the decode rows scale with min(M, cores)",
 			"adaptive: sim-runtime race at m=n=8, load r=4 (nested levels 1..4), deterministic staggered latency — at full load worker w's compute finishes (w+1) virtual units after broadcast and compute time scales with the active level — so wall_virtual and parts are machine-independent modelled scores (this host is single-core, so counted work beats wall-clock as the compute metric); parts = sum over iterations of level*n encoded parts computed by the cluster (fixed schemes always compute the full load r per worker)",
 			"adaptive policies: 'adaptive' is nested + the AIMD controller (margin 1, window 2); 'nested-L<k>' pins the same family at level k via FixedLevelController; 'bcc'/'cyclicmds' are the fixed codes at load r — every policy sees the identical fault schedule, and vs_max ratios compare against the straggler-proof nested-L4 row of the same scenario",
 			"adaptive headline (bursty-tail: three tail workers slowed 6-8x in 3-iteration bursts every 12, quiet otherwise): only full redundancy rides out the bursts without waiting on a slowed worker, yet it pays 4 parts/worker every quiet iteration; the controller tracks the bursts at level 4 and decays through quiet stretches, completing the same iterations with 25% fewer encoded parts than every fixed code that rides out the bursts (nested-L4, bcc, cyclicmds) at lower modelled wall than nested-L4/cyclicmds, while every lower fixed level that computes fewer parts pays 1.2-2.3x the wall stuck waiting on burst-slowed workers — no fixed row beats the adaptive run on both axes",
@@ -265,8 +265,8 @@ func runSweep(path string, quick bool) error {
 			s.Jobs, s.Fleet, s.JobWorkers, s.WallSec, s.JobsPerSec, s.QueueSec, s.RunSec)
 	}
 	// Sharded rows: the master-shard split of the decode hot path at the
-	// largest dimension, plus full end-to-end runs over the scatter data
-	// plane. The M=1 row of each cell anchors the vs_m1 ratios.
+	// largest dimension, plus full end-to-end tcp runs of the shard group.
+	// The M=1 row of each cell anchors the vs_m1 ratios.
 	shardCounts := []int{1, 2, 4}
 	shardP := dims[len(dims)-1]
 	var decBase float64
@@ -502,7 +502,7 @@ func benchGradient(rows, p int, density float64) (sweepGradient, error) {
 // benchComm runs one full tcp-loopback training job (wire frames, zero
 // injected latency) under the given payload codec and reports the measured
 // per-iteration wire bytes plus wall-clock. shards > 1 runs the sharded
-// master with the scatter data plane (per-shard listeners). Same seed and
+// master's shard group behind the same single-socket replies. Same seed and
 // codec always reproduce the same broadcasts and the same counted replies.
 func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 	m, r := n, n/4
@@ -593,26 +593,19 @@ func benchComm(codec string, p, n, iters, shards int) (sweepComm, error) {
 
 // maxReplyBytes is the most a drained run of cfg can read from its workers
 // after the handshakes: one reply from each worker in each iteration, sized
-// with the wire encoder itself. An unsharded reply is one
-// frame under the run's payload codec; a sharded master gets one raw64 frame
-// per shard slice.
+// with the wire encoder itself — one frame under the run's payload codec,
+// sharded master or not.
 func maxReplyBytes(cfg *cluster.Config) (int, error) {
 	pc := wire.PayloadConfig{TopK: (cfg.Model.Dim() + 15) / 16} // the resolved default K
 	var err error
 	if pc.Codec, err = wire.ParsePayloadCodec(cfg.Comm.Payload); err != nil {
 		return 0, err
 	}
-	if cfg.MasterShards > 1 {
-		pc = wire.PayloadConfig{}
-	}
 	var f wire.Frame
 	fw := wire.NewFrameWriter(&f)
 	fw.SetPayload(pc)
-	bounds := cfg.ShardMap()
-	for s := 0; s+1 < len(bounds); s++ {
-		if err := fw.WriteReply(wire.Reply{Msgs: []wire.Msg{{Vec: make([]float64, bounds[s+1]-bounds[s])}}}); err != nil {
-			return 0, err
-		}
+	if err := fw.WriteReply(wire.Reply{Msgs: []wire.Msg{{Vec: make([]float64, cfg.Model.Dim())}}}); err != nil {
+		return 0, err
 	}
 	_, n, _ := cfg.Plan.Params()
 	return cfg.Iterations * n * len(f), nil

@@ -265,18 +265,13 @@
 // is a wall-clock knob, never a numerics knob, which the conformance matrix
 // pins across every scheme, runtime and fault scenario.
 //
-// Sharding composes with both fabrics. In-process (sim/live, or TCP with a
-// single data plane) the shards are goroutines decoding slices of the shared
-// arrival buffers. On the TCP runtime the data plane itself scatters:
-// a sharded master opens one listener per shard beside the primary
-// (control) listener, the handshake carries the shard map, and each worker
-// splits every encoded reply at the shard boundaries, sending slice frames
-// directly to the owning shard's socket — the lossy payload transform is
-// applied once, before the split, so scatter preserves codec semantics.
-// Per-shard ingress is then MEASURED at each shard socket
-// (ShardStats.SliceBytesIn); in-process runs attribute the modelled payload
-// bytes width-proportionally instead. Result.Shards reports the per-shard
-// totals (decode time, slice bytes, queue depth), JobStatus.Shards and the
+// Sharding composes with every runtime the same way: the shards are
+// goroutines decoding slices of the shared arrival buffers, and replies
+// reach the master exactly as they do unsharded — on TCP, one frame per
+// reply on the worker's own connection, read by that connection's reader.
+// ShardStats.SliceBytesIn attributes each iteration's modelled payload bytes
+// to the shards width-proportionally. Result.Shards reports the per-shard
+// totals (decode time, slice bytes), JobStatus.Shards and the
 // daemon's /metrics expose the same for service jobs, and checkpoints
 // follow the partition: Job.CheckpointSharded writes one self-describing
 // file per shard (path.shard0 …) and Job.RestoreShardedCheckpoint merges

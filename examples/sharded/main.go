@@ -3,8 +3,9 @@
 // sharded run is compared bit-for-bit against its unsharded twin — sharding
 // is a wall-clock knob, never a numerics knob — and the per-shard
 // measurements in Result.Shards are printed. Then the job runs on the TCP
-// runtime, where workers scatter reply slices straight to per-shard sockets
-// and each shard's ingress is measured on the wire. Finally the job
+// runtime, where each reply is one frame on its worker's connection and the
+// shard group decodes behind it, again bit-identical to the sim; the wire
+// totals are measured, the per-shard slice bytes modelled. Finally the job
 // checkpoints one file per shard and a fresh job resumes from the merged
 // set, again bit-identical to an uninterrupted run; a torn set (one shard
 // file missing) is rejected.
@@ -55,7 +56,7 @@ func main() {
 		shards, len(plainRes.FinalW))
 	printShards("sim (modelled slice bytes)", shardRes.Shards)
 
-	// --- 2. TCP: the scatter data plane with measured per-shard bytes. ---
+	// --- 2. TCP: the shard group behind real sockets, bit for bit. -------
 	tcp := spec(30)
 	tcp.MasterShards = shards
 	tcp.Runtime = bcc.RuntimeTCP
@@ -68,9 +69,9 @@ func main() {
 			log.Fatalf("tcp coordinate %d differs: %v vs %v", i, plainRes.FinalW[i], tcpRes.FinalW[i])
 		}
 	}
-	fmt.Printf("\ntcp: scatter plane reproduced the sim model exactly; "+
-		"total measured wire in/out %d/%d bytes\n", tcpRes.TotalWireIn, tcpRes.TotalWireOut)
-	printShards("tcp (measured at each shard socket)", tcpRes.Shards)
+	fmt.Printf("\ntcp: M=%d reproduced the sim model exactly; "+
+		"measured wire in/out %d/%d bytes\n", shards, tcpRes.TotalWireIn, tcpRes.TotalWireOut)
+	printShards("tcp (modelled slice bytes)", tcpRes.Shards)
 
 	// --- 3. Sharded checkpoint: one file per shard, merge-validated. -----
 	dir, err := os.MkdirTemp("", "bcc-sharded")

@@ -62,7 +62,10 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // frame encoded and decoded — allocates nothing per steady-state iteration.
 // Queries land in recycled buffers, reply Msgs slices are recycled, and the
 // live source and its deadline timer are reused. cyclicmds adds the
-// imaginary payload plane of every message.
+// imaginary payload plane of every message; bcc/M=4 adds the sharded
+// master, whose replies arrive exactly as unsharded ones do and whose four
+// shards (p = 16384 at the default 512-element chunk) dispatch through
+// channels.
 //
 // A socket run's fixed cost (dials, goroutines, connection buffers) varies
 // by a few dozen allocations from run to run, more than a short and a long
@@ -72,30 +75,37 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // because a real per-iteration allocation shows in every run, while a pool
 // reaching a new peak of buffers in flight shows only in some.
 func TestTCPSteadyStateZeroAllocs(t *testing.T) {
+	check := func(t *testing.T, scheme string, shards int) {
+		const warm, steady, runs, warmRuns = 30, 40, 8, 3
+		cfg, _ := buildRunDim(t, scheme, 8, 8, 3, warm+steady, 81, Zero{}, 16384)
+		cfg.MasterShards = shards
+		var ms runtime.MemStats
+		var from, to uint64
+		cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) {
+			if st.Iter == warm-1 || st.Iter == warm+steady-1 {
+				runtime.ReadMemStats(&ms)
+				from, to = to, ms.Mallocs
+			}
+		}}
+		quietest := uint64(math.MaxUint64)
+		for run := 0; run < runs; run++ {
+			if _, err := RunLive(cfg, LiveOptions{TCP: true, Drain: true}); err != nil {
+				t.Fatal(err)
+			}
+			if run >= warmRuns {
+				quietest = min(quietest, to-from)
+			}
+		}
+		if quietest > 0 {
+			t.Fatalf("%d steady-state tcp iterations allocated %d objects in the quietest of %d runs, want 0",
+				steady, quietest, runs-warmRuns)
+		}
+	}
 	for _, scheme := range []string{"bcc", "cyclicmds"} {
 		t.Run(scheme, func(t *testing.T) {
-			const warm, steady, runs, warmRuns = 30, 40, 8, 3
-			cfg, _ := buildRunDim(t, scheme, 8, 8, 3, warm+steady, 81, Zero{}, 16384)
-			var ms runtime.MemStats
-			var from, to uint64
-			cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) {
-				if st.Iter == warm-1 || st.Iter == warm+steady-1 {
-					runtime.ReadMemStats(&ms)
-					from, to = to, ms.Mallocs
-				}
-			}}
-			quietest := uint64(math.MaxUint64)
-			for run := 0; run < runs; run++ {
-				if _, err := RunLive(cfg, LiveOptions{TCP: true, Drain: true}); err != nil {
-					t.Fatal(err)
-				}
-				if run >= warmRuns {
-					quietest = min(quietest, to-from)
-				}
-			}
-			if quietest > 0 {
-				t.Fatalf("%d steady-state tcp iterations allocated %d objects in the quietest of %d runs, want 0",
-					steady, quietest, runs-warmRuns)
+			check(t, scheme, 0)
+			if scheme == "bcc" {
+				t.Run("M=4", func(t *testing.T) { check(t, scheme, 4) })
 			}
 		})
 	}

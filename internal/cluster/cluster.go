@@ -67,9 +67,9 @@ type Config struct {
 	// the model on a dedicated goroutine, while iteration control — arrival
 	// counting, threshold decisions, fault bookkeeping, observer callbacks —
 	// stays on the coordinator. Shard boundaries are aligned to the comm
-	// plane's wire chunk size, and on the TCP runtime workers scatter each
-	// reply's slices directly to per-shard data-plane listeners. Results are
-	// bit-for-bit identical to the unsharded master on every runtime (see
+	// plane's wire chunk size. Replies reach the master as they do unsharded
+	// (one frame per reply on the TCP runtime). Results are bit-for-bit
+	// identical to the unsharded master on every runtime (see
 	// sharded.go); schemes or optimizers without slice capabilities fall
 	// back to the serial path silently.
 	MasterShards int

@@ -458,7 +458,7 @@ func TestDecodeParallelismBitExact(t *testing.T) {
 			serial := run(1)
 			for _, m := range []int{2, 3} {
 				sharded := run(m)
-				checkShardStats(t, fmt.Sprintf("M=%d", m), sharded, m, wire.DefaultChunk, false)
+				checkShardStats(t, fmt.Sprintf("M=%d", m), sharded, m, wire.DefaultChunk)
 				if d := vecmath.MaxAbsDiff(serial.FinalW, sharded.FinalW); d != 0 {
 					t.Fatalf("M=%d diverged from M=1 by %v", m, d)
 				}
@@ -853,9 +853,9 @@ const gobHello = "G\x7f\x03\x01\x01\x05Hello\x01\xff\x80\x00\x01\x05\x01\x06Work
 
 // TestHandshakeRefusesBadPeers pins the accept path against peers that are
 // not wire workers — one that connects and never speaks, an old gob-framed
-// worker, one that opens with an unknown frame kind — on the primary
-// listener and on a scatter shard listener. Each must fail the handshake
-// within the accept timeout instead of wedging the master.
+// worker, one that opens with an unknown frame kind — on the master's one
+// data-plane (primary) listener. Each must fail the handshake within the
+// accept timeout instead of wedging the master.
 func TestHandshakeRefusesBadPeers(t *testing.T) {
 	const dim, timeout = 4, 200 * time.Millisecond
 	listen := func() net.Listener {
@@ -880,54 +880,28 @@ func TestHandshakeRefusesBadPeers(t *testing.T) {
 		{"unknown-kind", "\xee"},
 	}
 	for _, peer := range peers {
-		for _, onShard := range []bool{false, true} {
-			listener, want := "primary", "tcp handshake"
-			if onShard {
-				listener, want = "shard", "scatter shard 0 handshake"
+		t.Run(peer.name+"/primary", func(t *testing.T) {
+			ln := listen()
+			if _, err := io.WriteString(dial(ln), peer.opening); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(peer.name+"/"+listener, func(t *testing.T) {
-				ln := listen()
-				serve := func() (Fabric, error) { return ServeMasterPool(ln, 1, timeout, "", nil, CommOptions{}, dim) }
-				target := ln
-				if onShard {
-					shardLn := listen()
-					serve = func() (Fabric, error) {
-						return ServeMasterScatterPool(ln, []net.Listener{shardLn}, 1, timeout, nil, CommOptions{}, dim)
-					}
-					target = shardLn
-					// A wire worker passes the primary handshake, so the bad
-					// peer is the one the shard accept meets.
-					cp, err := CommOptions{}.resolve(dim)
-					if err != nil {
-						t.Fatal(err)
-					}
-					h := cp.hello(0)
-					h.Shards = 1
-					if err := newWireCodec(dial(ln), nil, cp).WriteHello(h); err != nil {
-						t.Fatal(err)
-					}
+			done := make(chan error, 1)
+			go func() {
+				fab, err := ServeMasterPool(ln, 1, timeout, "", nil, CommOptions{}, dim)
+				if err == nil {
+					fab.Close()
 				}
-				if _, err := io.WriteString(dial(target), peer.opening); err != nil {
-					t.Fatal(err)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "tcp handshake") {
+					t.Fatalf("peer got %v, want a %q error", err, "tcp handshake")
 				}
-				done := make(chan error, 1)
-				go func() {
-					fab, err := serve()
-					if err == nil {
-						fab.Close()
-					}
-					done <- err
-				}()
-				select {
-				case err := <-done:
-					if err == nil || !strings.Contains(err.Error(), want) {
-						t.Fatalf("peer got %v, want a %q error", err, want)
-					}
-				case <-time.After(2 * time.Second):
-					t.Fatal("master still blocked in the handshake after 2s")
-				}
-			})
-		}
+			case <-time.After(2 * time.Second):
+				t.Fatal("master still blocked in the handshake after 2s")
+			}
+		})
 	}
 }
 

@@ -128,9 +128,9 @@ func (p commPlane) msgBytes(msg coding.Message) int {
 // applyReplyCodec runs every payload of msgs through the canonical lossy
 // transform in place. A nil coder (raw64) is a no-op. The runtimes that
 // never serialize call this at their wire-equivalent boundary: the sim
-// transport right after encoding, the channel fabric in its send path, the
-// scatter plane before slicing. The TCP fabric otherwise transforms as it
-// serializes — each payload is transformed exactly once on every runtime.
+// transport right after encoding, the channel fabric in its send path. The
+// TCP fabric transforms as it serializes — each payload is transformed
+// exactly once on every runtime.
 func applyReplyCodec(coder *wire.VecCoder, msgs []coding.Message) {
 	if coder == nil {
 		return

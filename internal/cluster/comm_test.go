@@ -222,14 +222,15 @@ func TestTCPChunkSizeInvariance(t *testing.T) {
 // the measured per-iteration WireBytesIn/Out against it, per codec. Uncoded
 // with m = n sends exactly one dense-vector message per worker and decodes
 // only after all n arrive, so every frame of an iteration is consumed inside
-// that iteration's accounting window.
+// that iteration's accounting window. The M=2 cells shard the master at a
+// chunk that splits dim in two: sharding splits decode, not the wire, so
+// their counts are the unsharded ones.
 func TestWireAccountingMatchesAnalytic(t *testing.T) {
 	const (
-		m, n, r  = 4, 4, 1
-		dim      = 64
-		iters    = 3
-		topkK    = (dim + 15) / 16 // resolver default
-		helloLen = 1 + 4 + 1 + 4 + 4
+		m, n, r = 4, 4, 1
+		dim     = 64
+		iters   = 3
+		topkK   = (dim + 15) / 16 // resolver default
 	)
 	vecBytes := func(codec string, n, k int) int {
 		switch codec {
@@ -240,39 +241,50 @@ func TestWireAccountingMatchesAnalytic(t *testing.T) {
 		}
 		return 4 + 8*n
 	}
+	check := func(t *testing.T, codec string, shards int) {
+		cfg, _ := buildRunDim(t, "uncoded", m, n, r, iters, 53, Zero{}, dim)
+		cfg.Comm = CommOptions{Payload: codec}
+		if shards > 1 {
+			cfg.Comm.Chunk = dim / shards
+			cfg.MasterShards = shards
+		}
+		var stats []IterStats
+		cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) { stats = append(stats, st) }}
+		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards > 1 && len(res.Shards) != shards {
+			t.Fatalf("run recorded %d shards, want %d", len(res.Shards), shards)
+		}
+		// Queries are quantized under f32 but ship dense under topk.
+		qBytes := vecBytes("raw64", dim, 0)
+		if codec == "f32" {
+			qBytes = vecBytes("f32", dim, 0)
+		}
+		// One model frame per worker: type byte, iter, the active-level
+		// stamp (uint32, 0 on non-retunable schemes), then the query.
+		wantOut := n * (1 + 8 + 4 + qBytes)
+		// One reply frame per worker: header + one message whose Vec is a
+		// dim-length dense vector and whose Imag is nil (4-byte sentinel).
+		msgBytes := 4 + 8 + 8 + vecBytes(codec, dim, topkK) + 4
+		wantIn := n * (1 + 8 + 4 + 8 + 4 + msgBytes)
+		if len(stats) != iters {
+			t.Fatalf("observed %d iterations, want %d", len(stats), iters)
+		}
+		for _, st := range stats {
+			if st.WireBytesOut != wantOut {
+				t.Errorf("iter %d: WireBytesOut %d, want %d", st.Iter, st.WireBytesOut, wantOut)
+			}
+			if st.WireBytesIn != wantIn {
+				t.Errorf("iter %d: WireBytesIn %d, want %d", st.Iter, st.WireBytesIn, wantIn)
+			}
+		}
+	}
 	for _, codec := range []string{"raw64", "f32", "topk"} {
-		codec := codec
 		t.Run(codec, func(t *testing.T) {
-			cfg, _ := buildRunDim(t, "uncoded", m, n, r, iters, 53, Zero{}, dim)
-			cfg.Comm = CommOptions{Payload: codec}
-			var stats []IterStats
-			cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) { stats = append(stats, st) }}
-			if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true}); err != nil {
-				t.Fatal(err)
-			}
-			// Queries are quantized under f32 but ship dense under topk.
-			qBytes := vecBytes("raw64", dim, 0)
-			if codec == "f32" {
-				qBytes = vecBytes("f32", dim, 0)
-			}
-			// One model frame per worker: type byte, iter, the active-level
-			// stamp (uint32, 0 on non-retunable schemes), then the query.
-			wantOut := n * (1 + 8 + 4 + qBytes)
-			// One reply frame per worker: header + one message whose Vec is a
-			// dim-length dense vector and whose Imag is nil (4-byte sentinel).
-			msgBytes := 4 + 8 + 8 + vecBytes(codec, dim, topkK) + 4
-			wantIn := n * (1 + 8 + 4 + 8 + 4 + msgBytes)
-			if len(stats) != iters {
-				t.Fatalf("observed %d iterations, want %d", len(stats), iters)
-			}
-			for _, st := range stats {
-				if st.WireBytesOut != wantOut {
-					t.Errorf("iter %d: WireBytesOut %d, want %d", st.Iter, st.WireBytesOut, wantOut)
-				}
-				if st.WireBytesIn != wantIn {
-					t.Errorf("iter %d: WireBytesIn %d, want %d", st.Iter, st.WireBytesIn, wantIn)
-				}
-			}
+			check(t, codec, 0)
+			t.Run("M=2", func(t *testing.T) { check(t, codec, 2) })
 		})
 	}
 }

@@ -144,7 +144,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	// fallback; results are identical either way).
 	var shards *masterShards
 	if cfg.MasterShards > 1 {
-		if shards = newMasterShards(cfg, dec, grad, tr); shards != nil {
+		if shards = newMasterShards(cfg, dec, grad); shards != nil {
 			defer shards.stop()
 		}
 	}
@@ -185,9 +185,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		res.TotalWireOut += int(drainOut)
 		res.TotalElapsed = totalElapsed
 		if shards != nil {
-			// After the drain, so Σ SliceBytesIn covers the same straggler
-			// tail as TotalWireIn.
-			shards.measureWire()
 			res.Shards = shards.snapshot()
 		}
 		if cfg.Observer != nil {

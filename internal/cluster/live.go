@@ -161,16 +161,6 @@ func (t *liveTransport) WireTotals() (in, out int64) {
 	return 0, 0
 }
 
-// ShardWireIn implements shardWireCounter by delegating to the fabric when
-// it has per-shard listeners (the scatter fabric); other fabrics have no
-// per-shard wire, so the sharded master falls back to modelled accounting.
-func (t *liveTransport) ShardWireIn() []int64 {
-	if swc, ok := t.fab.(shardWireCounter); ok {
-		return swc.ShardWireIn()
-	}
-	return nil
-}
-
 // wireDrainer is the optional transport capability the engine uses to settle
 // measured wire totals before assembling a Result: block until every
 // in-flight reply frame has been read off the sockets (bounded by the
@@ -341,13 +331,6 @@ type WorkerEnv struct {
 	// pool whose buffers are recycled by its send function right after
 	// serialization.
 	Bufs *BufferPool
-	// ShardAddrs, when the master is sharded with the scatter data plane,
-	// lists the per-shard listener addresses in shard order: the TCP worker
-	// dials every one in addition to the primary and writes each reply's
-	// coordinate slices to the owning shards (scatter.go). Empty = unsharded.
-	// Must agree with the master's Config.MasterShards (the handshake
-	// verifies the count).
-	ShardAddrs []string
 }
 
 // RunWorker executes the worker protocol until a shutdown update (Iter < 0)

@@ -23,9 +23,8 @@ import (
 //   - Shard boundaries are contiguous, fixed for the whole run, and aligned
 //     to the comm plane's wire chunk size (CommOptions.Chunk, default 512
 //     elements), so a shard's slice is always a whole number of wire chunks
-//     (except the last, which takes the remainder). Chunk alignment makes
-//     the same boundaries usable as scatter boundaries on the wire (see
-//     scatter.go).
+//     (except the last, which takes the remainder), and sharded checkpoints
+//     split the optimizer state at the same boundaries.
 //   - A shard writes ONLY grad[lo:hi] and the optimizer state of
 //     coordinates [lo, hi); the coordinator owns everything else. Shards
 //     share the iteration's decoder read-only — DecodeSliceInto over
@@ -57,14 +56,10 @@ type ShardStats struct {
 	// DecodeNs is cumulative wall time the shard spent decoding, scaling and
 	// updating its slice, in nanoseconds.
 	DecodeNs int64 `json:"decode_ns"`
-	// SliceBytesIn counts payload bytes attributed to this shard's slice: in
-	// distributed scatter mode the measured wire bytes of the shard's
-	// listener, otherwise the slice's width-proportional share of the
-	// modelled iteration bytes.
+	// SliceBytesIn counts payload bytes attributed to this shard's slice: the
+	// slice's width-proportional share of the modelled iteration bytes, on
+	// every runtime (replies reach the master whole, never per shard).
 	SliceBytesIn int64 `json:"slice_bytes_in"`
-	// QueueDepth is the shard's pending-work depth at the last snapshot
-	// (0 or 1 for in-process shards, which are dispatched synchronously).
-	QueueDepth int `json:"queue_depth"`
 }
 
 // ShardObserver is the optional Observer capability for sharded runs: after
@@ -75,13 +70,12 @@ type ShardObserver interface {
 	OnShards(stats []ShardStats)
 }
 
-// ShardMap returns the master shard partition this Config's engine and
-// scatter plane derive: MasterShards+1 boundaries cutting [0, Model.Dim())
+// ShardMap returns the master shard partition this Config's engine
+// derives: MasterShards+1 boundaries cutting [0, Model.Dim())
 // at wire-chunk multiples, shard s owning [map[s], map[s+1]). Callers that
-// persist or transport per-slice state (sharded checkpoints, external
-// shard processes) use this to stay aligned with the engine's ownership —
-// the map is a pure function of (Dim, MasterShards, chunk), so every
-// process derives the same one.
+// persist per-slice state (sharded checkpoints) use this to stay aligned
+// with the engine's ownership — the map is a pure function of (Dim,
+// MasterShards, chunk), so every process derives the same one.
 func (c *Config) ShardMap() []int {
 	chunk := c.comm().pc.ChunkElems()
 	shards := effectiveShards(c.Model.Dim(), c.MasterShards, chunk)
@@ -90,12 +84,11 @@ func (c *Config) ShardMap() []int {
 
 // effectiveShards clamps a configured shard count to the number of wire
 // chunks the model actually splits into: more shards than chunks would only
-// produce empty tail shards, whose goroutines, data listeners and leased
-// ports are pure waste. Clamping is bit-compatible — shardBounds assigns
-// the surplus shards empty tail ranges, so the non-empty prefix boundaries
-// are identical either way. Every consumer of a shard count (the in-process
-// shard group, the scatter listeners, external shard processes) derives it
-// through this helper so both ends of every handshake agree.
+// produce empty tail shards, whose goroutines are pure waste. Clamping is
+// bit-compatible — shardBounds assigns the surplus shards empty tail
+// ranges, so the non-empty prefix boundaries are identical either way.
+// Every consumer of a shard count (the in-process shard group, ShardMap)
+// derives it through this helper so they agree.
 func effectiveShards(dim, shards, chunk int) int {
 	if shards < 1 {
 		shards = 1
@@ -142,12 +135,6 @@ func shardBounds(dim, shards, chunk int) []int {
 	return bounds
 }
 
-// shardWireCounter is the optional transport capability of scatter fabrics:
-// measured per-shard ingress bytes, indexed by shard.
-type shardWireCounter interface {
-	ShardWireIn() []int64
-}
-
 // masterShards runs Config.MasterShards persistent shard goroutines for one
 // engine run. The coordinator (engine loop) dispatches one iteration at a
 // time: every shard concurrently decodes, scales and updates its own slice,
@@ -169,18 +156,13 @@ type masterShards struct {
 	errs []error
 
 	stats []ShardStats
-	swc   shardWireCounter // non-nil in distributed scatter mode
-	// swcBase is the per-shard counter baseline at engine start: handshake
-	// bytes predate it, so SliceBytesIn counts payload traffic only, matching
-	// Result.TotalWireIn's exclusion of handshakes.
-	swcBase []int64
-	so      ShardObserver // non-nil when the observer wants shard stats
+	so    ShardObserver // non-nil when the observer wants shard stats
 }
 
 // newMasterShards builds the shard group for a run, or returns nil when the
 // decoder or optimizer lacks the slice capability — the engine then uses the
 // serial path (the documented fallback; results are identical either way).
-func newMasterShards(cfg *Config, dec coding.Decoder, grad []float64, tr Transport) *masterShards {
+func newMasterShards(cfg *Config, dec coding.Decoder, grad []float64) *masterShards {
 	sd, ok := dec.(coding.SliceDecoder)
 	if !ok {
 		return nil
@@ -204,10 +186,6 @@ func newMasterShards(cfg *Config, dec coding.Decoder, grad []float64, tr Transpo
 		quit:   make(chan struct{}),
 		errs:   make([]error, m),
 		stats:  make([]ShardStats, m),
-	}
-	ms.swc, _ = tr.(shardWireCounter)
-	if ms.swc != nil {
-		ms.swcBase = ms.swc.ShardWireIn()
 	}
 	ms.so, _ = cfg.Observer.(ShardObserver)
 	for s := 0; s < m; s++ {
@@ -268,43 +246,18 @@ func (ms *masterShards) finishIteration(st *IterStats) error {
 	return nil
 }
 
-// account updates per-shard byte attribution and publishes the stats to the
-// observer: measured per-shard wire bytes when the transport scatters to
-// per-shard listeners, else each slice's width-proportional share of the
-// iteration's modelled payload bytes.
+// account adds each slice's width-proportional share of the iteration's
+// modelled payload bytes and publishes the stats to the observer.
 func (ms *masterShards) account(st *IterStats) {
-	if !ms.measureWire() && ms.dim > 0 {
+	if ms.dim > 0 {
 		for s := range ms.stats {
 			width := ms.bounds[s+1] - ms.bounds[s]
 			ms.stats[s].SliceBytesIn += int64(st.Bytes) * int64(width) / int64(ms.dim)
 		}
 	}
-	for s := range ms.stats {
-		ms.stats[s].QueueDepth = len(ms.work[s])
-	}
 	if ms.so != nil {
 		ms.so.OnShards(ms.stats)
 	}
-}
-
-// measureWire refreshes SliceBytesIn from the transport's measured per-shard
-// ingress and reports whether there is one. A transport may expose the
-// capability but have no per-shard wire (live transport over the channel
-// fabric returns nil) — modelled accounting then.
-func (ms *masterShards) measureWire() bool {
-	if ms.swc == nil {
-		return false
-	}
-	measured := ms.swc.ShardWireIn()
-	for s := range ms.stats {
-		if s < len(measured) {
-			ms.stats[s].SliceBytesIn = measured[s]
-			if s < len(ms.swcBase) {
-				ms.stats[s].SliceBytesIn -= ms.swcBase[s]
-			}
-		}
-	}
-	return len(measured) > 0
 }
 
 // snapshot returns a copy of the cumulative shard stats (for Result.Shards).

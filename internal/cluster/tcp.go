@@ -18,9 +18,11 @@ import (
 // workers are separate processes (bccserve -join).
 // Frames use the compact binary encoding of internal/wire, the only frame
 // encoding: each connection opens with a wire.Hello carrying the worker's
-// index and resolved comm-plane parameters (payload codec, top-K, chunk,
-// shard count), which the master verifies against its own before admitting
-// it — a mismatch would silently corrupt every payload.
+// index and resolved comm-plane parameters (payload codec, top-K, chunk),
+// which the master verifies against its own before admitting it — a
+// mismatch would silently corrupt every payload. Every reply, sharded master
+// or not, is one frame on its worker's own connection, read by that
+// connection's reader goroutine.
 //
 // The master's side of a connection is read-only apart from broadcasts, and
 // a broadcast is the same bytes for every worker: the fabric encodes each
@@ -98,32 +100,6 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 		return nil, fmt.Errorf("cluster: tcp listen: %w", err)
 	}
 
-	// Sharded masters scatter the data plane: one extra listener per master
-	// shard receives the workers' reply slices (scatter.go).
-	shards := 0
-	var shardLns []net.Listener
-	var shardAddrs []string
-	if cfg.MasterShards > 1 {
-		// Clamped to the chunk count: empty tail shards would each hold an
-		// open data listener (and a scatter goroutine per worker) for a slice
-		// that can never receive a byte.
-		shards = effectiveShards(cfg.Model.Dim(), cfg.MasterShards, cfg.comm().pc.ChunkElems())
-		shardLns, err = listenShards(shards)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		shardAddrs = make([]string, shards)
-		for s, sl := range shardLns {
-			shardAddrs[s] = sl.Addr().String()
-		}
-	}
-	closeShards := func() {
-		for _, sl := range shardLns {
-			sl.Close()
-		}
-	}
-
 	// Spawn workers that dial the listener and speak the protocol. Like the
 	// channel fabric's, they draw payloads (and here queries) from the run's
 	// pool: a worker puts each buffer back once it is on the wire (or
@@ -141,23 +117,13 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Faults:             cfg.Faults,
 			ComputeParallelism: cfg.ComputeParallelism,
 			Bufs:               cfg.buffers(),
-			ShardAddrs:         shardAddrs,
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
 
-	primary, err := acceptWorkers(ln, n, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim(), shards)
+	fab, err := acceptWorkers(ln, n, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim())
 	if err != nil {
-		closeShards()
 		ln.Close()
-		return nil, err
-	}
-	if shards == 0 {
-		return primary, nil
-	}
-	fab, err := newScatterFabric(primary, shardLns, n, opts.Timeout, cfg.buffers(), cfg.comm(), cfg.Model.Dim(), shards)
-	if err != nil {
-		primary.Close()
 		return nil, err
 	}
 	return fab, nil
@@ -168,9 +134,8 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 // hello read. pool, if non-nil, backs the codecs' reply deserialization so
 // gradient payloads land in recycled buffers. comm and dim resolve the
 // master's comm plane; each worker's hello must declare the same payload
-// codec, top-K and chunk size — and the same master-shard count `shards`
-// (0 = unsharded) — or the handshake fails.
-func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim, shards int) (*tcpFabric, error) {
+// codec, top-K and chunk size or the handshake fails.
+func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (*tcpFabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
@@ -207,12 +172,6 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 			f.Close()
 			return nil, fmt.Errorf("cluster: tcp handshake worker %d: %w", hello.Worker, err)
 		}
-		if hello.Shards != shards {
-			conn.Close()
-			f.Close()
-			return nil, fmt.Errorf("cluster: tcp handshake worker %d: shard count mismatch: worker %d, master %d",
-				hello.Worker, hello.Shards, shards)
-		}
 		f.conns = append(f.conns, conn)
 		// Reader: stream this worker's replies into the shared channel.
 		f.readers.Add(1)
@@ -221,6 +180,9 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 			for {
 				rep := Reply{Msgs: pool.getMsgs()}
 				if err := codec.ReadReply(&rep); err != nil {
+					// The connection is done: hand the unused Msgs slice back,
+					// so repeated runs on one pool keep what they grew.
+					discardReply(pool, rep)
 					return
 				}
 				select {
@@ -343,9 +305,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	// The worker's reads are model broadcasts: each query lands in a buffer
 	// from the pool, which RunWorker puts back once it has computed on it.
 	codec := newWireCodec(conn, env.Bufs, cp)
-	h := cp.hello(env.Index)
-	h.Shards = len(env.ShardAddrs)
-	if err := codec.WriteHello(h); err != nil {
+	if err := codec.WriteHello(cp.hello(env.Index)); err != nil {
 		return fmt.Errorf("cluster: worker %d hello: %w", env.Index, err)
 	}
 	// A dedicated reader streams model updates into a channel so the worker
@@ -384,18 +344,6 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		recycleMsgs(env.Bufs, r.Msgs)
 		return err
 	}
-	if len(env.ShardAddrs) > 0 {
-		// Sharded master: replies scatter as coordinate slices across the
-		// per-shard connections; the primary connection carries only the
-		// handshake and model broadcasts (scatter.go).
-		shardCodecs, closeShards, err := dialShards(env.ShardAddrs, env.Index, cp, dim)
-		if err != nil {
-			return err
-		}
-		defer closeShards()
-		bounds := shardBounds(dim, len(env.ShardAddrs), cp.pc.ChunkElems())
-		send = scatterSend(shardCodecs, bounds, cp.newCoder(), env.Bufs)
-	}
 	return runWorker(env, updates, send, env.Bufs.Put)
 }
 
@@ -420,7 +368,7 @@ func ServeMasterPool(ln net.Listener, n int, timeout time.Duration, codecName st
 		ln.Close() // as a failed accept would: dialing workers must not hang
 		return nil, err
 	}
-	return acceptWorkers(ln, n, timeout, pool, comm, dim, 0)
+	return acceptWorkers(ln, n, timeout, pool, comm, dim)
 }
 
 // Fabric is the exported face of the master-side substrate, for callers

@@ -146,7 +146,7 @@ func TestTCPWorkerQueryBufferNotRewritten(t *testing.T) {
 		Latency: lat, TimeScale: 1, Bufs: NewBufferPool(mod.Dim(), 0)}
 	served := make(chan error, 1)
 	go func() { served <- DialAndServeWorker(ln.Addr().String(), env) }()
-	fab, err := acceptWorkers(ln, 1, 10*time.Second, nil, CommOptions{}, mod.Dim(), 0)
+	fab, err := acceptWorkers(ln, 1, 10*time.Second, nil, CommOptions{}, mod.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,11 +303,9 @@ type Spec struct {
 	// MasterShards partitions the master's data plane coordinate-wise into
 	// this many contiguous shards (0/1 = unsharded): each shard decodes,
 	// scales and updates its own slice of the model concurrently while a thin
-	// coordinator keeps iteration control centralized. On the TCP runtime the
-	// shards additionally get their own listeners and workers scatter each
-	// reply's coordinate slices to them (the scatter data plane). Results are
-	// bit-for-bit identical to the unsharded run on every runtime; see
-	// cluster.Config.MasterShards.
+	// coordinator keeps iteration control centralized. Replies reach the
+	// master as they do unsharded. Results are bit-for-bit identical to the
+	// unsharded run on every runtime; see cluster.Config.MasterShards.
 	MasterShards int `json:"master_shards,omitempty"`
 	// Runtime is RuntimeSim (default), RuntimeLive (goroutines+channels)
 	// or RuntimeTCP (goroutines over loopback sockets). All three run the

@@ -78,7 +78,6 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		shard   int
 		decode  int64
 		bytesIn int64
-		queue   int
 	}
 	type levelSample struct {
 		job      core.JobID
@@ -102,7 +101,7 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		for _, ss := range rec.shards {
 			shardSamples = append(shardSamples, shardSample{
 				job: rec.id, shard: ss.Shard, decode: ss.DecodeNs,
-				bytesIn: ss.SliceBytesIn, queue: ss.QueueDepth,
+				bytesIn: ss.SliceBytesIn,
 			})
 		}
 		if rec.level > 0 {
@@ -138,13 +137,9 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		for _, s := range shardSamples {
 			fmt.Fprintf(&b, "bcc_shard_decode_ns_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.decode)
 		}
-		b.WriteString("# HELP bcc_shard_bytes_in_total Payload bytes attributed to each master shard's slice (measured in scatter mode, modelled otherwise).\n# TYPE bcc_shard_bytes_in_total counter\n")
+		b.WriteString("# HELP bcc_shard_bytes_in_total Modelled payload bytes attributed to each master shard's slice (its width-proportional share).\n# TYPE bcc_shard_bytes_in_total counter\n")
 		for _, s := range shardSamples {
 			fmt.Fprintf(&b, "bcc_shard_bytes_in_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.bytesIn)
-		}
-		b.WriteString("# HELP bcc_shard_queue_depth Pending-work depth per master shard at the last iteration.\n# TYPE bcc_shard_queue_depth gauge\n")
-		for _, s := range shardSamples {
-			fmt.Fprintf(&b, "bcc_shard_queue_depth{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.queue)
 		}
 	}
 	if len(levelSamples) > 0 {

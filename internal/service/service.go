@@ -476,74 +476,23 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		d.mu.Unlock()
 	}()
 	port := ln.Addr().(*net.TCPAddr).Port
-	// A sharded master scatters the data plane: one extra listener per shard
-	// on the same host, with the ports shipped in every Assign frame so the
-	// workers can dial them (the shard map itself is derived from the spec).
-	var shardLns []net.Listener
-	closeShardLns := func() {
-		for _, sln := range shardLns {
-			sln.Close()
-		}
-	}
-	// Job records come only from DecodeSpec, which rejects over-sharded
-	// specs, so every shard owns a non-empty coordinate slice.
-	if shards := rec.spec.MasterShards; shards > 1 {
-		for s := 0; s < shards; s++ {
-			sln, serr := net.Listen("tcp", net.JoinHostPort(host, "0"))
-			if serr != nil {
-				closeShardLns()
-				ln.Close()
-				d.releaseLeases(leased)
-				return nil, fmt.Errorf("service: job %d shard %d listen: %w", rec.id, s, serr)
-			}
-			shardLns = append(shardLns, sln)
-		}
-		d.mu.Lock()
-		for _, sln := range shardLns {
-			d.jobLns[sln] = struct{}{}
-		}
-		d.mu.Unlock()
-		defer func() {
-			d.mu.Lock()
-			for _, sln := range shardLns {
-				delete(d.jobLns, sln)
-			}
-			d.mu.Unlock()
-		}()
-	}
-	shardPorts := make([]int, len(shardLns))
-	for s, sln := range shardLns {
-		shardPorts[s] = sln.Addr().(*net.TCPAddr).Port
-	}
 	for i, fw := range leased {
-		a := wire.Assign{Job: uint64(rec.id), Index: i, Port: port, ShardPorts: shardPorts, Spec: rec.specBytes}
+		a := wire.Assign{Job: uint64(rec.id), Index: i, Port: port, Spec: rec.specBytes}
 		if werr := fw.w.WriteAssign(a); werr != nil {
 			d.dropWorker(fw, werr)
 			// Workers after fw were never assigned: return them directly.
-			// The ones before fw did get assignments; closing the listeners
+			// The ones before fw did get assignments; closing the listener
 			// fails their dials and they come back through Idle frames.
 			d.releaseLeases(leased[i+1:])
 			ln.Close()
-			closeShardLns()
 			return nil, fmt.Errorf("service: job %d assign worker %d: %w", rec.id, fw.id, werr)
 		}
 	}
 	cln := &countingListener{Listener: ln, in: &d.fleetIn, out: &d.fleetOut}
-	var fab cluster.Fabric
-	if len(shardLns) > 0 {
-		shardClns := make([]net.Listener, len(shardLns))
-		for s, sln := range shardLns {
-			shardClns[s] = &countingListener{Listener: sln, in: &d.fleetIn, out: &d.fleetOut}
-		}
-		fab, err = cluster.ServeMasterScatterPool(cln, shardClns, rec.spec.Workers,
-			d.opts.LeaseTimeout, cfg.Buffers(), job.Comm(), cfg.Model.Dim())
-	} else {
-		fab, err = cluster.ServeMasterPool(cln, rec.spec.Workers, d.opts.LeaseTimeout, "", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
-	}
+	fab, err := cluster.ServeMasterPool(cln, rec.spec.Workers, d.opts.LeaseTimeout, "", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
 	if err != nil {
-		// acceptWorkers closed the primary listener; assigned workers fail
-		// their dial or handshake and release themselves via Idle frames.
-		closeShardLns()
+		// acceptWorkers closed the listener; assigned workers fail their
+		// dial or handshake and release themselves via Idle frames.
 		return nil, fmt.Errorf("service: job %d accepting leased workers: %w", rec.id, err)
 	}
 	defer fab.Close()

@@ -83,14 +83,5 @@ func serveLease(host string, a wire.Assign) error {
 	if err != nil {
 		return err
 	}
-	env := job.WorkerEnv(a.Index)
-	// A sharded master lists its scatter listeners' ports; the shard map
-	// itself is derived from the spec, so the addresses are all we need.
-	if len(a.ShardPorts) > 0 {
-		env.ShardAddrs = make([]string, len(a.ShardPorts))
-		for s, p := range a.ShardPorts {
-			env.ShardAddrs[s] = net.JoinHostPort(host, strconv.Itoa(p))
-		}
-	}
-	return cluster.DialAndServeWorker(net.JoinHostPort(host, strconv.Itoa(a.Port)), env)
+	return cluster.DialAndServeWorker(net.JoinHostPort(host, strconv.Itoa(a.Port)), job.WorkerEnv(a.Index))
 }

@@ -16,7 +16,7 @@ import (
 // Frame bodies (all integers little-endian):
 //
 //	join   := blob(name)
-//	assign := job:uint64 index:uint32 port:uint32 nshards:uint32 shardport:uint32* blob(spec)
+//	assign := job:uint64 index:uint32 port:uint32 blob(spec)
 //	idle   := job:uint64 blob(err)
 //	submit := blob(spec)
 //	status := job:uint64
@@ -60,12 +60,6 @@ type Assign struct {
 	Index int
 	// Port is the job's data-plane TCP port on the host the worker dialed.
 	Port int
-	// ShardPorts are the per-master-shard data-plane ports on the same host,
-	// in shard order, when the job runs a sharded master with the scatter
-	// data plane (empty = unsharded: all traffic on Port). The worker dials
-	// every shard port in addition to Port and scatters each reply's
-	// coordinate slices across them.
-	ShardPorts []int
 	// Spec is the serialized job spec (core.EncodeSpec output).
 	Spec []byte
 }
@@ -164,14 +158,6 @@ func (w *Writer) WriteAssign(a Assign) error {
 	if err := w.u32(uint32(a.Port)); err != nil {
 		return err
 	}
-	if err := w.u32(uint32(len(a.ShardPorts))); err != nil {
-		return err
-	}
-	for _, p := range a.ShardPorts {
-		if err := w.u32(uint32(p)); err != nil {
-			return err
-		}
-	}
 	if err := w.blob(a.Spec); err != nil {
 		return err
 	}
@@ -193,31 +179,11 @@ func (r *Reader) ReadAssign() (Assign, error) {
 	if err != nil {
 		return Assign{}, err
 	}
-	nshards, err := r.u32()
-	if err != nil {
-		return Assign{}, err
-	}
-	// A shard count beyond the blob cap is certainly a corrupted stream;
-	// reject before allocating.
-	if nshards > maxBlobLen {
-		return Assign{}, fmt.Errorf("wire: assign shard count %d exceeds limit", nshards)
-	}
-	var shardPorts []int
-	if nshards > 0 {
-		shardPorts = make([]int, nshards)
-		for i := range shardPorts {
-			p, err := r.u32()
-			if err != nil {
-				return Assign{}, err
-			}
-			shardPorts[i] = int(p)
-		}
-	}
 	spec, err := r.blob()
 	if err != nil {
 		return Assign{}, err
 	}
-	return Assign{Job: job, Index: int(index), Port: int(port), ShardPorts: shardPorts, Spec: spec}, nil
+	return Assign{Job: job, Index: int(index), Port: int(port), Spec: spec}, nil
 }
 
 // WriteIdle emits a lease-end frame and flushes.

@@ -8,7 +8,7 @@
 // Frame layout (all integers little-endian):
 //
 //	frame := kind:uint8 body
-//	hello := worker:uint32 codec:uint8 topk:uint32 chunk:uint32 shards:uint32
+//	hello := worker:uint32 codec:uint8 topk:uint32 chunk:uint32
 //	model := iter:int64 level:uint32 vec(query)
 //	reply := iter:int64 worker:uint32 compute:float64 nmsgs:uint32 msg*
 //	msg   := from:uint32 tag:int64 units:float64 vec(vec) vec(imag)
@@ -85,12 +85,6 @@ type Hello struct {
 	Codec  PayloadCodec
 	TopK   int
 	Chunk  int
-	// Shards is the master-shard count of the run the sender was configured
-	// for (0 = unsharded): under the sharded master's scatter data plane
-	// workers ship each reply's coordinate slices to per-shard listeners, so
-	// both ends must agree on the shard map or slices would land on the
-	// wrong shard. Verified at handshake time like the codec parameters.
-	Shards int
 }
 
 // Model is a model-broadcast frame body; Iter < 0 signals shutdown. Level
@@ -316,9 +310,6 @@ func (w *Writer) WriteHello(h Hello) error {
 		return err
 	}
 	if err := w.u32(uint32(h.Chunk)); err != nil {
-		return err
-	}
-	if err := w.u32(uint32(h.Shards)); err != nil {
 		return err
 	}
 	return w.bw.Flush()
@@ -642,11 +633,7 @@ func (r *Reader) ReadHello() (Hello, error) {
 	if err != nil {
 		return Hello{}, err
 	}
-	shards, err := r.u32()
-	if err != nil {
-		return Hello{}, err
-	}
-	return Hello{Worker: int(w), Codec: PayloadCodec(codec), TopK: int(topk), Chunk: int(chunk), Shards: int(shards)}, nil
+	return Hello{Worker: int(w), Codec: PayloadCodec(codec), TopK: int(topk), Chunk: int(chunk)}, nil
 }
 
 // ReadModel decodes a model body (after NextKind returned KindModel) into a
