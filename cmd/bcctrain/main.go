@@ -187,9 +187,8 @@ func main() {
 	}
 	completed := 0
 	if *resume != "" {
-		// Sharded jobs resume from the per-shard file set written by a
-		// sharded run; unsharded jobs from the single file.
-		if completed, err = job.RestoreShardedCheckpoint(*resume); err != nil {
+		// A checkpoint is one file whatever -master-shards wrote or reads it.
+		if completed, err = job.RestoreCheckpoint(*resume); err != nil {
 			fail(err)
 		}
 		fmt.Printf("resumed from %s (%d iterations already completed)\n", *resume, completed)
@@ -239,21 +238,16 @@ func main() {
 		fmt.Printf("measured wire bytes (in/out):           %d/%d\n", res.TotalWireIn, res.TotalWireOut)
 	}
 	for _, ss := range res.Shards {
-		fmt.Printf("master shard %d [%d,%d): decode=%.3fms slice-bytes-in=%d\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.SliceBytesIn)
+		fmt.Printf("master shard %d [%d,%d): decode=%.3fms\n",
+			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 	fmt.Printf("training accuracy:                      %.4f\n", job.Accuracy(res.FinalW))
 
 	if *ckptOut != "" {
-		if err := job.CheckpointSharded(*ckptOut, completed+len(res.Iters)); err != nil {
+		if err := job.Checkpoint(*ckptOut, completed+len(res.Iters)); err != nil {
 			fail(err)
 		}
-		if spec.MasterShards > 1 {
-			fmt.Printf("checkpoint written to %s.shard0..%d (one file per master shard)\n",
-				*ckptOut, spec.MasterShards-1)
-		} else {
-			fmt.Printf("checkpoint written to %s\n", *ckptOut)
-		}
+		fmt.Printf("checkpoint written to %s\n", *ckptOut)
 	}
 
 	if rec != nil && rec.Len() > 0 {
@@ -330,8 +324,8 @@ func submitRemote(addr string, spec core.Spec, progress bool, timeout time.Durat
 		fmt.Printf("measured wire bytes:    %d in / %d out\n", fin.WireIn, fin.WireOut)
 	}
 	for _, ss := range fin.Shards {
-		fmt.Printf("master shard %d [%d,%d): decode=%.3fms slice-bytes-in=%d\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.SliceBytesIn)
+		fmt.Printf("master shard %d [%d,%d): decode=%.3fms\n",
+			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 	if fin.Faults > 0 {
 		fmt.Printf("fault events:           %d\n", fin.Faults)

@@ -213,12 +213,11 @@
 //     toward the lower index, so all runtimes keep the same set. Queries
 //     stay dense (sparsifying the iterate would change the algorithm).
 //
-// On the TCP runtime's compact binary frames, payload vectors stream in
+// On the TCP runtime's compact binary frames, payload vectors are staged in
 // fixed-size chunks (Spec.WireChunk elements, default 512 = 4 KiB; raw64
 // vectors move as byte views of the float64 slices on little-endian hosts);
 // chunking is pure staging — the byte stream is identical for every chunk
-// size — and the master can fold each decoded chunk slice as it arrives
-// (wire.Reader.ReadReplyChunks over coding.SliceDecoder). The TCP handshake
+// size. The TCP handshake
 // carries the codec, K and chunk size and rejects mismatched processes at
 // connect time. The simulator models the reduced payload: upload and
 // ingress-drain latencies scale by the codec's byte fraction.
@@ -269,16 +268,10 @@
 // goroutines decoding slices of the shared arrival buffers, and replies
 // reach the master exactly as they do unsharded — on TCP, one frame per
 // reply on the worker's own connection, read by that connection's reader.
-// ShardStats.SliceBytesIn attributes each iteration's modelled payload bytes
-// to the shards width-proportionally. Result.Shards reports the per-shard
-// totals (decode time, slice bytes), JobStatus.Shards and the
-// daemon's /metrics expose the same for service jobs, and checkpoints
-// follow the partition: Job.CheckpointSharded writes one self-describing
-// file per shard (path.shard0 …) and Job.RestoreShardedCheckpoint merges
-// them back into the exact full state, cross-checking shard identity and
-// iteration to reject torn sets — periodic checkpoints (CheckpointEvery)
-// and bcctrain's -checkpoint/-resume take the sharded path automatically
-// whenever MasterShards > 1. BENCH_PR8.json records the
+// Result.Shards reports each shard's decode time, and JobStatus.Shards and
+// the daemon's /metrics expose the same for service jobs. A checkpoint is
+// one whole-model file at any shard count (Job.Checkpoint), so a job at any
+// MasterShards resumes it. BENCH_PR8.json records the
 // committed sweep (single-core host: the rows bound dispatch overhead; the
 // decode slices scale with min(M, cores) on multi-core hosts).
 //

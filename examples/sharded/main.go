@@ -4,11 +4,10 @@
 // is a wall-clock knob, never a numerics knob — and the per-shard
 // measurements in Result.Shards are printed. Then the job runs on the TCP
 // runtime, where each reply is one frame on its worker's connection and the
-// shard group decodes behind it, again bit-identical to the sim; the wire
-// totals are measured, the per-shard slice bytes modelled. Finally the job
-// checkpoints one file per shard and a fresh job resumes from the merged
-// set, again bit-identical to an uninterrupted run; a torn set (one shard
-// file missing) is rejected.
+// shard group decodes behind it, again bit-identical to the sim, with the
+// wire totals measured. Finally an M-shard run writes its checkpoint — one
+// file, like any other job's — and an unsharded job resumes from it, again
+// bit-identical to an uninterrupted run.
 //
 //	go run ./examples/sharded
 package main
@@ -54,7 +53,7 @@ func main() {
 	}
 	fmt.Printf("sim: M=%d model identical to unsharded across all %d coordinates\n",
 		shards, len(plainRes.FinalW))
-	printShards("sim (modelled slice bytes)", shardRes.Shards)
+	printShards("sim", shardRes.Shards)
 
 	// --- 2. TCP: the shard group behind real sockets, bit for bit. -------
 	tcp := spec(30)
@@ -71,9 +70,9 @@ func main() {
 	}
 	fmt.Printf("\ntcp: M=%d reproduced the sim model exactly; "+
 		"measured wire in/out %d/%d bytes\n", shards, tcpRes.TotalWireIn, tcpRes.TotalWireOut)
-	printShards("tcp (modelled slice bytes)", tcpRes.Shards)
+	printShards("tcp", tcpRes.Shards)
 
-	// --- 3. Sharded checkpoint: one file per shard, merge-validated. -----
+	// --- 3. Checkpoint at M shards, resume at M = 1, bit for bit. -------
 	dir, err := os.MkdirTemp("", "bcc-sharded")
 	if err != nil {
 		log.Fatal(err)
@@ -88,22 +87,22 @@ func main() {
 	if _, err := half.Run(); err != nil {
 		log.Fatal(err)
 	}
-	if err := half.CheckpointSharded(path, 15); err != nil {
+	if err := half.Checkpoint(path, 15); err != nil {
 		log.Fatal(err)
 	}
 	files, _ := os.ReadDir(dir)
-	fmt.Printf("\ncheckpoint: %d files written:", len(files))
+	fmt.Printf("\ncheckpoint at M=%d: %d file(s) written:", shards, len(files))
 	for _, f := range files {
 		info, _ := f.Info()
 		fmt.Printf("  %s (%dB)", f.Name(), info.Size())
 	}
 	fmt.Println()
 
-	resumed, err := bcc.NewJob(specSharded(15))
+	resumed, err := bcc.NewJob(spec(15))
 	if err != nil {
 		log.Fatal(err)
 	}
-	completed, err := resumed.RestoreShardedCheckpoint(path)
+	completed, err := resumed.RestoreCheckpoint(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,20 +115,7 @@ func main() {
 			log.Fatalf("resumed coordinate %d differs", i)
 		}
 	}
-	fmt.Printf("resume: %d done + 15 more == uninterrupted 30, bit for bit\n", completed)
-
-	// A torn set — here, one shard file deleted — must be rejected, not
-	// silently reassembled into a partial state.
-	os.Remove(path + ".shard2")
-	torn, err := bcc.NewJob(specSharded(15))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := torn.RestoreShardedCheckpoint(path); err != nil {
-		fmt.Printf("torn set rejected: %v\n", err)
-	} else {
-		log.Fatal("torn shard set was accepted")
-	}
+	fmt.Printf("resume at M=1: %d done + 15 more == uninterrupted 30, bit for bit\n", completed)
 }
 
 func specSharded(iters int) bcc.Spec {
@@ -141,7 +127,7 @@ func specSharded(iters int) bcc.Spec {
 func printShards(label string, stats []bcc.ShardStats) {
 	fmt.Printf("per-shard stats, %s:\n", label)
 	for _, ss := range stats {
-		fmt.Printf("  shard %d owns [%4d,%4d)  decode %6.2fms  slice bytes in %d\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.SliceBytesIn)
+		fmt.Printf("  shard %d owns [%4d,%4d)  decode %6.2fms\n",
+			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 }

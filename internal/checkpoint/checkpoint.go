@@ -42,19 +42,12 @@ func Save(path string, s *State) error {
 		return fmt.Errorf("checkpoint: nil state")
 	}
 	s.Format = CurrentFormat
-	return writeAtomic(path, s)
-}
-
-// writeAtomic gob-encodes v to <path>.tmp, fsyncs and renames into place —
-// the write protocol shared by full and per-shard checkpoints.
-func writeAtomic(path string, v any) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(v); err != nil {
+	if err := gob.NewEncoder(f).Encode(s); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: encode: %w", err)
@@ -75,23 +68,16 @@ func writeAtomic(path string, v any) error {
 	return nil
 }
 
-func readGob(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("checkpoint: decode: %w", err)
-	}
-	return nil
-}
-
 // Load reads a checkpoint from path.
 func Load(path string) (*State, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
 	var s State
-	if err := readGob(path, &s); err != nil {
-		return nil, err
+	if err := gob.NewDecoder(f).Decode(&s); err != nil {
+		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
 	if s.Format != CurrentFormat {
 		return nil, fmt.Errorf("checkpoint: unsupported format %d (want %d)", s.Format, CurrentFormat)

@@ -29,9 +29,9 @@ type CommOptions struct {
 	// Setting it with any other codec is an error.
 	TopK int
 	// Chunk is the wire framing chunk size in float64 elements (0 = the wire
-	// default, 512). Chunking is staging + streaming granularity only — the
-	// byte stream is identical for every chunk size — but master and TCP
-	// workers must still agree so their streaming decode slices align.
+	// default, 512). Chunking is staging granularity only — the byte stream
+	// is identical for every chunk size — and master shard boundaries align
+	// to it. The TCP handshake still requires master and workers to agree.
 	Chunk int
 }
 

@@ -191,7 +191,7 @@ func TestTCPHandshakeRejectsCodecMismatch(t *testing.T) {
 }
 
 // TestTCPChunkSizeInvariance pins the chunking contract end to end: the
-// chunk size is streaming granularity only, so tcp runs with wildly
+// chunk size is staging granularity only, so tcp runs with wildly
 // different chunk sizes produce bit-identical results and identical modelled
 // byte counts.
 func TestTCPChunkSizeInvariance(t *testing.T) {

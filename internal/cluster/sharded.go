@@ -12,8 +12,8 @@ import (
 // The sharded master data plane: the p-dimensional model is partitioned
 // coordinate-wise into Config.MasterShards contiguous slices, each owned by
 // one master shard that independently decodes its slice (via
-// coding.SliceDecoder), applies the optimizer update on its slice (via
-// optimize.SliceUpdater) and accounts its slice's bytes — while a thin
+// coding.SliceDecoder) and applies the optimizer update on its slice (via
+// optimize.SliceUpdater) — while a thin
 // coordinator (the engine loop) keeps the O(n) control plane centralized:
 // arrival counting, threshold/MinResponders decisions, fault bookkeeping and
 // Observer callbacks.
@@ -23,8 +23,7 @@ import (
 //   - Shard boundaries are contiguous, fixed for the whole run, and aligned
 //     to the comm plane's wire chunk size (CommOptions.Chunk, default 512
 //     elements), so a shard's slice is always a whole number of wire chunks
-//     (except the last, which takes the remainder), and sharded checkpoints
-//     split the optimizer state at the same boundaries.
+//     (except the last, which takes the remainder).
 //   - A shard writes ONLY grad[lo:hi] and the optimizer state of
 //     coordinates [lo, hi); the coordinator owns everything else. Shards
 //     share the iteration's decoder read-only — DecodeSliceInto over
@@ -56,10 +55,6 @@ type ShardStats struct {
 	// DecodeNs is cumulative wall time the shard spent decoding, scaling and
 	// updating its slice, in nanoseconds.
 	DecodeNs int64 `json:"decode_ns"`
-	// SliceBytesIn counts payload bytes attributed to this shard's slice: the
-	// slice's width-proportional share of the modelled iteration bytes, on
-	// every runtime (replies reach the master whole, never per shard).
-	SliceBytesIn int64 `json:"slice_bytes_in"`
 }
 
 // ShardObserver is the optional Observer capability for sharded runs: after
@@ -70,25 +65,13 @@ type ShardObserver interface {
 	OnShards(stats []ShardStats)
 }
 
-// ShardMap returns the master shard partition this Config's engine
-// derives: MasterShards+1 boundaries cutting [0, Model.Dim())
-// at wire-chunk multiples, shard s owning [map[s], map[s+1]). Callers that
-// persist per-slice state (sharded checkpoints) use this to stay aligned
-// with the engine's ownership — the map is a pure function of (Dim,
-// MasterShards, chunk), so every process derives the same one.
-func (c *Config) ShardMap() []int {
-	chunk := c.comm().pc.ChunkElems()
-	shards := effectiveShards(c.Model.Dim(), c.MasterShards, chunk)
-	return shardBounds(c.Model.Dim(), shards, chunk)
-}
-
 // effectiveShards clamps a configured shard count to the number of wire
 // chunks the model actually splits into: more shards than chunks would only
 // produce empty tail shards, whose goroutines are pure waste. Clamping is
 // bit-compatible — shardBounds assigns the surplus shards empty tail
 // ranges, so the non-empty prefix boundaries are identical either way.
-// Every consumer of a shard count (the in-process shard group, ShardMap)
-// derives it through this helper so they agree.
+// Every consumer of a shard count (the in-process shard group,
+// CommOptions.MaxShards) derives it through this helper so they agree.
 func effectiveShards(dim, shards, chunk int) int {
 	if shards < 1 {
 		shards = 1
@@ -148,7 +131,6 @@ type masterShards struct {
 	grad   []float64
 	bounds []int
 	scale  float64 // 1/NumExamples, the gradient normalization
-	dim    int
 
 	work []chan struct{}
 	done chan int // shard index, one per completed dispatch
@@ -180,7 +162,6 @@ func newMasterShards(cfg *Config, dec coding.Decoder, grad []float64) *masterSha
 		grad:   grad,
 		bounds: shardBounds(dim, m, chunk),
 		scale:  1 / float64(cfg.Model.NumExamples()),
-		dim:    dim,
 		work:   make([]chan struct{}, m),
 		done:   make(chan int, m),
 		quit:   make(chan struct{}),
@@ -242,22 +223,10 @@ func (ms *masterShards) finishIteration(st *IterStats) error {
 	st.WorkersHeard = ms.dec.WorkersHeard()
 	st.Units = ms.dec.UnitsReceived()
 	st.GradNorm = vecmath.Norm2(ms.grad)
-	ms.account(st)
-	return nil
-}
-
-// account adds each slice's width-proportional share of the iteration's
-// modelled payload bytes and publishes the stats to the observer.
-func (ms *masterShards) account(st *IterStats) {
-	if ms.dim > 0 {
-		for s := range ms.stats {
-			width := ms.bounds[s+1] - ms.bounds[s]
-			ms.stats[s].SliceBytesIn += int64(st.Bytes) * int64(width) / int64(ms.dim)
-		}
-	}
 	if ms.so != nil {
 		ms.so.OnShards(ms.stats)
 	}
+	return nil
 }
 
 // snapshot returns a copy of the cumulative shard stats (for Result.Shards).

@@ -80,8 +80,7 @@ func TestShardedMasterConformance(t *testing.T) {
 // checkShardStats validates the Result.Shards invariants: one entry per
 // effective shard (the configured count clamped to the model's wire-chunk
 // count — empty tail shards are never materialized), ranges partitioning
-// [0, dim), every shard having decoded every iteration, and modelled byte
-// attribution present on every non-empty shard.
+// [0, dim) and every shard having decoded every iteration.
 func checkShardStats(t *testing.T, label string, res *Result, m, chunk int) {
 	t.Helper()
 	if len(res.Shards) == 0 {
@@ -100,9 +99,6 @@ func checkShardStats(t *testing.T, label string, res *Result, m, chunk int) {
 		at = st.Hi
 		if st.Iters != len(res.Iters) {
 			t.Errorf("%s: shard %d decoded %d iterations, run had %d", label, s, st.Iters, len(res.Iters))
-		}
-		if st.Hi > st.Lo && st.SliceBytesIn <= 0 {
-			t.Errorf("%s: shard %d (width %d) attributed no bytes", label, s, st.Hi-st.Lo)
 		}
 	}
 }

@@ -223,16 +223,12 @@ func (d *bccDecoder) Offer(msg Message) bool {
 func (d *bccDecoder) Decodable() bool { return d.tracker.Complete() }
 
 func (d *bccDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	vecmath.SumVectorsInto(dst, d.kept)
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
 // DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the batch
-// sum only. Every batch slot is held once decodable, so the slot-order slice
-// fold reproduces DecodeInto bit-for-bit on any partition.
+// sum in slot order, so any partition reproduces the whole-range decode
+// bit-for-bit.
 func (d *bccDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable

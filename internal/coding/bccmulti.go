@@ -210,22 +210,14 @@ func (d *coverageDecoder) Offer(msg Message) bool {
 
 func (d *coverageDecoder) Decodable() bool { return d.covered >= d.need }
 
-// DecodeInto sums the kept batch messages (scaled for the approximate
-// schemes).
 func (d *coverageDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	s := d.scale(d.covered)
-	sumSparseInto(dst, d.kept)
-	if s != 1 {
-		vecmath.Scale(s, dst)
-	}
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
-// DecodeSliceInto implements SliceDecoder: reconstruct output elements
-// [lo, hi) only.
+// DecodeSliceInto implements SliceDecoder: output elements [lo, hi) of the
+// kept batch messages summed in slot order, then scaled for the approximate
+// schemes. Each element runs the same sequence on any partition, so every
+// partition reproduces the whole-range decode bit-for-bit.
 func (d *coverageDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
@@ -233,35 +225,11 @@ func (d *coverageDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if err := checkDecodeSlice(dst, lo, hi); err != nil {
 		return err
 	}
-	d.decodeRange(dst, lo, hi)
+	sumSparseSliceInto(dst, d.kept, lo, hi)
+	if s := d.scale(d.covered); s != 1 {
+		vecmath.Scale(s, dst[lo:hi])
+	}
 	return nil
-}
-
-// decodeRange folds the kept batch sums over output dimensions [lo, hi) in
-// slot order, then applies the coverage scale — the same per-element
-// sequence as sumSparseInto + Scale, so any partition of the dimensions is
-// bit-for-bit identical to the serial fold.
-func (d *coverageDecoder) decodeRange(dst []float64, lo, hi int) {
-	s := d.scale(d.covered)
-	first := true
-	for _, v := range d.kept {
-		if v == nil {
-			continue
-		}
-		if first {
-			copy(dst[lo:hi], v[lo:hi])
-			first = false
-			continue
-		}
-		for t := lo; t < hi; t++ {
-			dst[t] += v[t]
-		}
-	}
-	if s != 1 {
-		for t := lo; t < hi; t++ {
-			dst[t] *= s
-		}
-	}
 }
 
 func (d *coverageDecoder) WorkersHeard() int      { return d.heard.count }

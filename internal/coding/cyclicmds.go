@@ -218,19 +218,16 @@ func (d *mdsDecoder) trySolve() {
 
 func (d *mdsDecoder) Decodable() bool { return d.coeffs != nil }
 
-// DecodeInto combines the complex messages and writes the real part; the
-// imaginary part of the true combination is identically zero (the decode
-// identity sum_i a_i B[i][u] = 1 holds in C and the gradients are real).
 func (d *mdsDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	d.decodeRange(dst, 0, len(dst))
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
-// DecodeSliceInto implements SliceDecoder: reconstruct output elements
-// [lo, hi) only.
+// DecodeSliceInto implements SliceDecoder: it combines the complex messages
+// over output elements [lo, hi) and writes the real part; the imaginary part
+// of the true combination is identically zero (the decode identity
+// sum_i a_i B[i][u] = 1 holds in C and the gradients are real). Each element
+// folds its per-worker terms in coefficient order, so any partition
+// reproduces the whole-range decode bit-for-bit.
 func (d *mdsDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
@@ -238,14 +235,6 @@ func (d *mdsDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if err := checkDecodeSlice(dst, lo, hi); err != nil {
 		return err
 	}
-	d.decodeRange(dst, lo, hi)
-	return nil
-}
-
-// decodeRange combines output dimensions [lo, hi): each element folds its
-// per-worker terms in coefficient order, so any partition of the dimensions
-// reproduces the serial result bit-for-bit.
-func (d *mdsDecoder) decodeRange(dst []float64, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		dst[t] = 0
 	}
@@ -257,6 +246,7 @@ func (d *mdsDecoder) decodeRange(dst []float64, lo, hi int) {
 			dst[t] += ar*re[t] - ai*im[t]
 		}
 	}
+	return nil
 }
 
 func (d *mdsDecoder) WorkersHeard() int      { return len(d.workers) }

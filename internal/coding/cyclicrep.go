@@ -286,17 +286,15 @@ func (d *codedDecoder) trySolve() {
 
 func (d *codedDecoder) Decodable() bool { return d.coeffs != nil }
 
-// DecodeInto combines the kept messages with the solved coefficients.
 func (d *codedDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	vecmath.LinearCombinationInto(dst, d.coeffs, d.vecs[:len(d.coeffs)])
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
-// DecodeSliceInto implements SliceDecoder: reconstruct output elements
-// [lo, hi) only.
+// DecodeSliceInto implements SliceDecoder: it combines the kept messages
+// with the solved coefficients over output elements [lo, hi). Each element
+// accumulates its terms coeffs[i]*vecs[i][t] in slice order from zero — the
+// same per-element sequence as LinearCombinationInto — so any partition
+// reproduces the whole-range decode bit-for-bit.
 func (d *codedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
@@ -304,25 +302,16 @@ func (d *codedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if err := checkDecodeSlice(dst, lo, hi); err != nil {
 		return err
 	}
-	d.decodeRange(dst, lo, hi)
-	return nil
-}
-
-// decodeRange combines output dimensions [lo, hi): each element accumulates
-// its terms coeffs[i]*vecs[i][t] in slice order from zero — the same
-// per-element sequence as LinearCombinationInto, so any partition of the
-// dimensions reproduces the serial result bit-for-bit.
-func (d *codedDecoder) decodeRange(dst []float64, lo, hi int) {
-	vecs := d.vecs[:len(d.coeffs)]
 	for t := lo; t < hi; t++ {
 		dst[t] = 0
 	}
-	for i, v := range vecs {
+	for i, v := range d.vecs[:len(d.coeffs)] {
 		c := d.coeffs[i]
 		for t := lo; t < hi; t++ {
 			dst[t] += c * v[t]
 		}
 	}
+	return nil
 }
 
 func (d *codedDecoder) WorkersHeard() int      { return len(d.workers) }

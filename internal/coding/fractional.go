@@ -193,16 +193,12 @@ func (d *fractionalDecoder) Offer(msg Message) bool {
 func (d *fractionalDecoder) Decodable() bool { return d.covered == d.plan.nBlocks }
 
 func (d *fractionalDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	vecmath.SumVectorsInto(dst, d.kept)
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
 // DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// block-order sum only. Every block slot is held once decodable, so the
-// slice fold reproduces DecodeInto bit-for-bit on any partition.
+// block-order sum, so any partition reproduces the whole-range decode
+// bit-for-bit.
 func (d *fractionalDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable

@@ -162,16 +162,12 @@ func (d *genBCCDecoder) Offer(msg Message) bool {
 func (d *genBCCDecoder) Decodable() bool { return d.tracker.Complete() }
 
 func (d *genBCCDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	vecmath.SumVectorsInto(dst, d.kept)
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
 // DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// example-order sum only. Every example slot is held once decodable, so the
-// slice fold reproduces DecodeInto bit-for-bit on any partition.
+// example-order sum, so any partition reproduces the whole-range decode
+// bit-for-bit.
 func (d *genBCCDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable
@@ -310,15 +306,12 @@ func (d *partitionedDecoder) Offer(msg Message) bool {
 func (d *partitionedDecoder) Decodable() bool { return d.heard >= d.plan.holders }
 
 func (d *partitionedDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	sumSparseInto(dst, d.got)
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
 // DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// worker-order sum only; any partition reproduces DecodeInto bit-for-bit.
+// worker-order sum; any partition reproduces the whole-range decode
+// bit-for-bit.
 func (d *partitionedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable

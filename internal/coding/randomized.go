@@ -5,7 +5,6 @@ import (
 
 	"bcc/internal/coupon"
 	"bcc/internal/rngutil"
-	"bcc/internal/vecmath"
 )
 
 // Randomized is the "simple randomized scheme" of the paper's introduction
@@ -128,16 +127,12 @@ func (d *randomizedDecoder) Offer(msg Message) bool {
 func (d *randomizedDecoder) Decodable() bool { return d.tracker.Complete() }
 
 func (d *randomizedDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	vecmath.SumVectorsInto(dst, d.kept)
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
 // DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// example-order sum only. Every example slot is held once decodable, so the
-// slice fold reproduces DecodeInto bit-for-bit on any partition.
+// example-order sum, so any partition reproduces the whole-range decode
+// bit-for-bit.
 func (d *randomizedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable

@@ -374,32 +374,11 @@ func setKey(workers []int, sortBuf []int, keyBuf []byte) ([]int, []byte) {
 	return sortBuf, keyBuf
 }
 
-// sumSparseInto folds the non-nil vectors of vs into dst in slot order,
-// fully overwriting dst (the in-place form of the "clone first, add rest"
-// fold the decoders previously allocated). It panics if every slot is nil.
-func sumSparseInto(dst []float64, vs [][]float64) {
-	first := true
-	for _, v := range vs {
-		if v == nil {
-			continue
-		}
-		if first {
-			copy(dst, v)
-			first = false
-		} else {
-			vecmath.AddInto(dst, v)
-		}
-	}
-	if first {
-		panic("coding: decode with no kept vectors")
-	}
-}
-
 // sumSparseSliceInto folds elements [lo, hi) of the non-nil vectors of vs
-// into dst[lo:hi] in slot order — the slice form of sumSparseInto. Each
-// element folds its terms in the same order as the full fold, so any
-// partition of [0, len(dst)) reproduces sumSparseInto bit-for-bit. It panics
-// if every slot is nil.
+// into dst[lo:hi] in slot order ("copy the first, add the rest"). Each
+// element folds its terms in the same order whatever the range, so any
+// partition of [0, len(dst)) reproduces the whole-range fold bit-for-bit. It
+// panics if every slot is nil.
 func sumSparseSliceInto(dst []float64, vs [][]float64, lo, hi int) {
 	first := true
 	for _, v := range vs {
@@ -411,21 +390,20 @@ func sumSparseSliceInto(dst []float64, vs [][]float64, lo, hi int) {
 			first = false
 			continue
 		}
-		for t := lo; t < hi; t++ {
-			dst[t] += v[t]
-		}
+		vecmath.AddInto(dst[lo:hi], v[lo:hi])
 	}
 	if first {
 		panic("coding: decode with no kept vectors")
 	}
 }
 
-// SliceDecoder is the optional Decoder capability behind streaming decode
-// and the sharded master: a decoder whose output elements are independent
-// can reconstruct an arbitrary output slice [lo, hi) on its own. Each slice
-// folds its terms in the serial order, so any partition of [0, p) — the
-// engine's MasterShards goroutines, or the comm plane's wire chunks as they
-// arrive — reproduces DecodeInto bit-for-bit.
+// SliceDecoder is the Decoder capability behind the sharded master: a
+// decoder whose output elements are independent can reconstruct an
+// arbitrary output slice [lo, hi) on its own. Each slice folds its terms in
+// the serial order, so any partition of [0, p) across the engine's
+// MasterShards goroutines reproduces DecodeInto bit-for-bit. Every decoder
+// in this package implements it, and its DecodeInto is the whole-range
+// slice decode.
 type SliceDecoder interface {
 	Decoder
 	// DecodeSliceInto reconstructs output elements [lo, hi) of the decoded

@@ -108,7 +108,7 @@ func sliceDecoderFor(t *testing.T, scheme string, dim int) (SliceDecoder, []floa
 	return sd, ref
 }
 
-// TestDecodeSliceIntoPartitions is the streaming-decode contract test: for
+// TestDecodeSliceIntoPartitions is the slice-decode contract test: for
 // every SliceDecoder scheme — all registered schemes plus the unregistered
 // load-specific ones — assembling the output from an ARBITRARY partition of
 // [0, p) — uniform chunks of every size, including wire-chunk shapes that

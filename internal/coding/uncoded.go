@@ -106,18 +106,13 @@ func (d *uncodedDecoder) Offer(msg Message) bool {
 
 func (d *uncodedDecoder) Decodable() bool { return d.heard >= d.plan.holders }
 
-// DecodeInto sums in worker-index order so the result is bit-for-bit
-// identical regardless of message arrival order.
 func (d *uncodedDecoder) DecodeInto(dst []float64) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	sumSparseInto(dst, d.got)
-	return nil
+	return d.DecodeSliceInto(dst, 0, len(dst))
 }
 
 // DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// worker-order sum only; any partition reproduces DecodeInto bit-for-bit.
+// worker-order sum, so the result is bit-for-bit identical regardless of
+// message arrival order and any partition reproduces the whole-range decode.
 func (d *uncodedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
 	if !d.Decodable() {
 		return ErrNotDecodable

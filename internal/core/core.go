@@ -321,8 +321,9 @@ type Spec struct {
 	// setting it with any other codec is an error.
 	TopK int `json:"top_k,omitempty"`
 	// WireChunk is the wire framing chunk size in float64 elements for the
-	// TCP runtime's frames (0 = default 512). Chunking changes streaming
-	// granularity only, never the bytes or the results.
+	// TCP runtime's frames (0 = default 512). Chunking changes staging
+	// granularity and master shard boundaries only, never the bytes or the
+	// results.
 	WireChunk int `json:"wire_chunk,omitempty"`
 	// TimeScale converts virtual seconds to real sleeps on live runtimes.
 	TimeScale float64 `json:"time_scale,omitempty"`
@@ -460,7 +461,7 @@ func (s *Spec) validateOptions() error {
 		// The comm options resolved above, so MaxShards cannot fail here.
 		if max, err := s.comm().MaxShards(s.Dim); err == nil && s.MasterShards > max {
 			return &OptionError{Option: "MasterShards", Value: fmt.Sprintf("%d", s.MasterShards),
-				Reason: fmt.Sprintf("exceeds the %d wire chunk(s) of a %d-dim model — the surplus shards would own empty slices yet still cost listeners and ports", max, s.Dim)}
+				Reason: fmt.Sprintf("exceeds the %d wire chunk(s) of a %d-dim model — the surplus shards would own empty slices", max, s.Dim)}
 		}
 	}
 	if s.FaultScenario != "" && !faults.Known(s.FaultScenario) {
@@ -597,9 +598,7 @@ func (j *Job) clusterConfig() *cluster.Config {
 	var ckpt func(completed int) error
 	if j.Spec.CheckpointEvery > 0 && j.Spec.CheckpointPath != "" {
 		path := j.Spec.CheckpointPath
-		// Shard-aware: with MasterShards > 1 the periodic checkpoint
-		// follows the engine's partition, one file per shard.
-		ckpt = func(completed int) error { return j.CheckpointSharded(path, j.Resumed+completed) }
+		ckpt = func(completed int) error { return j.Checkpoint(path, j.Resumed+completed) }
 	}
 	var ctl cluster.Controller
 	if j.Spec.AdaptRedundancy {
@@ -651,49 +650,15 @@ func (j *Job) Run() (*cluster.Result, error) { return j.RunContext(context.Backg
 func (j *Job) Accuracy(w []float64) float64 { return j.Model.Accuracy(w) }
 
 // Checkpoint writes the job's current optimizer state to path (atomically).
-// completed is the number of iterations already run against this job.
+// completed is the number of iterations already run against this job. The
+// file is one whole-model snapshot whatever Spec.MasterShards is, so a run
+// at any shard count can resume it.
 func (j *Job) Checkpoint(path string, completed int) error {
-	st, err := j.snapshotState(completed)
-	if err != nil {
-		return err
-	}
-	return checkpoint.Save(path, st)
-}
-
-// CheckpointSharded writes the job's optimizer state as one self-describing
-// file per master shard — path.shard0 … path.shard{M-1}, M =
-// Spec.MasterShards — following the engine's coordinate partition
-// (Config.ShardMap), so each shard persists exactly the slice it owns.
-// Scalar optimizer state is replicated into every file; a job with
-// MasterShards < 2 falls back to the single-file Checkpoint.
-func (j *Job) CheckpointSharded(path string, completed int) error {
-	shards := j.Spec.MasterShards
-	if shards < 2 {
-		return j.Checkpoint(path, completed)
-	}
-	st, err := j.snapshotState(completed)
-	if err != nil {
-		return err
-	}
-	bounds := j.clusterConfig().ShardMap()
-	for s := 0; s < shards; s++ {
-		sh, err := st.SliceOf(s, shards, bounds[s], bounds[s+1])
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.SaveShard(checkpoint.ShardPath(path, s), sh); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (j *Job) snapshotState(completed int) (*checkpoint.State, error) {
 	snap, ok := j.Opt.(optimize.Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("core: optimizer %q does not support checkpointing", j.Spec.Optimizer)
+		return fmt.Errorf("core: optimizer %q does not support checkpointing", j.Spec.Optimizer)
 	}
-	return &checkpoint.State{
+	return checkpoint.Save(path, &checkpoint.State{
 		Scheme:    string(j.Spec.Scheme),
 		M:         j.Spec.Examples,
 		N:         j.Spec.Workers,
@@ -702,7 +667,7 @@ func (j *Job) snapshotState(completed int) (*checkpoint.State, error) {
 		Seed:      j.Spec.Seed,
 		Completed: completed,
 		Opt:       snap.Snapshot(),
-	}, nil
+	})
 }
 
 // RestoreCheckpoint loads path into the job after validating that the
@@ -715,58 +680,11 @@ func (j *Job) RestoreCheckpoint(path string) (completed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	return j.restoreState(st)
-}
-
-// RestoreShardedCheckpoint loads the per-shard files written by
-// CheckpointSharded (path.shard0 … path.shard{M-1}) and merges them into
-// the full optimizer state. The shard map — count and coordinate ranges —
-// is read from the files themselves and checked against the job's own
-// partition up front, so a resume whose MasterShards or WireChunk flags
-// disagree with the checkpoint fails with a message naming the mismatch
-// instead of a late merge error (or a silently different partition). The
-// merge additionally rejects torn sets — a missing or duplicated shard,
-// coordinate gaps, or shards saved at different iterations or by different
-// jobs — before the usual topology validation. A job with MasterShards < 2
-// falls back to the single-file restore.
-func (j *Job) RestoreShardedCheckpoint(path string) (completed int, err error) {
-	shards := j.Spec.MasterShards
-	if shards < 2 {
-		return j.RestoreCheckpoint(path)
-	}
-	// Shard 0 carries the authoritative split; trust it over the flags.
-	first, err := checkpoint.LoadShard(checkpoint.ShardPath(path, 0))
-	if err != nil {
-		return 0, err
-	}
-	if first.Shards != shards {
-		return 0, fmt.Errorf("core: checkpoint %s was split into %d shard(s), but this job is configured with MasterShards=%d — rerun with the shard count the checkpoint was written with",
-			path, first.Shards, shards)
-	}
-	bounds := j.clusterConfig().ShardMap()
-	parts := make([]*checkpoint.Shard, shards)
-	parts[0] = first
-	for s := 1; s < shards; s++ {
-		if parts[s], err = checkpoint.LoadShard(checkpoint.ShardPath(path, s)); err != nil {
-			return 0, err
-		}
-	}
-	for s, sh := range parts {
-		if sh.Lo != bounds[s] || sh.Hi != bounds[s+1] {
-			return 0, fmt.Errorf("core: checkpoint shard %d owns [%d,%d) but this job's shard map assigns [%d,%d) — the checkpoint was written under a different wire chunk size or model dimension",
-				s, sh.Lo, sh.Hi, bounds[s], bounds[s+1])
-		}
-	}
-	st, err := checkpoint.Merge(parts)
-	if err != nil {
-		return 0, err
-	}
-	return j.restoreState(st)
-}
-
-func (j *Job) restoreState(st *checkpoint.State) (completed int, err error) {
 	if err := st.Matches(string(j.Spec.Scheme), j.Spec.Examples, j.Spec.Workers, j.Spec.Load, j.Spec.Dim, j.Spec.Seed); err != nil {
 		return 0, err
+	}
+	if st.Completed < 0 {
+		return 0, fmt.Errorf("core: checkpoint %s records %d completed iterations", path, st.Completed)
 	}
 	snap, ok := j.Opt.(optimize.Snapshotter)
 	if !ok {

@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"bcc/internal/checkpoint"
 	"bcc/internal/cluster"
 	"bcc/internal/faults"
 	"bcc/internal/rngutil"
@@ -210,18 +210,19 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 	}
 }
 
-func TestShardedCheckpointResumeBitExact(t *testing.T) {
-	// A sharded job checkpointing after 10 iterations into per-shard files
-	// and resuming for 10 more must reproduce an uninterrupted 20-iteration
-	// run bit for bit, and the restore must reject a torn shard set.
-	spec := func(iters int) Spec {
+func TestShardedCheckpointAnyShardCount(t *testing.T) {
+	// A checkpoint is one whole-model file whatever the writer's shard
+	// count: a MasterShards=3 job checkpointing every 5 iterations leaves
+	// exactly that one file, and resuming it at any shard count for 10 more
+	// iterations reproduces an uninterrupted 20-iteration run bit for bit.
+	spec := func(iters, shards int) Spec {
 		return Spec{
 			Examples: 10, Workers: 20, Load: 2,
 			DataPoints: 80, Dim: 1100, Iterations: iters, Seed: 55,
-			MasterShards: 3, WireChunk: 128,
+			MasterShards: shards, WireChunk: 128,
 		}
 	}
-	full, err := NewJob(spec(20))
+	full, err := NewJob(spec(20, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,53 +231,104 @@ func TestShardedCheckpointResumeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := NewJob(spec(10))
+	dir := t.TempDir()
+	path := dir + "/ckpt.bin"
+	writer := spec(10, 3)
+	writer.CheckpointEvery = 5
+	writer.CheckpointPath = path
+	first, err := NewJob(writer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.Run(); err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/ckpt.bin"
-	if err := first.CheckpointSharded(path, 10); err != nil {
+	files, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < 3; s++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.shard%d", path, s)); err != nil {
-			t.Fatalf("missing shard file %d: %v", s, err)
+	if len(files) != 1 || files[0].Name() != "ckpt.bin" {
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+		}
+		t.Fatalf("checkpoint left files %v, want exactly [ckpt.bin]", names)
+	}
+
+	for _, m := range []int{1, 2, 3} {
+		resumed, err := NewJob(spec(10, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed, err := resumed.RestoreCheckpoint(path)
+		if err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		if completed != 10 {
+			t.Fatalf("M=%d: completed = %d, want 10", m, completed)
+		}
+		resRes, err := resumed.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := vecmath.MaxAbsDiff(fullRes.FinalW, resRes.FinalW); d != 0 {
+			t.Fatalf("M=%d: resume diverged from uninterrupted run by %v", m, d)
 		}
 	}
+}
 
-	resumed, err := NewJob(spec(10))
-	if err != nil {
-		t.Fatal(err)
+func TestCheckpointRejectsInvalidScalars(t *testing.T) {
+	// A checkpoint file is outside input: a negative iteration count, or a
+	// Nesterov theta that is not a finite value >= 1, must fail the restore
+	// instead of silently derailing the step-size schedule or momentum.
+	spec := func(opt string) Spec {
+		return Spec{Optimizer: Optimizer(opt), Examples: 8, Workers: 8, Load: 2, DataPoints: 32, Dim: 6, Iterations: 2, Seed: 1}
 	}
-	completed, err := resumed.RestoreShardedCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if completed != 10 {
-		t.Fatalf("completed = %d", completed)
-	}
-	resRes, err := resumed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vecmath.MaxAbsDiff(fullRes.FinalW, resRes.FinalW); d != 0 {
-		t.Fatalf("sharded resume diverged from uninterrupted run by %v", d)
-	}
-
-	// Torn set: deleting one shard file must fail the restore, not
-	// silently reassemble a partial state.
-	if err := os.Remove(path + ".shard1"); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := NewJob(spec(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := torn.RestoreShardedCheckpoint(path); err == nil {
-		t.Fatal("restore of torn shard set succeeded")
+	for _, tc := range []struct {
+		name, opt string
+		corrupt   func(*checkpoint.State)
+	}{
+		{"negative completed", "nesterov", func(s *checkpoint.State) { s.Completed = -1 }},
+		{"negative T", "nesterov", func(s *checkpoint.State) { s.Opt.T = -3 }},
+		{"gd negative T", "gd", func(s *checkpoint.State) { s.Opt.T = -1 }},
+		{"theta NaN", "nesterov", func(s *checkpoint.State) { s.Opt.Theta = math.NaN() }},
+		{"theta +Inf", "nesterov", func(s *checkpoint.State) { s.Opt.Theta = math.Inf(1) }},
+		{"theta -Inf", "nesterov", func(s *checkpoint.State) { s.Opt.Theta = math.Inf(-1) }},
+		{"theta below 1", "nesterov", func(s *checkpoint.State) { s.Opt.Theta = 0.5 }},
+	} {
+		job, err := NewJob(spec(tc.opt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Run(); err != nil {
+			t.Fatal(err)
+		}
+		path := t.TempDir() + "/ckpt.bin"
+		if err := job.Checkpoint(path, 2); err != nil {
+			t.Fatal(err)
+		}
+		st, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(st)
+		if err := checkpoint.Save(path, st); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewJob(spec(tc.opt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.RestoreCheckpoint(path); err == nil {
+			t.Errorf("%s: restore accepted the checkpoint", tc.name)
+		}
+		// The valid checkpoint the corruption started from restores.
+		if err := job.Checkpoint(path, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.RestoreCheckpoint(path); err != nil {
+			t.Errorf("%s: valid checkpoint rejected: %v", tc.name, err)
+		}
 	}
 }
 

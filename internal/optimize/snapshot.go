@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"fmt"
+	"math"
 
 	"bcc/internal/vecmath"
 )
@@ -38,6 +39,9 @@ func (g *GD) Restore(s State) error {
 	if len(s.W) != len(g.w) {
 		return fmt.Errorf("optimize: GD restore dimension %d != %d", len(s.W), len(g.w))
 	}
+	if s.T < 0 {
+		return fmt.Errorf("optimize: GD restore iteration count %d is negative", s.T)
+	}
 	copy(g.w, s.W)
 	g.t = s.T
 	return nil
@@ -54,13 +58,20 @@ func (n *Nesterov) Snapshot() State {
 	}
 }
 
-// Restore implements Snapshotter.
+// Restore implements Snapshotter. Theta must be finite and at least 1: the
+// FISTA sequence starts at 1 and only grows.
 func (n *Nesterov) Restore(s State) error {
 	if s.Kind != "nesterov" {
 		return fmt.Errorf("optimize: restoring %q state into Nesterov", s.Kind)
 	}
 	if len(s.W) != len(n.w) || len(s.WPrev) != len(n.wPrev) {
 		return fmt.Errorf("optimize: Nesterov restore dimension %d/%d != %d", len(s.W), len(s.WPrev), len(n.w))
+	}
+	if s.T < 0 {
+		return fmt.Errorf("optimize: Nesterov restore iteration count %d is negative", s.T)
+	}
+	if !(s.Theta >= 1) || math.IsInf(s.Theta, 1) {
+		return fmt.Errorf("optimize: Nesterov restore theta %v is not a finite value >= 1", s.Theta)
 	}
 	copy(n.w, s.W)
 	copy(n.wPrev, s.WPrev)

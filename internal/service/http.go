@@ -74,10 +74,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 // format is plain text with one sample per line).
 func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 	type shardSample struct {
-		job     core.JobID
-		shard   int
-		decode  int64
-		bytesIn int64
+		job    core.JobID
+		shard  int
+		decode int64
 	}
 	type levelSample struct {
 		job      core.JobID
@@ -99,10 +98,7 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		// Per-shard gauges for jobs that have not been collected yet: running
 		// jobs expose live values, finished ones their final counters.
 		for _, ss := range rec.shards {
-			shardSamples = append(shardSamples, shardSample{
-				job: rec.id, shard: ss.Shard, decode: ss.DecodeNs,
-				bytesIn: ss.SliceBytesIn,
-			})
+			shardSamples = append(shardSamples, shardSample{job: rec.id, shard: ss.Shard, decode: ss.DecodeNs})
 		}
 		if rec.level > 0 {
 			levelSamples = append(levelSamples, levelSample{job: rec.id, level: rec.level, switches: rec.levelSwitch})
@@ -136,10 +132,6 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		b.WriteString("# HELP bcc_shard_decode_ns_total Cumulative slice decode+update nanoseconds per master shard.\n# TYPE bcc_shard_decode_ns_total counter\n")
 		for _, s := range shardSamples {
 			fmt.Fprintf(&b, "bcc_shard_decode_ns_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.decode)
-		}
-		b.WriteString("# HELP bcc_shard_bytes_in_total Modelled payload bytes attributed to each master shard's slice (its width-proportional share).\n# TYPE bcc_shard_bytes_in_total counter\n")
-		for _, s := range shardSamples {
-			fmt.Fprintf(&b, "bcc_shard_bytes_in_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.bytesIn)
 		}
 	}
 	if len(levelSamples) > 0 {

@@ -85,7 +85,7 @@ type JobStatus struct {
 	Level         int `json:"level,omitempty"`
 	LevelSwitches int `json:"level_switches,omitempty"`
 	// Shards holds the per-shard counters of a sharded-master job (cumulative
-	// decode time, modelled slice bytes), absent for unsharded jobs.
+	// decode time), absent for unsharded jobs.
 	Shards []cluster.ShardStats `json:"shards,omitempty"`
 }
 

@@ -71,8 +71,7 @@ func (c PayloadCodec) String() string {
 // DefaultChunk is the number of float64 elements staged per bulk read/write
 // chunk (4 KiB at raw64 width): large enough to amortize the copy, small
 // enough that per-codec scratch stays modest and a corrupt length prefix
-// cannot force a huge transient buffer. It is also the streaming granularity
-// of ReadReplyChunks — each decoded chunk is handed to the caller as a slice.
+// cannot force a huge transient buffer.
 const DefaultChunk = 512
 
 // maxChunk bounds configured chunk sizes so scratch buffers stay sane.

@@ -415,61 +415,6 @@ func TestChunkSizeNeverChangesBytes(t *testing.T) {
 	}
 }
 
-// TestReadReplyChunksStreams pins the streaming decode contract: onChunk
-// observes a disjoint, in-order partition of every payload vector, each
-// slice already holding its final decoded values, for chunked dense codecs
-// and the single-chunk top-k scatter alike.
-func TestReadReplyChunksStreams(t *testing.T) {
-	rng := rngutil.New(10)
-	vec := make([]float64, 100)
-	for i := range vec {
-		vec[i] = rng.Normal()
-	}
-	for _, tc := range []struct {
-		codec      PayloadCodec
-		chunk      int
-		wantChunks int
-	}{
-		{PayloadRaw64, 33, 4}, // 33+33+33+1
-		{PayloadF32, 50, 2},
-		{PayloadF32, 100, 1},
-		{PayloadTopK, 8, 1}, // scatter: one full-vector chunk
-	} {
-		pc := PayloadConfig{Codec: tc.codec, TopK: 10, Chunk: tc.chunk}
-		frame := writeReplyBytes(t, pc, Reply{Msgs: []Msg{{Units: 1, Vec: vec}}})
-		r := NewReader(bytes.NewReader(frame))
-		r.SetPayload(pc)
-		if _, err := r.NextKind(); err != nil {
-			t.Fatal(err)
-		}
-		var rep Reply
-		next := 0
-		chunks := 0
-		assembled := make([]float64, len(vec))
-		err := r.ReadReplyChunks(&rep, nil, func(v []float64, lo, hi int) {
-			if lo != next || hi <= lo || hi > len(vec) {
-				t.Fatalf("codec %v chunk %d: slice [%d,%d) does not continue partition at %d", tc.codec, tc.chunk, lo, hi, next)
-			}
-			copy(assembled[lo:hi], v[lo:hi])
-			next = hi
-			chunks++
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next != len(vec) {
-			t.Fatalf("codec %v: partition ended at %d of %d", tc.codec, next, len(vec))
-		}
-		if chunks != tc.wantChunks {
-			t.Fatalf("codec %v chunk %d: %d chunks, want %d", tc.codec, tc.chunk, chunks, tc.wantChunks)
-		}
-		want := append([]float64(nil), vec...)
-		NewVecCoder(pc).ApplyReply(want)
-		checkVecEqual(t, 0, "assembled", assembled, want)
-		checkVecEqual(t, 0, "vec", rep.Msgs[0].Vec, want)
-	}
-}
-
 // TestTopKDecodeRejectsMalformed pins the reader's top-k validation: indices
 // out of order, repeated, out of range, or a count above the vector length
 // must fail cleanly instead of scattering wild.

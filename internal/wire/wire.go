@@ -28,10 +28,8 @@
 // copy. Every other body — f32, topk, raw64 on big-endian hosts — is
 // converted word by word through a staging buffer of PayloadConfig.Chunk
 // elements (DefaultChunk unless configured), one write or ReadFull per
-// chunk. Chunking never changes the byte stream — it is identical for every
-// chunk size and on every host — but it is the streaming decode granularity:
-// ReadReplyChunks hands each decoded chunk slice to the caller, raw64
-// included, while later chunks are still in flight.
+// chunk. Chunking never changes the byte stream: it is identical for every
+// chunk size and on every host.
 package wire
 
 import (
@@ -458,26 +456,17 @@ func vecBuf(alloc VecAlloc, n int) []float64 {
 	return v
 }
 
-// ChunkFunc observes decoded payload slices: after each chunk of a payload
-// vector is in place the reader calls fn(v, lo, hi) where v[lo:hi] holds the
-// freshly decoded elements. The slice aliases the destination buffer and
-// must not be retained past the enclosing Read call. Top-k payloads arrive
-// as a single logical chunk covering the whole vector (the scatter target
-// must be fully zeroed before any element is final).
-type ChunkFunc func(v []float64, lo, hi int)
-
 // vecRaw reads a raw64 vector body into a buffer from alloc: straight into
 // the buffer's byte view on little-endian hosts, through the byte scratch
-// otherwise. Without a ChunkFunc to feed, a byte-view read is one ReadFull of
-// the whole body, which bufio serves from the connection directly once its
-// own buffer is drained.
-func (r *Reader) vecRaw(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+// otherwise. A byte-view read is one ReadFull of the whole body, which bufio
+// serves from the connection directly once its own buffer is drained.
+func (r *Reader) vecRaw(alloc VecAlloc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
 	}
 	v := vecBuf(alloc, n)
-	if byteViews && fn == nil {
+	if byteViews {
 		if _, err := io.ReadFull(r.br, f64Bytes(v)); err != nil {
 			return nil, err
 		}
@@ -485,22 +474,13 @@ func (r *Reader) vecRaw(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 	}
 	for off := 0; off < n; {
 		k := min(n-off, r.chunk)
-		dst := v[off : off+k]
-		if byteViews {
-			if _, err := io.ReadFull(r.br, f64Bytes(dst)); err != nil {
-				return nil, err
-			}
-		} else {
-			buf := r.stage(k * 8)
-			if _, err := io.ReadFull(r.br, buf); err != nil {
-				return nil, err
-			}
-			for i := range dst {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
+		buf := r.stage(k * 8)
+		if _, err := io.ReadFull(r.br, buf); err != nil {
+			return nil, err
 		}
-		if fn != nil {
-			fn(v, off, off+k)
+		dst := v[off : off+k]
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
 		off += k
 	}
@@ -508,7 +488,7 @@ func (r *Reader) vecRaw(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 }
 
 // vecF32 reads an f32 vector body, widening each word to float64.
-func (r *Reader) vecF32(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecF32(alloc VecAlloc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
@@ -526,9 +506,6 @@ func (r *Reader) vecF32(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 		for i := 0; i < k; i++ {
 			v[off+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
 		}
-		if fn != nil {
-			fn(v, off, off+k)
-		}
 		off += k
 	}
 	return v, nil
@@ -536,7 +513,7 @@ func (r *Reader) vecF32(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 
 // vecTopK reads a top-k vector body: k ascending (index, value) pairs
 // scattered into a zero-filled dense buffer.
-func (r *Reader) vecTopK(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecTopK(alloc VecAlloc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
@@ -573,30 +550,27 @@ func (r *Reader) vecTopK(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 		}
 		off += m
 	}
-	if fn != nil {
-		fn(v, 0, n)
-	}
 	return v, nil
 }
 
 // vecReply dispatches a reply payload read through the configured codec.
-func (r *Reader) vecReply(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecReply(alloc VecAlloc) ([]float64, error) {
 	switch r.pc.Codec {
 	case PayloadF32:
-		return r.vecF32(alloc, fn)
+		return r.vecF32(alloc)
 	case PayloadTopK:
-		return r.vecTopK(alloc, fn)
+		return r.vecTopK(alloc)
 	}
-	return r.vecRaw(alloc, fn)
+	return r.vecRaw(alloc)
 }
 
 // vecQuery dispatches a model query read (f32 quantizes queries, raw64
 // otherwise — mirroring Writer.vecQuery).
 func (r *Reader) vecQuery(alloc VecAlloc) ([]float64, error) {
 	if r.pc.Codec == PayloadF32 {
-		return r.vecF32(alloc, nil)
+		return r.vecF32(alloc)
 	}
-	return r.vecRaw(alloc, nil)
+	return r.vecRaw(alloc)
 }
 
 // NextKind reads the next frame's kind byte. Data-plane and control-plane
@@ -676,16 +650,6 @@ func (r *Reader) ReadReply() (Reply, error) {
 // error rep's contents are unspecified. Nil vectors on the wire (the nilLen
 // sentinel) decode to nil without consulting alloc.
 func (r *Reader) ReadReplyInto(rep *Reply, alloc VecAlloc) error {
-	return r.ReadReplyChunks(rep, alloc, nil)
-}
-
-// ReadReplyChunks is ReadReplyInto with streaming decode: onChunk (may be
-// nil) observes each payload slice as soon as its elements are decoded, so
-// the caller can fold chunk slices into a combination buffer while later
-// chunks of the same reply are still in flight on the connection. The slice
-// passed to onChunk is owned by the reply being decoded; the callback must
-// not retain it.
-func (r *Reader) ReadReplyChunks(rep *Reply, alloc VecAlloc, onChunk ChunkFunc) error {
 	iter, err := r.i64()
 	if err != nil {
 		return err
@@ -726,11 +690,11 @@ func (r *Reader) ReadReplyChunks(rep *Reply, alloc VecAlloc, onChunk ChunkFunc) 
 		if err != nil {
 			return err
 		}
-		vec, err := r.vecReply(alloc, onChunk)
+		vec, err := r.vecReply(alloc)
 		if err != nil {
 			return err
 		}
-		imag, err := r.vecReply(alloc, onChunk)
+		imag, err := r.vecReply(alloc)
 		if err != nil {
 			return err
 		}
