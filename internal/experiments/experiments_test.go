@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +15,8 @@ import (
 	"bcc/internal/rngutil"
 	"bcc/internal/stats"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/runall_quick.golden")
 
 func quickOpt() Options { return Options{Quick: true, Seed: 7} }
 
@@ -362,6 +367,12 @@ func TestNamesComplete(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick pins every table's rendered output at quick sizes and seed
+// 7, so a refactor of a scheme's placement, encode or decode that moves a
+// single figure shows up as a diff. Regenerate after an INTENTIONAL change
+// with:
+//
+//	go test ./internal/experiments -run TestRunAllQuick -update-golden
 func TestRunAllQuick(t *testing.T) {
 	var buf bytes.Buffer
 	tables, err := RunAll(context.Background(), quickOpt(), &buf)
@@ -371,8 +382,22 @@ func TestRunAllQuick(t *testing.T) {
 	if len(tables) != len(registry) {
 		t.Fatalf("RunAll produced %d tables", len(tables))
 	}
-	if buf.Len() == 0 {
-		t.Fatal("RunAll rendered nothing")
+	path := filepath.Join("testdata", "runall_quick.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("RunAll output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 
