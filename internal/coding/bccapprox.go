@@ -45,52 +45,20 @@ func (s BCCApprox) Plan(m, n, r int, rng *rngutil.RNG) (Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coding/bccapprox: %w", err)
 	}
-	bp := base.(*bccPlan)
-	need := int(math.Ceil(phi * float64(bp.nBatches)))
+	p := base.(*coveragePlan)
+	nBatches := p.slots
+	need := int(math.Ceil(phi * float64(nBatches)))
 	if need < 1 {
 		need = 1
 	}
-	return &bccApproxPlan{bccPlan: bp, phi: phi, need: need}, nil
-}
-
-type bccApproxPlan struct {
-	*bccPlan
-	phi  float64
-	need int
-}
-
-func (p *bccApproxPlan) Scheme() string { return "bccapprox" }
-
-// CoverageTarget returns the number of batches the decoder waits for.
-func (p *bccApproxPlan) CoverageTarget() int { return p.need }
-
-// MinResponders overrides the embedded exact-BCC coverage bound: the
-// approximate decoder is satisfied by `need` covered batches, and each
-// worker holds one batch, so fewer than `need` workers can never be ready.
-func (p *bccApproxPlan) MinResponders() int { return p.need }
-
-// ExpectedThreshold implements Plan: the expected draws of the classic
-// collector to see `need` distinct coupons of nBatches types, capped at n.
-func (p *bccApproxPlan) ExpectedThreshold() float64 {
-	e := coupon.PartialExpectedDraws(p.nBatches, p.need)
-	if e > float64(p.n) {
-		return float64(p.n)
-	}
-	return e
-}
-
-func (p *bccApproxPlan) NewDecoder() Decoder {
-	nb := p.nBatches
-	return &coverageDecoder{
-		nBatches: nb,
-		need:     p.need,
-		tracker:  coupon.NewTracker(nb),
-		kept:     make([][]float64, nb),
-		heard:    newWorkerMask(p.n),
-		scale: func(covered int) float64 {
-			return float64(nb) / float64(covered)
-		},
-	}
+	p.scheme = "bccapprox"
+	p.need = need
+	// Each worker holds one batch, so fewer than need workers never cover
+	// need batches.
+	p.minResp = need
+	// The classic collector's expected draws to see need of nBatches types.
+	p.expected = func() float64 { return capAt(coupon.PartialExpectedDraws(nBatches, need), n) }
+	return p, nil
 }
 
 var _ Scheme = BCCApprox{}

@@ -164,9 +164,8 @@ func TestBCCApproxScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := plan.(*bccApproxPlan)
-	if ap.CoverageTarget() != 2 { // ceil(0.5*4)
-		t.Fatalf("coverage target %d, want 2", ap.CoverageTarget())
+	if need := plan.(*coveragePlan).need; need != 2 { // ceil(0.5*4)
+		t.Fatalf("coverage target %d, want 2", need)
 	}
 	gs, _ := makeGradients(16, rng)
 	dec := plan.NewDecoder()

@@ -6,7 +6,6 @@ import (
 
 	"bcc/internal/coupon"
 	"bcc/internal/rngutil"
-	"bcc/internal/vecmath"
 )
 
 // BCCMulti is a design-space ablation of BCC: instead of ONE batch of r
@@ -88,160 +87,25 @@ func (s BCCMulti) Plan(m, n, r int, rng *rngutil.RNG) (Plan, error) {
 			continue
 		}
 		assign := make([][]int, n)
-		spans := make([][]batchSpan, n)
+		groups := make([][]group, n)
 		for w := 0; w < n; w++ {
 			var ids []int
-			var sp []batchSpan
 			for _, b := range choice[w] {
 				lo := len(ids)
 				ids = append(ids, batches[b]...)
-				sp = append(sp, batchSpan{batch: b, lo: lo, hi: len(ids)})
+				groups[w] = append(groups[w], group{tag: b, lo: lo, hi: len(ids)})
 			}
 			assign[w] = ids
-			spans[w] = sp
 		}
-		return &bccMultiPlan{
-			m: m, n: n, r: r, k: k,
-			nBatches: nBatches,
-			assign:   assign,
-			spans:    spans,
-		}, nil
+		p := newCoveragePlan("bccmulti", m, n, r, assign, groups, nBatches)
+		// The group-drawing collector: each worker reveals K distinct
+		// coupons of the nBatches types.
+		p.expected = func() float64 { return capAt(coupon.BatchExpectedDraws(nBatches, k), n) }
+		p.comm = float64(k)
+		return p, nil
 	}
 	return nil, fmt.Errorf("coding/bccmulti: no feasible placement after %d tries (m=%d n=%d r=%d K=%d)",
 		maxTries, m, n, r, k)
 }
 
-// batchSpan locates one batch's partial gradients inside a worker's
-// assignment slice.
-type batchSpan struct {
-	batch, lo, hi int
-}
-
-type bccMultiPlan struct {
-	m, n, r, k int
-	nBatches   int
-	assign     [][]int
-	spans      [][]batchSpan
-}
-
-func (p *bccMultiPlan) Scheme() string          { return "bccmulti" }
-func (p *bccMultiPlan) Params() (int, int, int) { return p.m, p.n, p.r }
-func (p *bccMultiPlan) Assignments() [][]int    { return p.assign }
-
-// NumBatches returns the (finer) batch count ceil(m/(r/K)).
-func (p *bccMultiPlan) NumBatches() int { return p.nBatches }
-
-func (p *bccMultiPlan) WorstCaseThreshold() int { return -1 }
-
-// ExpectedThreshold implements Plan via the group-drawing collector: each
-// worker reveals K distinct coupons of the nBatches types.
-func (p *bccMultiPlan) ExpectedThreshold() float64 {
-	k := coupon.BatchExpectedDraws(p.nBatches, p.k)
-	if k > float64(p.n) {
-		return float64(p.n)
-	}
-	return k
-}
-
-func (p *bccMultiPlan) CommLoadPerWorker() float64 { return float64(p.k) }
-
-// EncodeInto implements Plan: one batch-sum message per selected batch,
-// summed directly into pooled payload buffers.
-func (p *bccMultiPlan) EncodeInto(dst []Message, worker int, parts [][]float64, bufs Buffers) []Message {
-	checkParts("bccmulti", p.assign, worker, parts)
-	for _, sp := range p.spans[worker] {
-		sum := grabBuf(bufs, len(parts[0]))
-		vecmath.Fill(sum, 0)
-		for i := sp.lo; i < sp.hi; i++ {
-			vecmath.AddInto(sum, parts[i])
-		}
-		dst = append(dst, Message{From: worker, Tag: sp.batch, Vec: sum, Units: 1})
-	}
-	return dst
-}
-
-func (p *bccMultiPlan) NewDecoder() Decoder {
-	return &coverageDecoder{
-		nBatches: p.nBatches,
-		need:     p.nBatches,
-		tracker:  coupon.NewTracker(p.nBatches),
-		kept:     make([][]float64, p.nBatches),
-		heard:    newWorkerMask(p.n),
-		scale:    func(covered int) float64 { return 1 },
-	}
-}
-
 var _ Scheme = BCCMulti{}
-
-// ---------------------------------------------------------------------------
-// coverageDecoder: shared batch-coverage decoding (bccmulti, bccapprox)
-// ---------------------------------------------------------------------------
-
-// coverageDecoder keeps the first message per batch and declares
-// decodability once `need` batches are covered; DecodeInto writes the kept
-// sums scaled by scale(covered) — identity for exact schemes, an inflation
-// factor for approximate ones.
-type coverageDecoder struct {
-	nBatches int
-	need     int
-	tracker  *coupon.Tracker
-	kept     [][]float64
-	heard    workerMask
-	units    float64
-	covered  int
-	scale    func(covered int) float64
-}
-
-func (d *coverageDecoder) Offer(msg Message) bool {
-	if d.Decodable() {
-		return true
-	}
-	d.heard.hear(msg.From)
-	d.units += msg.Units
-	if msg.Tag < 0 || msg.Tag >= d.nBatches {
-		panic(fmt.Sprintf("coding: coverage decoder got invalid batch tag %d", msg.Tag))
-	}
-	if d.tracker.Offer(msg.Tag) {
-		d.kept[msg.Tag] = msg.Vec
-		d.covered++
-	}
-	return d.Decodable()
-}
-
-func (d *coverageDecoder) Decodable() bool { return d.covered >= d.need }
-
-func (d *coverageDecoder) DecodeInto(dst []float64) error {
-	return d.DecodeSliceInto(dst, 0, len(dst))
-}
-
-// DecodeSliceInto implements SliceDecoder: output elements [lo, hi) of the
-// kept batch messages summed in slot order, then scaled for the approximate
-// schemes. Each element runs the same sequence on any partition, so every
-// partition reproduces the whole-range decode bit-for-bit.
-func (d *coverageDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	if err := checkDecodeSlice(dst, lo, hi); err != nil {
-		return err
-	}
-	sumSparseSliceInto(dst, d.kept, lo, hi)
-	if s := d.scale(d.covered); s != 1 {
-		vecmath.Scale(s, dst[lo:hi])
-	}
-	return nil
-}
-
-func (d *coverageDecoder) WorkersHeard() int      { return d.heard.count }
-func (d *coverageDecoder) UnitsReceived() float64 { return d.units }
-
-// Reset implements Decoder.
-func (d *coverageDecoder) Reset() {
-	d.tracker.Reset()
-	for i := range d.kept {
-		d.kept[i] = nil
-	}
-	d.heard.reset()
-	d.units = 0
-	d.covered = 0
-}

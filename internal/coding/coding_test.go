@@ -247,9 +247,9 @@ func TestCyclicRepCannotDecodeBelowThreshold(t *testing.T) {
 
 func TestBCCBatchStructure(t *testing.T) {
 	rng := rngutil.New(50)
-	p := planFor(t, "bcc", 50, 50, 10, rng).(*bccPlan)
-	if p.NumBatches() != 5 {
-		t.Fatalf("batches = %d, want 5", p.NumBatches())
+	p := planFor(t, "bcc", 50, 50, 10, rng).(*coveragePlan)
+	if p.slots != 5 {
+		t.Fatalf("batches = %d, want 5", p.slots)
 	}
 	// Every worker's assignment is exactly one batch: r consecutive ids
 	// starting at a multiple of r.
@@ -266,17 +266,17 @@ func TestBCCBatchStructure(t *testing.T) {
 				t.Fatalf("worker %d batch not contiguous", w)
 			}
 		}
-		if p.BatchOf(w) != a[0]/10 {
-			t.Fatalf("BatchOf mismatch for worker %d", w)
+		if g := p.groups[w]; len(g) != 1 || g[0].tag != a[0]/10 {
+			t.Fatalf("worker %d sends %v, want one message tagged batch %d", w, g, a[0]/10)
 		}
 	}
 }
 
 func TestBCCShortLastBatch(t *testing.T) {
 	rng := rngutil.New(51)
-	p := planFor(t, "bcc", 10, 20, 3, rng).(*bccPlan)
-	if p.NumBatches() != 4 {
-		t.Fatalf("batches = %d, want ceil(10/3)=4", p.NumBatches())
+	p := planFor(t, "bcc", 10, 20, 3, rng).(*coveragePlan)
+	if p.slots != 4 {
+		t.Fatalf("batches = %d, want ceil(10/3)=4", p.slots)
 	}
 	gs, want := makeGradients(10, rng)
 	got, _ := driveDecoder(t, p, gs, seq(20))
@@ -414,7 +414,7 @@ func TestRandomizedCommunicationLoadExceedsBCC(t *testing.T) {
 
 func TestFractionalExpectedThresholdMatchesMC(t *testing.T) {
 	rng := rngutil.New(70)
-	p := planFor(t, "fractional", 20, 20, 4, rng).(*fractionalPlan)
+	p := planFor(t, "fractional", 20, 20, 4, rng)
 	want := p.ExpectedThreshold()
 	gs, _ := makeGradients(20, rng)
 	var sum float64
@@ -434,7 +434,7 @@ func TestFractionalEarlyFinish(t *testing.T) {
 	// favourable order (one worker per block first), it finishes after
 	// exactly n/r workers.
 	rng := rngutil.New(71)
-	p := planFor(t, "fractional", 20, 20, 4, rng).(*fractionalPlan)
+	p := planFor(t, "fractional", 20, 20, 4, rng)
 	gs, want := makeGradients(20, rng)
 	order := []int{0, 1, 2, 3, 4} // workers 0..4 hold blocks 0..4 (n/r = 5)
 	got, heard := driveDecoder(t, p, gs, order)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"bcc/internal/coupon"
 	"bcc/internal/rngutil"
-	"bcc/internal/vecmath"
 )
 
 // GeneralizedBCC is the heterogeneous-cluster scheme of the paper's §IV:
@@ -79,117 +77,16 @@ func (s GeneralizedBCC) Plan(m, n, r int, rng *rngutil.RNG) (Plan, error) {
 			assign[w] = rng.Sample(m, loads[w])
 		}
 		if coverageFeasible(m, assign) {
-			return &genBCCPlan{m: m, n: n, r: r, loads: loads, assign: assign}, nil
+			p := newCoveragePlan("genbcc", m, n, r, assign, exampleGroups(assign), m)
+			// Heterogeneous loads have no clean closed form: Monte-Carlo only.
+			p.expected = func() float64 { return math.NaN() }
+			// Every partial gradient ships separately: the average load.
+			p.comm = float64(total) / float64(n)
+			return p, nil
 		}
 	}
 	return nil, fmt.Errorf("coding/genbcc: no feasible placement after %d tries (total load %d over m=%d)",
 		maxTries, total, m)
-}
-
-type genBCCPlan struct {
-	m, n, r int
-	loads   []int
-	assign  [][]int
-}
-
-func (p *genBCCPlan) Scheme() string          { return "genbcc" }
-func (p *genBCCPlan) Params() (int, int, int) { return p.m, p.n, p.r }
-func (p *genBCCPlan) Assignments() [][]int    { return p.assign }
-
-// Loads returns the per-worker sample counts.
-func (p *genBCCPlan) Loads() []int { return p.loads }
-
-func (p *genBCCPlan) WorstCaseThreshold() int { return -1 }
-
-// ExpectedThreshold implements Plan; heterogeneous loads have no clean
-// closed form, so NaN signals "Monte-Carlo only".
-func (p *genBCCPlan) ExpectedThreshold() float64 { return math.NaN() }
-
-// CommLoadPerWorker implements Plan: the average per-worker load (uncoded
-// communication ships every partial gradient separately).
-func (p *genBCCPlan) CommLoadPerWorker() float64 {
-	var total float64
-	for _, l := range p.loads {
-		total += float64(l)
-	}
-	return total / float64(p.n)
-}
-
-// EncodeInto implements Plan: one unit message per sampled example (§IV's
-// uncoded communication model), copied into pooled payload buffers.
-func (p *genBCCPlan) EncodeInto(dst []Message, worker int, parts [][]float64, bufs Buffers) []Message {
-	checkParts("genbcc", p.assign, worker, parts)
-	for k, g := range parts {
-		buf := grabBuf(bufs, len(g))
-		copy(buf, g)
-		dst = append(dst, Message{From: worker, Tag: p.assign[worker][k], Vec: buf, Units: 1})
-	}
-	return dst
-}
-
-func (p *genBCCPlan) NewDecoder() Decoder {
-	return &genBCCDecoder{
-		plan:    p,
-		tracker: coupon.NewTracker(p.m),
-		kept:    make([][]float64, p.m),
-		heard:   newWorkerMask(p.n),
-	}
-}
-
-type genBCCDecoder struct {
-	plan    *genBCCPlan
-	tracker *coupon.Tracker
-	kept    [][]float64
-	heard   workerMask
-	units   float64
-}
-
-func (d *genBCCDecoder) Offer(msg Message) bool {
-	if d.Decodable() {
-		return true
-	}
-	d.heard.hear(msg.From)
-	d.units += msg.Units
-	if msg.Tag < 0 || msg.Tag >= d.plan.m {
-		panic(fmt.Sprintf("coding/genbcc: invalid example tag %d", msg.Tag))
-	}
-	if d.tracker.Offer(msg.Tag) {
-		d.kept[msg.Tag] = msg.Vec
-	}
-	return d.Decodable()
-}
-
-func (d *genBCCDecoder) Decodable() bool { return d.tracker.Complete() }
-
-func (d *genBCCDecoder) DecodeInto(dst []float64) error {
-	return d.DecodeSliceInto(dst, 0, len(dst))
-}
-
-// DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// example-order sum, so any partition reproduces the whole-range decode
-// bit-for-bit.
-func (d *genBCCDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	if err := checkDecodeSlice(dst, lo, hi); err != nil {
-		return err
-	}
-	sumSparseSliceInto(dst, d.kept, lo, hi)
-	return nil
-}
-
-func (d *genBCCDecoder) WorkersHeard() int      { return d.heard.count }
-func (d *genBCCDecoder) UnitsReceived() float64 { return d.units }
-
-// Reset implements Decoder.
-func (d *genBCCDecoder) Reset() {
-	d.tracker.Reset()
-	for i := range d.kept {
-		d.kept[i] = nil
-	}
-	d.heard.reset()
-	d.units = 0
 }
 
 var _ Scheme = GeneralizedBCC{}
@@ -236,103 +133,32 @@ func (s Partitioned) Plan(m, n, r int, _ *rngutil.RNG) (Plan, error) {
 	if maxLoad > r {
 		return nil, fmt.Errorf("coding/partitioned: max load %d exceeds declared r=%d", maxLoad, r)
 	}
+	return partitionedPlan("partitioned", m, n, r, s.Loads), nil
+}
+
+// partitionedPlan places contiguous blocks of loads[w] examples on worker w
+// in order; each data holder ships its block sum and the master needs every
+// holder.
+func partitionedPlan(scheme string, m, n, r int, loads []int) *coveragePlan {
 	assign := make([][]int, n)
+	workers := make([]int, n)
 	next := 0
-	holders := 0
 	for w := 0; w < n; w++ {
-		ids := make([]int, s.Loads[w])
+		ids := make([]int, loads[w])
 		for k := range ids {
 			ids[k] = next
 			next++
 		}
 		assign[w] = ids
-		if len(ids) > 0 {
-			holders++
-		}
+		workers[w] = w
 	}
-	return &partitionedPlan{m: m, n: n, r: r, assign: assign, holders: holders}, nil
-}
-
-type partitionedPlan struct {
-	m, n, r int
-	assign  [][]int
-	holders int
-}
-
-func (p *partitionedPlan) Scheme() string          { return "partitioned" }
-func (p *partitionedPlan) Params() (int, int, int) { return p.m, p.n, p.r }
-func (p *partitionedPlan) Assignments() [][]int    { return p.assign }
-func (p *partitionedPlan) WorstCaseThreshold() int { return p.holders }
-
-// MinResponders implements the exact converse bound: the partitioned
-// baseline has zero redundancy, so every data-holding worker is required.
-func (p *partitionedPlan) MinResponders() int         { return p.holders }
-func (p *partitionedPlan) ExpectedThreshold() float64 { return float64(p.holders) }
-func (p *partitionedPlan) CommLoadPerWorker() float64 { return 1 }
-
-func (p *partitionedPlan) EncodeInto(dst []Message, worker int, parts [][]float64, bufs Buffers) []Message {
-	checkParts("partitioned", p.assign, worker, parts)
-	if len(parts) == 0 {
-		return dst
-	}
-	buf := grabBuf(bufs, len(parts[0]))
-	vecmath.SumVectorsInto(buf, parts)
-	return append(dst, Message{From: worker, Tag: worker, Vec: buf, Units: 1})
-}
-
-func (p *partitionedPlan) NewDecoder() Decoder {
-	return &partitionedDecoder{plan: p, got: make([][]float64, p.n)}
-}
-
-type partitionedDecoder struct {
-	plan  *partitionedPlan
-	got   [][]float64
-	heard int
-	units float64
-}
-
-func (d *partitionedDecoder) Offer(msg Message) bool {
-	if d.Decodable() {
-		return true
-	}
-	if d.got[msg.From] == nil {
-		d.got[msg.From] = msg.Vec
-		d.heard++
-		d.units += msg.Units
-	}
-	return d.Decodable()
-}
-
-func (d *partitionedDecoder) Decodable() bool { return d.heard >= d.plan.holders }
-
-func (d *partitionedDecoder) DecodeInto(dst []float64) error {
-	return d.DecodeSliceInto(dst, 0, len(dst))
-}
-
-// DecodeSliceInto implements SliceDecoder: elements [lo, hi) of the
-// worker-order sum; any partition reproduces the whole-range decode
-// bit-for-bit.
-func (d *partitionedDecoder) DecodeSliceInto(dst []float64, lo, hi int) error {
-	if !d.Decodable() {
-		return ErrNotDecodable
-	}
-	if err := checkDecodeSlice(dst, lo, hi); err != nil {
-		return err
-	}
-	sumSparseSliceInto(dst, d.got, lo, hi)
-	return nil
-}
-
-func (d *partitionedDecoder) WorkersHeard() int      { return d.heard }
-func (d *partitionedDecoder) UnitsReceived() float64 { return d.units }
-
-// Reset implements Decoder.
-func (d *partitionedDecoder) Reset() {
-	for i := range d.got {
-		d.got[i] = nil
-	}
-	d.heard = 0
-	d.units = 0
+	p := newCoveragePlan(scheme, m, n, r, assign, wholeGroups(assign, workers), n)
+	// Zero redundancy: every data holder is needed, whatever the order.
+	p.worst = p.full
+	p.minResp = p.full
+	holders := float64(p.full)
+	p.expected = func() float64 { return holders }
+	return p
 }
 
 var _ Scheme = Partitioned{}

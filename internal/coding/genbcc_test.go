@@ -52,8 +52,7 @@ func TestGenBCCLoadsClampedToM(t *testing.T) {
 			t.Fatalf("worker %d assigned %d, want clamp to m=6", w, len(a))
 		}
 	}
-	gp := plan.(*genBCCPlan)
-	if math.IsNaN(gp.ExpectedThreshold()) == false {
+	if !math.IsNaN(plan.ExpectedThreshold()) {
 		t.Fatal("heterogeneous threshold should be NaN (MC only)")
 	}
 }

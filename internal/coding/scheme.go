@@ -1,13 +1,28 @@
 // Package coding implements the gradient-coding schemes the paper proposes
-// and compares against, behind a single Scheme/Plan/Decoder abstraction:
+// and compares against, behind a single Scheme/Plan/Decoder abstraction.
+// The registered schemes:
 //
 //   - bcc        — Batched Coupon's Collector (the paper's contribution, §III)
+//   - bccapprox  — BCC that stops at a fraction Phi of the batches and
+//     rescales (approximate gradient recovery)
+//   - bccmulti   — BCC with K smaller batches per worker (design ablation)
 //   - uncoded    — disjoint partition, wait for every worker (§III-C baseline)
 //   - randomized — per-example uniform sampling, unit messages (§I eqs. 5-6)
 //   - cyclicrep  — Cyclic Repetition gradient coding [Tandon et al. 2016]
 //   - fractional — Fractional Repetition gradient coding [Tandon et al. 2016]
 //   - cyclicmds  — cyclic-MDS / Reed-Solomon style coding [Raviv et al.;
 //     Halbawi et al.]
+//   - nested     — nested cyclic codes whose redundancy level is re-tuned
+//     between iterations [Maßny et al.]
+//
+// Two more take per-worker loads and are built directly, not registered:
+// genbcc (§IV's generalized BCC) and partitioned (its load-balancing
+// baseline).
+//
+// Eight of them — every one except cyclicrep, cyclicmds and nested — share
+// one plan and one decoder (coveragePlan): the master keeps the first
+// message per slot and sums what it kept. The coded schemes solve for
+// decoding coefficients instead.
 //
 // Terminology follows the paper: there are m "examples" (units of work —
 // each may wrap many raw data points), n workers, and a computational load
@@ -128,9 +143,10 @@ type minResponders interface {
 // cluster engine uses to degrade explicitly when fault injection leaves too
 // few reachable workers.
 //
-// Plans may implement MinResponders() int to supply an exact bound (uncoded
-// and partitioned need every data holder; MDS codes need exactly their
-// threshold; approximate BCC needs only its coverage target). The default
+// Plans may implement MinResponders() int to supply an exact bound: the
+// coverage family returns its scheme's value (every data holder for uncoded
+// and partitioned, the coverage target for bccapprox, the generic bound
+// otherwise), and MDS codes need exactly their threshold. The generic bound
 // is the coverage argument: every worker contributes at most
 // max_w |Assignments()[w]| of the m examples, so fewer than
 // ceil(m / maxAssign) workers cannot cover — hence cannot reconstruct — the
@@ -142,8 +158,13 @@ func MinResponders(p Plan) int {
 		return mr.MinResponders()
 	}
 	m, _, _ := p.Params()
+	return coverageBound(m, p.Assignments())
+}
+
+// coverageBound is the generic MinResponders bound: ceil(m / maxAssign).
+func coverageBound(m int, assign [][]int) int {
 	maxAssign := 0
-	for _, a := range p.Assignments() {
+	for _, a := range assign {
 		if len(a) > maxAssign {
 			maxAssign = len(a)
 		}
@@ -269,36 +290,6 @@ func grabBuf(bufs Buffers, n int) []float64 {
 		}
 	}
 	return make([]float64, n)
-}
-
-// workerMask tracks the distinct workers heard from, allocation-free per
-// Offer (the map-based bookkeeping it replaces allocated on insert).
-type workerMask struct {
-	seen  []bool
-	count int
-}
-
-func newWorkerMask(n int) workerMask { return workerMask{seen: make([]bool, n)} }
-
-// hear marks worker w heard and reports whether it was new. Out-of-range
-// senders (defensive: a corrupted or malicious frame can carry any index)
-// are ignored rather than tracked — growing the mask to the claimed index
-// would let one bad frame force an arbitrarily large allocation, which the
-// map this replaced never did.
-func (m *workerMask) hear(w int) bool {
-	if w < 0 || w >= len(m.seen) || m.seen[w] {
-		return false
-	}
-	m.seen[w] = true
-	m.count++
-	return true
-}
-
-func (m *workerMask) reset() {
-	for i := range m.seen {
-		m.seen[i] = false
-	}
-	m.count = 0
 }
 
 // ---------------------------------------------------------------------------
