@@ -833,6 +833,78 @@ func TestServeMasterExternalWorkers(t *testing.T) {
 	}
 }
 
+// TestRoguePeerCannotCrashMaster: one of n connections handshakes honestly
+// and then answers every query with a reply that lies — a sender index past
+// n under uncoded, a payload one element short under bcc. The master drops
+// that connection like one whose read failed, so the run ends in an error
+// (here the iteration timeout: every worker's data is needed) instead of a
+// panic that would take down every job of the process.
+func TestRoguePeerCannotCrashMaster(t *testing.T) {
+	const n = 4
+	cases := []struct {
+		scheme string
+		lie    func(msg *coding.Message)
+	}{
+		{"uncoded", func(msg *coding.Message) { msg.From = n }},
+		{"bcc", func(msg *coding.Message) { msg.Vec = msg.Vec[:len(msg.Vec)-1] }},
+	}
+	for _, c := range cases {
+		t.Run(c.scheme, func(t *testing.T) {
+			cfg, _ := buildRun(t, c.scheme, 8, n, 2, 4, 41, Zero{})
+			dim := cfg.Model.Dim()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			for w := 1; w < n; w++ {
+				env := WorkerEnv{Index: w, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
+					Latency: Zero{}, TimeScale: 1e-5}
+				go func() { _ = DialAndServeWorker(addr, env) }()
+			}
+			go func() {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				cp, _ := CommOptions{}.resolve(dim)
+				codec := newWireCodec(conn, nil, cp)
+				if codec.WriteHello(cp.hello(0)) != nil {
+					return
+				}
+				parts := make([][]float64, len(cfg.Plan.Assignments()[0]))
+				for k := range parts {
+					parts[k] = make([]float64, dim)
+				}
+				for {
+					mu, err := codec.ReadModel()
+					if err != nil || mu.Iter < 0 {
+						return
+					}
+					msgs := coding.Encode(cfg.Plan, 0, parts)
+					for i := range msgs {
+						c.lie(&msgs[i])
+					}
+					if codec.WriteReply(Reply{Iter: mu.Iter, Worker: 0, Msgs: msgs}) != nil {
+						return
+					}
+				}
+			}()
+			fab, err := ServeMasterPool(ln, n, 10*time.Second, "", nil, CommOptions{}, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fab.Close()
+			_, err = RunWithFabricContext(context.Background(), cfg, fab,
+				LiveOptions{TimeScale: 1e-5, Timeout: 300 * time.Millisecond})
+			if err == nil || !strings.Contains(err.Error(), "timed out") {
+				t.Fatalf("run with a rogue worker 0 ended with %v, want an iteration timeout", err)
+			}
+		})
+	}
+}
+
 func TestServeMasterAcceptTimeout(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -874,20 +946,41 @@ func TestHandshakeRefusesBadPeers(t *testing.T) {
 		t.Cleanup(func() { conn.Close() })
 		return conn
 	}
-	peers := []struct{ name, opening string }{
-		{"silent", ""},
-		{"gob-hello", gobHello},
-		{"unknown-kind", "\xee"},
+	// hello encodes a well-formed handshake claiming worker index idx.
+	hello := func(idx int) string {
+		cp, err := CommOptions{}.resolve(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := wire.NewWriter(&buf).WriteHello(cp.hello(idx)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	// Each peer dials once per opening; the master expects len(openings)
+	// workers.
+	peers := []struct {
+		name     string
+		openings []string
+	}{
+		{"silent", []string{""}},
+		{"gob-hello", []string{gobHello}},
+		{"unknown-kind", []string{"\xee"}},
+		{"out-of-range-index", []string{hello(1)}},
+		{"duplicate-index", []string{hello(0), hello(0)}},
 	}
 	for _, peer := range peers {
 		t.Run(peer.name+"/primary", func(t *testing.T) {
 			ln := listen()
-			if _, err := io.WriteString(dial(ln), peer.opening); err != nil {
-				t.Fatal(err)
+			for _, opening := range peer.openings {
+				if _, err := io.WriteString(dial(ln), opening); err != nil {
+					t.Fatal(err)
+				}
 			}
 			done := make(chan error, 1)
 			go func() {
-				fab, err := ServeMasterPool(ln, 1, timeout, "", nil, CommOptions{}, dim)
+				fab, err := ServeMasterPool(ln, len(peer.openings), timeout, "", nil, CommOptions{}, dim)
 				if err == nil {
 					fab.Close()
 				}

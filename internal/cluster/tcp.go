@@ -134,7 +134,8 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 // hello read. pool, if non-nil, backs the codecs' reply deserialization so
 // gradient payloads land in recycled buffers. comm and dim resolve the
 // master's comm plane; each worker's hello must declare the same payload
-// codec, top-K and chunk size or the handshake fails.
+// codec, top-K and chunk size, and a distinct index in [0, n), or the
+// handshake fails.
 func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (*tcpFabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
@@ -144,6 +145,7 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 	f.conns = make([]net.Conn, 0, n)
 	f.fw = wire.NewFrameWriter(&f.frame)
 	f.fw.SetPayload(cp.pc)
+	taken := make([]bool, n)
 	for i := 0; i < n; i++ {
 		// Deadline-bound the accept when the listener supports it (TCP
 		// listeners do; wrappers forward it), so a worker that never dials
@@ -167,19 +169,27 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 			f.Close()
 			return nil, fmt.Errorf("cluster: tcp handshake: %w", err)
 		}
-		if err := cp.checkHello(hello); err != nil {
+		switch err = cp.checkHello(hello); {
+		case err != nil:
+		case hello.Worker < 0 || hello.Worker >= n:
+			err = fmt.Errorf("index outside [0, %d)", n)
+		case taken[hello.Worker]:
+			err = fmt.Errorf("index already taken")
+		}
+		if err != nil {
 			conn.Close()
 			f.Close()
 			return nil, fmt.Errorf("cluster: tcp handshake worker %d: %w", hello.Worker, err)
 		}
+		taken[hello.Worker] = true
 		f.conns = append(f.conns, conn)
 		// Reader: stream this worker's replies into the shared channel.
 		f.readers.Add(1)
-		go func(codec *wireCodec) {
+		go func(codec *wireCodec, worker int) {
 			defer f.readers.Done()
 			for {
 				rep := Reply{Msgs: pool.getMsgs()}
-				if err := codec.ReadReply(&rep); err != nil {
+				if err := codec.ReadReply(&rep); err != nil || !honestReply(rep, worker, dim) {
 					// The connection is done: hand the unused Msgs slice back,
 					// so repeated runs on one pool keep what they grew.
 					discardReply(pool, rep)
@@ -191,9 +201,27 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 					return
 				}
 			}
-		}(codec)
+		}(codec, hello.Worker)
 	}
 	return f, nil
+}
+
+// honestReply reports whether a reply read on worker's connection speaks
+// for that worker alone and carries gradient-sized payloads: a dim-long Vec
+// and an Imag that is nil or dim-long. A reply that fails is treated like a
+// read error, so no decoder sees a sender outside the plan or sums a short
+// vector.
+func honestReply(rep Reply, worker, dim int) bool {
+	if rep.Worker != worker {
+		return false
+	}
+	for _, msg := range rep.Msgs {
+		if msg.From != worker || msg.Vec == nil || len(msg.Vec) != dim ||
+			(msg.Imag != nil && len(msg.Imag) != dim) {
+			return false
+		}
+	}
+	return true
 }
 
 func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
