@@ -218,8 +218,10 @@
 // vectors move as byte views of the float64 slices on little-endian hosts);
 // chunking is pure staging — the byte stream is identical for every chunk
 // size. The TCP handshake
-// carries the codec, K and chunk size and rejects mismatched processes at
-// connect time. The simulator models the reduced payload: upload and
+// carries the worker index, codec, K and chunk size and rejects mismatched
+// processes and a bad or duplicate index at connect time; a reply that
+// claims another sender or a payload of the wrong length ends its
+// connection's reads. The simulator models the reduced payload: upload and
 // ingress-drain latencies scale by the codec's byte fraction.
 //
 // Accounting is split honestly in Result: IterStats.Bytes/Result.TotalBytes

@@ -1,7 +1,7 @@
 package coding
 
 import (
-	"sort"
+	"slices"
 
 	"bcc/internal/vecmath"
 )
@@ -66,7 +66,7 @@ func newCoveragePlan(scheme string, m, n, r int, assign [][]int, groups [][]grou
 				p.full++
 			}
 		}
-		sort.Ints(tags)
+		slices.Sort(tags)
 		p.owned[w] = tags
 	}
 	p.need = p.full
@@ -133,9 +133,8 @@ func (p *coveragePlan) owns(w, tag int) bool {
 	if w < 0 || w >= p.n {
 		return false
 	}
-	tags := p.owned[w]
-	i := sort.SearchInts(tags, tag)
-	return i < len(tags) && tags[i] == tag
+	_, ok := slices.BinarySearch(p.owned[w], tag)
+	return ok
 }
 
 func (p *coveragePlan) NewDecoder() Decoder {

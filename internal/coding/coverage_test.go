@@ -7,18 +7,16 @@ import (
 	"bcc/internal/rngutil"
 )
 
-// coverageCase is one plan of a coverage scheme with its slot count: tags
-// of its messages range over [0, slots).
-type coverageCase struct {
-	name  string
-	plan  Plan
-	slots int
-}
-
-// coverageSchemes builds one plan of each of the eight coverage schemes,
-// idle workers included (partitioned workers 1 and 5 hold no data).
-func coverageSchemes(t *testing.T) []coverageCase {
-	t.Helper()
+// TestCoverageDropsForeignMessages offers, ahead of every worker's honest
+// messages, ones the plan never gives that worker: a tag of -1, a tag equal
+// to the slot count, an in-range tag another worker owns, an owned tag with
+// no payload, and an owned tag from a sender index past n. Each must be
+// dropped — not kept, heard or counted — so the decode, WorkersHeard and
+// UnitsReceived equal those of the honest messages alone.
+//
+// The eight coverage schemes run with idle workers included (partitioned
+// workers 1 and 5 hold no data); slots is the tag range [0, slots).
+func TestCoverageDropsForeignMessages(t *testing.T) {
 	cases := []struct {
 		s              Scheme
 		m, n, r, slots int
@@ -32,28 +30,14 @@ func coverageSchemes(t *testing.T) []coverageCase {
 		{GeneralizedBCC{Loads: []int{4, 3, 4, 2, 3, 4}}, 12, 6, 4, 12},
 		{Partitioned{Loads: []int{3, 0, 4, 2, 3, 0}}, 12, 6, 4, 6},
 	}
-	var out []coverageCase
 	for i, c := range cases {
-		p, err := c.s.Plan(c.m, c.n, c.r, rngutil.New(uint64(900+i)))
-		if err != nil {
-			t.Fatalf("%s: %v", c.s.Name(), err)
-		}
-		out = append(out, coverageCase{c.s.Name(), p, c.slots})
-	}
-	return out
-}
-
-// TestCoverageDropsForeignMessages offers, ahead of every worker's honest
-// messages, ones the plan never gives that worker: a tag of -1, a tag equal
-// to the slot count, an in-range tag another worker owns, an owned tag with
-// no payload, and an owned tag from a sender index past n. Each must be
-// dropped — not kept, heard or counted — so the decode, WorkersHeard and
-// UnitsReceived equal those of the honest messages alone.
-func TestCoverageDropsForeignMessages(t *testing.T) {
-	for _, c := range coverageSchemes(t) {
-		t.Run(c.name, func(t *testing.T) {
-			p := c.plan
-			m, n, _ := p.Params()
+		name := c.s.Name()
+		t.Run(name, func(t *testing.T) {
+			p, err := c.s.Plan(c.m, c.n, c.r, rngutil.New(uint64(900+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, n := c.m, c.n
 			gs, want := makeGradients(m, rngutil.New(77))
 			// owned[w] lists the tags of worker w's honest messages.
 			owned := make([][]int, n)
@@ -135,8 +119,8 @@ func TestCoverageDropsForeignMessages(t *testing.T) {
 				t.Fatalf("polluted heard=%d units=%v, honest heard=%d units=%v",
 					polluted.WorkersHeard(), polluted.UnitsReceived(), honest.WorkersHeard(), honest.UnitsReceived())
 			}
-			if c.name != "bccapprox" {
-				checkExact(t, c.name+" polluted", got, want)
+			if name != "bccapprox" {
+				checkExact(t, name+" polluted", got, want)
 			}
 		})
 	}
