@@ -42,9 +42,8 @@ type Spec = core.Spec
 type Job = core.Job
 
 // Result aggregates a run: final weights, per-iteration stats, timing
-// totals (TotalWall up to each decode instant, TotalElapsed up to the end of
-// each round's straggler tail), and the empirical recovery threshold and
-// communication load.
+// totals (TotalWall sums each iteration's decode instant), and the empirical
+// recovery threshold and communication load.
 type Result = cluster.Result
 
 // IterStats is one iteration's measurements (wall/comm/comp split, workers

@@ -225,8 +225,8 @@ func main() {
 		}
 		fmt.Printf("%-6d %-10.4f %-10d %-8.0f %-10.5f\n", it.Iter, it.Wall, it.WorkersHeard, it.Units, it.Loss)
 	}
-	fmt.Printf("\ntotals: wall=%.3fs comm=%.3fs comp=%.3fs elapsed=%.3fs\n",
-		res.TotalWall, res.TotalComm, res.TotalCompute, res.TotalElapsed)
+	fmt.Printf("\ntotals: wall=%.3fs comm=%.3fs comp=%.3fs\n",
+		res.TotalWall, res.TotalComm, res.TotalCompute)
 	fmt.Printf("per-iteration wall:                     %s\n", res.WallSummary())
 	fmt.Printf("recovery threshold (avg workers heard): %.2f\n", res.AvgWorkersHeard)
 	fmt.Printf("communication load (avg units):         %.2f\n", res.AvgUnits)

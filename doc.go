@@ -49,9 +49,8 @@
 // for the same spec and seed. On every runtime the next query is broadcast
 // once an iteration has decoded and workers drop straggler work still in
 // flight for an older one, so a straggler never carries a backlog into the
-// next round. Result.TotalWall charges each iteration up to its decode
-// instant; Result.TotalElapsed charges it up to the end of the round's
-// straggler tail.
+// next round. Every iteration ends at its decode, and Result.TotalWall sums
+// those decode instants.
 //
 // # Run lifecycle: contexts, observers, early stopping
 //

@@ -52,9 +52,9 @@ type Config struct {
 	// LossEvery, if positive, evaluates full training loss every k
 	// iterations and records it in the stats (costly for large models).
 	LossEvery int
-	// Trace, if non-nil, records per-iteration worker timelines (sim
-	// runtime only; the live runtimes measure wall clock, not modelled
-	// spans).
+	// Trace, if non-nil, records per-iteration worker timelines, the
+	// uncounted tail included (sim runtime only; the live runtimes measure
+	// wall clock, not modelled spans).
 	Trace *trace.Recorder
 	// ComputeParallelism fans a worker's per-example gradient computations
 	// out over this many goroutines (0/1 = serial). Each example's gradient
@@ -284,19 +284,12 @@ type Result struct {
 	FinalW []float64
 	// Iters holds per-iteration stats in order.
 	Iters []IterStats
-	// TotalWall, TotalCompute, TotalComm are sums over iterations.
+	// TotalWall, TotalCompute, TotalComm are sums over iterations. Each
+	// iteration ends at its decode on every runtime: the master never waits
+	// for the straggler tail, since workers drop work for a query the master
+	// has moved past. Master work between iterations — optimizer advance,
+	// LossEvery evaluations — is not timed on any runtime.
 	TotalWall, TotalCompute, TotalComm float64
-	// TotalElapsed sums each iteration's full duration, straggler tail
-	// included; TotalWall is the same sum up to each decode instant. On the
-	// sim runtime the tail is modelled: each round ends once its last
-	// transmission has finished draining. On the live runtimes it is
-	// measured (scaled real seconds per iteration); the master never waits
-	// for the tail there — workers drop work for a query the master has
-	// moved past — so the two totals differ only by the instants between
-	// decode and the end of the arrival loop. Master work between
-	// iterations — optimizer advance, LossEvery evaluations — is not timed
-	// on any runtime.
-	TotalElapsed float64
 	// AvgWorkersHeard is the empirical recovery threshold (Definition 2).
 	AvgWorkersHeard float64
 	// AvgUnits is the empirical communication load (Definition 3).

@@ -8,7 +8,6 @@ import (
 	"bcc/internal/coding"
 	"bcc/internal/faults"
 	"bcc/internal/model"
-	"bcc/internal/trace"
 	"bcc/internal/vecmath"
 	"bcc/internal/wire"
 )
@@ -35,26 +34,16 @@ import (
 type Transport interface {
 	// Broadcast announces iteration iter's query to every worker and
 	// returns the ArrivalSource for that iteration's worker transmissions.
-	// It consumes the query before returning and keeps no reference to it:
-	// the engine reuses the buffer, and the optimizer its iterate, for the
-	// next iteration, so a transport whose workers read the query later
-	// takes its own copy. The context bounds the iteration: a blocking
-	// ArrivalSource.Next must return with an error no later than ctx's
-	// cancellation.
+	// The transport may read the query until the source's Finish and keeps
+	// no reference after it: the engine reuses the buffer, and the optimizer
+	// its iterate, only once the iteration is over, so a transport whose
+	// workers read the query later takes its own copy. The context bounds
+	// the iteration: a blocking ArrivalSource.Next must return with an error
+	// no later than ctx's cancellation.
 	Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error)
 	// Shutdown tells the workers the run is over (best effort). The engine
 	// calls it on every exit path, including cancellation and errors.
 	Shutdown()
-	// Traits describes the transport's timing semantics.
-	Traits() Traits
-}
-
-// Traits describes a transport's clock semantics to the engine.
-type Traits struct {
-	// Virtual is true when the transport runs on a modelled clock (the DES
-	// simulator): arrivals after the decode point can be drained for free,
-	// which is what makes per-iteration trace recording possible.
-	Virtual bool
 }
 
 // Arrival is one worker transmission as observed by the master.
@@ -64,19 +53,15 @@ type Arrival struct {
 	// Compute is the worker's (virtual) computation time this iteration,
 	// used for the paper's computation-time metric.
 	Compute float64
-	// Units is the communication load of the transmission.
-	Units float64
 	// Msgs are the encoded messages to offer to the decoder. The slice (not
 	// the payloads, see BufferPool) is valid until the next Next or Finish
 	// call on the source that returned it.
 	Msgs []coding.Message
-	// Span carries the worker's modelled timeline on virtual transports
-	// (nil on live transports); the engine fills Span.Counted.
-	Span *trace.WorkerSpan
 }
 
 // ArrivalSource yields one iteration's arrivals in the order the master
-// receives them.
+// receives them. The engine stops consuming at the decode: an iteration
+// ends there on every runtime.
 type ArrivalSource interface {
 	// Next blocks for the next arrival. ok=false means every worker has
 	// been accounted for this iteration (arrived, crashed, or had its
@@ -87,10 +72,6 @@ type ArrivalSource interface {
 	// returned by Next — virtual seconds on the simulator, scaled real
 	// seconds on the live runtimes.
 	Wall() float64
-	// RoundEnd returns the time at which the iteration is fully over, tail
-	// included: on virtual transports the instant the last arrival
-	// finishes draining, on live transports the current elapsed time.
-	RoundEnd() float64
 	// Finish releases the source's resources (timers); the engine calls it
 	// exactly once, after it stops consuming arrivals.
 	Finish()
@@ -115,9 +96,9 @@ func RunTransportContext(ctx context.Context, cfg *Config, tr Transport) (*Resul
 }
 
 // runEngine is THE master iteration loop. Every runtime's master behaviour
-// — early finish on decodability, stall detection, stats bookkeeping, trace
-// recording, optimizer advance, observer callbacks, early stopping,
-// checkpointing, cancellation — lives here and only here.
+// — early finish on decodability, stall detection, stats bookkeeping,
+// optimizer advance, observer callbacks, early stopping, checkpointing,
+// cancellation — lives here and only here.
 //
 // The loop owns the steady-state allocation budget of the data plane: one
 // decoder reused across iterations (Reset between them), one decode buffer,
@@ -134,7 +115,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	defer tr.Shutdown()
 	pool := cfg.buffers()
 	iters := make([]IterStats, 0, cfg.Iterations)
-	virtual := tr.Traits().Virtual
 	dec := cfg.Plan.NewDecoder()
 	grad := make([]float64, cfg.Model.Dim())
 	cp := cfg.comm()
@@ -154,7 +134,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	// that hears every worker, so what a run allocates does not depend on
 	// how many replies its busiest iteration took.
 	used := make([][]float64, 0, cfg.iterPayloads())
-	var totalElapsed float64
 	// Measured comm accounting: transports with real sockets expose running
 	// byte totals; the engine records per-iteration deltas. The baseline
 	// snapshot here excludes the handshake frames read during accept, and
@@ -183,7 +162,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		res := summarize(vecmath.Clone(cfg.Opt.Iterate()), iters)
 		res.TotalWireIn += int(drainIn)
 		res.TotalWireOut += int(drainOut)
-		res.TotalElapsed = totalElapsed
 		if shards != nil {
 			res.Shards = shards.snapshot()
 		}
@@ -281,12 +259,8 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		if rp != nil {
 			st.Level = rp.Level()
 		}
-		// On a virtual clock, draining the post-decode tail is free, so the
-		// trace can show the uncounted stragglers too.
-		tracing := virtual && cfg.Trace != nil
-		var spans []trace.WorkerSpan
 		decoded := false
-		for !decoded || tracing {
+		for !decoded {
 			arr, ok, err := src.Next()
 			if err != nil {
 				src.Finish()
@@ -296,38 +270,19 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 				return nil, err
 			}
 			if !ok {
-				if !decoded {
-					src.Finish()
-					degraded(iter)
-					return nil, fmt.Errorf("%w (iteration %d)", ErrStalled, iter)
-				}
-				break
+				src.Finish()
+				degraded(iter)
+				return nil, fmt.Errorf("%w (iteration %d)", ErrStalled, iter)
 			}
-			counted := !decoded
-			if counted {
-				if arr.Compute > st.Compute {
-					st.Compute = arr.Compute
-				}
-				for _, msg := range arr.Msgs {
-					st.Bytes += cp.msgBytes(msg)
-					dec.Offer(msg)
-				}
-				if dec.Decodable() {
-					st.Wall = src.Wall()
-					decoded = true
-					if cfg.Observer != nil {
-						cfg.Observer.OnDecode(DecodeEvent{
-							Iter:         iter,
-							Wall:         st.Wall,
-							WorkersHeard: dec.WorkersHeard(),
-							Units:        dec.UnitsReceived(),
-						})
-					}
-				}
+			if arr.Compute > st.Compute {
+				st.Compute = arr.Compute
 			}
-			// Every consumed payload goes back to the pool after this
-			// iteration's decode; the decoder may hold references until then.
 			for _, msg := range arr.Msgs {
+				st.Bytes += cp.msgBytes(msg)
+				dec.Offer(msg)
+				// Every consumed payload goes back to the pool after this
+				// iteration's decode; the decoder may hold references until
+				// then.
 				if msg.Vec != nil {
 					used = append(used, msg.Vec)
 				}
@@ -335,17 +290,20 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 					used = append(used, msg.Imag)
 				}
 			}
-			if arr.Span != nil {
-				span := *arr.Span
-				span.Counted = counted
-				spans = append(spans, span)
+			if dec.Decodable() {
+				st.Wall = src.Wall()
+				decoded = true
+				if cfg.Observer != nil {
+					cfg.Observer.OnDecode(DecodeEvent{
+						Iter:         iter,
+						Wall:         st.Wall,
+						WorkersHeard: dec.WorkersHeard(),
+						Units:        dec.UnitsReceived(),
+					})
+				}
 			}
 		}
-		totalElapsed += src.RoundEnd()
 		src.Finish()
-		if tracing {
-			cfg.Trace.Add(trace.Iteration{Iter: iter, DecodeTime: st.Wall, Spans: spans})
-		}
 		st.Comm = st.Wall - st.Compute
 		if wc != nil {
 			in, out := wc.WireTotals()

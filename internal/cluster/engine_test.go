@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"bcc/internal/faults"
+	"bcc/internal/model"
+	"bcc/internal/trace"
 	"bcc/internal/vecmath"
 )
 
@@ -126,27 +128,67 @@ func TestRuntimesEquivalent(t *testing.T) {
 	}
 }
 
-// TestSimElapsedChargesStragglerTail pins the sim's two end-to-end totals:
-// TotalWall sums each iteration's decode instant, while TotalElapsed also
-// charges the straggler tail that drains after it.
-func TestSimElapsedChargesStragglerTail(t *testing.T) {
+// countingModel counts the partial gradients a run computes.
+type countingModel struct {
+	model.Model
+	calls *int
+}
+
+func (c countingModel) SubsetGradient(w []float64, rows []int, out []float64) {
+	*c.calls++
+	c.Model.SubsetGradient(w, rows, out)
+}
+
+// TestSimComputesOnlyCountedWorkers pins the simulator's lazy worker
+// pipeline: an iteration computes the partial gradients of the workers the
+// master counts before its decode and no others, while the trace still
+// lists every contributing worker's modelled span, the uncounted tail
+// included. TotalWall is the sum of the iterations' decode instants.
+func TestSimComputesOnlyCountedWorkers(t *testing.T) {
 	// One heavy straggler: its arrival trails every decode point.
 	lat := Fixed{PerPoint: 0.01, PerUnit: 1, Factor: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 50}}
-	cfg, _ := buildRun(t, "bcc", 8, 10, 2, 6, 60, lat)
+	const n = 10
+	cfg, _ := buildRun(t, "bcc", 8, n, 2, 6, 60, lat)
 	cfg.IngressPerUnit = 0.01
+	calls := 0
+	cfg.Model = countingModel{Model: cfg.Model, calls: &calls}
+	var perIter []int
+	cfg.Observer = ObserverFuncs{Iteration: func(IterStats) {
+		perIter = append(perIter, calls)
+		calls = 0
+	}}
+	var rec trace.Recorder
+	cfg.Trace = &rec
 	res, err := RunSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rec.Len() != len(res.Iters) {
+		t.Fatalf("traced %d of %d iterations", rec.Len(), len(res.Iters))
+	}
 	var wall float64
-	for _, it := range res.Iters {
+	for i, it := range res.Iters {
 		wall += it.Wall
+		spans := rec.Iterations[i].Spans
+		if len(spans) != n {
+			t.Fatalf("iter %d traced %d workers, want all %d", i, len(spans), n)
+		}
+		held, counted := 0, 0
+		for _, sp := range spans {
+			if sp.Counted {
+				counted++
+				held += len(cfg.Plan.Assignments()[sp.Worker])
+			}
+		}
+		if counted != it.WorkersHeard || counted == n {
+			t.Fatalf("iter %d counted %d workers (K = %d of %d)", i, counted, it.WorkersHeard, n)
+		}
+		if perIter[i] != held {
+			t.Fatalf("iter %d computed %d partial gradients, the counted workers hold %d", i, perIter[i], held)
+		}
 	}
 	if res.TotalWall != wall {
 		t.Fatalf("TotalWall %v, want the sum of iteration walls %v", res.TotalWall, wall)
-	}
-	if res.TotalElapsed <= res.TotalWall {
-		t.Fatalf("TotalElapsed %v not above TotalWall %v despite a straggler tail", res.TotalElapsed, res.TotalWall)
 	}
 }
 
@@ -194,8 +236,8 @@ func TestRunTransportValidates(t *testing.T) {
 }
 
 // TestRunTransportSimRoundTrip exercises RunTransport on a valid config so
-// the exported path is known-good, and checks the elapsed bookkeeping: with
-// zero latency and no ingress cost every round ends at time 0 on the
+// the exported path is known-good, and checks the wall bookkeeping: with
+// zero latency and no ingress cost every round decodes at time 0 on the
 // virtual clock.
 func TestRunTransportSimRoundTrip(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 8, 2, 4, 64, Zero{})
@@ -206,8 +248,8 @@ func TestRunTransportSimRoundTrip(t *testing.T) {
 	if len(res.Iters) != 4 {
 		t.Fatalf("recorded %d iterations", len(res.Iters))
 	}
-	if res.TotalElapsed != 0 || res.TotalWall != 0 {
-		t.Fatalf("zero-latency run has elapsed %v wall %v", res.TotalElapsed, res.TotalWall)
+	if res.TotalWall != 0 {
+		t.Fatalf("zero-latency run has wall %v", res.TotalWall)
 	}
 	if math.IsNaN(res.AvgWorkersHeard) || res.AvgWorkersHeard <= 0 {
 		t.Fatalf("avg workers heard %v", res.AvgWorkersHeard)

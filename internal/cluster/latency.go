@@ -10,9 +10,8 @@
 // (this file) shared by all of them. On every runtime the next query goes
 // out once an iteration has decoded and workers drop whatever they were
 // still doing for an older one, so each round starts with all workers idle
-// — the paper's i.i.d. per-iteration straggler model. Result.TotalWall
-// charges each round up to its decode, Result.TotalElapsed up to the end of
-// its straggler tail. Config.Faults injects deterministic fault schedules
+// — the paper's i.i.d. per-iteration straggler model, in which every round
+// ends at its decode. Config.Faults injects deterministic fault schedules
 // (internal/faults) — crashes, slowdowns, partitions, drop bursts —
 // replayed identically by every transport.
 //

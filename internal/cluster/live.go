@@ -194,8 +194,6 @@ func (t *liveTransport) expectedReplies(iter int) int {
 	return expected
 }
 
-func (t *liveTransport) Traits() Traits { return Traits{} }
-
 func (t *liveTransport) Shutdown() { _ = t.fab.Broadcast(ModelUpdate{Iter: -1}) }
 
 func (t *liveTransport) Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error) {
@@ -269,7 +267,7 @@ func (s *liveSource) Next() (Arrival, bool, error) {
 				sleepVirtual(s.t.cfg.IngressPerUnit*units*s.t.frac, s.t.opts.TimeScale)
 			}
 			s.held = rep.Msgs
-			return Arrival{Worker: rep.Worker, Compute: rep.Compute, Units: units, Msgs: rep.Msgs}, true, nil
+			return Arrival{Worker: rep.Worker, Compute: rep.Compute, Msgs: rep.Msgs}, true, nil
 		case <-s.ctx.Done():
 			return Arrival{}, false, s.ctx.Err()
 		case <-s.t.deadline.C:
@@ -279,12 +277,9 @@ func (s *liveSource) Next() (Arrival, bool, error) {
 	}
 }
 
-func (s *liveSource) elapsed() float64 {
+func (s *liveSource) Wall() float64 {
 	return time.Since(s.start).Seconds() / s.t.opts.TimeScale
 }
-
-func (s *liveSource) Wall() float64     { return s.elapsed() }
-func (s *liveSource) RoundEnd() float64 { return s.elapsed() }
 
 func (s *liveSource) Finish() {
 	s.t.deadline.Stop()

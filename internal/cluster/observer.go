@@ -11,7 +11,7 @@ import "bcc/internal/faults"
 // optimizer would, and no locking is needed to accumulate state inside one.
 
 // DecodeEvent describes the instant an iteration's gradient became
-// decodable — before the straggler tail drains, before the optimizer
+// decodable — the end of the iteration's arrivals, before the optimizer
 // advances. It is the paper's "recovery threshold reached" moment.
 type DecodeEvent struct {
 	// Iter is the iteration index.

@@ -3,12 +3,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bcc/internal/coding"
 	"bcc/internal/faults"
+	"bcc/internal/trace"
 	"bcc/internal/vecmath"
 )
 
@@ -26,7 +28,7 @@ import (
 //
 // Matrix cells are labelled "/barrier", the engine's round structure on
 // every runtime: the next query goes out only once the current one has
-// decoded, and Result.TotalElapsed charges each round's straggler tail.
+// decoded, and each round ends at its decode.
 
 // scenarioTopology is the shared conformance run shape: bcc with 2 batches
 // over 8 workers (high redundancy, decode from any batch-covering prefix),
@@ -202,25 +204,34 @@ func TestScenarioConformance(t *testing.T) {
 // TestScenarioFaultsPerturbTraining sanity-checks that the fault machinery
 // actually bites: relative to the steady baseline, each disruptive scenario
 // must change SOME observable of the sim run (recovery thresholds, counted
-// worker sets or event traces) while still training to the same optimum
-// tolerance as an unfaulted run.
+// worker sets, traced worker spans or event traces) while still training to
+// the same optimum tolerance as an unfaulted run.
 func TestScenarioFaultsPerturbTraining(t *testing.T) {
-	steady := runScenario(t, "steady", nil)
+	traced := func(name string) (scenarioRun, *trace.Recorder) {
+		rec := &trace.Recorder{}
+		run := runScenarioCfg(t, name, CommOptions{}, func(cfg *Config) { cfg.Trace = rec }, nil)
+		if rec.Len() != len(run.res.Iters) {
+			t.Fatalf("scenario %s traced %d of %d iterations", name, rec.Len(), len(run.res.Iters))
+		}
+		return run, rec
+	}
+	steady, steadyTr := traced("steady")
 	if len(steady.events) != 0 {
 		t.Fatalf("steady scenario emitted events: %v", steady.events)
 	}
 	for _, name := range []string{"flaky-tail", "rolling-restart", "partition", "slow-decile"} {
-		got := runScenario(t, name, nil)
+		got, gotTr := traced(name)
 		if len(got.events) == 0 {
 			t.Errorf("scenario %s emitted no fault events", name)
 		}
 		// Tail slowdowns may leave the decode prefix untouched (that is the
-		// point of the redundancy) but then must still stretch the barrier's
-		// tail drain, i.e. the end-to-end elapsed time.
-		same := got.res.TotalElapsed == steady.res.TotalElapsed
+		// point of the redundancy) but must then still move some worker's
+		// modelled span, counted or not.
+		same := true
 		for i, it := range got.res.Iters {
 			ref := steady.res.Iters[i]
-			if it.WorkersHeard != ref.WorkersHeard || it.Units != ref.Units || it.Wall != ref.Wall {
+			if it.WorkersHeard != ref.WorkersHeard || it.Units != ref.Units || it.Wall != ref.Wall ||
+				!slices.Equal(gotTr.Iterations[i].Spans, steadyTr.Iterations[i].Spans) {
 				same = false
 				break
 			}

@@ -19,18 +19,21 @@ import (
 // deterministic and orders of magnitude faster. This is the transport the
 // experiment harness uses to regenerate the paper's figures.
 //
-// The transport owns the iteration's scratch memory: per-worker partial-
-// gradient buffers, per-worker message slices, and the arrivals array are
+// The timing model needs no gradient: a worker's upload load is the plan's
+// message count, so Broadcast draws every worker's latencies and orders the
+// arrivals, and Next computes, encodes and transforms only the arrival it
+// hands the engine. The workers past the decode are never computed, as a
+// live worker drops stale work the instant a fresher broadcast reaches it
+// (RunWorker). Every round therefore starts with all workers idle and ends
+// at its decode, which is precisely what simulating each iteration as an
+// isolated round models.
+//
+// The transport owns the iteration's scratch memory: the partial-gradient
+// buffers, the returned arrival's message slice and the arrivals array are
 // all reused across iterations, and message payloads come from the run's
 // BufferPool (the engine returns them after each decode). In steady state a
 // simulated iteration therefore allocates nothing — the property the
 // allocation-regression tests pin.
-//
-// Live workers drop stale work the instant a fresher broadcast reaches them
-// (RunWorker), so every round starts with all workers idle, which is
-// precisely what simulating each iteration as an isolated round already
-// models. The straggler tail still ends each round: RoundEnd charges its
-// drain to Result.TotalElapsed, while Result.TotalWall stops at the decode.
 
 // RunSim executes the training run on the discrete-event simulator.
 func RunSim(cfg *Config) (*Result, error) {
@@ -39,8 +42,8 @@ func RunSim(cfg *Config) (*Result, error) {
 
 // RunSimContext is RunSim bounded by a context: cancellation returns the
 // completed iterations' partial Result alongside ctx.Err(). The simulator
-// checks the context between workers while simulating an iteration, so even
-// a single huge round is cancellable.
+// checks the context before it computes each arrival the engine consumes,
+// so even a single huge round is cancellable.
 func RunSimContext(ctx context.Context, cfg *Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -66,8 +69,8 @@ type simTransport struct {
 
 	// Reusable per-iteration scratch (the transport is driven by one
 	// engine goroutine, strictly one iteration at a time).
-	parts    [][]float64        // partial-gradient buffers, max assignment size
-	msgs     [][]coding.Message // per-worker encoded messages, backing reused
+	parts    [][]float64      // partial-gradient buffers, max assignment size
+	msgs     []coding.Message // the messages of the arrival Next returned last
 	arrivals []simArrival
 	src      simSource
 }
@@ -90,12 +93,10 @@ func newSimTransport(cfg *Config) *simTransport {
 		n:          n,
 		coder:      cp.newCoder(),
 		frac:       cp.frac,
-		msgs:       make([][]coding.Message, n),
 	}
 }
 
-func (t *simTransport) Traits() Traits { return Traits{Virtual: true} }
-func (t *simTransport) Shutdown()      {}
+func (t *simTransport) Shutdown() {}
 
 // simArrival is one worker transmission with its modelled timeline.
 type simArrival struct {
@@ -104,7 +105,6 @@ type simArrival struct {
 	bcast   float64
 	compute float64
 	units   float64
-	msgs    []coding.Message
 	// drain bracket: the master's ingress occupancy for this transmission.
 	drainStart, drainEnd float64
 }
@@ -123,12 +123,13 @@ func cmpArrival(a, b simArrival) int {
 	}
 }
 
-// Broadcast simulates the whole iteration's worker pipelines up front:
-// arrivals are ordered in virtual time (ties by worker index), then the
-// master's receive queue is drained in arrival order — with a positive
-// ingress cost the master is busy IngressPerUnit seconds per unit, so
-// messages queue behind each other; with zero cost the drain is
-// instantaneous at the arrival time.
+// Broadcast models the whole iteration's worker timelines up front: each
+// contributing worker's broadcast, compute and upload latencies are drawn
+// in worker order, arrivals are ordered in virtual time (ties by worker
+// index), then the master's receive queue is drained in arrival order —
+// with a positive ingress cost the master is busy IngressPerUnit seconds
+// per unit, so messages queue behind each other; with zero cost the drain
+// is instantaneous at the arrival time. The query is read later, by Next.
 func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error) {
 	// On Retunable plans the iteration runs at the level the engine's
 	// controller just activated: workers process only the active prefix of
@@ -140,33 +141,18 @@ func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64)
 	}
 	t.arrivals = t.arrivals[:0]
 	for w := 0; w < t.n; w++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if !t.cfg.Faults.Contributing(w, iter) {
 			continue // crashed, or its transmission is lost this iteration
 		}
-		assign, pts := t.cfg.Plan.Assignments()[w], t.points[w]
+		pts := t.points[w]
 		if level > 0 {
-			assign, pts = assign[:level], t.prefPoints[w][level]
+			pts = t.prefPoints[w][level]
 		}
 		bcast := t.lat.Broadcast(w, iter)
 		comp := t.lat.Compute(w, iter, pts)
-		t.parts = gradientPartsInto(t.cfg.Model, t.cfg.Units, assign,
-			query, t.cfg.ComputeParallelism, t.parts)
-		t.msgs[w] = t.cfg.Plan.EncodeInto(t.msgs[w][:0], w, t.parts, t.pool)
-		msgs := t.msgs[w]
-		if len(msgs) == 0 {
+		units := float64(t.cfg.Plan.Messages(w))
+		if units == 0 {
 			continue // worker holds no data (uncoded with n > m)
-		}
-		// The wire boundary of the simulated runtime: the canonical lossy
-		// transform is applied here, exactly where a TCP worker's serializer
-		// would apply it, so decoded values match the socket runtimes bit
-		// for bit.
-		applyReplyCodec(t.coder, msgs)
-		var units float64
-		for _, msg := range msgs {
-			units += msg.Units
 		}
 		// Upload time is charged per transmitted byte: compressed payloads
 		// scale the unit load by the codec's byte fraction.
@@ -175,7 +161,6 @@ func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64)
 			at:     bcast + comp + up,
 			worker: w,
 			bcast:  bcast, compute: comp, units: units,
-			msgs: msgs,
 		})
 	}
 	slices.SortFunc(t.arrivals, cmpArrival)
@@ -191,56 +176,77 @@ func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64)
 		t.arrivals[i].drainStart = start
 		t.arrivals[i].drainEnd = done
 	}
-	t.src = simSource{t: t, arrivals: t.arrivals}
+	t.src = simSource{t: t, ctx: ctx, iter: iter, level: level, query: query, arrivals: t.arrivals}
 	return &t.src, nil
 }
 
 type simSource struct {
 	t        *simTransport
+	ctx      context.Context
+	iter     int
+	level    int // active level on Retunable plans, 0 otherwise
+	query    []float64
 	arrivals []simArrival
 	next     int
 	wall     float64
+	// ended is set once Next reported no further arrival: the iteration
+	// stalled or was cancelled, and is not traced.
+	ended bool
 }
 
+// Next computes the next arrival's partial gradients, encodes them and
+// applies the payload codec — the only worker pipeline the simulator runs.
 func (s *simSource) Next() (Arrival, bool, error) {
+	if err := s.ctx.Err(); err != nil {
+		s.ended = true
+		return Arrival{}, false, err
+	}
 	if s.next >= len(s.arrivals) {
+		s.ended = true
 		return Arrival{}, false, nil
 	}
 	sa := s.arrivals[s.next]
 	s.next++
 	s.wall = sa.drainEnd
-	arr := Arrival{Worker: sa.worker, Compute: sa.compute, Units: sa.units, Msgs: sa.msgs}
-	if s.t.cfg.Trace != nil {
-		arr.Span = &trace.WorkerSpan{
+	t := s.t
+	assign := t.cfg.Plan.Assignments()[sa.worker]
+	if s.level > 0 {
+		assign = assign[:s.level]
+	}
+	t.parts = gradientPartsInto(t.cfg.Model, t.cfg.Units, assign,
+		s.query, t.cfg.ComputeParallelism, t.parts)
+	t.msgs = t.cfg.Plan.EncodeInto(t.msgs[:0], sa.worker, t.parts, t.pool)
+	// The wire boundary of the simulated runtime: the canonical lossy
+	// transform is applied here, exactly where a TCP worker's serializer
+	// would apply it, so decoded values match the socket runtimes bit for
+	// bit.
+	applyReplyCodec(t.coder, t.msgs)
+	return Arrival{Worker: sa.worker, Compute: sa.compute, Msgs: t.msgs}, true, nil
+}
+
+func (s *simSource) Wall() float64 { return s.wall }
+
+// Finish records the iteration in Config.Trace, if set: every contributing
+// worker's modelled span in arrival order, counted when the engine consumed
+// it before the decode. The tail past the decode needs timings only, never
+// payloads.
+func (s *simSource) Finish() {
+	rec := s.t.cfg.Trace
+	if rec == nil || s.ended {
+		return
+	}
+	spans := make([]trace.WorkerSpan, len(s.arrivals))
+	for i, sa := range s.arrivals {
+		spans[i] = trace.WorkerSpan{
 			Worker:     sa.worker,
 			BcastEnd:   sa.bcast,
 			ComputeEnd: sa.bcast + sa.compute,
 			Arrive:     sa.at,
 			DrainStart: sa.drainStart,
 			DrainEnd:   sa.drainEnd,
+			Counted:    i < s.next,
 			Units:      sa.units,
 		}
 	}
-	return arr, true, nil
-}
-
-func (s *simSource) Wall() float64 { return s.wall }
-
-// RoundEnd is when the last transmission finishes draining — the end of the
-// round, straggler tail included.
-func (s *simSource) RoundEnd() float64 {
-	if len(s.arrivals) == 0 {
-		return 0
-	}
-	return s.arrivals[len(s.arrivals)-1].drainEnd
-}
-
-// Finish recycles the payload buffers of the arrivals the engine never
-// consumed (the post-decode straggler tail in non-tracing runs); the engine
-// itself returns the consumed ones after the decode.
-func (s *simSource) Finish() {
-	for _, sa := range s.arrivals[s.next:] {
-		recycleMsgs(s.t.pool, sa.msgs)
-	}
-	s.next = len(s.arrivals)
+	rec.Add(trace.Iteration{Iter: s.iter, DecodeTime: s.wall, Spans: spans})
 }

@@ -112,6 +112,85 @@ func TestAllSchemesDecodeExactly(t *testing.T) {
 	}
 }
 
+// TestMessagesMatchesEncode pins Plan.Messages, which the simulator uses to
+// model a worker's upload without computing its gradient: for every scheme,
+// idle workers and every nested level included, EncodeInto emits exactly
+// Messages(w) messages, each carrying one unit.
+func TestMessagesMatchesEncode(t *testing.T) {
+	rng := rngutil.New(950)
+	check := func(t *testing.T, p Plan) {
+		t.Helper()
+		m, n, _ := p.Params()
+		gs, _ := makeGradients(m, rng)
+		level := 0
+		if rp, ok := p.(Retunable); ok {
+			level = rp.Level()
+		}
+		for w := 0; w < n; w++ {
+			assign := p.Assignments()[w]
+			if level > 0 {
+				assign = assign[:level]
+			}
+			parts := make([][]float64, len(assign))
+			for k, u := range assign {
+				parts[k] = gs[u]
+			}
+			msgs := p.EncodeInto(nil, w, parts, nil)
+			if len(msgs) != p.Messages(w) {
+				t.Fatalf("worker %d: EncodeInto emits %d messages, Messages says %d", w, len(msgs), p.Messages(w))
+			}
+			for _, msg := range msgs {
+				if msg.Units != 1 {
+					t.Fatalf("worker %d: message carries %v units, want 1", w, msg.Units)
+				}
+			}
+		}
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			p := planFor(t, name, 12, 12, 3, rng)
+			rp, ok := p.(Retunable)
+			if !ok {
+				check(t, p)
+				return
+			}
+			for L := rp.MinLevel(); L <= rp.MaxLevel(); L++ {
+				if err := rp.SetLevel(L); err != nil {
+					t.Fatal(err)
+				}
+				check(t, p)
+			}
+		})
+	}
+	// Idle workers, and the two schemes built directly from per-worker loads.
+	extra := []struct {
+		s       Scheme
+		m, n, r int
+	}{
+		{Uncoded{}, 3, 6, 1}, // workers 3..5 hold no data
+		{GeneralizedBCC{Loads: []int{4, 3, 0, 2, 3, 4}}, 12, 6, 4},
+		{Partitioned{Loads: []int{3, 0, 4, 2, 3, 0}}, 12, 6, 4},
+	}
+	for _, c := range extra {
+		t.Run(c.s.Name(), func(t *testing.T) {
+			p, err := c.s.Plan(c.m, c.n, c.r, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, p)
+			idle := 0
+			for w := 0; w < c.n; w++ {
+				if p.Messages(w) == 0 {
+					idle++
+				}
+			}
+			if idle == 0 {
+				t.Fatal("no idle worker: the case does not exercise Messages(w) == 0")
+			}
+		})
+	}
+}
+
 func seq(n int) []int {
 	s := make([]int, n)
 	for i := range s {

@@ -128,6 +128,9 @@ func (p *coveragePlan) EncodeInto(dst []Message, worker int, parts [][]float64, 
 	return dst
 }
 
+// Messages implements Plan: one message per group.
+func (p *coveragePlan) Messages(worker int) int { return len(p.groups[worker]) }
+
 // owns reports whether the plan gives worker w a group tagged tag.
 func (p *coveragePlan) owns(w, tag int) bool {
 	if w < 0 || w >= p.n {

@@ -102,6 +102,9 @@ func (p *mdsPlan) MinResponders() int         { return p.n - p.s }
 func (p *mdsPlan) ExpectedThreshold() float64 { return float64(p.n - p.s) }
 func (p *mdsPlan) CommLoadPerWorker() float64 { return 1 }
 
+// Messages implements Plan: every worker sends one complex share.
+func (p *mdsPlan) Messages(int) int { return 1 }
+
 // EncodeInto implements Plan: z_i = sum_u B[i][u] g_u, shipped as (Re, Im)
 // in pooled payload buffers.
 func (p *mdsPlan) EncodeInto(dst []Message, worker int, parts [][]float64, bufs Buffers) []Message {

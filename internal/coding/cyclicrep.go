@@ -185,6 +185,9 @@ func (p *codedPlan) ExpectedThreshold() float64 { return float64(p.n - p.s) }
 
 func (p *codedPlan) CommLoadPerWorker() float64 { return 1 }
 
+// Messages implements Plan: every worker sends one coded combination.
+func (p *codedPlan) Messages(int) int { return 1 }
+
 // EncodeInto implements Plan: one message carrying the coded combination,
 // formed directly in a pooled payload buffer with the plan's precomputed
 // coefficients.

@@ -139,6 +139,9 @@ func (p *nestedPlan) EncodeInto(dst []Message, worker int, parts [][]float64, bu
 	return p.active().EncodeInto(dst, worker, parts, bufs)
 }
 
+// Messages implements Plan for the active level.
+func (p *nestedPlan) Messages(worker int) int { return p.active().Messages(worker) }
+
 // WorstCaseThreshold returns the ACTIVE level's deterministic threshold
 // n - Level() + 1.
 func (p *nestedPlan) WorstCaseThreshold() int { return p.active().WorstCaseThreshold() }

@@ -85,6 +85,10 @@ type Plan interface {
 	// payloads are drawn from bufs (nil = fresh allocations) and never alias
 	// parts, so callers may reuse the parts scratch immediately.
 	EncodeInto(dst []Message, worker int, parts [][]float64, bufs Buffers) []Message
+	// Messages returns how many messages EncodeInto emits for worker, each
+	// carrying one unit of communication load. It is a placement property,
+	// known without computing a gradient.
+	Messages(worker int) int
 	// NewDecoder returns decoding state sized for this plan. One decoder
 	// serves many iterations: call Reset between them.
 	NewDecoder() Decoder

@@ -39,10 +39,10 @@ type Iteration struct {
 	Spans      []WorkerSpan
 }
 
-// Recorder accumulates iterations. The zero value is ready to use. It is
-// filled by the master engine when Config.Trace is set and the transport
-// runs on a virtual clock (the sim runtime); the live runtimes do not
-// trace (their timing is wall-clock, not modelled).
+// Recorder accumulates iterations. The zero value is ready to use. The sim
+// transport fills it when Config.Trace is set, one Iteration per decoded
+// iteration; the live runtimes do not trace (their timing is wall-clock,
+// not modelled).
 type Recorder struct {
 	Iterations []Iteration
 }
