@@ -4,7 +4,7 @@
 // Collector (BCC) scheme for straggler-robust distributed gradient descent,
 // together with the baselines and competing gradient-coding schemes the
 // paper evaluates against, a master/worker execution fabric (discrete-event
-// simulated, in-process goroutines, or real TCP sockets), and the
+// simulated, in-process pipes, or real TCP sockets), and the
 // heterogeneous-cluster extension of the paper's §IV.
 //
 // # The problem
@@ -43,8 +43,9 @@
 // (broadcast query, consume arrivals, offer to the decoder, finish early on
 // decodability, advance the optimizer, record stats). The three runtimes —
 // Spec.Runtime RuntimeSim (discrete-event simulated), RuntimeLive (one
-// goroutine per worker over channels) and RuntimeTCP (real loopback
-// sockets, compact binary frames) — are thin transports feeding that
+// goroutine per worker, speaking the wire protocol over in-process pipes)
+// and RuntimeTCP (the same protocol over real loopback sockets) — are thin
+// transports feeding that
 // engine, so recovery thresholds and comm loads are identical across them
 // for the same spec and seed. On every runtime the next query is broadcast
 // once an iteration has decoded and workers drop straggler work still in
@@ -202,33 +203,32 @@
 //     conformance golden and checkpoint is unchanged under it.
 //   - PayloadF32: query and reply vectors quantized to float32 on the wire
 //     (~2x smaller). The canonical transform float64(float32(v)) is applied
-//     by EVERY runtime — the simulator and the in-process channels transform
-//     values exactly where the TCP serializer would — so a given
-//     (spec, seed, codec) decodes to bit-identical iterates whether or not
-//     bytes actually cross a socket.
+//     by EVERY runtime — the simulator right after encoding, live and tcp
+//     in the wire serializer — so a given (spec, seed, codec) decodes to
+//     bit-identical iterates whether or not bytes are framed.
 //   - PayloadTopK: each reply vector keeps only its K largest-magnitude
 //     coordinates (Spec.TopK, default ceil(p/16)) as sorted index+value
 //     pairs; selection runs on raw float64 magnitudes with ties broken
 //     toward the lower index, so all runtimes keep the same set. Queries
 //     stay dense (sparsifying the iterate would change the algorithm).
 //
-// On the TCP runtime's compact binary frames, payload vectors are staged in
-// fixed-size chunks (Spec.WireChunk elements, default 512 = 4 KiB; raw64
-// vectors move as byte views of the float64 slices on little-endian hosts);
-// chunking is pure staging — the byte stream is identical for every chunk
-// size. The TCP handshake
-// carries the worker index, codec, K and chunk size and rejects mismatched
-// processes and a bad or duplicate index at connect time; a reply that
-// claims another sender or a payload of the wrong length ends its
+// In the live and tcp runtimes' compact binary frames, payload vectors are
+// staged in fixed-size chunks (Spec.WireChunk elements, default 512 =
+// 4 KiB; raw64 vectors move as byte views of the float64 slices on
+// little-endian hosts); chunking is pure staging — the byte stream is
+// identical for every chunk size. The handshake carries the worker index,
+// codec, K and chunk size and rejects mismatched processes and a bad or
+// duplicate index at connect time; a reply that claims another sender, a
+// payload of the wrong length or a load other than one unit ends its
 // connection's reads. The simulator models the reduced payload: upload and
 // ingress-drain latencies scale by the codec's byte fraction.
 //
 // Accounting is split honestly in Result: IterStats.Bytes/Result.TotalBytes
 // stay the modelled payload byte counts (codec-aware, comparable across all
 // runtimes), while IterStats.WireBytesIn/Out and Result.TotalWireIn/Out
-// report bytes MEASURED at the socket layer — framing included — on the
-// TCP runtime, and zero elsewhere. The lossy codecs preserve the zero
-// steady-state-allocation invariant (selection scratch and staging buffers
+// report bytes MEASURED at the connection — framing included — on the live
+// (pipe) and tcp (socket) runtimes, and zero on the simulator. The lossy
+// codecs preserve the zero steady-state-allocation invariant (selection scratch and staging buffers
 // are per-connection and reused); BENCH_PR6.json records the committed
 // sweep: reply traffic at ~50% of raw64 under f32 and ~6% (16x) under
 // top-K at K=p/16. On a zero-latency loopback the byte savings buy no

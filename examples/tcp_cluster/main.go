@@ -35,7 +35,7 @@ func main() {
 		Dim:        64,
 		Iterations: 20,
 		Seed:       3,
-		Runtime:    bcc.RuntimeTCP, // loopback sockets instead of channels
+		Runtime:    bcc.RuntimeTCP, // loopback sockets instead of in-process pipes
 		TimeScale:  1e-2,           // 1 virtual second sleeps 10 ms
 		Latency:    lat,
 		// Watch each iteration's gradient become decodable as the recovery

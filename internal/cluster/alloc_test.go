@@ -56,10 +56,11 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTCPSteadyStateZeroAllocs is the tcp twin of
-// TestSimSteadyStateZeroAllocs: the in-process tcp runtime at n = 8,
-// p = 16384 — master engine, eight socket readers, eight worker loops, every
-// frame encoded and decoded — allocates nothing per steady-state iteration.
+// TestTCPSteadyStateZeroAllocs is the tcp and live twin of
+// TestSimSteadyStateZeroAllocs: the in-process runtimes at n = 8,
+// p = 16384 — master engine, eight connection readers, eight worker loops,
+// every frame encoded and decoded — allocate nothing per steady-state
+// iteration, over sockets and over pipes alike.
 // Queries land in recycled buffers, reply Msgs slices are recycled, and the
 // live source and its deadline timer are reused. cyclicmds adds the
 // imaginary payload plane of every message; bcc/M=4 adds the sharded
@@ -67,7 +68,7 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // shards (p = 16384 at the default 512-element chunk) dispatch through
 // channels.
 //
-// A socket run's fixed cost (dials, goroutines, connection buffers) varies
+// A run's fixed cost (dials, goroutines, connection buffers) varies
 // by a few dozen allocations from run to run, more than a short and a long
 // run differ by, so the test differences the process's malloc count across
 // the steady iterations of one run instead. Repeated runs on one Config
@@ -75,7 +76,7 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // because a real per-iteration allocation shows in every run, while a pool
 // reaching a new peak of buffers in flight shows only in some.
 func TestTCPSteadyStateZeroAllocs(t *testing.T) {
-	check := func(t *testing.T, scheme string, shards int) {
+	check := func(t *testing.T, scheme string, shards int, tcp bool) {
 		const warm, steady, runs, warmRuns = 30, 40, 8, 3
 		cfg, _ := buildRunDim(t, scheme, 8, 8, 3, warm+steady, 81, Zero{}, 16384)
 		cfg.MasterShards = shards
@@ -89,7 +90,7 @@ func TestTCPSteadyStateZeroAllocs(t *testing.T) {
 		}}
 		quietest := uint64(math.MaxUint64)
 		for run := 0; run < runs; run++ {
-			if _, err := RunLive(cfg, LiveOptions{TCP: true, Drain: true}); err != nil {
+			if _, err := RunLive(cfg, LiveOptions{TCP: tcp, Drain: true}); err != nil {
 				t.Fatal(err)
 			}
 			if run >= warmRuns {
@@ -97,15 +98,21 @@ func TestTCPSteadyStateZeroAllocs(t *testing.T) {
 			}
 		}
 		if quietest > 0 {
-			t.Fatalf("%d steady-state tcp iterations allocated %d objects in the quietest of %d runs, want 0",
-				steady, quietest, runs-warmRuns)
+			t.Fatalf("%d steady-state iterations (tcp %v) allocated %d objects in the quietest of %d runs, want 0",
+				steady, tcp, quietest, runs-warmRuns)
 		}
+	}
+	// Each cell runs on tcp and, as its "live" subtest, over in-process
+	// pipes: the same fabric with a different carrier.
+	both := func(t *testing.T, scheme string, shards int) {
+		check(t, scheme, shards, true)
+		t.Run("live", func(t *testing.T) { check(t, scheme, shards, false) })
 	}
 	for _, scheme := range []string{"bcc", "cyclicmds"} {
 		t.Run(scheme, func(t *testing.T) {
-			check(t, scheme, 0)
+			both(t, scheme, 0)
 			if scheme == "bcc" {
-				t.Run("M=4", func(t *testing.T) { check(t, scheme, 4) })
+				t.Run("M=4", func(t *testing.T) { both(t, scheme, 4) })
 			}
 		})
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // BufferPool recycles the gradient-sized []float64 buffers that flow through
-// the iteration data plane: workers (or the TCP codec) draw message payloads
-// and TCP queries from the pool, the master returns payloads once an
+// the iteration data plane: workers (or the wire codec) draw message
+// payloads and queries from the pool, the master returns payloads once an
 // iteration's decode is finished. In steady state every iteration therefore
 // runs on the same handful of buffers and performs no heap allocations.
 //
@@ -24,8 +24,8 @@ import (
 //  4. Messages that never reach the decoder (dropped, stale, or arriving
 //     after the decode point) are returned by whichever component discarded
 //     them.
-//  5. A TCP worker reads each broadcast query into a buffer from its pool;
-//     RunWorker puts it back as soon as the query's gradients are computed
+//  5. A worker reads each broadcast query into a buffer from its pool;
+//     runWorker puts it back as soon as the query's gradients are computed
 //     (or the query is skipped for a newer one).
 //
 // The free list is a mutex-guarded stack rather than a sync.Pool: putting a
@@ -36,8 +36,8 @@ import (
 // and degrades to plain allocation.
 //
 // The pool also recycles the master's reply Msgs slices (getMsgs/putMsgs):
-// whoever hands a reply to the master — a tcp reader, the channel fabric's
-// send — builds its Msgs in a recycled slice, and the master returns the
+// the connection reader that hands a reply to the master builds its Msgs in
+// a recycled slice, and the master returns the
 // slice once the engine has offered the messages or discarded the reply.
 type BufferPool struct {
 	dim  int

@@ -260,10 +260,10 @@ type IterStats struct {
 	Bytes int
 	// WireBytesIn and WireBytesOut count bytes MEASURED at the wire layer
 	// this iteration — every byte read from and written to the master's
-	// connections, framing and headers included. Only transports with real
-	// sockets report them (the tcp fabric); sim and the channel fabric leave
-	// them zero. Unlike Bytes they are an observation, not a model, so they
-	// are excluded from cross-runtime conformance.
+	// connections, framing and headers included: pipes on live, sockets on
+	// tcp. The simulator has no wire and leaves them zero. Unlike Bytes they
+	// are an observation, not a model, so they are excluded from
+	// cross-runtime conformance.
 	WireBytesIn  int
 	WireBytesOut int
 	// GradNorm is the Euclidean norm of the decoded (normalized) gradient.
@@ -298,7 +298,7 @@ type Result struct {
 	// from the payload codec, like IterStats.Bytes).
 	TotalBytes int
 	// TotalWireIn and TotalWireOut sum the per-iteration measured wire
-	// bytes (tcp runtime only; zero elsewhere), plus — with
+	// bytes (live and tcp; zero on the simulator), plus — with
 	// LiveOptions.Drain — the post-run drain residue: the engine drains the
 	// fabric before assembling the Result, so straggler reply frames still
 	// in flight at the final decode are read and counted rather than racing
@@ -421,7 +421,7 @@ func ensureParts(scratch [][]float64, k, dim int) [][]float64 {
 }
 
 // gradientPartsInto is the shared worker-side computation used by the sim
-// transport and by RunWorker in the live runtimes: parts[k] becomes the
+// transport and by runWorker in the live runtimes: parts[k] becomes the
 // gradient sum of unit assign[k] at query point q, written into the caller's
 // reusable scratch (grown on first use, allocation-free thereafter). With
 // parallelism > 1 the examples are sharded over goroutines; each example

@@ -835,7 +835,8 @@ func TestServeMasterExternalWorkers(t *testing.T) {
 
 // TestRoguePeerCannotCrashMaster: one of n connections handshakes honestly
 // and then answers every query with a reply that lies — a sender index past
-// n under uncoded, a payload one element short under bcc. The master drops
+// n under uncoded, a payload one element short or a load of 1e9 units under
+// bcc. The master drops
 // that connection like one whose read failed, so the run ends in an error
 // (here the iteration timeout: every worker's data is needed) instead of a
 // panic that would take down every job of the process.
@@ -847,6 +848,7 @@ func TestRoguePeerCannotCrashMaster(t *testing.T) {
 	}{
 		{"uncoded", func(msg *coding.Message) { msg.From = n }},
 		{"bcc", func(msg *coding.Message) { msg.Vec = msg.Vec[:len(msg.Vec)-1] }},
+		{"bcc", func(msg *coding.Message) { msg.Units = 1e9 }},
 	}
 	for _, c := range cases {
 		t.Run(c.scheme, func(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 	"bcc/internal/wire"
 )
 
-// wireCodec speaks the wire frame encoding on one TCP connection. It is NOT
+// wireCodec speaks the wire frame encoding on one connection. It is NOT
 // safe for concurrent use, but the read and the write half are independent.
 // Writing model frames is the fabric's business, not a connection's
-// (tcpFabric.Broadcast).
+// (connFabric.Broadcast).
 type wireCodec struct {
 	conn net.Conn
 	pc   wire.PayloadConfig

@@ -11,12 +11,12 @@ import (
 // payloads are represented between workers and the master. The zero value is
 // raw64 (dense float64, bit-exact, today's format). The same options must be
 // given to the master's Config and to every out-of-process worker's
-// WorkerEnv; the TCP handshake verifies they agree.
+// WorkerEnv; the handshake verifies they agree.
 //
 // Lossy codecs ("f32", "topk") are deterministic across runtimes: the
 // transform is a pure function of the payload values, applied exactly once
-// per payload at each runtime's wire boundary (during serialization on TCP,
-// in process on sim and channels), so the same spec + seed + codec produces
+// per payload at each runtime's wire boundary (during serialization on live
+// and tcp, in process on sim), so the same spec + seed + codec produces
 // bit-identical results on sim, live and tcp.
 type CommOptions struct {
 	// Payload names the codec: "" or "raw64" (default, lossless), "f32"
@@ -126,10 +126,9 @@ func (p commPlane) msgBytes(msg coding.Message) int {
 }
 
 // applyReplyCodec runs every payload of msgs through the canonical lossy
-// transform in place. A nil coder (raw64) is a no-op. The runtimes that
-// never serialize call this at their wire-equivalent boundary: the sim
-// transport right after encoding, the channel fabric in its send path. The
-// TCP fabric transforms as it serializes — each payload is transformed
+// transform in place. A nil coder (raw64) is a no-op. The sim transport,
+// which never serializes, calls this right after encoding; the live and tcp
+// runtimes transform as the wire serializes — each payload is transformed
 // exactly once on every runtime.
 func applyReplyCodec(coder *wire.VecCoder, msgs []coding.Message) {
 	if coder == nil {
@@ -174,8 +173,7 @@ func (p commPlane) checkHello(h wire.Hello) error {
 // accounting: transports whose bytes genuinely cross a wire report running
 // totals counted at the connection layer. The engine snapshots the totals
 // around each iteration and records the deltas in IterStats.WireBytesIn/Out;
-// transports without the capability (sim) or without real sockets (channel
-// fabric) report zeros.
+// transports without the capability (sim) report zeros.
 type wireCounter interface {
 	// WireTotals returns cumulative bytes received by and sent from the
 	// master's connections since the transport was built.

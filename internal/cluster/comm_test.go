@@ -30,10 +30,10 @@ func codecAxis() []CommOptions {
 }
 
 // TestScenarioConformanceCodecs extends the conformance suite with the codec
-// axis: under a lossy payload codec, the live channel runtime and the tcp
-// runtime must reproduce the sim reference bit for bit — the lossy
-// transform is a pure function applied exactly once per payload, wherever
-// each runtime's wire boundary happens to be.
+// axis: under a lossy payload codec, the live and tcp runtimes must
+// reproduce the sim reference bit for bit — the lossy transform is a pure
+// function applied exactly once per payload, by the sim right after encoding
+// and by the wire serializer on the other two.
 func TestScenarioConformanceCodecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
@@ -289,9 +289,11 @@ func TestWireAccountingMatchesAnalytic(t *testing.T) {
 	}
 }
 
-// TestWireAccountingZeroOffWire pins the capability boundary: runtimes
-// without real sockets report zero measured wire bytes (the modelled Bytes
-// field still counts payloads).
+// TestWireAccountingZeroOffWire pins the capability boundary: the sim has
+// no wire and reports zero measured bytes (the modelled Bytes field still
+// counts payloads), while live measures its pipes exactly as tcp measures
+// its sockets — the broadcast frames are deterministic, so both egress
+// counts agree on every iteration.
 func TestWireAccountingZeroOffWire(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 8, 2, 3, 54, Zero{})
 	res, err := RunSim(cfg)
@@ -304,13 +306,22 @@ func TestWireAccountingZeroOffWire(t *testing.T) {
 	if res.TotalBytes == 0 {
 		t.Fatal("modelled payload bytes missing")
 	}
-	cfg2, _ := buildRun(t, "bcc", 8, 8, 2, 3, 54, Zero{})
-	res2, err := RunLive(cfg2, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	run := func(tcp bool) *Result {
+		cfg, _ := buildRun(t, "bcc", 8, 8, 2, 3, 54, Zero{})
+		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: tcp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if res2.TotalWireIn != 0 || res2.TotalWireOut != 0 {
-		t.Fatalf("channel fabric reported wire bytes %d/%d, want 0/0", res2.TotalWireIn, res2.TotalWireOut)
+	live, tcp := run(false), run(true)
+	for i, it := range live.Iters {
+		if want := tcp.Iters[i].WireBytesOut; it.WireBytesOut != want || want == 0 {
+			t.Errorf("iter %d: live sent %d wire bytes, tcp %d; want equal and non-zero", i, it.WireBytesOut, want)
+		}
+	}
+	if live.TotalWireIn <= 0 {
+		t.Fatalf("live measured %d reply wire bytes, want > 0", live.TotalWireIn)
 	}
 }
 
@@ -407,7 +418,7 @@ func TestBroadcastFrameMatchesWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, out := fab.(*tcpFabric).WireTotals(); out != int64(workers*want.Len()) {
+		if _, out := fab.(*connFabric).WireTotals(); out != int64(workers*want.Len()) {
 			t.Fatalf("%+v: fabric counted %d bytes out, want %d x %d", comm, out, workers, want.Len())
 		}
 		fab.Close()

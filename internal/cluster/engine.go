@@ -17,9 +17,10 @@ import (
 // arrivals, offer them to the decoder, finish the moment the gradient is
 // decodable, advance the optimizer, record IterStats — is implemented once
 // here and parameterized by a small Transport interface. The DES simulator
-// (sim.go), the goroutine/channel fabric and the TCP fabric (live.go,
-// tcp.go) are thin transports feeding this engine; new runtimes (async/SSP,
-// multi-host, sharded masters) plug in the same way.
+// (sim.go) and the live transport over the one connection fabric (live.go,
+// tcp.go; in-process pipes or TCP sockets) are thin transports feeding this
+// engine; new runtimes (async/SSP, multi-host, sharded masters) plug in the
+// same way.
 //
 // The engine is the single point where the run lifecycle is controlled and
 // observed: the caller's context cancels or deadline-bounds the run (the
@@ -105,7 +106,7 @@ func RunTransportContext(ctx context.Context, cfg *Config, tr Transport) (*Resul
 // one quantized-query buffer under the f32 codec, and the run's BufferPool
 // to which every consumed message payload is returned once its iteration
 // has decoded. After the first iteration warms the pool and scratch, an
-// iteration allocates nothing on the sim and tcp runtimes.
+// iteration allocates nothing on any runtime.
 //
 // On cancellation the engine returns the partial Result of the iterations
 // already completed together with ctx.Err(); the in-flight iteration is
@@ -134,8 +135,8 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	// that hears every worker, so what a run allocates does not depend on
 	// how many replies its busiest iteration took.
 	used := make([][]float64, 0, cfg.iterPayloads())
-	// Measured comm accounting: transports with real sockets expose running
-	// byte totals; the engine records per-iteration deltas. The baseline
+	// Measured comm accounting: transports with real connections expose
+	// running byte totals; the engine records per-iteration deltas. The baseline
 	// snapshot here excludes the handshake frames read during accept, and
 	// the deferred Shutdown excludes the shutdown frame from the last
 	// iteration's delta.

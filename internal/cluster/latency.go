@@ -3,10 +3,11 @@
 // lifecycle — broadcast the query, consume worker arrivals, offer them to
 // the decoder, finish the moment the gradient is decodable, advance the
 // optimizer, record stats — and is parameterized by a small Transport /
-// ArrivalSource interface. Three transports feed it: a discrete-event
-// simulator (sim.go), in-process goroutine workers over channels (live.go),
-// and goroutine or out-of-process workers over real TCP sockets (tcp.go),
-// with pluggable schemes (internal/coding) and pluggable latency models
+// ArrivalSource interface. Two transports feed it: a discrete-event
+// simulator (sim.go) and real workers (live.go) — in-process goroutines
+// over pipes or loopback sockets, or out-of-process workers over TCP, all
+// speaking one wire protocol through one fabric (tcp.go) — with pluggable
+// schemes (internal/coding) and pluggable latency models
 // (this file) shared by all of them. On every runtime the next query goes
 // out once an iteration has decoded and workers drop whatever they were
 // still doing for an older one, so each round starts with all workers idle

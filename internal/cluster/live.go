@@ -3,22 +3,20 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"bcc/internal/coding"
 	"bcc/internal/faults"
-	"bcc/internal/vecmath"
 	"bcc/internal/wire"
 )
 
 // The live runtimes execute the run with real concurrent workers — one
-// goroutine per worker — exchanging messages over in-process channels or
-// loopback TCP sockets. Latency draws are injected as scaled sleeps, so the
-// realized arrival order matches the latency model while the gradients are
-// computed for real. Both fabrics are adapted to the master engine
-// (engine.go) by the single liveTransport below; the master iteration logic
-// itself lives in the engine, not here.
+// goroutine per worker — speaking the wire protocol over in-process pipes
+// (live) or loopback TCP sockets (tcp). Latency draws are injected as scaled
+// sleeps, so the realized arrival order matches the latency model while the
+// gradients are computed for real. The one fabric (tcp.go) is adapted to the
+// master engine (engine.go) by the single liveTransport below; the master
+// iteration logic itself lives in the engine, not here.
 
 // ModelUpdate is the master-to-worker broadcast for one iteration, the wire
 // model frame itself. Iter < 0 signals shutdown. Level is the active
@@ -34,15 +32,15 @@ type ModelUpdate = wire.Model
 // metric.
 type Reply = wire.Reply
 
-// LiveOptions tunes the goroutine/TCP runtimes.
+// LiveOptions tunes the live and tcp runtimes.
 type LiveOptions struct {
 	// TimeScale converts virtual latency seconds into real sleep seconds
 	// (default 1e-3: a 10 s virtual iteration sleeps 10 ms).
 	TimeScale float64
 	// Timeout aborts an iteration whose decoder starves (default 30 s).
 	Timeout time.Duration
-	// TCP routes all traffic through real loopback TCP sockets (wire frames)
-	// instead of in-process channels.
+	// TCP carries the wire frames over real loopback TCP sockets instead of
+	// in-process pipes; the protocol is the same either way.
 	TCP bool
 	// Codec named the TCP frame encoding.
 	//
@@ -50,9 +48,9 @@ type LiveOptions struct {
 	// "wire" are accepted, anything else fails the run.
 	Codec string
 	// Drain makes the run end only after the fabric has drained: every
-	// in-flight straggler reply frame is read off the sockets (and counted)
-	// before the Result is assembled, so Result.TotalWireIn/Out are what the
-	// workers really sent instead of racing the teardown. Cheap — the
+	// in-flight straggler reply frame is read off the connections (and
+	// counted) before the Result is assembled, so Result.TotalWireIn/Out are
+	// what the workers really sent instead of racing the teardown. Cheap — the
 	// shutdown broadcast cuts every worker's sleep short — and turned on by
 	// the measurement harnesses (bench, bccbench, the service).
 	Drain bool
@@ -67,15 +65,16 @@ func (o *LiveOptions) defaults() {
 	}
 }
 
-// fabric is the communication substrate under the live transport: the pipes
-// to the workers, nothing more. The master-side iteration semantics live in
-// the engine; the timing/fault bookkeeping lives in liveTransport.
+// fabric is the communication substrate under the live transport: the
+// connections to the workers, nothing more. The master-side iteration
+// semantics live in the engine; the timing/fault bookkeeping lives in
+// liveTransport.
 //
-// Broadcast consumes mu.Query before it returns (the tcp fabric encodes it
-// into its frame; the channel fabric hands its workers one shared copy), so
-// the caller may overwrite the query right after. Each Reply's Msgs slice is
-// the master's from then on: the live transport recycles it through the
-// run's BufferPool once the engine has offered its messages.
+// Broadcast consumes mu.Query before it returns (it is encoded into the
+// broadcast frame), so the caller may overwrite the query right after. Each
+// Reply's Msgs slice is the master's from then on: the live transport
+// recycles it through the run's BufferPool once the engine has offered its
+// messages.
 type fabric interface {
 	Broadcast(mu ModelUpdate) error
 	Replies() <-chan Reply
@@ -83,7 +82,7 @@ type fabric interface {
 }
 
 // RunLive executes the training run with real concurrent workers over
-// channels (default) or loopback TCP (opts.TCP).
+// in-process pipes (default) or loopback TCP (opts.TCP).
 func RunLive(cfg *Config, opts LiveOptions) (*Result, error) {
 	return RunLiveContext(context.Background(), cfg, opts)
 }
@@ -91,23 +90,17 @@ func RunLive(cfg *Config, opts LiveOptions) (*Result, error) {
 // RunLiveContext is RunLive bounded by a context: cancellation interrupts
 // the master even mid-iteration (while it blocks for worker replies) and
 // returns the completed iterations' partial Result alongside ctx.Err().
-// Worker goroutines and TCP listeners are torn down on every exit path; a
+// Worker goroutines and listeners are torn down on every exit path; a
 // worker mid-sleep is woken by the closing fabric and exits.
 func RunLiveContext(ctx context.Context, cfg *Config, opts LiveOptions) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	opts.defaults()
-	var fab fabric
-	var err error
-	if opts.TCP {
-		if err := checkFrameCodec(opts.Codec); err != nil {
-			return nil, err
-		}
-		fab, err = newTCPFabric(cfg, opts)
-	} else {
-		fab, err = newChanFabric(cfg, opts)
+	if err := checkFrameCodec(opts.Codec); err != nil {
+		return nil, err
 	}
+	opts.defaults()
+	fab, err := newFabric(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -151,9 +144,9 @@ func newLiveTransport(cfg *Config, fab fabric, opts LiveOptions) *liveTransport 
 	}
 }
 
-// WireTotals implements wireCounter by delegating to the fabric when its
-// bytes genuinely cross sockets (the tcp fabric); the channel fabric has no
-// wire, so the engine records zeros.
+// WireTotals implements wireCounter by delegating to the fabric, which
+// counts every byte crossing the master's connections, pipes and sockets
+// alike; a fabric without the capability reports zeros.
 func (t *liveTransport) WireTotals() (in, out int64) {
 	if wc, ok := t.fab.(wireCounter); ok {
 		return wc.WireTotals()
@@ -163,7 +156,7 @@ func (t *liveTransport) WireTotals() (in, out int64) {
 
 // wireDrainer is the optional transport capability the engine uses to settle
 // measured wire totals before assembling a Result: block until every
-// in-flight reply frame has been read off the sockets (bounded by the
+// in-flight reply frame has been read off the connections (bounded by the
 // fabric's drain timeout), so straggler bytes land in the totals instead of
 // racing the teardown.
 type wireDrainer interface {
@@ -171,8 +164,7 @@ type wireDrainer interface {
 }
 
 // DrainWire implements wireDrainer by draining the underlying fabric when
-// LiveOptions.Drain asked for settled totals; a no-op otherwise and on
-// fabrics without sockets (DrainFabric handles both).
+// LiveOptions.Drain asked for settled totals; a no-op otherwise.
 func (t *liveTransport) DrainWire() {
 	if t.opts.Drain {
 		DrainFabric(t.fab, t.opts.Timeout)
@@ -288,8 +280,8 @@ func (s *liveSource) Finish() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker node logic (shared by the channel and TCP runtimes, and by the
-// service's out-of-process fleet workers)
+// Worker node logic (shared by the in-process workers of the live and tcp
+// runtimes and by the service's out-of-process fleet workers)
 // ---------------------------------------------------------------------------
 
 // WorkerEnv is everything one worker node needs to participate in a run.
@@ -319,16 +311,14 @@ type WorkerEnv struct {
 	// ComputeParallelism fans the per-example gradient computations out
 	// over this many goroutines (0/1 = serial).
 	ComputeParallelism int
-	// Bufs, if non-nil, supplies the worker's message payload buffers, and
-	// a TCP worker's query buffers. The in-process fabrics share the run's
-	// master pool (the master recycles a payload once the iteration that
-	// consumed it has decoded); an out-of-process TCP worker uses a private
-	// pool whose buffers are recycled by its send function right after
-	// serialization.
+	// Bufs, if non-nil, supplies the worker's message payload and query
+	// buffers, which its send function recycles right after serialization
+	// and its loop once a query is computed on. In-process workers share the
+	// run's master pool; an out-of-process worker gets a private one.
 	Bufs *BufferPool
 }
 
-// RunWorker executes the worker protocol until a shutdown update (Iter < 0)
+// runWorker executes the worker protocol until a shutdown update (Iter < 0)
 // or the updates channel closes: skip to the newest pending model, sleep the
 // drawn broadcast + compute latency, compute the real partial gradients,
 // encode, sleep the upload latency, reply. A worker only ever works for the
@@ -346,15 +336,10 @@ type WorkerEnv struct {
 //
 // The worker reuses one Msgs slice for every reply, so send must not retain
 // the Reply's Msgs slice after it returns (the payload buffers are the
-// receiver's, per the BufferPool protocol).
-func RunWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error) error {
-	return runWorker(env, updates, send, nil)
-}
-
-// runWorker is RunWorker with a query-release hook: release, if non-nil,
-// receives each update's query once the worker is done reading it — its
-// gradients are computed, or a newer update superseded it — so the
-// connection that decoded it can reuse the buffer (DialAndServeWorker).
+// receiver's, per the BufferPool protocol). release, if non-nil, receives
+// each update's query once the worker is done reading it — its gradients
+// are computed, or a newer update superseded it — so the connection that
+// decoded it can reuse the buffer (serveWorkerConn).
 func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error, release func([]float64)) error {
 	env.Latency = withFaultSlowdowns(env.Latency, env.Faults)
 	cp, err := env.Comm.resolve(env.Model.Dim())
@@ -369,7 +354,7 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 	// Retunable plans (the nested family): the worker pins each iteration's
 	// level from the broadcast itself, via immutable per-level plan views —
 	// never via the shared plan's mutable active level, which the master's
-	// controller may have advanced already (the channel fabric shares the
+	// controller may have advanced already (in-process workers share the
 	// plan object; a worker may lag a broadcast behind).
 	rp, _ := env.Plan.(coding.Retunable)
 	var levelPlans []coding.Plan
@@ -520,94 +505,4 @@ func recycleMsgs(pool *BufferPool, msgs []coding.Message) {
 func discardReply(pool *BufferPool, rep Reply) {
 	recycleMsgs(pool, rep.Msgs)
 	pool.putMsgs(rep.Msgs)
-}
-
-// ---------------------------------------------------------------------------
-// In-process channel fabric
-// ---------------------------------------------------------------------------
-
-type chanFabric struct {
-	inboxes []chan ModelUpdate
-	replies chan Reply
-	// done, closed by Close, unblocks a worker still pushing a reply after
-	// the master stopped reading.
-	done chan struct{}
-	once sync.Once
-}
-
-func newChanFabric(cfg *Config, opts LiveOptions) (fabric, error) {
-	_, n, _ := cfg.Plan.Params()
-	pool := cfg.buffers() // created before any worker goroutine starts
-	f := &chanFabric{
-		inboxes: make([]chan ModelUpdate, n),
-		replies: make(chan Reply, n*4),
-		done:    make(chan struct{}),
-	}
-	// Every worker runs, crashed ones included: a crashed worker idles on
-	// its inbox for the iterations the fault plan keeps it down.
-	for w := 0; w < n; w++ {
-		// Deep enough that the master never blocks on a straggler's inbox.
-		inbox := make(chan ModelUpdate, cfg.Iterations+2)
-		f.inboxes[w] = inbox
-		env := WorkerEnv{
-			Index:              w,
-			Plan:               cfg.Plan,
-			Model:              cfg.Model,
-			Units:              cfg.Units,
-			Latency:            cfg.latency(),
-			TimeScale:          opts.TimeScale,
-			Faults:             cfg.Faults,
-			Comm:               cfg.Comm,
-			ComputeParallelism: cfg.ComputeParallelism,
-			Bufs:               pool,
-		}
-		go func() {
-			// The channel fabric's "wire boundary": the reply handoff. The
-			// lossy transform is applied here, once per payload, exactly where
-			// a TCP worker's serializer would apply it. Coders hold selection
-			// scratch, so each worker goroutine gets its own.
-			coder := cfg.comm().newCoder()
-			send := func(r Reply) error {
-				applyReplyCodec(coder, r.Msgs)
-				// RunWorker reuses its Msgs slice; the master gets a copy of
-				// the message headers in a recycled one.
-				r.Msgs = append(pool.getMsgs(), r.Msgs...)
-				select {
-				case f.replies <- r:
-				case <-f.done:
-					// Fabric closed: nobody will read this reply. Recycle it
-					// like a dropped transmission; the worker exits on its
-					// closed inbox.
-					discardReply(pool, r)
-				}
-				return nil
-			}
-			_ = RunWorker(env, inbox, send)
-		}()
-	}
-	return f, nil
-}
-
-// Broadcast hands every worker the same copy of the query: workers read it
-// concurrently, possibly after the engine has moved on and reused its buffer.
-func (f *chanFabric) Broadcast(mu ModelUpdate) error {
-	if mu.Query != nil {
-		mu.Query = vecmath.Clone(mu.Query)
-	}
-	for _, inbox := range f.inboxes {
-		inbox <- mu
-	}
-	return nil
-}
-
-func (f *chanFabric) Replies() <-chan Reply { return f.replies }
-
-func (f *chanFabric) Close() error {
-	f.once.Do(func() {
-		close(f.done)
-		for _, inbox := range f.inboxes {
-			close(inbox)
-		}
-	})
-	return nil
 }

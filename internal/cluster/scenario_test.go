@@ -125,13 +125,15 @@ func scenarioRuntimes() []engineRuntime {
 // compareScenarioRuns asserts run `got` is indistinguishable from `ref` in
 // every runtime-independent observable: per-iteration recovery threshold,
 // comm load, payload bytes, gradient norm and level, bit-identical final
-// weights and an identical fault-event trace. sim marks a sim-vs-sim
-// comparison, which additionally holds the virtual timings (Wall, Compute,
-// Comm) to whole-struct equality. Against a live or tcp run those are real
-// observations — Compute included: it is the max over whichever workers were
-// counted, and a scheduler hiccup can swap one counted worker for another
-// without changing K, units, bytes or the BCC gradient.
-func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, sim bool) {
+// weights and an identical fault-event trace. Measured wire bytes describe
+// the carrier, not the run, and are never compared. virtual marks a
+// comparison in virtual time — sim against sim, or a live run under
+// testing/synctest — which additionally holds the timings (Wall, Compute,
+// Comm) to whole-struct equality. Against a real-time live or tcp run those
+// are real observations — Compute included: it is the max over whichever
+// workers were counted, and a scheduler hiccup can swap one counted worker
+// for another without changing K, units, bytes or the BCC gradient.
+func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, virtual bool) {
 	t.Helper()
 	if len(got.res.Iters) != len(ref.res.Iters) {
 		t.Fatalf("%s completed %d iterations, reference %d", label, len(got.res.Iters), len(ref.res.Iters))
@@ -141,12 +143,12 @@ func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, sim b
 		// The NaN Loss sentinel compares unequal to itself; neutralize it so
 		// struct equality checks the rest.
 		it.Loss, want.Loss = 0, 0
-		if !sim {
+		it.WireBytesIn, want.WireBytesIn = 0, 0
+		it.WireBytesOut, want.WireBytesOut = 0, 0
+		if !virtual {
 			it.Wall, want.Wall = 0, 0
 			it.Compute, want.Compute = 0, 0
 			it.Comm, want.Comm = 0, 0
-			it.WireBytesIn, want.WireBytesIn = 0, 0
-			it.WireBytesOut, want.WireBytesOut = 0, 0
 		}
 		if it != want {
 			t.Errorf("%s iter %d: stats %+v, reference %+v", label, i, it, want)
@@ -160,6 +162,29 @@ func compareScenarioRuns(t *testing.T, label string, got, ref scenarioRun, sim b
 	}
 }
 
+// scenarioCell is one row of the conformance matrix.
+type scenarioCell struct {
+	name string
+	plan *faults.Plan
+	// first, if set, is the reference trace's first event.
+	first string
+}
+
+// scenarioCells lists the matrix rows: every named scenario, plus plan
+// content no scenario uses (i.i.d. drops and a worker dead from the start).
+func scenarioCells(t *testing.T) []scenarioCell {
+	t.Helper()
+	cells := []scenarioCell{{
+		name:  "drop-crash0",
+		plan:  &faults.Plan{N: scenarioN, Seed: 9, Drop: 0.15, Crashes: []faults.Crash{{Worker: 2, At: 0}}},
+		first: "iter=0 crash w2",
+	}}
+	for _, name := range faults.Names() {
+		cells = append(cells, scenarioCell{name: name, plan: scenarioPlan(t, name)})
+	}
+	return cells
+}
+
 // TestScenarioConformance is the tentpole suite: for every named scenario,
 // and for plan content no scenario uses (i.i.d. drops plus a worker dead
 // from the start), the live and tcp runtimes must reproduce the sim
@@ -170,21 +195,7 @@ func TestScenarioConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staggered live runs sleep real time")
 	}
-	type cell struct {
-		name string
-		plan *faults.Plan
-		// first, if set, is the reference trace's first event.
-		first string
-	}
-	cells := []cell{{
-		name:  "drop-crash0",
-		plan:  &faults.Plan{N: scenarioN, Seed: 9, Drop: 0.15, Crashes: []faults.Crash{{Worker: 2, At: 0}}},
-		first: "iter=0 crash w2",
-	}}
-	for _, name := range faults.Names() {
-		cells = append(cells, cell{name: name, plan: scenarioPlan(t, name)})
-	}
-	for _, c := range cells {
+	for _, c := range scenarioCells(t) {
 		t.Run(c.name+"/barrier", func(t *testing.T) {
 			t.Parallel()
 			ref := runPlanCfg(t, c.plan, CommOptions{}, nil, nil)

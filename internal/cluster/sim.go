@@ -24,7 +24,7 @@ import (
 // arrivals, and Next computes, encodes and transforms only the arrival it
 // hands the engine. The workers past the decode are never computed, as a
 // live worker drops stale work the instant a fresher broadcast reaches it
-// (RunWorker). Every round therefore starts with all workers idle and ends
+// (runWorker). Every round therefore starts with all workers idle and ends
 // at its decode, which is precisely what simulating each iteration as an
 // isolated round models.
 //
@@ -217,8 +217,8 @@ func (s *simSource) Next() (Arrival, bool, error) {
 		s.query, t.cfg.ComputeParallelism, t.parts)
 	t.msgs = t.cfg.Plan.EncodeInto(t.msgs[:0], sa.worker, t.parts, t.pool)
 	// The wire boundary of the simulated runtime: the canonical lossy
-	// transform is applied here, exactly where a TCP worker's serializer
-	// would apply it, so decoded values match the socket runtimes bit for
+	// transform is applied here, exactly where a worker's serializer would
+	// apply it, so decoded values match the live and tcp runtimes bit for
 	// bit.
 	applyReplyCodec(t.coder, t.msgs)
 	return Arrival{Worker: sa.worker, Compute: sa.compute, Msgs: t.msgs}, true, nil

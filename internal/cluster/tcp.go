@@ -11,25 +11,25 @@ import (
 	"bcc/internal/wire"
 )
 
-// The TCP fabric runs the identical master/worker protocol over real
-// loopback sockets — the messages genuinely leave the process boundary
-// through the kernel's TCP stack. It backs both the in-process
-// RunLive(..., TCP: true) mode and the service daemon's leased jobs, whose
-// workers are separate processes (bccserve -join).
-// Frames use the compact binary encoding of internal/wire, the only frame
-// encoding: each connection opens with a wire.Hello carrying the worker's
-// index and resolved comm-plane parameters (payload codec, top-K, chunk),
-// which the master verifies against its own before admitting it — a
-// mismatch would silently corrupt every payload. Every reply, sharded master
-// or not, is one frame on its worker's own connection, read by that
-// connection's reader goroutine.
+// The fabric runs the master/worker wire protocol over net.Conn
+// connections: loopback TCP sockets for RunLive(..., TCP: true) and the
+// service daemon's leased jobs, whose workers are separate processes
+// (bccserve -join), and in-process net.Pipe connections for the default
+// live runtime. Both are the same code from the first byte: frames use the
+// compact binary encoding of internal/wire, the only frame encoding; each
+// connection opens with a wire.Hello carrying the worker's index and
+// resolved comm-plane parameters (payload codec, top-K, chunk), which the
+// master verifies against its own before admitting it — a mismatch would
+// silently corrupt every payload. Every reply, sharded master or not, is one
+// frame on its worker's own connection, read by that connection's reader
+// goroutine.
 //
 // The master's side of a connection is read-only apart from broadcasts, and
 // a broadcast is the same bytes for every worker: the fabric encodes each
 // model update once into a frame it owns and writes that slice to every
-// socket, so per-connection write state does not exist.
+// connection, so per-connection write state does not exist.
 
-type tcpFabric struct {
+type connFabric struct {
 	ln    net.Listener
 	conns []net.Conn
 	// frame is the current broadcast, encoded by fw; reused every iteration.
@@ -49,14 +49,14 @@ type tcpFabric struct {
 	// connections down.
 	readers sync.WaitGroup
 	// Measured wire traffic of the master's connections, counted at the
-	// connection layer (every byte crossing the sockets, framing included).
+	// connection layer (every byte crossing them, framing included).
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
 }
 
 // WireTotals implements wireCounter: cumulative bytes received/sent across
 // all worker connections since the fabric accepted them.
-func (f *tcpFabric) WireTotals() (in, out int64) {
+func (f *connFabric) WireTotals() (in, out int64) {
 	return f.bytesIn.Load(), f.bytesOut.Load()
 }
 
@@ -89,22 +89,31 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// newTCPFabric starts a loopback listener, spawns one in-process worker
-// goroutine per worker that dials it, and wires reader goroutines into the
-// replies channel. Crashed workers connect too: they handshake and idle for
-// the iterations the fault plan keeps them down.
-func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
+// newFabric connects the run's n in-process workers to the master: over a
+// loopback TCP listener when opts.TCP is set, over a pipeListener
+// otherwise. Every worker dials, handshakes and serves the wire protocol
+// (serveWorkerConn), and acceptWorkers builds the master's side, so the two
+// runtimes differ only in what carries the bytes. Crashed workers connect
+// too: they handshake and idle for the iterations the fault plan keeps them
+// down.
+func newFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	_, n, _ := cfg.Plan.Params()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: tcp listen: %w", err)
+	var ln net.Listener
+	var dial func() (net.Conn, error)
+	if opts.TCP {
+		tl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("cluster: tcp listen: %w", err)
+		}
+		addr := tl.Addr().String()
+		ln, dial = tl, func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	} else {
+		pl := newPipeListener()
+		ln, dial = pl, pl.dial
 	}
-
-	// Spawn workers that dial the listener and speak the protocol. Like the
-	// channel fabric's, they draw payloads (and here queries) from the run's
-	// pool: a worker puts each buffer back once it is on the wire (or
-	// computed on), so one pool serves both ends of every connection.
-	addr := ln.Addr().String()
+	// The workers draw payloads and queries from the run's pool: a worker
+	// puts each buffer back once it is on the wire (or computed on), so one
+	// pool serves both ends of every connection.
 	for w := 0; w < n; w++ {
 		env := WorkerEnv{
 			Index:              w,
@@ -118,7 +127,11 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			ComputeParallelism: cfg.ComputeParallelism,
 			Bufs:               cfg.buffers(),
 		}
-		go func() { _ = DialAndServeWorker(addr, env) }()
+		go func() {
+			if conn, err := dial(); err == nil {
+				_ = serveWorkerConn(conn, env)
+			}
+		}()
 	}
 
 	fab, err := acceptWorkers(ln, n, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim())
@@ -129,6 +142,51 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	return fab, nil
 }
 
+// pipeListener is the live runtime's in-process listener: dial hands
+// Accept the master's end of a fresh net.Pipe and returns the worker's.
+// The send is unbuffered, so no connection is left unaccepted once the
+// listener closes.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) dial() (net.Conn, error) {
+	worker, master := net.Pipe()
+	select {
+	case l.conns <- master:
+		return worker, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
 // acceptWorkers accepts exactly n handshaking connections on ln and
 // assembles the fabric around them. timeout bounds each accept and each
 // hello read. pool, if non-nil, backs the codecs' reply deserialization so
@@ -136,12 +194,12 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 // master's comm plane; each worker's hello must declare the same payload
 // codec, top-K and chunk size, and a distinct index in [0, n), or the
 // handshake fails.
-func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (*tcpFabric, error) {
+func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (*connFabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
 	}
-	f := &tcpFabric{ln: ln, replies: make(chan Reply, n*4+4), pool: pool, quit: make(chan struct{})}
+	f := &connFabric{ln: ln, replies: make(chan Reply, n*4+4), pool: pool, quit: make(chan struct{})}
 	f.conns = make([]net.Conn, 0, n)
 	f.fw = wire.NewFrameWriter(&f.frame)
 	f.fw.SetPayload(cp.pc)
@@ -207,16 +265,17 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 }
 
 // honestReply reports whether a reply read on worker's connection speaks
-// for that worker alone and carries gradient-sized payloads: a dim-long Vec
-// and an Imag that is nil or dim-long. A reply that fails is treated like a
-// read error, so no decoder sees a sender outside the plan or sums a short
-// vector.
+// for that worker alone and carries gradient-sized payloads: a dim-long Vec,
+// an Imag that is nil or dim-long, and the one unit of load every scheme's
+// message carries. A reply that fails is treated like a read error, so no
+// decoder sees a sender outside the plan or sums a short vector, and no
+// declared load inflates IterStats.Units or the master's ingress sleep.
 func honestReply(rep Reply, worker, dim int) bool {
 	if rep.Worker != worker {
 		return false
 	}
 	for _, msg := range rep.Msgs {
-		if msg.From != worker || msg.Vec == nil || len(msg.Vec) != dim ||
+		if msg.From != worker || msg.Units != 1 || msg.Vec == nil || len(msg.Vec) != dim ||
 			(msg.Imag != nil && len(msg.Imag) != dim) {
 			return false
 		}
@@ -224,7 +283,7 @@ func honestReply(rep Reply, worker, dim int) bool {
 	return true
 }
 
-func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
+func (f *connFabric) Broadcast(mu ModelUpdate) error {
 	f.frame = f.frame[:0]
 	if err := f.fw.WriteModel(mu); err != nil {
 		return fmt.Errorf("cluster: tcp broadcast encode: %w", err)
@@ -237,14 +296,14 @@ func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
 	return nil
 }
 
-func (f *tcpFabric) Replies() <-chan Reply { return f.replies }
+func (f *connFabric) Replies() <-chan Reply { return f.replies }
 
 // drainReaders waits (up to timeout) for every connection reader to observe
 // its worker's clean close — a worker closes its side after receiving the
 // shutdown broadcast — while discarding any stale replies still in flight
 // so a full replies channel cannot wedge a reader. It reports whether all
 // readers finished in time.
-func (f *tcpFabric) drainReaders(timeout time.Duration) bool {
+func (f *connFabric) drainReaders(timeout time.Duration) bool {
 	done := make(chan struct{})
 	go func() {
 		f.readers.Wait()
@@ -278,9 +337,9 @@ type drainer interface {
 // caller may not have) and then waits, bounded by timeout, for every worker
 // to close its side of the connection. Without the drain, Close can tear a
 // socket down while the worker's last reply is still in flight, turning a
-// clean shutdown into a connection reset on the worker. Fabrics without
-// real connection readers (the channel fabric) drain trivially. It reports
-// whether the fabric drained within the timeout.
+// clean shutdown into a connection reset on the worker. A fabric without
+// connection readers drains trivially. It reports whether the fabric
+// drained within the timeout.
 func DrainFabric(fab Fabric, timeout time.Duration) bool {
 	_ = fab.Broadcast(ModelUpdate{Iter: -1})
 	if d, ok := fab.(drainer); ok {
@@ -289,7 +348,7 @@ func DrainFabric(fab Fabric, timeout time.Duration) bool {
 	return true
 }
 
-func (f *tcpFabric) Close() error {
+func (f *connFabric) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -305,8 +364,8 @@ func (f *tcpFabric) Close() error {
 
 // DialAndServeWorker connects to a master at addr, performs the handshake
 // and serves the worker protocol until the connection closes or the master
-// sends a shutdown update. It is used by the in-process TCP runtime and by
-// the out-of-process worker command.
+// sends a shutdown update. It is the out-of-process worker command's entry
+// point.
 func DialAndServeWorker(addr string, env WorkerEnv) error {
 	if err := checkFrameCodec(env.Codec); err != nil {
 		return err
@@ -315,6 +374,13 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	if err != nil {
 		return fmt.Errorf("cluster: worker %d dial: %w", env.Index, err)
 	}
+	return serveWorkerConn(conn, env)
+}
+
+// serveWorkerConn is the worker's side of one connection, socket or pipe:
+// hello, then runWorker fed by a model reader, until the connection closes
+// or the master broadcasts a shutdown. It closes conn on return.
+func serveWorkerConn(conn net.Conn, env WorkerEnv) error {
 	defer conn.Close()
 	dim := 0
 	if env.Model != nil {
@@ -325,13 +391,13 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		return fmt.Errorf("cluster: worker %d: %w", env.Index, err)
 	}
 	if env.Bufs == nil && env.Model != nil {
-		// A TCP worker's payloads are fully serialized by the time WriteReply
+		// A worker's payloads are fully serialized by the time WriteReply
 		// returns, so a small private pool recycled in the send path makes
 		// the worker's steady-state encode allocation-free too.
 		env.Bufs = NewBufferPool(env.Model.Dim(), 64)
 	}
 	// The worker's reads are model broadcasts: each query lands in a buffer
-	// from the pool, which RunWorker puts back once it has computed on it.
+	// from the pool, which runWorker puts back once it has computed on it.
 	codec := newWireCodec(conn, env.Bufs, cp)
 	if err := codec.WriteHello(cp.hello(env.Index)); err != nil {
 		return fmt.Errorf("cluster: worker %d hello: %w", env.Index, err)
@@ -340,10 +406,12 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	// loop can observe fresh broadcasts mid-sleep and abandon stale work.
 	// The codec's read and write halves are independent, so the reader
 	// goroutine and the reply writes below do not race. At most one update
-	// waits in the channel: a newer one replaces it — RunWorker would skip
+	// waits in the channel: a newer one replaces it — runWorker would skip
 	// it anyway — and its query buffer goes straight back to the pool, so a
 	// connection holds no query beyond the one in use, the one queued and
-	// the one being read.
+	// the one being read. The reader keeps reading until the connection
+	// closes, a shutdown included, so a master's broadcast never waits on
+	// this worker, even over an unbuffered pipe.
 	updates := make(chan ModelUpdate, 1)
 	go func() {
 		defer close(updates)
@@ -358,11 +426,8 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 			default:
 			}
 			// Only this goroutine sends, so the channel has room: the send
-			// never blocks, even after RunWorker has returned.
+			// never blocks, even after runWorker has returned.
 			updates <- mu
-			if mu.Iter < 0 {
-				return
-			}
 		}
 	}()
 	send := func(r Reply) error {
@@ -384,7 +449,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 // hello read. The caller owns ln's lifetime via the returned fabric's Close.
 // pool, if non-nil, backs reply payloads with pooled buffers that the engine
 // recycles after each decode, so a long-running host keeps the
-// allocation-free steady state of the in-process TCP runtime (pass
+// allocation-free steady state of the in-process runtimes (pass
 // Config.Buffers() of the run the fabric will drive); with nil, payloads are
 // allocated per frame.
 //

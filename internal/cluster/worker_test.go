@@ -10,7 +10,7 @@ import (
 	"bcc/internal/vecmath"
 )
 
-// The worker-loop tests drive RunWorker directly — a scripted updates
+// The worker-loop tests drive runWorker directly — a scripted updates
 // channel in, a recording send out — and pin the one worker semantics: a
 // worker only ever works for the newest query it has seen, a fresher query
 // (or a shutdown) cuts any latency sleep short without leaking the encoded
@@ -32,7 +32,7 @@ func (l signalLatency) Upload(w, iter int, units float64) float64 {
 	return l.Fixed.Upload(w, iter, units)
 }
 
-// workerRig is one RunWorker goroutine (worker 0 of a small bcc run) with
+// workerRig is one runWorker goroutine (worker 0 of a small bcc run) with
 // its channels exposed.
 type workerRig struct {
 	env     WorkerEnv
@@ -59,26 +59,26 @@ func newWorkerRig(t *testing.T, lat Latency) *workerRig {
 
 func (r *workerRig) start() {
 	go func() {
-		r.done <- RunWorker(r.env, r.updates, func(rep Reply) error {
+		r.done <- runWorker(r.env, r.updates, func(rep Reply) error {
 			r.replies <- rep
 			return nil
-		})
+		}, nil)
 	}()
 }
 
 func (r *workerRig) send(iter int) { r.updates <- ModelUpdate{Iter: iter, Query: r.query} }
 
-// wait returns once RunWorker has, failing if that takes anywhere near
+// wait returns once runWorker has, failing if that takes anywhere near
 // longSleep.
 func (r *workerRig) wait(t *testing.T) {
 	t.Helper()
 	select {
 	case err := <-r.done:
 		if err != nil {
-			t.Fatalf("RunWorker: %v", err)
+			t.Fatalf("runWorker: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunWorker did not return; a latency sleep was not preempted")
+		t.Fatal("runWorker did not return; a latency sleep was not preempted")
 	}
 }
 
@@ -130,7 +130,7 @@ func (m queryCheckModel) SubsetGradient(w []float64, rows []int, out []float64) 
 
 // TestTCPWorkerQueryBufferNotRewritten: a TCP worker reads each query into a
 // recycled buffer. With broadcasts queued far faster than it computes — the
-// skip-to-newest path, both in the connection reader and in RunWorker — no
+// skip-to-newest path, both in the connection reader and in runWorker — no
 // buffer is rewritten while a gradient evaluation still reads it, and the
 // worker answers the newest query. Under -race a rewrite also shows as a
 // data race.

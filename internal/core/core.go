@@ -103,7 +103,8 @@ const (
 )
 
 // runtimes is the registry behind Runtime resolution: each entry drives the
-// shared master engine over one transport.
+// shared master engine over one transport. Live and tcp are one fabric:
+// wire frames over in-process pipes or over loopback sockets.
 var runtimes = map[Runtime]func(ctx context.Context, cfg *cluster.Config, spec Spec) (*cluster.Result, error){
 	RuntimeSim: func(ctx context.Context, cfg *cluster.Config, _ Spec) (*cluster.Result, error) {
 		return cluster.RunSimContext(ctx, cfg)
@@ -112,8 +113,6 @@ var runtimes = map[Runtime]func(ctx context.Context, cfg *cluster.Config, spec S
 		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale})
 	},
 	RuntimeTCP: func(ctx context.Context, cfg *cluster.Config, spec Spec) (*cluster.Result, error) {
-		// Wire frames: the payload codec shrinks what actually crosses the
-		// socket.
 		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale, TCP: true})
 	},
 }
@@ -307,9 +306,10 @@ type Spec struct {
 	// master as they do unsharded. Results are bit-for-bit identical to the
 	// unsharded run on every runtime; see cluster.Config.MasterShards.
 	MasterShards int `json:"master_shards,omitempty"`
-	// Runtime is RuntimeSim (default), RuntimeLive (goroutines+channels)
-	// or RuntimeTCP (goroutines over loopback sockets). All three run the
-	// same master engine over different transports.
+	// Runtime is RuntimeSim (default), RuntimeLive (goroutine workers
+	// speaking the wire protocol over in-process pipes) or RuntimeTCP (the
+	// same protocol over loopback sockets). All three run the same master
+	// engine; live and tcp share one fabric and differ only in the carrier.
 	Runtime Runtime `json:"runtime,omitempty"`
 	// Payload selects the comm-plane payload codec: PayloadRaw64 (default,
 	// lossless), PayloadF32 or PayloadTopK. Lossy codecs are deterministic:

@@ -128,9 +128,9 @@ func (c PayloadConfig) VecBytes(n int) int {
 }
 
 // VecCoder applies a payload codec's canonical in-process transform. The
-// runtimes that never serialize (sim, in-process channels) run payloads
-// through a VecCoder so their results are bit-identical to a TCP run with
-// the same codec. A VecCoder owns the reusable index buffer Select returns
+// simulator, which never serializes, runs payloads through a VecCoder so
+// its results are bit-identical to a framed (live or tcp) run with the same
+// codec. A VecCoder owns the reusable index buffer Select returns
 // and is not safe for concurrent use; each goroutine that encodes needs its
 // own.
 type VecCoder struct {
