@@ -153,12 +153,15 @@ const (
 	SchemeBCC        = core.SchemeBCC
 	SchemeBCCApprox  = core.SchemeBCCApprox
 	SchemeBCCMulti   = core.SchemeBCCMulti
-	SchemeCyclicMDS  = core.SchemeCyclicMDS
 	SchemeCyclicRep  = core.SchemeCyclicRep
 	SchemeFractional = core.SchemeFractional
 	SchemeNested     = core.SchemeNested
 	SchemeRandomized = core.SchemeRandomized
 	SchemeUncoded    = core.SchemeUncoded
+
+	// Deprecated: a spec that names it runs SchemeCyclicRep (see
+	// core.SchemeCyclicMDS).
+	SchemeCyclicMDS = core.SchemeCyclicMDS
 )
 
 // The registered optimizers.
@@ -280,8 +283,8 @@ type Decoder = coding.Decoder
 type Message = coding.Message
 
 // Schemes returns the names of all registered gradient-coding schemes:
-// bcc, bccapprox, bccmulti, cyclicmds, cyclicrep, fractional, nested,
-// randomized, uncoded.
+// bcc, bccapprox, bccmulti, cyclicrep, fractional, nested, randomized,
+// uncoded.
 func Schemes() []string { return coding.Names() }
 
 // LookupScheme resolves a scheme builder by name.

@@ -28,7 +28,7 @@ func TestTrainQuickstart(t *testing.T) {
 
 func TestSchemesExported(t *testing.T) {
 	names := Schemes()
-	if len(names) != 9 {
+	if len(names) != 8 {
 		t.Fatalf("schemes: %v", names)
 	}
 	for _, n := range names {
@@ -243,7 +243,7 @@ func TestSpecReachesFaultInjection(t *testing.T) {
 
 func TestTypedOptionConstants(t *testing.T) {
 	// The typed constants must round-trip through the registries.
-	for _, s := range []Scheme{SchemeBCC, SchemeBCCApprox, SchemeBCCMulti, SchemeCyclicMDS,
+	for _, s := range []Scheme{SchemeBCC, SchemeBCCApprox, SchemeBCCMulti,
 		SchemeCyclicRep, SchemeFractional, SchemeRandomized, SchemeUncoded} {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)

@@ -373,9 +373,6 @@ func BenchmarkEncodeDecodeBCC(b *testing.B) { benchEncodeDecode(b, "bcc") }
 // squares system per iteration.
 func BenchmarkEncodeDecodeCyclicRep(b *testing.B) { benchEncodeDecode(b, "cyclicrep") }
 
-// BenchmarkEncodeDecodeCyclicMDS measures the complex-coded MDS scheme.
-func BenchmarkEncodeDecodeCyclicMDS(b *testing.B) { benchEncodeDecode(b, "cyclicmds") }
-
 // BenchmarkEncodeDecodeUncoded measures the baseline.
 func BenchmarkEncodeDecodeUncoded(b *testing.B) { benchEncodeDecode(b, "uncoded") }
 

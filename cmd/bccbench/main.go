@@ -18,7 +18,7 @@
 // daemon, queue-vs-run time split), the sharded master (coordinate-
 // partitioned decode plus end-to-end tcp runs at M ∈ {1, 2, 4}),
 // and the adaptive-redundancy race (nested-adaptive vs every fixed level
-// and the fixed bcc/cyclicmds codes under straggler scenarios, with
+// and the fixed bcc code under straggler scenarios, with
 // per-run encoded-part counts), writing a JSON report (-sweep-out, default
 // BENCH_PR9.json); -sweep-quick shrinks it to CI-smoke sizes.
 package main

@@ -10,7 +10,7 @@ package main
 // coordinate-partitioned decode hot path plus end-to-end tcp runs of the
 // shard group at M ∈ {1, 2, 4} shards — and the adaptive-redundancy race:
 // the nested family under the AIMD controller vs every fixed level of the
-// same family and the fixed bcc/cyclicmds codes, under straggler scenarios
+// same family and the fixed bcc code, under straggler scenarios
 // on the sim runtime, scored by encoded parts computed and modelled
 // wall-clock. Run with
 //
@@ -118,8 +118,8 @@ type sweepAdaptive struct {
 	// (three tail workers slowed 6-8x in 3-iteration bursts every 12).
 	Scenario string `json:"scenario"`
 	// Policy is "adaptive" (nested + AIMD controller), "nested-L<k>" (the
-	// same family pinned at level k), or a fixed scheme ("bcc", "cyclicmds")
-	// at the family's full load.
+	// same family pinned at level k), or the fixed "bcc" scheme at the
+	// family's full load.
 	Policy string `json:"policy"`
 	Iters  int    `json:"iters"`
 	// Completed is false when the run degraded below its decode threshold.
@@ -190,9 +190,9 @@ func runSweep(path string, quick bool) error {
 			"sharded endtoend: the comm-sweep methodology at shards=M — full tcp-loopback run where each reply is one frame on its worker's connection and the M-shard group decodes and updates behind it; the reply bytes are bounded exactly as in the unsharded rows; vs_m1 = wall_s / the shards=1 row's wall_s",
 			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group, not the multi-core decode win; on a multi-core host the decode rows scale with min(M, cores)",
 			"adaptive: sim-runtime race at m=n=8, load r=4 (nested levels 1..4), deterministic staggered latency — at full load worker w's compute finishes (w+1) virtual units after broadcast and compute time scales with the active level — so wall_virtual and parts are machine-independent modelled scores (this host is single-core, so counted work beats wall-clock as the compute metric); parts = sum over iterations of level*n encoded parts computed by the cluster (fixed schemes always compute the full load r per worker)",
-			"adaptive policies: 'adaptive' is nested + the AIMD controller (margin 1, window 2); 'nested-L<k>' pins the same family at level k via FixedLevelController; 'bcc'/'cyclicmds' are the fixed codes at load r — every policy sees the identical fault schedule, and vs_max ratios compare against the straggler-proof nested-L4 row of the same scenario",
-			"adaptive headline (bursty-tail: three tail workers slowed 6-8x in 3-iteration bursts every 12, quiet otherwise): only full redundancy rides out the bursts without waiting on a slowed worker, yet it pays 4 parts/worker every quiet iteration; the controller tracks the bursts at level 4 and decays through quiet stretches, completing the same iterations with 25% fewer encoded parts than every fixed code that rides out the bursts (nested-L4, bcc, cyclicmds) at lower modelled wall than nested-L4/cyclicmds, while every lower fixed level that computes fewer parts pays 1.2-2.3x the wall stuck waiting on burst-slowed workers — no fixed row beats the adaptive run on both axes",
-			"adaptive flaky-tail / slow-decile: the controller completes the target iterations with 14% / 24% fewer encoded parts than the fixed bcc/cyclicmds codes at no worse wall than cyclicmds; under the persistent slow-decile regime it settles within one iteration of the full-redundancy cold start on the level its margin-1 safety buffer prescribes for one observed straggler (matching the nested-L3 row plus the 8-part cold start, one switch; the hindsight-optimal nested-L2 row shows what the margin costs against a schedule known in advance), and under flaky-tail's periodic 2-of-5 schedule the oracle nested-L3 row edges the reactive controller by ~5% wall — the one-iteration lag a schedule-blind controller pays vs a level picked with knowledge of the schedule (bcc's lower wall comes from its 3-worker decode threshold, bought with full 960-part redundancy every iteration)",
+			"adaptive policies: 'adaptive' is nested + the AIMD controller (margin 1, window 2); 'nested-L<k>' pins the same family at level k via FixedLevelController; 'bcc' is the fixed code at load r — every policy sees the identical fault schedule, and vs_max ratios compare against the straggler-proof nested-L4 row of the same scenario",
+			"adaptive headline (bursty-tail: three tail workers slowed 6-8x in 3-iteration bursts every 12, quiet otherwise): only full redundancy rides out the bursts without waiting on a slowed worker, yet it pays 4 parts/worker every quiet iteration; the controller tracks the bursts at level 4 and decays through quiet stretches, completing the same iterations with 25% fewer encoded parts than every fixed code that rides out the bursts (nested-L4, bcc) at lower modelled wall than nested-L4, while every lower fixed level that computes fewer parts pays 1.2-2.3x the wall stuck waiting on burst-slowed workers — no fixed row beats the adaptive run on both axes",
+			"adaptive flaky-tail / slow-decile: the controller completes the target iterations with 14% / 24% fewer encoded parts than the fixed bcc code and nested-L4 at no worse wall than nested-L4; under the persistent slow-decile regime it settles within one iteration of the full-redundancy cold start on the level its margin-1 safety buffer prescribes for one observed straggler (matching the nested-L3 row plus the 8-part cold start, one switch; the hindsight-optimal nested-L2 row shows what the margin costs against a schedule known in advance), and under flaky-tail's periodic 2-of-5 schedule the oracle nested-L3 row edges the reactive controller by ~5% wall — the one-iteration lag a schedule-blind controller pays vs a level picked with knowledge of the schedule (bcc's lower wall comes from its 3-worker decode threshold, bought with full 960-part redundancy every iteration)",
 			"adaptive determinism: controller decisions are pure functions of the fault plan's schedule, so these rows are exactly reproducible (and bit-identical on the live/tcp runtimes — the nested-adaptive conformance axis in CI)",
 		},
 	}
@@ -207,7 +207,7 @@ func runSweep(path string, quick bool) error {
 				p, density, g.DenseNs, g.CSRNs, g.Speedup)
 		}
 	}
-	for _, scheme := range []string{"cyclicrep", "cyclicmds", "bccmulti"} {
+	for _, scheme := range []string{"cyclicrep", "bccmulti"} {
 		for _, p := range dims {
 			d, err := benchDecode(scheme, decM, decN, decR, p)
 			if err != nil {
@@ -375,7 +375,6 @@ func benchAdaptive(scenario string, iters int) ([]sweepAdaptive, error) {
 		{"nested-L2", "nested", &cluster.FixedLevelController{Level: 2}},
 		{"nested-L1", "nested", &cluster.FixedLevelController{Level: 1}},
 		{"bcc", "bcc", nil},
-		{"cyclicmds", "cyclicmds", nil},
 	}
 	rows := make([]sweepAdaptive, 0, len(policies))
 	var maxParts int

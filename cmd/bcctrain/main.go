@@ -195,7 +195,7 @@ func main() {
 	}
 
 	fmt.Printf("training logistic regression: scheme=%s m=%d n=%d r=%d p=%d points=%d runtime=%s\n",
-		*scheme, *m, *n, *r, *dim, spec.DataPoints, *runtime)
+		job.Spec.Scheme, *m, *n, *r, *dim, spec.DataPoints, *runtime)
 	fmt.Printf("plan: worst-case threshold=%d expected threshold=%.2f comm load/worker=%.0f\n",
 		job.Plan.WorstCaseThreshold(), job.Plan.ExpectedThreshold(), job.Plan.CommLoadPerWorker())
 

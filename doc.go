@@ -29,7 +29,7 @@
 //		Examples:   50,          // m data batches
 //		Workers:    50,          // n workers
 //		Load:       10,          // r batches per worker
-//		Scheme:     "bcc",       // or uncoded, cyclicrep, cyclicmds, fractional, randomized
+//		Scheme:     "bcc",       // or uncoded, cyclicrep, fractional, randomized
 //		Iterations: 100,
 //		Seed:       1,
 //	})

@@ -62,11 +62,10 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // every frame encoded and decoded — allocate nothing per steady-state
 // iteration, over sockets and over pipes alike.
 // Queries land in recycled buffers, reply Msgs slices are recycled, and the
-// live source and its deadline timer are reused. cyclicmds adds the
-// imaginary payload plane of every message; bcc/M=4 adds the sharded
-// master, whose replies arrive exactly as unsharded ones do and whose four
-// shards (p = 16384 at the default 512-element chunk) dispatch through
-// channels.
+// live source and its deadline timer are reused. cyclicrep adds a coded
+// decode through the plan's solve cache; bcc/M=4 adds the sharded master,
+// whose replies arrive exactly as unsharded ones do and whose four shards
+// (p = 16384 at the default 512-element chunk) dispatch through channels.
 //
 // A run's fixed cost (dials, goroutines, connection buffers) varies
 // by a few dozen allocations from run to run, more than a short and a long
@@ -108,7 +107,7 @@ func TestTCPSteadyStateZeroAllocs(t *testing.T) {
 		check(t, scheme, shards, true)
 		t.Run("live", func(t *testing.T) { check(t, scheme, shards, false) })
 	}
-	for _, scheme := range []string{"bcc", "cyclicmds"} {
+	for _, scheme := range []string{"bcc", "cyclicrep"} {
 		t.Run(scheme, func(t *testing.T) {
 			both(t, scheme, 0)
 			if scheme == "bcc" {

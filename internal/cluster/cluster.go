@@ -134,16 +134,16 @@ func (c *Config) comm() commPlane {
 }
 
 // iterPayloads bounds the payload buffers one iteration keeps in flight: n
-// workers times messages-per-worker, each message holding up to two buffers
-// (Vec + Imag). Every message carries one communication unit, so
-// CommLoadPerWorker bounds the per-worker message count.
+// workers times messages-per-worker, one buffer per message. Every message
+// carries one communication unit, so CommLoadPerWorker bounds the
+// per-worker message count.
 func (c *Config) iterPayloads() int {
 	_, n, _ := c.Plan.Params()
 	perWorker := int(math.Ceil(c.Plan.CommLoadPerWorker()))
 	if perWorker < 1 {
 		perWorker = 1
 	}
-	return 2 * n * perWorker
+	return n * perWorker
 }
 
 // buffers returns the run's shared payload-buffer pool, creating it on first
@@ -155,10 +155,12 @@ func (c *Config) buffers() *BufferPool {
 		cap := c.PoolCap
 		if cap <= 0 {
 			// Twice one iteration's payloads covers a straggler round still
-			// draining while the next one encodes; the cap only bounds
-			// retention, a too-small value would silently re-allocate every
+			// draining while the next one encodes. The pool also holds every
+			// in-process worker's query buffers, whose decoded broadcasts
+			// can be as many again, so the cap doubles that. It only bounds
+			// retention; a too-small value would silently re-allocate every
 			// iteration.
-			cap = 2*c.iterPayloads() + 64
+			cap = 4*c.iterPayloads() + 64
 		}
 		c.bufs = NewBufferPool(c.Model.Dim(), cap)
 	}

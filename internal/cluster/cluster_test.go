@@ -444,7 +444,7 @@ func TestComputeParallelismBitExact(t *testing.T) {
 // default 512-element wire chunk gives 3 chunks, so M=2 and M=3 genuinely
 // split the decode instead of putting every coordinate on shard 0.
 func TestDecodeParallelismBitExact(t *testing.T) {
-	for _, scheme := range []string{"cyclicrep", "cyclicmds", "bccmulti", "nested"} {
+	for _, scheme := range []string{"cyclicrep", "bccmulti", "nested"} {
 		t.Run(scheme, func(t *testing.T) {
 			run := func(shards int) *Result {
 				cfg, _ := buildRunDim(t, scheme, 16, 16, 4, 6, 34, Zero{}, 1500)
@@ -701,19 +701,6 @@ func TestTCPMatchesChannelRuntime(t *testing.T) {
 	}
 }
 
-func TestTCPWireCodecComplexScheme(t *testing.T) {
-	// cyclicmds ships Imag payloads; the wire codec must carry them.
-	cfg, mod := buildRun(t, "cyclicmds", 8, 8, 2, 5, 28, Zero{})
-	res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := referenceWeights(mod, 5)
-	if d := vecmath.MaxAbsDiff(res.FinalW, ref); d > 1e-6 {
-		t.Fatalf("wire-coded MDS weights differ from reference by %v", d)
-	}
-}
-
 func TestUnknownCodecRejected(t *testing.T) {
 	cfg, _ := buildRun(t, "bcc", 8, 16, 2, 2, 29, Zero{})
 	if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "json"}); err == nil {
@@ -778,6 +765,26 @@ func TestDropInjectionUncodedStalls(t *testing.T) {
 	}
 	if res == nil || len(res.Iters) != doomed {
 		t.Fatalf("partial result %v, want the %d iterations before the first drop", res, doomed)
+	}
+}
+
+// TestCyclicRepBelowThresholdFailsFast crashes s+1 workers of a cyclic code
+// mid-run: n-s workers are needed and only n-s-1 remain, so the engine must
+// degrade explicitly before the doomed iteration and keep the completed ones,
+// not stall on it and lose them.
+func TestCyclicRepBelowThresholdFailsFast(t *testing.T) {
+	cfg, _ := buildRun(t, "cyclicrep", 8, 8, 3, 10, 41, Zero{})
+	plan := &faults.Plan{N: 8}
+	for w := 0; w < 3; w++ {
+		plan.Crashes = append(plan.Crashes, faults.Crash{Worker: w, At: 3})
+	}
+	cfg.Faults = plan
+	res, err := RunSim(cfg)
+	if !errors.Is(err, ErrBelowThreshold) {
+		t.Fatalf("err = %v, want ErrBelowThreshold", err)
+	}
+	if res == nil || len(res.Iters) != 3 {
+		t.Fatalf("partial result %+v, want the 3 pre-crash iterations", res)
 	}
 }
 

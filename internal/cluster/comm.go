@@ -122,7 +122,7 @@ func (p commPlane) newCoder() *wire.VecCoder {
 // the accounting IterStats.Bytes has always used (raw64 reproduces the old
 // 8 bytes/float64 count bit-for-bit).
 func (p commPlane) msgBytes(msg coding.Message) int {
-	return p.pc.VecBytes(len(msg.Vec)) + p.pc.VecBytes(len(msg.Imag))
+	return p.pc.VecBytes(len(msg.Vec))
 }
 
 // applyReplyCodec runs every payload of msgs through the canonical lossy
@@ -136,7 +136,6 @@ func applyReplyCodec(coder *wire.VecCoder, msgs []coding.Message) {
 	}
 	for _, m := range msgs {
 		coder.ApplyReply(m.Vec)
-		coder.ApplyReply(m.Imag)
 	}
 }
 

@@ -266,8 +266,8 @@ func TestWireAccountingMatchesAnalytic(t *testing.T) {
 		// stamp (uint32, 0 on non-retunable schemes), then the query.
 		wantOut := n * (1 + 8 + 4 + qBytes)
 		// One reply frame per worker: header + one message whose Vec is a
-		// dim-length dense vector and whose Imag is nil (4-byte sentinel).
-		msgBytes := 4 + 8 + 8 + vecBytes(codec, dim, topkK) + 4
+		// dim-length dense vector.
+		msgBytes := 4 + 8 + 8 + vecBytes(codec, dim, topkK)
 		wantIn := n * (1 + 8 + 4 + 8 + 4 + msgBytes)
 		if len(stats) != iters {
 			t.Fatalf("observed %d iterations, want %d", len(stats), iters)

@@ -287,9 +287,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 				if msg.Vec != nil {
 					used = append(used, msg.Vec)
 				}
-				if msg.Imag != nil {
-					used = append(used, msg.Imag)
-				}
 			}
 			if dec.Decodable() {
 				st.Wall = src.Wall()

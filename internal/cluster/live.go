@@ -496,7 +496,6 @@ func sleepVirtual(virtualSeconds, scale float64) {
 func recycleMsgs(pool *BufferPool, msgs []coding.Message) {
 	for _, msg := range msgs {
 		pool.Put(msg.Vec)
-		pool.Put(msg.Imag)
 	}
 }
 

@@ -265,18 +265,17 @@ func acceptWorkers(ln net.Listener, n int, timeout time.Duration, pool *BufferPo
 }
 
 // honestReply reports whether a reply read on worker's connection speaks
-// for that worker alone and carries gradient-sized payloads: a dim-long Vec,
-// an Imag that is nil or dim-long, and the one unit of load every scheme's
-// message carries. A reply that fails is treated like a read error, so no
-// decoder sees a sender outside the plan or sums a short vector, and no
-// declared load inflates IterStats.Units or the master's ingress sleep.
+// for that worker alone and carries gradient-sized payloads: a dim-long Vec
+// and the one unit of load every scheme's message carries. A reply that
+// fails is treated like a read error, so no decoder sees a sender outside
+// the plan or sums a short vector, and no declared load inflates
+// IterStats.Units or the master's ingress sleep.
 func honestReply(rep Reply, worker, dim int) bool {
 	if rep.Worker != worker {
 		return false
 	}
 	for _, msg := range rep.Msgs {
-		if msg.From != worker || msg.Units != 1 || msg.Vec == nil || len(msg.Vec) != dim ||
-			(msg.Imag != nil && len(msg.Imag) != dim) {
+		if msg.From != worker || msg.Units != 1 || msg.Vec == nil || len(msg.Vec) != dim {
 			return false
 		}
 	}

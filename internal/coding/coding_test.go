@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bcc/internal/linalg"
 	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
 )
@@ -268,17 +269,13 @@ func TestCyclicRepToleratesAnyStragglers(t *testing.T) {
 	testWorstCaseExhaustive(t, "cyclicrep", 9, 9, 3) // C(9,7) = 36 subsets
 }
 
-func TestCyclicMDSToleratesAnyStragglers(t *testing.T) {
-	testWorstCaseExhaustive(t, "cyclicmds", 9, 9, 3)
-}
-
 func TestFractionalToleratesAnyStragglers(t *testing.T) {
 	testWorstCaseExhaustive(t, "fractional", 9, 9, 3)
 }
 
 func TestCodedSchemesRandomSubsetsLargerN(t *testing.T) {
 	rng := rngutil.New(43)
-	for _, name := range []string{"cyclicrep", "cyclicmds"} {
+	for _, name := range []string{"cyclicrep"} {
 		p := planFor(t, name, 30, 30, 6, rng)
 		k := p.WorstCaseThreshold() // 25
 		gs, want := makeGradients(30, rng)
@@ -286,6 +283,89 @@ func TestCodedSchemesRandomSubsetsLargerN(t *testing.T) {
 			subset := rng.Sample(30, k)
 			got, _ := driveDecoder(t, p, gs, subset)
 			checkExact(t, name, got, want)
+		}
+	}
+}
+
+// TestCyclicRepDecodesEveryThresholdSubset is the conditioning judge for the
+// cyclic code at the paper's sizes: for every (n, r) cell and every plan
+// seed, random (n-s)-subsets of workers must all decode after exactly n-s
+// offers, with decoding coefficients a whose residual max|aᵀB_W - 1ᵀ| is
+// at most 1e-7 — ten times tighter than the decoder's own 1e-6 acceptance.
+func TestCyclicRepDecodesEveryThresholdSubset(t *testing.T) {
+	const plans, subsets, tol = 5, 200, 1e-7
+	for _, c := range []struct{ n, r int }{{8, 3}, {20, 5}, {50, 10}, {100, 10}} {
+		worst := 0.0
+		for seed := uint64(1); seed <= plans; seed++ {
+			rng := rngutil.New(seed)
+			p := planFor(t, "cyclicrep", c.n, c.n, c.r, rng).(*codedPlan)
+			k := c.n - p.s
+			dec := p.NewDecoder().(*codedDecoder)
+			bt := vecmath.NewMatrix(c.n, k)
+			for trial := 0; trial < subsets; trial++ {
+				dec.Reset()
+				subset := rng.Sample(c.n, k)
+				for i, w := range subset {
+					decodable := dec.Offer(Message{From: w, Tag: -1, Vec: []float64{0}, Units: 1})
+					if decodable != (i == k-1) {
+						t.Fatalf("n=%d r=%d seed %d: Decodable after %d of %d offers = %v (subset %v)",
+							c.n, c.r, seed, i+1, k, decodable, subset)
+					}
+				}
+				for col, w := range subset {
+					for u := 0; u < c.n; u++ {
+						bt.Set(u, col, p.b.At(w, u))
+					}
+				}
+				res := linalg.Residual(bt, dec.coeffs, p.ones)
+				if res > tol {
+					t.Fatalf("n=%d r=%d seed %d: residual %.3g > %g (subset %v)", c.n, c.r, seed, res, tol, subset)
+				}
+				worst = max(worst, res)
+			}
+		}
+		t.Logf("n=%d r=%d: %d plans x %d subsets, worst residual %.2g", c.n, c.r, plans, subsets, worst)
+	}
+}
+
+// TestCyclicRepSmallPlansAreWellConditioned decodes every (n-s)-subset of
+// small cyclic codes, where Plan checks them all, and requires each decode
+// to amplify the coded messages' rounding by at most maxAmplification:
+// max_u sum_i |a_i B[i][u]| over the responders i.
+func TestCyclicRepSmallPlansAreWellConditioned(t *testing.T) {
+	for _, c := range []struct{ n, r int }{{6, 2}, {8, 3}, {10, 3}} {
+		for seed := uint64(1); seed <= 100; seed++ {
+			p := planFor(t, "cyclicrep", c.n, c.n, c.r, rngutil.New(seed)).(*codedPlan)
+			dec := p.NewDecoder().(*codedDecoder)
+			subset := make([]int, 0, c.n)
+			for mask := 0; mask < 1<<c.n; mask++ {
+				subset = subset[:0]
+				for w := 0; w < c.n; w++ {
+					if mask>>w&1 == 1 {
+						subset = append(subset, w)
+					}
+				}
+				if len(subset) != c.n-p.s {
+					continue
+				}
+				dec.Reset()
+				for _, w := range subset {
+					dec.Offer(Message{From: w, Tag: -1, Vec: []float64{0}, Units: 1})
+				}
+				if !dec.Decodable() {
+					t.Fatalf("n=%d r=%d seed %d: responders %v do not decode", c.n, c.r, seed, subset)
+				}
+				for u := 0; u < c.n; u++ {
+					amp := 0.0
+					for i, w := range subset {
+						amp += math.Abs(dec.coeffs[i] * p.b.At(w, u))
+					}
+					if amp > maxAmplification {
+						t.Fatalf("n=%d r=%d seed %d: responders %v amplify example %d by %.3g > %g",
+							c.n, c.r, seed, subset, u, amp, maxAmplification)
+					}
+				}
+			}
 		}
 	}
 }
@@ -539,7 +619,7 @@ func TestFractionalRejectsBadShapes(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	want := []string{"bcc", "bccapprox", "bccmulti", "cyclicmds", "cyclicrep", "fractional", "nested", "randomized", "uncoded"}
+	want := []string{"bcc", "bccapprox", "bccmulti", "cyclicrep", "fractional", "nested", "randomized", "uncoded"}
 	if len(names) != len(want) {
 		t.Fatalf("registry = %v", names)
 	}
@@ -729,10 +809,9 @@ func TestMinRespondersBounds(t *testing.T) {
 		m, n, r int
 		want    int
 	}{
-		{"uncoded", 12, 12, 1, 12}, // every holder required
-		{"uncoded", 6, 12, 1, 6},   // only the data-holding workers count
-		{"cyclicmds", 12, 12, 3, 10},
-		{"cyclicrep", 12, 12, 3, 4},
+		{"uncoded", 12, 12, 1, 12},   // every holder required
+		{"uncoded", 6, 12, 1, 6},     // only the data-holding workers count
+		{"cyclicrep", 12, 12, 3, 10}, // the decoder solves only at n-s
 		{"bcc", 12, 12, 3, 4},
 		{"fractional", 12, 12, 3, 4},
 		{"randomized", 12, 12, 3, 4},

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"math"
 
 	"bcc/internal/linalg"
 	"bcc/internal/rngutil"
@@ -51,17 +52,6 @@ func (c CyclicRep) Plan(m, n, r int, rng *rngutil.RNG) (Plan, error) {
 	if maxRetries <= 0 {
 		maxRetries = 50
 	}
-	var b *vecmath.Matrix
-	var err error
-	for try := 0; try < maxRetries; try++ {
-		b, err = buildCyclicRepB(n, s, rng)
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("coding/cyclicrep: construction failed after %d tries: %w", maxRetries, err)
-	}
 	assign := make([][]int, n)
 	for w := 0; w < n; w++ {
 		ids := make([]int, r)
@@ -69,6 +59,24 @@ func (c CyclicRep) Plan(m, n, r int, rng *rngutil.RNG) (Plan, error) {
 			ids[k] = (w + k) % n
 		}
 		assign[w] = ids
+	}
+	// Small codes are redrawn until every responder set decodes with at most
+	// maxAmplification; if no draw gets there, the best one is kept.
+	var b *vecmath.Matrix
+	amp := math.Inf(1)
+	var err error
+	for try := 0; try < maxRetries && amp > maxAmplification; try++ {
+		cand, cerr := buildCyclicRepB(n, s, rng)
+		if cerr != nil {
+			err = cerr
+			continue
+		}
+		if a := worstAmplification(newCodedPlan("cyclicrep", m, n, r, s, cand, assign)); b == nil || a < amp {
+			b, amp = cand, a
+		}
+	}
+	if b == nil {
+		return nil, fmt.Errorf("coding/cyclicrep: construction failed after %d tries: %w", maxRetries, err)
 	}
 	return newCodedPlan("cyclicrep", m, n, r, s, b, assign), nil
 }
@@ -117,9 +125,67 @@ func buildCyclicRepB(n, s int, rng *rngutil.RNG) (*vecmath.Matrix, error) {
 	return b, nil
 }
 
+// A random H can leave some responder set W with large decoding
+// coefficients a whose terms cancel, so the rounding in the workers' coded
+// messages reaches the decoded gradient amplified. Two runs of one job that
+// decode from different responder sets (the sim and a real runtime) then
+// agree only to that amplification times the rounding. Where the code has
+// at most maxCheckedSubsets responder sets, Plan checks them all and
+// redraws a code that amplifies by more than maxAmplification; at n = 8,
+// r = 3 about a third of the first draws do.
+const (
+	maxCheckedSubsets = 100
+	maxAmplification  = 1e3
+)
+
+// worstAmplification is max over responder sets W of size n-s and examples
+// u of sum_{i in W} |a_i B[i][u]|, where a^T B_W = 1^T: the factor by which
+// decoding from W can amplify the coded messages' relative rounding. It is
+// +Inf when some set cannot decode and 0 when there are more than
+// maxCheckedSubsets sets, which are not checked. It fills p's solve cache.
+func worstAmplification(p *codedPlan) float64 {
+	for subsets, i := 1, 1; i <= p.s; i++ {
+		if subsets = subsets * (p.n - p.s + i) / i; subsets > maxCheckedSubsets {
+			return 0
+		}
+	}
+	dec := p.NewDecoder().(*codedDecoder)
+	missing := make([]bool, p.n)
+	worst := 0.0
+	var visit func(from, left int)
+	visit = func(from, left int) {
+		if left > 0 {
+			for w := from; w <= p.n-left; w++ {
+				missing[w] = true
+				visit(w+1, left-1)
+				missing[w] = false
+			}
+			return
+		}
+		dec.Reset()
+		for w := range missing {
+			if !missing[w] {
+				dec.Offer(Message{From: w, Tag: -1, Units: 1})
+			}
+		}
+		if !dec.Decodable() {
+			worst = math.Inf(1)
+			return
+		}
+		for u := 0; u < p.m; u++ {
+			sum := 0.0
+			for i, w := range dec.workers {
+				sum += math.Abs(dec.coeffs[i] * p.b.At(w, u))
+			}
+			worst = max(worst, sum)
+		}
+	}
+	visit(0, p.s)
+	return worst
+}
+
 // ---------------------------------------------------------------------------
-// Shared real-coded plan/decoder (used by cyclicrep; the complex-coded MDS
-// scheme has its own decoder in cyclicmds.go)
+// Shared real-coded plan/decoder (cyclicrep and every nested level)
 // ---------------------------------------------------------------------------
 
 // codedPlan is a linear gradient code with real coefficient matrix B
@@ -144,7 +210,7 @@ type codedPlan struct {
 	ones []float64
 	// decodes caches the decode vectors a (a^T B_W = 1^T) per responder
 	// set, coefficients indexed by worker id.
-	decodes solveCache[[]float64]
+	decodes solveCache
 }
 
 func newCodedPlan(scheme string, m, n, r, s int, b *vecmath.Matrix, assign [][]int) *codedPlan {
@@ -172,11 +238,12 @@ func (p *codedPlan) Scheme() string          { return p.scheme }
 func (p *codedPlan) Params() (int, int, int) { return p.m, p.n, p.r }
 func (p *codedPlan) Assignments() [][]int    { return p.assign }
 
-// Matrix exposes the coding matrix for tests and diagnostics.
-func (p *codedPlan) Matrix() *vecmath.Matrix { return p.b }
-
 // WorstCaseThreshold implements Plan: n - s workers always suffice.
 func (p *codedPlan) WorstCaseThreshold() int { return p.n - p.s }
+
+// MinResponders implements the exact converse bound: the decoder solves
+// only once n-s workers are heard, so no smaller responder set decodes.
+func (p *codedPlan) MinResponders() int { return p.n - p.s }
 
 // ExpectedThreshold implements Plan. The cyclic code decodes from any n-s
 // workers and (in the full-window construction) from no fewer, so the

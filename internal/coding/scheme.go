@@ -10,8 +10,6 @@
 //   - randomized — per-example uniform sampling, unit messages (§I eqs. 5-6)
 //   - cyclicrep  — Cyclic Repetition gradient coding [Tandon et al. 2016]
 //   - fractional — Fractional Repetition gradient coding [Tandon et al. 2016]
-//   - cyclicmds  — cyclic-MDS / Reed-Solomon style coding [Raviv et al.;
-//     Halbawi et al.]
 //   - nested     — nested cyclic codes whose redundancy level is re-tuned
 //     between iterations [Maßny et al.]
 //
@@ -19,10 +17,10 @@
 // genbcc (§IV's generalized BCC) and partitioned (its load-balancing
 // baseline).
 //
-// Eight of them — every one except cyclicrep, cyclicmds and nested — share
-// one plan and one decoder (coveragePlan): the master keeps the first
-// message per slot and sums what it kept. The coded schemes solve for
-// decoding coefficients instead.
+// Eight of them — every one except cyclicrep and nested — share one plan
+// and one decoder (coveragePlan): the master keeps the first message per
+// slot and sums what it kept. The two coded schemes share codedPlan, a
+// real coding matrix whose decoder solves for decoding coefficients.
 //
 // Terminology follows the paper: there are m "examples" (units of work —
 // each may wrap many raw data points), n workers, and a computational load
@@ -49,8 +47,10 @@ type Message struct {
 	Tag  int // scheme-specific id (batch/block/example); -1 when unused
 	// Vec is the real payload, sized like one partial gradient.
 	Vec []float64
-	// Imag carries the imaginary part for complex-coded schemes; nil
-	// otherwise.
+	// Imag is always nil: no scheme is complex-coded, and the wire refuses
+	// a reply that sets it.
+	//
+	// Deprecated: kept only for callers that still name the field.
 	Imag []float64
 	// Units is the communication load this message accounts for, in
 	// multiples of a single partial gradient (Definition 3 of the paper).
@@ -150,8 +150,8 @@ type minResponders interface {
 // Plans may implement MinResponders() int to supply an exact bound: the
 // coverage family returns its scheme's value (every data holder for uncoded
 // and partitioned, the coverage target for bccapprox, the generic bound
-// otherwise), and MDS codes need exactly their threshold. The generic bound
-// is the coverage argument: every worker contributes at most
+// otherwise), and the cyclic codes need exactly their threshold. The
+// generic bound is the coverage argument: every worker contributes at most
 // max_w |Assignments()[w]| of the m examples, so fewer than
 // ceil(m / maxAssign) workers cannot cover — hence cannot reconstruct — the
 // full gradient. The bound is conservative: sets at or above it may still
@@ -316,21 +316,21 @@ const solveCacheLimit = 128
 // synchronized, which is what makes a Plan safe for concurrent decoders.
 // Failed solves (degenerate subsets below the effective threshold) are
 // cached too, so they are not retried every iteration either.
-type solveCache[T any] struct {
+type solveCache struct {
 	mu      sync.RWMutex
-	entries map[string]solveEntry[T]
+	entries map[string]solveEntry
 	solves  int // linear solves actually performed (cache misses)
 }
 
-type solveEntry[T any] struct {
+type solveEntry struct {
 	// byWorker[w] is worker w's decode coefficient (meaningful only for the
 	// workers in the key's set); nil records a failed solve.
-	byWorker T
+	byWorker []float64
 	ok       bool
 }
 
 // get returns the cached solve outcome for the responder-set key, if any.
-func (c *solveCache[T]) get(key []byte) (T, bool, bool) {
+func (c *solveCache) get(key []byte) ([]float64, bool, bool) {
 	c.mu.RLock()
 	e, hit := c.entries[string(key)] // no alloc: map lookup by []byte conversion
 	c.mu.RUnlock()
@@ -338,18 +338,18 @@ func (c *solveCache[T]) get(key []byte) (T, bool, bool) {
 }
 
 // put records a solve outcome, clearing the cache first if it is full.
-func (c *solveCache[T]) put(key []byte, byWorker T, ok bool) {
+func (c *solveCache) put(key []byte, byWorker []float64, ok bool) {
 	c.mu.Lock()
 	if c.entries == nil || len(c.entries) >= solveCacheLimit {
-		c.entries = make(map[string]solveEntry[T], 8)
+		c.entries = make(map[string]solveEntry, 8)
 	}
 	c.solves++
-	c.entries[string(key)] = solveEntry[T]{byWorker: byWorker, ok: ok}
+	c.entries[string(key)] = solveEntry{byWorker: byWorker, ok: ok}
 	c.mu.Unlock()
 }
 
 // solveCount returns how many linear solves were performed (for tests).
-func (c *solveCache[T]) solveCount() int {
+func (c *solveCache) solveCount() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.solves

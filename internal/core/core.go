@@ -44,12 +44,16 @@ const (
 	SchemeBCC        Scheme = "bcc"
 	SchemeBCCApprox  Scheme = "bccapprox"
 	SchemeBCCMulti   Scheme = "bccmulti"
-	SchemeCyclicMDS  Scheme = "cyclicmds"
 	SchemeCyclicRep  Scheme = "cyclicrep"
 	SchemeFractional Scheme = "fractional"
 	SchemeNested     Scheme = "nested"
 	SchemeRandomized Scheme = "randomized"
 	SchemeUncoded    Scheme = "uncoded"
+
+	// Deprecated: the name of a deleted complex-coded scheme. A spec that
+	// names it runs SchemeCyclicRep, which has the same m - r + 1
+	// threshold and unit load.
+	SchemeCyclicMDS Scheme = "cyclicmds"
 )
 
 // Validate resolves the scheme against the coding registry.
@@ -375,6 +379,9 @@ func (s *Spec) withDefaults() Spec {
 	}
 	if out.Scheme == "" {
 		out.Scheme = SchemeBCC
+	}
+	if out.Scheme == SchemeCyclicMDS {
+		out.Scheme = SchemeCyclicRep
 	}
 	if out.Iterations == 0 {
 		out.Iterations = 100

@@ -75,7 +75,7 @@ func TestSchemesAgreeOnWeights(t *testing.T) {
 	// All schemes compute the same mathematical gradient; the learned
 	// weights must agree across schemes up to fp noise.
 	var ref []float64
-	for _, scheme := range []Scheme{SchemeUncoded, SchemeBCC, SchemeCyclicRep, SchemeCyclicMDS, SchemeFractional, SchemeRandomized} {
+	for _, scheme := range []Scheme{SchemeUncoded, SchemeBCC, SchemeCyclicRep, SchemeFractional, SchemeRandomized} {
 		job, err := NewJob(Spec{
 			Scheme: Scheme(scheme), Examples: 12, Workers: 12, Load: 3,
 			DataPoints: 96, Dim: 10, Iterations: 10, Seed: 7,
@@ -94,6 +94,41 @@ func TestSchemesAgreeOnWeights(t *testing.T) {
 		if d := vecmath.MaxAbsDiff(ref, res.FinalW); d > 1e-6 {
 			t.Fatalf("%s weights differ from uncoded by %v", scheme, d)
 		}
+	}
+}
+
+// TestCyclicMDSResolvesToCyclicRep pins the deprecated scheme name: every
+// entry point that normalizes a spec runs cyclicrep for it, and the job it
+// builds is the cyclicrep job at the same seed, bit for bit.
+func TestCyclicMDSResolvesToCyclicRep(t *testing.T) {
+	spec := func(s Scheme) Spec {
+		return Spec{Scheme: s, Examples: 8, Workers: 8, Load: 3, DataPoints: 64, Dim: 10, Iterations: 5, Seed: 3}
+	}
+	norm, err := spec(SchemeCyclicMDS).Normalized()
+	if err != nil || norm.Scheme != SchemeCyclicRep {
+		t.Fatalf("Normalized: scheme %q, err %v", norm.Scheme, err)
+	}
+	dec, err := DecodeSpec([]byte(`{"scheme":"cyclicmds","examples":8,"workers":8,"load":3}`))
+	if err != nil || dec.Scheme != SchemeCyclicRep {
+		t.Fatalf("DecodeSpec: scheme %q, err %v", dec.Scheme, err)
+	}
+	run := func(s Scheme) *cluster.Result {
+		job, err := NewJob(spec(s))
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if job.Spec.Scheme != SchemeCyclicRep || job.Plan.Scheme() != "cyclicrep" {
+			t.Fatalf("%s: job runs spec scheme %q, plan %q", s, job.Spec.Scheme, job.Plan.Scheme())
+		}
+		res, err := job.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		return res
+	}
+	alias, rep := run(SchemeCyclicMDS), run(SchemeCyclicRep)
+	if d := vecmath.MaxAbsDiff(alias.FinalW, rep.FinalW); d != 0 {
+		t.Fatalf("cyclicmds and cyclicrep weights differ by %v", d)
 	}
 }
 

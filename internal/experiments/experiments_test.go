@@ -84,6 +84,36 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
+// TestCyclicMDSAliasAtPaperSize pins the deprecated scheme name at the
+// paper's Fig. 4 size (n = m = 50, r = 10, EC2 latency): it runs cyclicrep,
+// which decodes from exactly m - r + 1 = 41 workers on every iteration.
+func TestCyclicMDSAliasAtPaperSize(t *testing.T) {
+	const n, r, pointsPerUnit, iters, seed = 50, 10, 10, 30, 1
+	lat, err := EC2Latency(n, pointsPerUnit, rngutil.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := core.NewJob(core.Spec{
+		DataPoints: n * pointsPerUnit, Dim: 20, Examples: n, Workers: n, Load: r,
+		Scheme: core.SchemeCyclicMDS, Iterations: iters, Seed: seed, Latency: lat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Iters) != iters {
+		t.Fatalf("ran %d iterations, want %d", len(res.Iters), iters)
+	}
+	for _, it := range res.Iters {
+		if it.WorkersHeard != n-r+1 {
+			t.Fatalf("iteration %d heard %d workers, want %d", it.Iter, it.WorkersHeard, n-r+1)
+		}
+	}
+}
+
 // TestFig4OrderingOnSockets asserts the paper's headline ordering where
 // TestFig4Shape cannot: on the tcp runtime, real sockets and real sleeps.
 // Scenario one (n = m = 50, r = 10) under the EC2 latency profile, bcc vs
@@ -92,9 +122,8 @@ func TestFig4Shape(t *testing.T) {
 // must both be strictly ordered, and bcc's real-socket iteration must cost
 // about what the simulator's i.i.d. straggler model says — it did not (2.9×)
 // while workers queued behind iterations the master had already decoded.
-// (cyclicmds has the same threshold on paper but is not usable here: at
-// n = 50 its complex decode solve fails the residual check for most worker
-// subsets, on the simulator too.)
+// (The deprecated name cyclicmds runs cyclicrep; see
+// TestCyclicMDSAliasAtPaperSize.)
 func TestFig4OrderingOnSockets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp runs sleep real time")

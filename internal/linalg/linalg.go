@@ -1,6 +1,6 @@
 // Package linalg implements the small dense linear-algebra routines needed
 // to construct and decode the coded gradient schemes: LU factorization with
-// partial pivoting, Householder QR, least-squares solves (real and complex),
+// partial pivoting, Householder QR, least-squares solves,
 // and helpers for building code matrices.
 //
 // The matrices involved are tiny by HPC standards (n x n with n = number of

@@ -256,8 +256,8 @@ func SumVectorsInto(dst []float64, vs [][]float64) {
 
 // LinearCombination returns sum_i coeffs[i]*vs[i]. It panics if the slice
 // lengths disagree or vs is empty. This is the encoding primitive of the
-// coded schemes (CR/MDS): each worker transmits one linear combination of
-// its partial gradients.
+// coded schemes (cyclicrep, nested): each worker transmits one linear
+// combination of its partial gradients.
 func LinearCombination(coeffs []float64, vs [][]float64) []float64 {
 	if len(vs) == 0 {
 		panic("vecmath: LinearCombination of empty set")

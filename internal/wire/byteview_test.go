@@ -49,11 +49,10 @@ func adversarialVec(rng *rngutil.RNG, n int) []float64 {
 }
 
 // adversarialReply is a two-message reply over p-element adversarial
-// vectors (the second message has no imaginary part), and adversarialModel
-// a model frame body over one.
+// vectors, and adversarialModel a model frame body over one.
 func adversarialReply(rng *rngutil.RNG, p int) Reply {
 	return Reply{Iter: 9, Worker: 4, Compute: math.Float64frombits(specialBits[1]), Msgs: []Msg{
-		{From: 4, Tag: 2, Units: 1, Vec: adversarialVec(rng, p), Imag: adversarialVec(rng, p)},
+		{From: 4, Tag: 2, Units: 1, Vec: adversarialVec(rng, p)},
 		{From: 5, Tag: -1, Units: 0.5, Vec: adversarialVec(rng, p)},
 	}}
 }

@@ -26,7 +26,6 @@ func transformReply(pc PayloadConfig, rep Reply) Reply {
 	}
 	for i, m := range rep.Msgs {
 		m.Vec = cp(m.Vec)
-		m.Imag = cp(m.Imag)
 		out.Msgs[i] = m
 	}
 	return out
@@ -53,17 +52,17 @@ func fuzzVec(rng *rngutil.RNG, n int, adversarial bool) []float64 {
 // reused Reply scratch), and the pooled read must agree with the plain
 // ReadReply.
 func FuzzReplyRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(1), uint16(4), false, false, uint8(0), uint8(0), uint16(0), false)
-	f.Add(uint64(2), uint8(3), uint16(0), true, false, uint8(1), uint8(0), uint16(1), false)
-	f.Add(uint64(3), uint8(0), uint16(9), false, true, uint8(2), uint8(3), uint16(8), false)
-	f.Add(uint64(4), uint8(5), uint16(700), true, true, uint8(2), uint8(40), uint16(699), false)
-	f.Add(uint64(5), uint8(2), uint16(512), false, false, uint8(1), uint8(0), uint16(513), false)
+	f.Add(uint64(1), uint8(1), uint16(4), false, uint8(0), uint8(0), uint16(0), false)
+	f.Add(uint64(2), uint8(3), uint16(0), true, uint8(1), uint8(0), uint16(1), false)
+	f.Add(uint64(3), uint8(0), uint16(9), false, uint8(2), uint8(3), uint16(8), false)
+	f.Add(uint64(4), uint8(5), uint16(700), true, uint8(2), uint8(40), uint16(699), false)
+	f.Add(uint64(5), uint8(2), uint16(512), false, uint8(1), uint8(0), uint16(513), false)
 	// Adversarial raw64 payloads (NaN payloads, ±0, subnormals, ±Inf) at the
 	// chunk sizes the byte-view tests pin: 1, 3, 512 and the whole vector.
 	for _, c := range [][2]uint16{{1, 40}, {3, 40}, {512, 600}, {600, 600}} {
-		f.Add(uint64(c[0]), uint8(2), c[1], false, false, uint8(0), uint8(0), c[0], true)
+		f.Add(uint64(c[0]), uint8(2), c[1], false, uint8(0), uint8(0), c[0], true)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, nmsgs uint8, dim uint16, nilVec, nilImag bool, codec, topk uint8, chunk uint16, adversarial bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, nmsgs uint8, dim uint16, nilVec bool, codec, topk uint8, chunk uint16, adversarial bool) {
 		rng := rngutil.New(seed)
 		if dim > 2048 {
 			dim = dim % 2048
@@ -84,9 +83,6 @@ func FuzzReplyRoundTrip(f *testing.F) {
 				}
 				if !nilVec {
 					m.Vec = fuzzVec(rng, int(dim), adversarial)
-				}
-				if !nilImag {
-					m.Imag = fuzzVec(rng, int(dim), adversarial)
 				}
 				rep.Msgs[i] = m
 			}
@@ -128,9 +124,6 @@ func FuzzReplyRoundTrip(f *testing.F) {
 			for _, m := range rep.Msgs {
 				if m.Vec != nil {
 					free = append(free, m.Vec)
-				}
-				if m.Imag != nil {
-					free = append(free, m.Imag)
 				}
 			}
 		}
@@ -201,7 +194,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if !(nilVec && i == 0) {
 				m.Vec = fuzzVec(rng, int(dim), adversarial)
 			}
-			rep.Msgs[i] = m // Imag stays nil: the sentinel path under every codec
+			rep.Msgs[i] = m
 		}
 		want := transformReply(cw, rep)
 
@@ -264,7 +257,9 @@ func checkReplyEqual(t *testing.T, got, want *Reply) {
 			t.Fatalf("msg %d header mismatch: got %+v want %+v", i, g, w)
 		}
 		checkVecEqual(t, i, "vec", g.Vec, w.Vec)
-		checkVecEqual(t, i, "imag", g.Imag, w.Imag)
+		if g.Imag != nil {
+			t.Fatalf("msg %d: the reader set Imag", i)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@
 //	hello := worker:uint32 codec:uint8 topk:uint32 chunk:uint32
 //	model := iter:int64 level:uint32 vec(query)
 //	reply := iter:int64 worker:uint32 compute:float64 nmsgs:uint32 msg*
-//	msg   := from:uint32 tag:int64 units:float64 vec(vec) vec(imag)
+//	msg   := from:uint32 tag:int64 units:float64 vec(vec)
 //	vec   := len:uint32 body                 (len 0xFFFFFFFF encodes nil)
 //
 // The vec body depends on the payload codec both sides negotiated in the
@@ -332,8 +332,14 @@ func (w *Writer) WriteModel(m Model) error {
 
 // WriteReply emits a worker-reply frame and flushes. Under a lossy payload
 // codec the transform is applied during serialization; the caller's slices
-// are never mutated.
+// are never mutated. The frame has no imaginary slot, so a message with a
+// non-nil Imag is refused before anything is written.
 func (w *Writer) WriteReply(r Reply) error {
+	for _, m := range r.Msgs {
+		if m.Imag != nil {
+			return fmt.Errorf("wire: reply message from worker %d has an imaginary part; the frame carries real payloads only", m.From)
+		}
+	}
 	if err := w.u8(KindReply); err != nil {
 		return err
 	}
@@ -360,9 +366,6 @@ func (w *Writer) WriteReply(r Reply) error {
 			return err
 		}
 		if err := w.vecReply(m.Vec); err != nil {
-			return err
-		}
-		if err := w.vecReply(m.Imag); err != nil {
 			return err
 		}
 	}
@@ -694,11 +697,7 @@ func (r *Reader) ReadReplyInto(rep *Reply, alloc VecAlloc) error {
 		if err != nil {
 			return err
 		}
-		imag, err := r.vecReply(alloc)
-		if err != nil {
-			return err
-		}
-		rep.Msgs[i] = Msg{From: int(from), Tag: int(tag), Units: units, Vec: vec, Imag: imag}
+		rep.Msgs[i] = Msg{From: int(from), Tag: int(tag), Units: units, Vec: vec}
 	}
 	return nil
 }

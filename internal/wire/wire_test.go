@@ -94,7 +94,7 @@ func TestShutdownModel(t *testing.T) {
 
 func TestNilVsEmptyVec(t *testing.T) {
 	in := Reply{Iter: 1, Worker: 2, Msgs: []Msg{
-		{From: 2, Tag: -1, Units: 1, Vec: []float64{}, Imag: nil},
+		{From: 2, Tag: -1, Units: 1, Vec: []float64{}},
 	}}
 	roundTrip(t,
 		func(w *Writer) error { return w.WriteReply(in) },
@@ -113,11 +113,42 @@ func TestNilVsEmptyVec(t *testing.T) {
 			if len(m.Vec) != 0 {
 				t.Fatalf("vec %v", m.Vec)
 			}
-			if m.Imag != nil {
-				t.Fatal("nil imag decoded as non-nil")
-			}
 			return nil
 		})
+}
+
+// TestWriteReplyRefusesImag pins that the reply frame carries real payloads
+// only: a message with a non-nil Imag is an error, not silently dropped,
+// and no byte of the refused frame reaches the stream — the next frame
+// written is the first one read.
+func TestWriteReplyRefusesImag(t *testing.T) {
+	for _, imag := range [][]float64{{1, 2}, {}} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		err := w.WriteReply(Reply{Iter: 1, Worker: 3, Msgs: []Msg{
+			{From: 3, Tag: -1, Units: 1, Vec: []float64{1, 2}},
+			{From: 3, Tag: 0, Units: 1, Vec: []float64{3, 4}, Imag: imag},
+		}})
+		if err == nil {
+			t.Fatalf("Imag %v: WriteReply accepted it", imag)
+		}
+		next := Reply{Iter: 2, Worker: 3, Msgs: []Msg{{From: 3, Tag: -1, Units: 1, Vec: []float64{5, 6}}}}
+		if err := w.WriteReply(next); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(&buf)
+		if k, err := r.NextKind(); err != nil || k != KindReply {
+			t.Fatalf("Imag %v: NextKind = %v, %v", imag, k, err)
+		}
+		got, err := r.ReadReply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReplyEqual(t, &got, &next)
+		if _, err := r.NextKind(); err != io.EOF {
+			t.Fatalf("Imag %v: bytes after the one accepted frame (err %v)", imag, err)
+		}
+	}
 }
 
 func TestReplyRoundTripProperty(t *testing.T) {
@@ -139,12 +170,6 @@ func TestReplyRoundTripProperty(t *testing.T) {
 			msg.Vec = make([]float64, vl)
 			for j := range msg.Vec {
 				msg.Vec[j] = rng.Normal()
-			}
-			if rng.Bernoulli(0.5) {
-				msg.Imag = make([]float64, vl)
-				for j := range msg.Imag {
-					msg.Imag[j] = rng.Normal()
-				}
 			}
 			in.Msgs = append(in.Msgs, msg)
 		}
@@ -172,16 +197,11 @@ func TestReplyRoundTripProperty(t *testing.T) {
 			if a.From != b.From || a.Tag != b.Tag || a.Units != b.Units {
 				return false
 			}
-			if len(a.Vec) != len(b.Vec) || len(a.Imag) != len(b.Imag) {
+			if len(a.Vec) != len(b.Vec) || b.Imag != nil {
 				return false
 			}
 			for j := range a.Vec {
 				if a.Vec[j] != b.Vec[j] {
-					return false
-				}
-			}
-			for j := range a.Imag {
-				if a.Imag[j] != b.Imag[j] {
 					return false
 				}
 			}
