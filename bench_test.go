@@ -1,261 +1,23 @@
 package bcc
 
-// One benchmark per paper table/figure (regenerating the artifact at reduced
-// Monte-Carlo budgets and reporting its headline metric), plus micro
-// benchmarks for the kernels on the training hot path.
-//
-// Full-size artifact regeneration is the bccbench command's job; these
-// benches keep every experiment exercised and tracked by `go test -bench`.
+// Micro benchmarks for the kernels on the training hot path: scheme encode
+// and decode, simulated iterations, and whole runs over each runtime, the
+// sharded master and each payload codec. The paper tables are pinned by
+// TestRunAllQuick and regenerated by cmd/bccbench; end-to-end performance
+// is measured by the bench harness (go run ./bench).
 
 import (
-	"context"
 	"fmt"
-	"strconv"
 	"testing"
 
 	"bcc/internal/cluster"
 	"bcc/internal/coding"
 	"bcc/internal/core"
 	"bcc/internal/coupon"
-	"bcc/internal/experiments"
 	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
+	"bcc/internal/wire"
 )
-
-func benchOptions() experiments.Options {
-	return experiments.Options{Quick: true, Seed: 1}
-}
-
-func parseCell(b *testing.B, tab *experiments.Table, row, col int) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(tab.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("cell (%d,%d)=%q: %v", row, col, tab.Rows[row][col], err)
-	}
-	return v
-}
-
-// BenchmarkFig2Tradeoff regenerates the Fig. 2 threshold-vs-load tradeoff.
-func BenchmarkFig2Tradeoff(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig2(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	// First row: smallest r; report the BCC measured threshold.
-	b.ReportMetric(parseCell(b, last, 0, 3), "K_bcc_measured")
-}
-
-// BenchmarkFig4RunningTime regenerates the Fig. 4 running-time comparison.
-func BenchmarkFig4RunningTime(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig4(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	// Rows: uncoded, cyclicrep, bcc. Report BCC's total and its speedup.
-	bccTotal := parseCell(b, last, 2, 4)
-	uncodedTotal := parseCell(b, last, 0, 4)
-	b.ReportMetric(bccTotal, "bcc_total_s")
-	b.ReportMetric(100*(1-bccTotal/uncodedTotal), "bcc_speedup_pct")
-}
-
-// BenchmarkTable1Breakdown regenerates the Table I breakdown.
-func BenchmarkTable1Breakdown(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table1(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 2, 1), "bcc_recovery_threshold")
-	b.ReportMetric(parseCell(b, last, 2, 2), "bcc_comm_s")
-}
-
-// BenchmarkTable2Breakdown regenerates the Table II breakdown.
-func BenchmarkTable2Breakdown(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table2(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 2, 4), "bcc_total_s")
-}
-
-// BenchmarkFig5Heterogeneous regenerates the Fig. 5 LB-vs-BCC comparison.
-func BenchmarkFig5Heterogeneous(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig5(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	lb := parseCell(b, last, 0, 1)
-	gbcc := parseCell(b, last, 1, 1)
-	b.ReportMetric(100*(1-gbcc/lb), "reduction_pct")
-}
-
-// BenchmarkTheorem1Check regenerates the Theorem 1 achievability check.
-func BenchmarkTheorem1Check(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Theorem1(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 0, 3), "measured_K_r2")
-}
-
-// BenchmarkTheorem2Bounds regenerates the Theorem 2 bracket.
-func BenchmarkTheorem2Bounds(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Theorem2(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 3, 1), "bound_ratio")
-}
-
-// BenchmarkCommLoad regenerates the communication-load comparison.
-func BenchmarkCommLoad(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.CommLoad(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 0, 2), "bcc_load_r2")
-}
-
-// BenchmarkFractionalRepetition regenerates the FR early-finish ablation.
-func BenchmarkFractionalRepetition(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fractional(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 0, 3), "fr_measured_K")
-}
-
-// BenchmarkTailBound regenerates the Lemma 2 tail-bound validation.
-func BenchmarkTailBound(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.TailBound(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 1, 2), "empirical_tail_eps025")
-}
-
-// BenchmarkMultiBatchAblation regenerates the one-batch design ablation.
-func BenchmarkMultiBatchAblation(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.MultiBatch(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 0, 4), "k1_measured_K")
-}
-
-// BenchmarkApproxCoverage regenerates the approximate-coverage tradeoff.
-func BenchmarkApproxCoverage(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Approx(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 0, 2), "phi06_avg_K")
-}
-
-// BenchmarkSkewRobustness regenerates the skewed-selection study.
-func BenchmarkSkewRobustness(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Skew(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, len(last.Rows)-1, 2), "zipf15_measured_K")
-}
-
-// BenchmarkHeteroTrain regenerates the end-to-end §IV training comparison.
-func BenchmarkHeteroTrain(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.HeteroTrain(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	lb := parseCell(b, last, 0, 1)
-	g := parseCell(b, last, 1, 1)
-	b.ReportMetric(100*(1-g/lb), "speedup_pct")
-}
-
-// BenchmarkConvergence regenerates the wall-clock convergence comparison.
-func BenchmarkConvergence(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Convergence(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 2, 3), "bcc_time_to_target_s")
-}
-
-// BenchmarkScaling regenerates the cluster-size scaling study.
-func BenchmarkScaling(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Scaling(context.Background(), benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tab
-	}
-	b.ReportMetric(parseCell(b, last, 0, 2), "bcc_total_s_smallest_n")
-}
-
-// ---------------------------------------------------------------------------
-// Micro benchmarks: scheme encode/decode and training-loop kernels
-// ---------------------------------------------------------------------------
 
 func benchPlan(b *testing.B, scheme string, m, n, r int) (coding.Plan, [][]float64) {
 	return benchPlanDim(b, scheme, m, n, r, benchGradDim)
@@ -484,7 +246,8 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 // and tcp transports driving the shared master engine on one fixed small
 // Spec. It is the baseline for future runtime-performance PRs: the reported
 // ns/cluster-iter isolates what each transport adds on top of the identical
-// engine/decode/optimizer work.
+// engine/decode/optimizer work. The "sharded" case runs the tcp job with a
+// two-shard master; shards align to wire chunks, so it needs a p=1024 model.
 func BenchmarkRuntimes(b *testing.B) {
 	const iters = 5
 	// The observed cases attach a counting Observer: the per-iteration hook
@@ -494,12 +257,14 @@ func BenchmarkRuntimes(b *testing.B) {
 		name     string
 		runtime  core.Runtime
 		observed bool
+		shards   int
 	}{
-		{"sim", core.RuntimeSim, false},
-		{"sim-observed", core.RuntimeSim, true},
-		{"live", core.RuntimeLive, false},
-		{"live-observed", core.RuntimeLive, true},
-		{"tcp", core.RuntimeTCP, false},
+		{"sim", core.RuntimeSim, false, 0},
+		{"sim-observed", core.RuntimeSim, true, 0},
+		{"live", core.RuntimeLive, false, 0},
+		{"live-observed", core.RuntimeLive, true, 0},
+		{"tcp", core.RuntimeTCP, false, 0},
+		{"sharded", core.RuntimeTCP, false, 2},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -512,6 +277,10 @@ func BenchmarkRuntimes(b *testing.B) {
 					DataPoints: 64, Dim: 64, Iterations: iters,
 					Seed: 11, Runtime: tc.runtime, TimeScale: 1e-9,
 				}
+				if tc.shards > 1 {
+					spec.Dim = 1024
+					spec.MasterShards = tc.shards
+				}
 				if tc.observed {
 					spec.Observer = cluster.ObserverFuncs{
 						Iteration: func(cluster.IterStats) { callbacks++ },
@@ -522,8 +291,12 @@ func BenchmarkRuntimes(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := job.Run(); err != nil {
+				res, err := job.Run()
+				if err != nil {
 					b.Fatal(err)
+				}
+				if len(res.Shards) != tc.shards {
+					b.Fatalf("ran %d master shards, want %d", len(res.Shards), tc.shards)
 				}
 			}
 			if tc.observed && callbacks != b.N*iters {
@@ -535,24 +308,33 @@ func BenchmarkRuntimes(b *testing.B) {
 }
 
 // BenchmarkTCPCodecWire measures a full training run over loopback TCP in
-// wire frames; the payload is a p=2048 gradient, so codec overhead is
-// visible.
+// wire frames under each payload codec; the payload is a p=2048 gradient,
+// so codec overhead is visible, and wire-in-B/iter shows the bytes each
+// codec puts on the sockets.
 func BenchmarkTCPCodecWire(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		job, err := core.NewJob(core.Spec{
-			Examples: 10, Workers: 10, Load: 2,
-			DataPoints: 40, Dim: 2048, Iterations: 5,
-			Seed: 9, Runtime: "tcp", TimeScale: 1e-9,
+	const iters = 5
+	for _, payload := range wire.PayloadCodecNames() {
+		b.Run(payload, func(b *testing.B) {
+			wireIn := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				job, err := core.NewJob(core.Spec{
+					Examples: 10, Workers: 10, Load: 2,
+					DataPoints: 40, Dim: 2048, Iterations: iters,
+					Seed: 9, Runtime: core.RuntimeTCP, TimeScale: 1e-9,
+					Payload: core.Payload(payload),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := job.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				wireIn += res.TotalWireIn
+			}
+			b.ReportMetric(float64(wireIn)/float64(b.N*iters), "wire-in-B/iter")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := &cluster.Config{
-			Plan: job.Plan, Model: job.Model, Units: job.Units, Opt: job.Opt,
-			Iterations: 5,
-		}
-		if _, err := cluster.RunLive(cfg, cluster.LiveOptions{TimeScale: 1e-9, TCP: true}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -168,8 +168,8 @@
 //
 //	go test -run '^$' -bench 'BenchmarkDecode|BenchmarkRuntimes' -benchtime 100x .
 //
-// to see ns/op and allocs/op per scheme and per runtime; BENCH_PR3.json
-// records the baseline from when the pooled data plane landed.
+// to see ns/op and allocs/op per scheme and per runtime. End-to-end numbers
+// come from the bench harness, go run ./bench (see bench/README.md).
 //
 // # Performance: the sparse compute plane
 //
@@ -185,14 +185,7 @@
 // Spec.ComputeParallelism fans a worker's per-example gradients out over
 // goroutines, each accumulating into its own buffer, so results are
 // bit-exact for every setting; the master side splits its work across cores
-// only through Spec.MasterShards (see the sharded master below). The
-// compute-plane sweep
-//
-//	bccbench -sweep            # dense-vs-CSR x density, decode x dim
-//
-// writes BENCH_PR5.json (committed: ~10x worker-gradient speedup at 5%
-// density and p=16384, ~42x at 1%, with the zero-alloc steady state
-// preserved).
+// only through Spec.MasterShards (see the sharded master below).
 //
 // # The comm plane: payload codecs, chunked frames, measured bytes
 //
@@ -228,15 +221,12 @@
 // runtimes), while IterStats.WireBytesIn/Out and Result.TotalWireIn/Out
 // report bytes MEASURED at the connection — framing included — on the live
 // (pipe) and tcp (socket) runtimes, and zero on the simulator. The lossy
-// codecs preserve the zero steady-state-allocation invariant (selection scratch and staging buffers
-// are per-connection and reused); BENCH_PR6.json records the committed
-// sweep: reply traffic at ~50% of raw64 under f32 and ~6% (16x) under
-// top-K at K=p/16. On a zero-latency loopback the byte savings buy no
-// transfer time, so the sweep's wall column only bounds codec CPU overhead
-// (f32 is free; top-K selection costs O(p) per reply) — the latency
-// win of smaller payloads appears when transfer time is real, which the
-// simulator models by scaling upload/ingress latency with the byte
-// fraction.
+// codecs preserve the zero steady-state-allocation invariant (selection
+// scratch and staging buffers are per-connection and reused). On a
+// zero-latency loopback the byte savings buy no transfer time (f32 is free;
+// top-K selection costs O(p) per reply); the latency win of smaller
+// payloads appears when transfer time is real, which the simulator models
+// by scaling upload/ingress latency with the byte fraction.
 //
 // # Performance: the sharded master
 //
@@ -272,9 +262,7 @@
 // Result.Shards reports each shard's decode time, and JobStatus.Shards and
 // the daemon's /metrics expose the same for service jobs. A checkpoint is
 // one whole-model file at any shard count (Job.Checkpoint), so a job at any
-// MasterShards resumes it. BENCH_PR8.json records the
-// committed sweep (single-core host: the rows bound dispatch overhead; the
-// decode slices scale with min(M, cores) on multi-core hosts).
+// MasterShards resumes it. The decode slices scale with min(M, cores).
 //
 // # Running as a service
 //

@@ -146,11 +146,3 @@ func (c *AIMDController) Retune(t Telemetry) int {
 		return t.Level
 	}
 }
-
-// FixedLevelController pins a Retunable plan at one level for the whole run
-// — the explicit form of the no-controller default, useful for racing a
-// fixed nested level against the adaptive controller under one plan.
-type FixedLevelController struct{ Level int }
-
-// Retune implements Controller.
-func (c FixedLevelController) Retune(t Telemetry) int { return c.Level }

@@ -52,7 +52,7 @@ type LiveOptions struct {
 	// counted) before the Result is assembled, so Result.TotalWireIn/Out are
 	// what the workers really sent instead of racing the teardown. Cheap — the
 	// shutdown broadcast cuts every worker's sleep short — and turned on by
-	// the measurement harnesses (bench, bccbench, the service).
+	// the measurement harnesses (bench, the service).
 	Drain bool
 }
 

@@ -70,11 +70,6 @@ type Config struct {
 	Density float64
 }
 
-// DefaultConfig mirrors the paper's generator at a laptop-friendly scale.
-func DefaultConfig() Config {
-	return Config{N: 1000, Dim: 200, Separation: 1.5}
-}
-
 // Generate draws a synthetic dataset according to cfg using rng. With
 // Density in (0, 1) the features are drawn sparse and stored in CSR form;
 // otherwise the paper's dense Gaussian-mixture generator runs unchanged

@@ -249,9 +249,6 @@ func MinNormRowSolve(a *vecmath.Matrix, c []float64) ([]float64, error) {
 	return y, nil
 }
 
-// MatVec multiplies (rows x cols) matrix a by x (len cols).
-func MatVec(a *vecmath.Matrix, x []float64) []float64 { return vecmath.Gemv(a, x) }
-
 // Residual returns max_i |(A x)_i - b_i| as a quick quality check.
 func Residual(a *vecmath.Matrix, x, b []float64) float64 {
 	ax := vecmath.Gemv(a, x)

@@ -16,9 +16,6 @@ import (
 	"math"
 )
 
-// Zeros returns a fresh zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // Clone returns a copy of x.
 func Clone(x []float64) []float64 {
 	y := make([]float64, len(x))
