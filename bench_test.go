@@ -1,8 +1,8 @@
 package bcc
 
-// Micro benchmarks for the kernels on the training hot path: scheme encode
-// and decode, simulated iterations, and whole runs over each runtime, the
-// sharded master and each payload codec. The paper tables are pinned by
+// Micro benchmarks for the kernels on the training hot path: worker
+// gradients, scheme encode and decode, simulated iterations, and whole runs
+// over each runtime, the sharded master and each payload codec. The paper tables are pinned by
 // TestRunAllQuick and regenerated by cmd/bccbench; end-to-end performance
 // is measured by the bench harness (go run ./bench).
 
@@ -14,6 +14,8 @@ import (
 	"bcc/internal/coding"
 	"bcc/internal/core"
 	"bcc/internal/coupon"
+	"bcc/internal/dataset"
+	"bcc/internal/model"
 	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
 	"bcc/internal/wire"
@@ -199,21 +201,40 @@ func BenchmarkCouponSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkGemv measures the dense kernel behind every gradient evaluation.
-func BenchmarkGemv(b *testing.B) {
-	rng := rngutil.New(6)
-	a := vecmath.NewMatrix(512, 512)
-	for i := range a.Data {
-		a.Data[i] = rng.Normal()
-	}
-	x := make([]float64, 512)
-	for i := range x {
-		x[i] = rng.Normal()
-	}
-	b.SetBytes(512 * 512 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vecmath.Gemv(a, x)
+// BenchmarkSubsetGradient measures one worker's logistic gradient over its
+// rows, the row-blocked RowDot4/RowAxpy4 work that redundancy multiplies:
+// "dense" at the compute-dense workload's shape (p = 1024, 512 rows) and
+// "csr" at the compute-sparse one's (p = 4096, density 0.05, 800 rows).
+// ns/nnz is the time per stored entry of the rows visited.
+func BenchmarkSubsetGradient(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		rows, dim int
+		density   float64
+	}{
+		{"dense", 512, 1024, 0},
+		{"csr", 800, 4096, 0.05},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rngutil.New(6)
+			d, err := dataset.Generate(dataset.Config{N: c.rows, Dim: c.dim, Density: c.density}, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := model.NewLogistic(d)
+			w := make([]float64, c.dim)
+			for i := range w {
+				w[i] = 0.01 * rng.Normal()
+			}
+			rows, out := model.AllRows(c.rows), make([]float64, c.dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vecmath.Fill(out, 0)
+				m.SubsetGradient(w, rows, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d.NNZ()), "ns/nnz")
+		})
 	}
 }
 

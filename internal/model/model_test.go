@@ -61,8 +61,8 @@ func TestLogisticSubsetAdditivity(t *testing.T) {
 	m.SubsetGradient(w, a, ga)
 	m.SubsetGradient(w, b, gb)
 	m.SubsetGradient(w, union, gu)
-	sum := vecmath.Add(ga, gb)
-	if d := vecmath.MaxAbsDiff(sum, gu); d > 1e-12 {
+	vecmath.AddInto(ga, gb)
+	if d := vecmath.MaxAbsDiff(ga, gu); d > 1e-12 {
 		t.Fatalf("subset gradients not additive: %v", d)
 	}
 }

@@ -35,16 +35,15 @@ func (s *SVM) SubsetGradient(w []float64, rows []int, out []float64) {
 	if len(out) != s.Dim() {
 		panic(fmt.Sprintf("model: gradient buffer %d != dim %d", len(out), s.Dim()))
 	}
-	x := s.Data.X
-	for _, j := range rows {
-		yj := s.Data.Y[j]
-		margin := yj * x.RowDot(j, w)
+	y := s.Data.Y
+	rowGradient(s.Data.X, w, rows, out, func(j int, dot float64) (float64, bool) {
+		margin := y[j] * dot
 		if margin >= 1 {
-			continue // point outside the margin contributes nothing
+			return 0, false // point outside the margin contributes nothing
 		}
 		// d/dw (1 - margin)^2 = -2 (1 - margin) y x
-		x.RowAxpy(-2*(1-margin)*yj, j, out)
-	}
+		return -2 * (1 - margin) * y[j], true
+	})
 	if s.Lambda != 0 {
 		frac := s.Lambda * float64(len(rows)) / float64(s.NumExamples())
 		vecmath.Axpy(frac, w, out)

@@ -26,6 +26,13 @@ func quadGrad(diag, center []float64) (GradFn, float64) {
 	}, lip
 }
 
+// dist returns the Euclidean distance ||a - b||.
+func dist(a, b []float64) float64 {
+	d := vecmath.Clone(a)
+	vecmath.Axpy(-1, b, d)
+	return vecmath.Norm2(d)
+}
+
 func TestGDConvergesOnQuadratic(t *testing.T) {
 	diag := []float64{1, 2, 5}
 	center := []float64{3, -1, 0.5}
@@ -66,8 +73,7 @@ func TestNesterovFasterThanGDOnIllConditioned(t *testing.T) {
 	iters := 150
 	wGD := Run(NewGD(make([]float64, n), Constant(1/lip)), grad, iters)
 	wNAG := Run(NewNesterov(make([]float64, n), Constant(1/lip)), grad, iters)
-	dGD := vecmath.Norm2(vecmath.Sub(wGD, center))
-	dNAG := vecmath.Norm2(vecmath.Sub(wNAG, center))
+	dGD, dNAG := dist(wGD, center), dist(wNAG, center)
 	if dNAG >= dGD {
 		t.Fatalf("Nesterov (%v) not faster than GD (%v) on ill-conditioned quadratic", dNAG, dGD)
 	}

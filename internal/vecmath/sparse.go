@@ -18,8 +18,15 @@ import (
 // AnyMatrix is the read-only matrix surface the model gradients and the
 // full-matrix kernels are written against. Dense (*Matrix) and sparse
 // (*CSR) storage both implement it; the row kernels are the per-example
-// hot path (one RowDot + one RowAxpy per data point per gradient), so
+// hot path (one dot and one axpy per data point per gradient), so
 // implementations keep them allocation-free.
+//
+// RowDot4 and RowAxpy4 are the blocked forms the model gradients use for
+// four rows at a time. Each must equal the four single-row calls bit for
+// bit: every row's dot is still one serial fold in column order, and every
+// dst element still receives its four terms in row order. The rows and
+// coefficients travel as arrays by value, so no slice escapes through the
+// interface call.
 type AnyMatrix interface {
 	// Dims returns (rows, cols).
 	Dims() (rows, cols int)
@@ -31,6 +38,11 @@ type AnyMatrix interface {
 	RowDot(i int, x []float64) float64
 	// RowAxpy accumulates dst += alpha * row_i (len(dst) == cols).
 	RowAxpy(alpha float64, i int, dst []float64)
+	// RowDot4 returns RowDot(rows[k], x) for k = 0..3.
+	RowDot4(rows [4]int, x []float64) [4]float64
+	// RowAxpy4 applies RowAxpy(alpha[k], rows[k], dst) for k = 0..3, in
+	// that order.
+	RowAxpy4(alpha [4]float64, rows [4]int, dst []float64)
 	// RowTo gathers row i densely into dst (len(dst) == cols), fully
 	// overwriting it.
 	RowTo(i int, dst []float64)
@@ -56,6 +68,42 @@ func (m *Matrix) RowDot(i int, x []float64) float64 { return Dot(m.Row(i), x) }
 
 // RowAxpy implements AnyMatrix.
 func (m *Matrix) RowAxpy(alpha float64, i int, dst []float64) { Axpy(alpha, m.Row(i), dst) }
+
+// RowDot4 implements AnyMatrix as one pass over x that feeds four
+// independent dot chains, each folded in column order like Dot.
+func (m *Matrix) RowDot4(rows [4]int, x []float64) [4]float64 {
+	if len(x) != m.Cols {
+		panic(fmt.Sprintf("vecmath: RowDot4 dimension mismatch %d cols vs %d", m.Cols, len(x)))
+	}
+	n := len(x)
+	r0, r1, r2, r3 := m.Row(rows[0])[:n], m.Row(rows[1])[:n], m.Row(rows[2])[:n], m.Row(rows[3])[:n]
+	var s0, s1, s2, s3 float64
+	for i, xv := range x {
+		s0 += r0[i] * xv
+		s1 += r1[i] * xv
+		s2 += r2[i] * xv
+		s3 += r3[i] * xv
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// RowAxpy4 implements AnyMatrix as one pass over dst: each element is
+// loaded once, receives its four row terms in row order, and is stored once.
+func (m *Matrix) RowAxpy4(alpha [4]float64, rows [4]int, dst []float64) {
+	if len(dst) != m.Cols {
+		panic(fmt.Sprintf("vecmath: RowAxpy4 dimension mismatch %d cols vs %d", m.Cols, len(dst)))
+	}
+	n := len(dst)
+	r0, r1, r2, r3 := m.Row(rows[0])[:n], m.Row(rows[1])[:n], m.Row(rows[2])[:n], m.Row(rows[3])[:n]
+	a0, a1, a2, a3 := alpha[0], alpha[1], alpha[2], alpha[3]
+	for i, d := range dst {
+		d += a0 * r0[i]
+		d += a1 * r1[i]
+		d += a2 * r2[i]
+		d += a3 * r3[i]
+		dst[i] = d
+	}
+}
 
 // RowTo implements AnyMatrix.
 func (m *Matrix) RowTo(i int, dst []float64) {
@@ -204,6 +252,18 @@ func (c *CSR) RowAxpy(alpha float64, i int, dst []float64) {
 	}
 	for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
 		dst[c.ColIdx[k]] += alpha * c.Val[k]
+	}
+}
+
+// RowDot4 implements AnyMatrix as four RowDot calls.
+func (c *CSR) RowDot4(rows [4]int, x []float64) [4]float64 {
+	return [4]float64{c.RowDot(rows[0], x), c.RowDot(rows[1], x), c.RowDot(rows[2], x), c.RowDot(rows[3], x)}
+}
+
+// RowAxpy4 implements AnyMatrix as four RowAxpy calls.
+func (c *CSR) RowAxpy4(alpha [4]float64, rows [4]int, dst []float64) {
+	for k, i := range rows {
+		c.RowAxpy(alpha[k], i, dst)
 	}
 }
 

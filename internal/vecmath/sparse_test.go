@@ -160,3 +160,61 @@ func TestGemvTIntoMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestRowBlockKernelsBitEqualSingle pins the promise of the blocked row
+// kernels: RowDot4 and RowAxpy4 return bit for bit what four single-row
+// calls return, on dense and CSR storage, for every short row length and a
+// long one, with repeated rows in one block and a dst seeded with -0.
+func TestRowBlockKernelsBitEqualSingle(t *testing.T) {
+	rng := rngutil.New(27)
+	negZero := math.Copysign(0, -1)
+	blocks := [][4]int{{0, 1, 2, 3}, {5, 2, 4, 1}, {3, 3, 3, 3}, {1, 4, 1, 4}}
+	for _, cols := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1024} {
+		m, c := randSparseDense(rng, 6, cols, 0.7)
+		x := randVec(rng, cols)
+		for _, mat := range []AnyMatrix{m, c} {
+			for _, rows := range blocks {
+				got := mat.RowDot4(rows, x)
+				for k, i := range rows {
+					if want := mat.RowDot(i, x); math.Float64bits(got[k]) != math.Float64bits(want) {
+						t.Fatalf("%T cols %d rows %v: RowDot4[%d] = %v, RowDot = %v", mat, cols, rows, k, got[k], want)
+					}
+				}
+				alpha := [4]float64{rng.Normal(), 0, negZero, rng.Normal()}
+				negZeros := make([]float64, cols)
+				Fill(negZeros, negZero)
+				for _, seed := range [][]float64{negZeros, randVec(rng, cols)} {
+					gotDst, wantDst := Clone(seed), Clone(seed)
+					mat.RowAxpy4(alpha, rows, gotDst)
+					for k, i := range rows {
+						mat.RowAxpy(alpha[k], i, wantDst)
+					}
+					for j := range gotDst {
+						if math.Float64bits(gotDst[j]) != math.Float64bits(wantDst[j]) {
+							t.Fatalf("%T cols %d rows %v: RowAxpy4 dst[%d] = %v, RowAxpy = %v", mat, cols, rows, j, gotDst[j], wantDst[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRowBlockKernelsPanicOnMismatch(t *testing.T) {
+	m, c := randSparseDense(rngutil.New(28), 4, 5, 0.5)
+	for _, mat := range []AnyMatrix{m, c} {
+		for name, call := range map[string]func(){
+			"RowDot4":  func() { mat.RowDot4([4]int{0, 1, 2, 3}, make([]float64, 4)) },
+			"RowAxpy4": func() { mat.RowAxpy4([4]float64{}, [4]int{0, 1, 2, 3}, make([]float64, 6)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%T %s with a wrong length did not panic", mat, name)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}

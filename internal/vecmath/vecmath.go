@@ -4,7 +4,10 @@
 // Matrices come in two storage forms behind the AnyMatrix interface: dense
 // row-major (Matrix) and compressed sparse row (CSR, see sparse.go), whose
 // row kernels cost O(nnz) instead of O(cols) — with bit-identical results
-// on finite data holding the same nonzeros.
+// on finite data holding the same nonzeros. The blocked row kernels
+// RowDot4 and RowAxpy4 handle four rows per pass over the query and the
+// accumulator, and return bit for bit what four single-row calls return:
+// the rows are interleaved, never the partial sums of one row.
 //
 // Every kernel is serial. The master splits decode work across cores one
 // level up, by handing each of its MasterShards goroutines a contiguous
@@ -57,30 +60,6 @@ func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Add computes z = x + y into a fresh slice.
-func Add(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: Add length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] + y[i]
-	}
-	return z
-}
-
-// Sub computes z = x - y into a fresh slice.
-func Sub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: Sub length mismatch %d vs %d", len(x), len(y)))
-	}
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
 }
 
 // AddInto accumulates src into dst in place.
@@ -193,13 +172,6 @@ func GemvInto(dst []float64, a *Matrix, x []float64) {
 	}
 }
 
-// GemvT computes y = A^T*x. It panics on dimension mismatch.
-func GemvT(a *Matrix, x []float64) []float64 {
-	y := make([]float64, a.Cols)
-	GemvTInto(y, a, x)
-	return y
-}
-
 // GemvTInto computes dst = A^T*x in place, fully overwriting dst. It panics
 // on dimension mismatch. It sweeps the rows once in order, accumulating
 // dst[j] += x[i]*A[i][j], so every output element folds its row terms in row
@@ -221,23 +193,11 @@ func GemvTInto(dst []float64, a *Matrix, x []float64) {
 	}
 }
 
-// SumVectors returns the element-wise sum of the given equal-length vectors.
-// It panics if vs is empty or lengths differ. This is the "compress by
-// summation" primitive of the BCC and uncoded schemes (paper eq. 12).
-func SumVectors(vs [][]float64) []float64 {
-	if len(vs) == 0 {
-		panic("vecmath: SumVectors of empty set")
-	}
-	out := make([]float64, len(vs[0]))
-	SumVectorsInto(out, vs)
-	return out
-}
-
 // SumVectorsInto computes the element-wise sum of vs into dst, fully
 // overwriting it (dst's prior contents are irrelevant, so pooled buffers can
-// be passed directly). The vectors are folded in slice order, so the result
-// is bit-for-bit identical to SumVectors. It panics if vs is empty or any
-// length disagrees with dst.
+// be passed directly). The vectors are folded in slice order. It panics if
+// vs is empty or any length disagrees with dst. This is the "compress by
+// summation" primitive of the BCC and uncoded schemes (paper eq. 12).
 func SumVectorsInto(dst []float64, vs [][]float64) {
 	if len(vs) == 0 {
 		panic("vecmath: SumVectorsInto of empty set")
@@ -251,23 +211,11 @@ func SumVectorsInto(dst []float64, vs [][]float64) {
 	}
 }
 
-// LinearCombination returns sum_i coeffs[i]*vs[i]. It panics if the slice
-// lengths disagree or vs is empty. This is the encoding primitive of the
-// coded schemes (cyclicrep, nested): each worker transmits one linear
-// combination of its partial gradients.
-func LinearCombination(coeffs []float64, vs [][]float64) []float64 {
-	if len(vs) == 0 {
-		panic("vecmath: LinearCombination of empty set")
-	}
-	out := make([]float64, len(vs[0]))
-	LinearCombinationInto(out, coeffs, vs)
-	return out
-}
-
 // LinearCombinationInto computes sum_i coeffs[i]*vs[i] into dst, fully
 // overwriting it. The accumulation starts from zero and folds terms in slice
-// order — the same operation sequence as LinearCombination, so results are
-// bit-for-bit identical. It panics on arity or length mismatches.
+// order. It panics on arity or length mismatches. This is the encoding
+// primitive of the coded schemes: each worker transmits one linear
+// combination of its partial gradients.
 func LinearCombinationInto(dst []float64, coeffs []float64, vs [][]float64) {
 	if len(vs) == 0 {
 		panic("vecmath: LinearCombinationInto of empty set")

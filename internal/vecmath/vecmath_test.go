@@ -16,6 +16,13 @@ func randVec(rng *rngutil.RNG, n int) []float64 {
 	return v
 }
 
+// add returns x + y in a fresh slice.
+func add(x, y []float64) []float64 {
+	z := Clone(x)
+	AddInto(z, y)
+	return z
+}
+
 func TestDot(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, -5, 6}
@@ -44,19 +51,15 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestScaleAddSub(t *testing.T) {
+func TestScaleAddInto(t *testing.T) {
 	x := []float64{2, 4}
 	Scale(0.5, x)
 	if x[0] != 1 || x[1] != 2 {
 		t.Fatalf("Scale result %v", x)
 	}
-	z := Add([]float64{1, 2}, []float64{3, 4})
-	if z[0] != 4 || z[1] != 6 {
-		t.Fatalf("Add result %v", z)
-	}
-	d := Sub([]float64{1, 2}, []float64{3, 4})
-	if d[0] != -2 || d[1] != -2 {
-		t.Fatalf("Sub result %v", d)
+	AddInto(x, []float64{3, 4})
+	if x[0] != 4 || x[1] != 6 {
+		t.Fatalf("AddInto result %v", x)
 	}
 }
 
@@ -133,7 +136,8 @@ func TestGemvT(t *testing.T) {
 		a.Data[i] = rng.Normal()
 	}
 	x := randVec(rng, 4)
-	y := GemvT(a, x)
+	y := []float64{7, 7, 7} // MulVecTInto overwrites, whatever dst held
+	a.MulVecTInto(y, x)
 	for j := 0; j < 3; j++ {
 		var want float64
 		for i := 0; i < 4; i++ {
@@ -146,25 +150,28 @@ func TestGemvT(t *testing.T) {
 }
 
 func TestSumVectors(t *testing.T) {
-	s := SumVectors([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	s := []float64{-1, -1} // SumVectorsInto overwrites, whatever dst held
+	SumVectorsInto(s, [][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if s[0] != 9 || s[1] != 12 {
-		t.Fatalf("SumVectors = %v", s)
+		t.Fatalf("SumVectorsInto = %v", s)
 	}
 }
 
 func TestSumVectorsDoesNotAliasInput(t *testing.T) {
 	v := []float64{1, 2}
-	s := SumVectors([][]float64{v})
+	s := make([]float64, 2)
+	SumVectorsInto(s, [][]float64{v})
 	s[0] = 99
 	if v[0] == 99 {
-		t.Fatal("SumVectors must copy its first argument")
+		t.Fatal("SumVectorsInto must copy its first argument")
 	}
 }
 
 func TestLinearCombination(t *testing.T) {
-	out := LinearCombination([]float64{2, -1}, [][]float64{{1, 0}, {0, 1}})
+	out := []float64{5, 5} // LinearCombinationInto overwrites, whatever dst held
+	LinearCombinationInto(out, []float64{2, -1}, [][]float64{{1, 0}, {0, 1}})
 	if out[0] != 2 || out[1] != -1 {
-		t.Fatalf("LinearCombination = %v", out)
+		t.Fatalf("LinearCombinationInto = %v", out)
 	}
 }
 
@@ -174,7 +181,7 @@ func TestLinearCombinationPanics(t *testing.T) {
 			t.Fatal("arity mismatch did not panic")
 		}
 	}()
-	LinearCombination([]float64{1}, [][]float64{{1}, {2}})
+	LinearCombinationInto(make([]float64, 1), []float64{1}, [][]float64{{1}, {2}})
 }
 
 // Property: Dot is symmetric and linear in its first argument.
@@ -210,8 +217,8 @@ func TestGemvPropertyAdditive(t *testing.T) {
 			a.Data[i] = r.Normal()
 		}
 		x, y := randVec(r, cols), randVec(r, cols)
-		lhs := Gemv(a, Add(x, y))
-		rhs := Add(Gemv(a, x), Gemv(a, y))
+		lhs := Gemv(a, add(x, y))
+		rhs := add(Gemv(a, x), Gemv(a, y))
 		return MaxAbsDiff(lhs, rhs) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
