@@ -175,7 +175,8 @@
 //
 // Gradients evaluate against the vecmath.AnyMatrix abstraction: dense
 // row-major storage (DenseMatrix) or compressed sparse rows (CSRMatrix)
-// whose row kernels cost O(nnz) instead of O(rows*p). Spec.Density draws a
+// whose row kernels range over each row's index and value subslices and
+// cost O(nnz) instead of O(rows*p). Spec.Density draws a
 // seeded sparse synthetic dataset; LoadLIBSVM reads the standard sparse
 // interchange format straight into CSR and NewJobWithData trains on it.
 // The CSR kernels are bit-identical to the dense sweeps on matrices
@@ -183,7 +184,8 @@
 // compatibility are storage-independent. Model gradients take their rows
 // four at a time through the blocked RowDot4/RowAxpy4 kernels, which on
 // dense storage read each query and gradient element once per four rows
-// and still fold every row's dot in column order, bit for bit.
+// and still fold every row's dot in column order, bit for bit; on CSR they
+// are four single-row calls.
 //
 // Spec.ComputeParallelism fans a worker's per-example gradients out over
 // goroutines, each accumulating into its own buffer, so results are

@@ -159,10 +159,12 @@ func PadDim(d *Dataset, dim int) *Dataset {
 		}
 		return &Dataset{X: wide, Y: d.Y, WStar: d.WStar}
 	default:
-		// Unknown storage: gather rows densely through the interface.
+		// Unknown storage: gather the entries through the interface.
 		wide := vecmath.NewMatrix(rows, dim)
 		for i := 0; i < rows; i++ {
-			d.X.RowTo(i, wide.Row(i)[:cols])
+			for j := 0; j < cols; j++ {
+				wide.Set(i, j, d.X.At(i, j))
+			}
 		}
 		return &Dataset{X: wide, Y: d.Y, WStar: d.WStar}
 	}

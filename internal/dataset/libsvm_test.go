@@ -126,6 +126,10 @@ func TestPadDim(t *testing.T) {
 	if ws.Dim() != 5 || ws.X.At(0, 1) != 2.5 || ws.X.At(1, 4) != 0 {
 		t.Fatal("CSR PadDim misbehaved")
 	}
+	other := &Dataset{X: struct{ vecmath.AnyMatrix }{m}, Y: []float64{1, -1}}
+	if wo := PadDim(other, 5); wo.Dim() != 5 || wo.X.At(0, 1) != 2.5 || wo.X.At(1, 2) != -1 || wo.X.At(0, 4) != 0 {
+		t.Fatal("PadDim of unknown storage lost or invented entries")
+	}
 	if PadDim(dense, 2) != dense || PadDim(sparse, 3) != sparse {
 		t.Fatal("already-wide datasets must be returned unchanged")
 	}

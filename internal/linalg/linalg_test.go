@@ -148,7 +148,9 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 // gemvT returns A^T*x in a fresh slice.
 func gemvT(a *vecmath.Matrix, x []float64) []float64 {
 	y := make([]float64, a.Cols)
-	vecmath.GemvTInto(y, a, x)
+	for i, xi := range x {
+		vecmath.Axpy(xi, a.Row(i), y)
+	}
 	return y
 }
 

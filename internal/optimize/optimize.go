@@ -101,8 +101,10 @@ func (g *GD) Update(grad []float64) {
 // [lo, hi), the elementwise body of vecmath.Axpy restricted to the slice.
 func (g *GD) UpdateSlice(grad []float64, lo, hi int) {
 	alpha := -g.step(g.t)
-	for i := lo; i < hi; i++ {
-		g.w[i] += alpha * grad[i]
+	w := g.w[lo:hi]
+	grad = grad[lo:hi][:len(w)]
+	for i, gi := range grad {
+		w[i] += alpha * gi
 	}
 }
 
@@ -150,10 +152,12 @@ func NewNesterov(w0 []float64, step StepSize) *Nesterov {
 func (n *Nesterov) Query() []float64 {
 	thetaNext := (1 + math.Sqrt(1+4*n.theta*n.theta)) / 2
 	beta := (n.theta - 1) / thetaNext
-	for i := range n.y {
-		n.y[i] = n.w[i] + beta*(n.w[i]-n.wPrev[i])
+	y := n.y
+	w, wPrev := n.w[:len(y)], n.wPrev[:len(y)]
+	for i, wi := range w {
+		y[i] = wi + beta*(wi-wPrev[i])
 	}
-	return n.y
+	return y
 }
 
 // Update implements Optimizer. The gradient must have been evaluated at the
@@ -172,10 +176,12 @@ func (n *Nesterov) UpdateSlice(grad []float64, lo, hi int) {
 	thetaNext := (1 + math.Sqrt(1+4*n.theta*n.theta)) / 2
 	beta := (n.theta - 1) / thetaNext
 	mu := n.step(n.t)
-	for i := lo; i < hi; i++ {
-		y := n.w[i] + beta*(n.w[i]-n.wPrev[i])
-		n.wPrev[i] = n.w[i]
-		n.w[i] = y - mu*grad[i]
+	w := n.w[lo:hi]
+	wPrev, g := n.wPrev[lo:hi][:len(w)], grad[lo:hi][:len(w)]
+	for i, wi := range w {
+		y := wi + beta*(wi-wPrev[i])
+		wPrev[i] = wi
+		w[i] = y - mu*g[i]
 	}
 }
 

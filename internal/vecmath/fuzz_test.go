@@ -1,13 +1,16 @@
 package vecmath
 
 import (
+	"math"
 	"testing"
 )
 
 // FuzzCSRRoundTrip feeds arbitrary byte strings as a tiny dense matrix and
 // checks the CSR invariants: compression validates under NewCSR, expands
 // back to the identical dense matrix, and the row kernels agree with the
-// dense ones bit-for-bit.
+// dense ones bit-for-bit. Every four consecutive bytes also pick a block of
+// rows (repeats allowed) on which CSR RowDot4 and RowAxpy4 must match the
+// dense single-row kernels.
 func FuzzCSRRoundTrip(f *testing.F) {
 	f.Add(uint8(3), uint8(4), []byte{0, 1, 0, 2, 0, 0, 3, 0, 0, 0, 0, 4})
 	f.Add(uint8(1), uint8(1), []byte{0})
@@ -32,7 +35,7 @@ func FuzzCSRRoundTrip(f *testing.F) {
 		}
 		x := make([]float64, c)
 		for j := range x {
-			x[j] = float64(j) - 1.5
+			x[j] = (float64(j) - 1.5) / 3 // inexact, so a reordered fold shows
 		}
 		for i := 0; i < r; i++ {
 			if d, s := m.RowDot(i, x), csr.RowDot(i, x); d != s {
@@ -43,6 +46,28 @@ func FuzzCSRRoundTrip(f *testing.F) {
 			csr.RowAxpy(2.5, i, ss)
 			if MaxAbsDiff(dd, ss) != 0 {
 				t.Fatalf("row %d: RowAxpy diverged", i)
+			}
+		}
+		for b := 0; b+4 <= len(data); b += 4 {
+			var rows [4]int
+			var alpha [4]float64
+			for k := range rows {
+				rows[k] = int(data[b+k]) % r
+				alpha[k] = float64(int(data[b+k])-128) / 7
+			}
+			dots := csr.RowDot4(rows, x)
+			want, got := Clone(x), Clone(x)
+			csr.RowAxpy4(alpha, rows, got)
+			for k, i := range rows {
+				if d := m.RowDot(i, x); math.Float64bits(d) != math.Float64bits(dots[k]) {
+					t.Fatalf("rows %v: csr RowDot4[%d] %v != dense dot %v", rows, k, dots[k], d)
+				}
+				m.RowAxpy(alpha[k], i, want)
+			}
+			for j := range want {
+				if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
+					t.Fatalf("rows %v: csr RowAxpy4 dst[%d] %v != dense %v", rows, j, got[j], want[j])
+				}
 			}
 		}
 	})

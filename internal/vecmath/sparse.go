@@ -15,11 +15,11 @@ import (
 	"sort"
 )
 
-// AnyMatrix is the read-only matrix surface the model gradients and the
-// full-matrix kernels are written against. Dense (*Matrix) and sparse
-// (*CSR) storage both implement it; the row kernels are the per-example
-// hot path (one dot and one axpy per data point per gradient), so
-// implementations keep them allocation-free.
+// AnyMatrix is the read-only matrix surface the model gradients and losses
+// are written against. Dense (*Matrix) and sparse (*CSR) storage both
+// implement it; the row kernels are the per-example hot path (one dot and
+// one axpy per data point per gradient), so implementations keep them
+// allocation-free.
 //
 // RowDot4 and RowAxpy4 are the blocked forms the model gradients use for
 // four rows at a time. Each must equal the four single-row calls bit for
@@ -43,13 +43,6 @@ type AnyMatrix interface {
 	// RowAxpy4 applies RowAxpy(alpha[k], rows[k], dst) for k = 0..3, in
 	// that order.
 	RowAxpy4(alpha [4]float64, rows [4]int, dst []float64)
-	// RowTo gathers row i densely into dst (len(dst) == cols), fully
-	// overwriting it.
-	RowTo(i int, dst []float64)
-	// MulVecInto computes dst = A*x (len(dst) == rows, len(x) == cols).
-	MulVecInto(dst, x []float64)
-	// MulVecTInto computes dst = A^T*x (len(dst) == cols, len(x) == rows).
-	MulVecTInto(dst, x []float64)
 }
 
 // ---------------------------------------------------------------------------
@@ -105,20 +98,6 @@ func (m *Matrix) RowAxpy4(alpha [4]float64, rows [4]int, dst []float64) {
 	}
 }
 
-// RowTo implements AnyMatrix.
-func (m *Matrix) RowTo(i int, dst []float64) {
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("vecmath: RowTo buffer %d != %d cols", len(dst), m.Cols))
-	}
-	copy(dst, m.Row(i))
-}
-
-// MulVecInto implements AnyMatrix via the dense GemvInto kernel.
-func (m *Matrix) MulVecInto(dst, x []float64) { GemvInto(dst, m, x) }
-
-// MulVecTInto implements AnyMatrix via GemvTInto.
-func (m *Matrix) MulVecTInto(dst, x []float64) { GemvTInto(dst, m, x) }
-
 var _ AnyMatrix = (*Matrix)(nil)
 
 // ---------------------------------------------------------------------------
@@ -127,8 +106,9 @@ var _ AnyMatrix = (*Matrix)(nil)
 
 // CSR is a compressed-sparse-row matrix: row i's entries are
 // Val[RowPtr[i]:RowPtr[i+1]] at column indices ColIdx[RowPtr[i]:RowPtr[i+1]],
-// strictly increasing within each row. All kernels cost O(nnz) instead of
-// O(rows*cols).
+// strictly increasing within each row. The row kernels range over those two
+// row subslices, so they cost O(nnz of the row) instead of O(cols);
+// RowDot4 and RowAxpy4 are four single-row calls.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int // length Rows+1, non-decreasing, RowPtr[0] == 0
@@ -207,8 +187,9 @@ func (c *CSR) ToDense() *Matrix {
 	m := NewMatrix(c.Rows, c.Cols)
 	for i := 0; i < c.Rows; i++ {
 		row := m.Row(i)
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			row[c.ColIdx[k]] = c.Val[k]
+		idx, val := c.row(i)
+		for k, j := range idx {
+			row[j] = val[k]
 		}
 	}
 	return m
@@ -222,13 +203,23 @@ func (c *CSR) NNZ() int { return len(c.Val) }
 
 // At implements AnyMatrix by binary search within the row.
 func (c *CSR) At(i, j int) float64 {
-	lo, hi := c.RowPtr[i], c.RowPtr[i+1]
-	idx := c.ColIdx[lo:hi]
+	idx, val := c.row(i)
 	k := sort.SearchInts(idx, j)
 	if k < len(idx) && idx[k] == j {
-		return c.Val[lo+k]
+		return val[k]
 	}
 	return 0
+}
+
+// row returns row i's column indices and values as subslices of equal
+// length. The row kernels range over these locals: the compiler does not
+// hoist loads through c out of a loop (and a store to dst might alias c's
+// slices), so indexing c.ColIdx and c.Val in the loop reloads and
+// bounds-checks both slice headers on every stored entry.
+func (c *CSR) row(i int) (idx []int, val []float64) {
+	lo, hi := c.RowPtr[i], c.RowPtr[i+1]
+	idx = c.ColIdx[lo:hi]
+	return idx, c.Val[lo:hi][:len(idx)]
 }
 
 // RowDot implements AnyMatrix in O(nnz of row i): the stored entries are
@@ -238,9 +229,10 @@ func (c *CSR) RowDot(i int, x []float64) float64 {
 	if c.Cols != len(x) {
 		panic(fmt.Sprintf("vecmath: CSR RowDot dimension mismatch %d cols vs %d", c.Cols, len(x)))
 	}
+	idx, val := c.row(i)
 	var s float64
-	for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-		s += c.Val[k] * x[c.ColIdx[k]]
+	for k, j := range idx {
+		s += val[k] * x[j]
 	}
 	return s
 }
@@ -250,8 +242,9 @@ func (c *CSR) RowAxpy(alpha float64, i int, dst []float64) {
 	if c.Cols != len(dst) {
 		panic(fmt.Sprintf("vecmath: CSR RowAxpy dimension mismatch %d cols vs %d", c.Cols, len(dst)))
 	}
-	for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-		dst[c.ColIdx[k]] += alpha * c.Val[k]
+	idx, val := c.row(i)
+	for k, j := range idx {
+		dst[j] += alpha * val[k]
 	}
 }
 
@@ -260,49 +253,12 @@ func (c *CSR) RowDot4(rows [4]int, x []float64) [4]float64 {
 	return [4]float64{c.RowDot(rows[0], x), c.RowDot(rows[1], x), c.RowDot(rows[2], x), c.RowDot(rows[3], x)}
 }
 
-// RowAxpy4 implements AnyMatrix as four RowAxpy calls.
+// RowAxpy4 implements AnyMatrix as four RowAxpy calls, one row after the
+// other: walking the rows in lockstep would reorder the adds to any column
+// two of them share.
 func (c *CSR) RowAxpy4(alpha [4]float64, rows [4]int, dst []float64) {
 	for k, i := range rows {
 		c.RowAxpy(alpha[k], i, dst)
-	}
-}
-
-// RowTo implements AnyMatrix: zero the buffer, scatter the stored entries.
-func (c *CSR) RowTo(i int, dst []float64) {
-	if len(dst) != c.Cols {
-		panic(fmt.Sprintf("vecmath: RowTo buffer %d != %d cols", len(dst), c.Cols))
-	}
-	Fill(dst, 0)
-	for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-		dst[c.ColIdx[k]] = c.Val[k]
-	}
-}
-
-// MulVecInto implements AnyMatrix: dst = A*x in O(nnz).
-func (c *CSR) MulVecInto(dst, x []float64) {
-	if c.Cols != len(x) {
-		panic(fmt.Sprintf("vecmath: CSR MulVec dimension mismatch %dx%d * %d", c.Rows, c.Cols, len(x)))
-	}
-	if len(dst) != c.Rows {
-		panic(fmt.Sprintf("vecmath: CSR MulVec output length %d != %d rows", len(dst), c.Rows))
-	}
-	for i := 0; i < c.Rows; i++ {
-		dst[i] = c.RowDot(i, x)
-	}
-}
-
-// MulVecTInto implements AnyMatrix: dst = A^T*x in O(nnz), accumulating row
-// contributions in row order (the same order as the dense transpose sweep).
-func (c *CSR) MulVecTInto(dst, x []float64) {
-	if c.Rows != len(x) {
-		panic(fmt.Sprintf("vecmath: CSR MulVecT dimension mismatch %dx%d ^T * %d", c.Rows, c.Cols, len(x)))
-	}
-	if len(dst) != c.Cols {
-		panic(fmt.Sprintf("vecmath: CSR MulVecT output length %d != %d cols", len(dst), c.Cols))
-	}
-	Fill(dst, 0)
-	for i := 0; i < c.Rows; i++ {
-		c.RowAxpy(x[i], i, dst)
 	}
 }
 

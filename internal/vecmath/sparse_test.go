@@ -73,12 +73,27 @@ func TestCSRRowKernelsBitEqualDense(t *testing.T) {
 		if MaxAbsDiff(dDst, sDst) != 0 {
 			t.Fatalf("row %d: RowAxpy diverged", i)
 		}
-		gather := make([]float64, m.Cols)
-		c.RowTo(i, gather)
-		if MaxAbsDiff(gather, m.Row(i)) != 0 {
-			t.Fatalf("row %d: RowTo diverged from dense row", i)
-		}
 	}
+}
+
+// mulVec returns A*x, one RowDot per row.
+func mulVec(a AnyMatrix, x []float64) []float64 {
+	rows, _ := a.Dims()
+	y := make([]float64, rows)
+	for i := range y {
+		y[i] = a.RowDot(i, x)
+	}
+	return y
+}
+
+// mulVecT returns A^T*x, accumulating the rows in row order.
+func mulVecT(a AnyMatrix, x []float64) []float64 {
+	_, cols := a.Dims()
+	y := make([]float64, cols)
+	for i, xi := range x {
+		a.RowAxpy(xi, i, y)
+	}
+	return y
 }
 
 func TestCSRMulVecBitEqualDense(t *testing.T) {
@@ -92,17 +107,11 @@ func TestCSRMulVecBitEqualDense(t *testing.T) {
 	for i := range y {
 		y[i] = rng.Normal()
 	}
-	dDst, sDst := make([]float64, m.Rows), make([]float64, m.Rows)
-	m.MulVecInto(dDst, x)
-	c.MulVecInto(sDst, x)
-	if MaxAbsDiff(dDst, sDst) != 0 {
-		t.Fatal("MulVecInto diverged between dense and CSR")
+	if MaxAbsDiff(mulVec(m, x), mulVec(c, x)) != 0 {
+		t.Fatal("A*x diverged between dense and CSR")
 	}
-	dT, sT := make([]float64, m.Cols), make([]float64, m.Cols)
-	m.MulVecTInto(dT, y)
-	c.MulVecTInto(sT, y)
-	if MaxAbsDiff(dT, sT) != 0 {
-		t.Fatal("MulVecTInto diverged between dense and CSR")
+	if MaxAbsDiff(mulVecT(m, y), mulVecT(c, y)) != 0 {
+		t.Fatal("A^T*y diverged between dense and CSR")
 	}
 }
 
@@ -133,31 +142,6 @@ func TestNewCSRValidation(t *testing.T) {
 	}
 	if good.At(0, 2) != 2 || good.At(1, 1) != 3 || good.At(1, 2) != 0 {
 		t.Fatal("valid CSR misreads entries")
-	}
-}
-
-// TestGemvTIntoMatchesNaive cross-checks the row-order transpose sweep
-// against a per-column tolerance reference.
-func TestGemvTIntoMatchesNaive(t *testing.T) {
-	rng := rngutil.New(26)
-	a := NewMatrix(9, 14)
-	for i := range a.Data {
-		a.Data[i] = rng.Normal()
-	}
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = rng.Normal()
-	}
-	got := make([]float64, 14)
-	GemvTInto(got, a, x)
-	for j := 0; j < 14; j++ {
-		var want float64
-		for i := 0; i < 9; i++ {
-			want += x[i] * a.At(i, j)
-		}
-		if math.Abs(got[j]-want) > 1e-12 {
-			t.Fatalf("GemvT[%d] = %v, want %v", j, got[j], want)
-		}
 	}
 }
 
@@ -194,6 +178,62 @@ func TestRowBlockKernelsBitEqualSingle(t *testing.T) {
 							t.Fatalf("%T cols %d rows %v: RowAxpy4 dst[%d] = %v, RowAxpy = %v", mat, cols, rows, j, gotDst[j], wantDst[j])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCSRRowKernelsEdgeCasesBitEqualDense checks every CSR row kernel,
+// single and blocked, against the dense single-row kernels, which share no
+// loop with them: empty rows, a one-entry row at the last column ahead of
+// which a full row is folded, a block of four empty rows and a block that
+// repeats one row.
+func TestCSRRowKernelsEdgeCasesBitEqualDense(t *testing.T) {
+	rng := rngutil.New(29)
+	blocks := [][4]int{{0, 1, 2, 3}, {2, 0, 1, 1}, {2, 1, 2, 1}, {0, 0, 0, 0}, {2, 2, 2, 2}}
+	for _, cols := range []int{1, 2, 3, 17, 64} {
+		m := NewMatrix(4, cols) // row 0 stays empty
+		m.Set(1, cols-1, rng.Normal())
+		copy(m.Row(2), randVec(rng, cols))
+		for j := 0; j < cols; j += 2 {
+			m.Set(3, j, rng.Normal())
+		}
+		c := CSRFromDense(m)
+		x := randVec(rng, cols)
+		same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+		for i := 0; i < m.Rows; i++ {
+			if got, want := c.RowDot(i, x), m.RowDot(i, x); !same(got, want) {
+				t.Fatalf("cols %d row %d: CSR RowDot %v, dense %v", cols, i, got, want)
+			}
+			alpha := rng.Normal()
+			got := randVec(rng, cols)
+			want := Clone(got)
+			c.RowAxpy(alpha, i, got)
+			m.RowAxpy(alpha, i, want)
+			for j := range got {
+				if !same(got[j], want[j]) {
+					t.Fatalf("cols %d row %d: CSR RowAxpy dst[%d] = %v, dense %v", cols, i, j, got[j], want[j])
+				}
+			}
+		}
+		for _, rows := range blocks {
+			dots := c.RowDot4(rows, x)
+			for k, i := range rows {
+				if want := m.RowDot(i, x); !same(dots[k], want) {
+					t.Fatalf("cols %d rows %v: CSR RowDot4[%d] = %v, dense RowDot %v", cols, rows, k, dots[k], want)
+				}
+			}
+			alpha := [4]float64{rng.Normal(), rng.Normal(), rng.Normal(), rng.Normal()}
+			got := randVec(rng, cols)
+			want := Clone(got)
+			c.RowAxpy4(alpha, rows, got)
+			for k, i := range rows {
+				m.RowAxpy(alpha[k], i, want)
+			}
+			for j := range got {
+				if !same(got[j], want[j]) {
+					t.Fatalf("cols %d rows %v: CSR RowAxpy4 dst[%d] = %v, dense RowAxpy %v", cols, rows, j, got[j], want[j])
 				}
 			}
 		}

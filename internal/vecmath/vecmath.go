@@ -3,11 +3,13 @@
 //
 // Matrices come in two storage forms behind the AnyMatrix interface: dense
 // row-major (Matrix) and compressed sparse row (CSR, see sparse.go), whose
-// row kernels cost O(nnz) instead of O(cols) — with bit-identical results
-// on finite data holding the same nonzeros. The blocked row kernels
-// RowDot4 and RowAxpy4 handle four rows per pass over the query and the
-// accumulator, and return bit for bit what four single-row calls return:
-// the rows are interleaved, never the partial sums of one row.
+// row kernels range over the row's index and value subslices and so cost
+// O(nnz) instead of O(cols) — with bit-identical results on finite data
+// holding the same nonzeros. The blocked row kernels RowDot4 and RowAxpy4
+// return bit for bit what four single-row calls return. On dense storage
+// they handle four rows per pass over the query and the accumulator,
+// interleaving the rows, never the partial sums of one row; on CSR they are
+// four single-row calls.
 //
 // Every kernel is serial. The master splits decode work across cores one
 // level up, by handing each of its MasterShards goroutines a contiguous
@@ -169,27 +171,6 @@ func GemvInto(dst []float64, a *Matrix, x []float64) {
 	}
 	for i := 0; i < a.Rows; i++ {
 		dst[i] = Dot(a.Row(i), x)
-	}
-}
-
-// GemvTInto computes dst = A^T*x in place, fully overwriting dst. It panics
-// on dimension mismatch. It sweeps the rows once in order, accumulating
-// dst[j] += x[i]*A[i][j], so every output element folds its row terms in row
-// order.
-func GemvTInto(dst []float64, a *Matrix, x []float64) {
-	if a.Rows != len(x) {
-		panic(fmt.Sprintf("vecmath: GemvT dimension mismatch %dx%d ^T * %d", a.Rows, a.Cols, len(x)))
-	}
-	if len(dst) != a.Cols {
-		panic(fmt.Sprintf("vecmath: GemvTInto output length %d != %d cols", len(dst), a.Cols))
-	}
-	Fill(dst, 0)
-	for i := 0; i < a.Rows; i++ {
-		xi := x[i]
-		row := a.Row(i)
-		for j := range dst {
-			dst[j] += xi * row[j]
-		}
 	}
 }
 

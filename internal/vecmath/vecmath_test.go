@@ -129,26 +129,6 @@ func TestGemvAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestGemvT(t *testing.T) {
-	rng := rngutil.New(2)
-	a := NewMatrix(4, 3)
-	for i := range a.Data {
-		a.Data[i] = rng.Normal()
-	}
-	x := randVec(rng, 4)
-	y := []float64{7, 7, 7} // MulVecTInto overwrites, whatever dst held
-	a.MulVecTInto(y, x)
-	for j := 0; j < 3; j++ {
-		var want float64
-		for i := 0; i < 4; i++ {
-			want += a.At(i, j) * x[i]
-		}
-		if math.Abs(y[j]-want) > 1e-12 {
-			t.Fatalf("GemvT[%d] = %v, want %v", j, y[j], want)
-		}
-	}
-}
-
 func TestSumVectors(t *testing.T) {
 	s := []float64{-1, -1} // SumVectorsInto overwrites, whatever dst held
 	SumVectorsInto(s, [][]float64{{1, 2}, {3, 4}, {5, 6}})
