@@ -158,10 +158,6 @@ const (
 	SchemeNested     = core.SchemeNested
 	SchemeRandomized = core.SchemeRandomized
 	SchemeUncoded    = core.SchemeUncoded
-
-	// Deprecated: a spec that names it runs SchemeCyclicRep (see
-	// core.SchemeCyclicMDS).
-	SchemeCyclicMDS = core.SchemeCyclicMDS
 )
 
 // The registered optimizers.
@@ -346,7 +342,7 @@ type PartitionedScheme = coding.Partitioned
 // Latency models and fabric knobs
 // ---------------------------------------------------------------------------
 
-// Latency injects per-iteration broadcast/compute/upload delays.
+// Latency injects per-iteration compute/upload delays.
 type Latency = cluster.Latency
 
 // ZeroLatency is a Latency with no delays.

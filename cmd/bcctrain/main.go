@@ -255,7 +255,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("\ntimeline of iteration 0 (b=broadcast c=compute u=upload q=queued D=drain |=decode):\n%s", gantt)
+		fmt.Printf("\ntimeline of iteration 0 (c=compute u=upload q=queued D=drain |=decode):\n%s", gantt)
 	}
 	if interrupted {
 		os.Exit(1)

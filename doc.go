@@ -181,11 +181,11 @@
 // interchange format straight into CSR and NewJobWithData trains on it.
 // The CSR kernels are bit-identical to the dense sweeps on matrices
 // holding the same nonzeros, so runtime conformance and checkpoint
-// compatibility are storage-independent. Model gradients take their rows
-// four at a time through the blocked RowDot4/RowAxpy4 kernels, which on
-// dense storage read each query and gradient element once per four rows
-// and still fold every row's dot in column order, bit for bit; on CSR they
-// are four single-row calls.
+// compatibility are storage-independent. The logistic gradient, the one
+// model a job builds, takes its rows four at a time through the blocked
+// RowDot4/RowAxpy4 kernels, which on dense storage read each query and
+// gradient element once per four rows and still fold every row's dot in
+// column order, bit for bit; on CSR they are four single-row calls.
 //
 // Spec.ComputeParallelism fans a worker's per-example gradients out over
 // goroutines, each accumulating into its own buffer, so results are

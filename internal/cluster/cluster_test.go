@@ -116,32 +116,32 @@ func TestSimTrainsAllSchemes(t *testing.T) {
 
 func TestSimFixedLatencyTimingExact(t *testing.T) {
 	// Uncoded over 4 workers with deterministic latency: wall time per
-	// iteration = bcast + slowest(compute) + upload; with the slowest factor
-	// on worker 3.
-	lat := Fixed{BroadcastTime: 1, PerPoint: 0.1, PerUnit: 2, Factor: []float64{1, 1, 1, 3}}
+	// iteration = slowest(compute) + upload; with the slowest factor on
+	// worker 3.
+	lat := Fixed{PerPoint: 0.1, PerUnit: 2, Factor: []float64{1, 1, 1, 3}}
 	cfg, _ := buildRun(t, "uncoded", 8, 4, 2, 3, 8, lat)
 	res, err := RunSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Each worker holds 2 units x 4 points = 8 points. Worker 3: compute
-	// 0.1*8*3 = 2.4, upload 2*3 = 6, bcast 1 => arrival 9.4; others arrive
-	// at 1 + 0.8 + 2 = 3.8. Uncoded waits for worker 3.
+	// 0.1*8*3 = 2.4, upload 2*3 = 6 => arrival 8.4; others arrive at
+	// 0.8 + 2 = 2.8. Uncoded waits for worker 3.
 	for _, it := range res.Iters {
-		if math.Abs(it.Wall-9.4) > 1e-9 {
-			t.Fatalf("iteration wall %v, want 9.4", it.Wall)
+		if math.Abs(it.Wall-8.4) > 1e-9 {
+			t.Fatalf("iteration wall %v, want 8.4", it.Wall)
 		}
 		if math.Abs(it.Compute-2.4) > 1e-9 {
 			t.Fatalf("compute %v, want 2.4 (max among heard)", it.Compute)
 		}
-		if math.Abs(it.Comm-7.0) > 1e-9 {
-			t.Fatalf("comm %v, want 7.0", it.Comm)
+		if math.Abs(it.Comm-6.0) > 1e-9 {
+			t.Fatalf("comm %v, want 6.0", it.Comm)
 		}
 		if it.WorkersHeard != 4 {
 			t.Fatalf("heard %d", it.WorkersHeard)
 		}
 	}
-	if math.Abs(res.TotalWall-3*9.4) > 1e-9 {
+	if math.Abs(res.TotalWall-3*8.4) > 1e-9 {
 		t.Fatalf("total wall %v", res.TotalWall)
 	}
 }
@@ -359,43 +359,6 @@ func TestSimIngressProportionalToThreshold(t *testing.T) {
 	}
 }
 
-func TestClusterTrainsSVMModel(t *testing.T) {
-	// The fabric is model-agnostic: swap logistic regression for the
-	// squared-hinge SVM and train with BCC.
-	rng := rngutil.New(40)
-	ds, err := dataset.Generate(dataset.Config{N: 96, Dim: 10, Separation: 40, StandardLabels: true}, rng.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := ds.Units(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := coding.Lookup("bcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sch.Plan(12, 24, 3, rng.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svm := model.NewSVM(ds)
-	cfg := &Config{
-		Plan:       plan,
-		Model:      svm,
-		Units:      units,
-		Opt:        optimize.NewNesterov(make([]float64, svm.Dim()), optimize.Constant(0.1)),
-		Iterations: 60,
-	}
-	res, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := svm.Accuracy(res.FinalW); acc < 0.8 {
-		t.Fatalf("distributed SVM accuracy %v", acc)
-	}
-}
-
 func TestResultSummaries(t *testing.T) {
 	rng := rngutil.New(41)
 	lat, err := NewShiftExp(20, []ShiftExpParams{{CommShift: 0.01, CommMu: 2}}, rng)
@@ -489,7 +452,7 @@ func TestComputeParallelismLiveRuntime(t *testing.T) {
 }
 
 func TestSimTraceRecording(t *testing.T) {
-	lat := Fixed{BroadcastTime: 1, PerPoint: 0.1, PerUnit: 2}
+	lat := Fixed{PerPoint: 0.1, PerUnit: 2}
 	cfg, _ := buildRun(t, "uncoded", 8, 4, 2, 3, 32, lat)
 	cfg.IngressPerUnit = 0.5
 	var rec trace.Recorder
@@ -507,7 +470,7 @@ func TestSimTraceRecording(t *testing.T) {
 	}
 	counted := 0
 	for _, s := range it.Spans {
-		if !(s.BcastEnd <= s.ComputeEnd && s.ComputeEnd <= s.Arrive) {
+		if !(0 < s.ComputeEnd && s.ComputeEnd <= s.Arrive) {
 			t.Fatalf("span phases out of order: %+v", s)
 		}
 		if !(s.Arrive <= s.DrainStart && s.DrainStart < s.DrainEnd) {
@@ -1043,7 +1006,7 @@ func TestShiftExpHeterogeneousParams(t *testing.T) {
 
 func TestFixedLatencyDefaults(t *testing.T) {
 	var f Fixed
-	if f.Compute(0, 0, 100) != 0 || f.Upload(3, 1, 2) != 0 || f.Broadcast(1, 1) != 0 {
+	if f.Compute(0, 0, 100) != 0 || f.Upload(3, 1, 2) != 0 {
 		t.Fatal("zero-value Fixed should cost nothing")
 	}
 }

@@ -92,20 +92,17 @@ func gatherTelemetry(plan *faults.Plan, n, iter, reachable, prevHeard int, rp co
 
 // AIMDController is the built-in straggler-tracking controller: it targets
 // the cheapest level whose deterministic threshold covers the observed
-// straggler tail (Down + Lost + Slow workers) with a safety margin — level
-// L tolerates L-1 missing or late workers, so the target is
-// tail + Margin + 1. Increases apply immediately (a thinning or slowing
-// fleet must never stall waiting for redundancy); decreases are damped,
-// one level per Window consecutive iterations of observed slack, so a
-// single quiet round does not flap the code back down.
+// straggler tail (Down + Lost + Slow workers) plus one spare — level L
+// tolerates L-1 missing or late workers, so the target is tail + 2.
+// Increases apply immediately (a thinning or slowing fleet must never stall
+// waiting for redundancy); decreases are damped, one level per Window
+// consecutive iterations of observed slack, so a single quiet round does
+// not flap the code back down.
 //
 // The controller is a pure function of its Telemetry sequence (it reads no
 // clocks and draws no randomness), so adaptive runs are bit-identical
 // across the sim, live and tcp runtimes for a given (seed, scenario).
 type AIMDController struct {
-	// Margin is how many extra stragglers beyond the observed tail the
-	// active level must tolerate (<= 0 means the default 1).
-	Margin int
 	// Window is how many consecutive iterations of slack precede each
 	// one-level decrease (<= 0 means the default 3).
 	Window int
@@ -115,15 +112,11 @@ type AIMDController struct {
 
 // Retune implements Controller.
 func (c *AIMDController) Retune(t Telemetry) int {
-	margin := c.Margin
-	if margin <= 0 {
-		margin = 1
-	}
 	window := c.Window
 	if window <= 0 {
 		window = 3
 	}
-	target := 1 + t.Down + t.Lost + t.Slow + margin
+	target := 2 + t.Down + t.Lost + t.Slow
 	if target < t.MinLevel {
 		target = t.MinLevel
 	}

@@ -32,15 +32,15 @@ import (
 
 // Latency models the per-iteration timing of the cluster. Implementations
 // must be safe for concurrent use ACROSS workers (per-worker state only);
-// calls for one worker always happen sequentially in the order Broadcast,
-// Compute, Upload within each iteration, in every runtime. A live worker
-// that skips or abandons an iteration the master has already decoded makes
-// fewer draws than the simulator does for it, so from then on a stateful
-// model's live timings match the simulated ones in distribution, not draw
-// for draw; what the master counts does not depend on it.
+// calls for one worker always happen sequentially in the order Compute,
+// Upload within each iteration, in every runtime. Model delivery costs no
+// modelled time: the paper's latency model (§IV eq. 15) charges only
+// computation and upload. A live worker that skips or abandons an
+// iteration the master has already decoded makes fewer draws than the
+// simulator does for it, so from then on a stateful model's live timings
+// match the simulated ones in distribution, not draw for draw; what the
+// master counts does not depend on it.
 type Latency interface {
-	// Broadcast returns the master-to-worker model delivery time (seconds).
-	Broadcast(worker, iter int) float64
 	// Compute returns worker's time to process the given number of raw data
 	// points (seconds).
 	Compute(worker, iter, points int) float64
@@ -51,9 +51,9 @@ type Latency interface {
 
 // faultLatency applies a fault plan's scheduled slowdown windows on top of
 // a base latency model: the plan's multiplicative factor scales the
-// worker's compute and upload draws (like Fixed.Factor, broadcast delivery
-// is unscaled). SlowFactor is a pure function of (worker, iteration), so
-// wrapping preserves the base model's cross-runtime draw alignment.
+// worker's compute and upload draws, like Fixed.Factor. SlowFactor is a
+// pure function of (worker, iteration), so wrapping preserves the base
+// model's cross-runtime draw alignment.
 type faultLatency struct {
 	base Latency
 	plan *faults.Plan
@@ -68,8 +68,6 @@ func withFaultSlowdowns(base Latency, plan *faults.Plan) Latency {
 	return faultLatency{base: base, plan: plan}
 }
 
-func (l faultLatency) Broadcast(w, iter int) float64 { return l.base.Broadcast(w, iter) }
-
 func (l faultLatency) Compute(w, iter, points int) float64 {
 	return l.plan.SlowFactor(w, iter) * l.base.Compute(w, iter, points)
 }
@@ -81,7 +79,6 @@ func (l faultLatency) Upload(w, iter int, units float64) float64 {
 // Zero is a Latency with no delays; useful for logic-only tests.
 type Zero struct{}
 
-func (Zero) Broadcast(int, int) float64       { return 0 }
 func (Zero) Compute(int, int, int) float64    { return 0 }
 func (Zero) Upload(int, int, float64) float64 { return 0 }
 
@@ -89,9 +86,8 @@ func (Zero) Upload(int, int, float64) float64 { return 0 }
 // and per-unit upload cost, with an optional per-worker speed factor
 // (factor 2 means twice as slow). It makes timing assertions in tests exact.
 type Fixed struct {
-	BroadcastTime float64
-	PerPoint      float64
-	PerUnit       float64
+	PerPoint float64
+	PerUnit  float64
 	// Factor[w] scales worker w's compute and upload times; nil means all 1.
 	Factor []float64
 }
@@ -103,7 +99,6 @@ func (f Fixed) factor(w int) float64 {
 	return f.Factor[w]
 }
 
-func (f Fixed) Broadcast(w, _ int) float64 { return f.BroadcastTime }
 func (f Fixed) Compute(w, _ int, points int) float64 {
 	return f.factor(w) * f.PerPoint * float64(points)
 }
@@ -125,9 +120,6 @@ type ShiftExpParams struct {
 	CommShift float64
 	// CommMu (mu_u) is the straggler parameter of the upload tail.
 	CommMu float64
-	// BroadcastShift/BroadcastMu model the model download (load 1).
-	BroadcastShift float64
-	BroadcastMu    float64
 }
 
 // ShiftExp draws per-iteration latencies from the paper's shift-exponential
@@ -170,14 +162,6 @@ func (s *ShiftExp) draw(w int, mu, shift, load float64) float64 {
 		return shift * load
 	}
 	return s.streams[w].ShiftedExponential(mu, shift, load)
-}
-
-func (s *ShiftExp) Broadcast(w, _ int) float64 {
-	p := s.params[w]
-	if p.BroadcastShift == 0 && p.BroadcastMu == 0 {
-		return 0
-	}
-	return s.draw(w, p.BroadcastMu, p.BroadcastShift, 1)
 }
 
 func (s *ShiftExp) Compute(w, _ int, points int) float64 {

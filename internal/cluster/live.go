@@ -320,11 +320,11 @@ type WorkerEnv struct {
 
 // runWorker executes the worker protocol until a shutdown update (Iter < 0)
 // or the updates channel closes: skip to the newest pending model, sleep the
-// drawn broadcast + compute latency, compute the real partial gradients,
-// encode, sleep the upload latency, reply. A worker only ever works for the
-// newest query it has seen: the engine broadcasts iteration t+1 only after t
-// has decoded, so a fresher update proves every older reply useless. Queued
-// stale models are skipped at the top of each round and all three latency
+// drawn compute latency, compute the real partial gradients, encode, sleep
+// the upload latency, reply. A worker only ever works for the newest query
+// it has seen: the engine broadcasts iteration t+1 only after t has
+// decoded, so a fresher update proves every older reply useless. Queued
+// stale models are skipped at the top of each round and both latency
 // sleeps are cut short by a fresher update (or a shutdown), which is what
 // the simulator and the paper's i.i.d. delay model assume — every round
 // starts with all workers idle, no straggler carries a backlog into the
@@ -433,11 +433,6 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 				L = rp.MaxLevel()
 			}
 			encPlan, assign, pts = levelPlans[L-1], fullAssign[:L], levelPoints[L]
-		}
-		if next, preempted := sleepOrPreempt(timer, env.Latency.Broadcast(env.Index, iter), scale, updates); preempted {
-			done()
-			mu, havePending = next, true
-			continue
 		}
 		comp := env.Latency.Compute(env.Index, iter, pts)
 		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, env.ComputeParallelism, parts)

@@ -102,7 +102,6 @@ func (t *simTransport) Shutdown() {}
 type simArrival struct {
 	at      float64 // when the upload reached the master
 	worker  int
-	bcast   float64
 	compute float64
 	units   float64
 	// drain bracket: the master's ingress occupancy for this transmission.
@@ -124,9 +123,9 @@ func cmpArrival(a, b simArrival) int {
 }
 
 // Broadcast models the whole iteration's worker timelines up front: each
-// contributing worker's broadcast, compute and upload latencies are drawn
-// in worker order, arrivals are ordered in virtual time (ties by worker
-// index), then the master's receive queue is drained in arrival order —
+// contributing worker's compute and upload latencies are drawn in worker
+// order, arrivals are ordered in virtual time (ties by worker index), then
+// the master's receive queue is drained in arrival order —
 // with a positive ingress cost the master is busy IngressPerUnit seconds
 // per unit, so messages queue behind each other; with zero cost the drain
 // is instantaneous at the arrival time. The query is read later, by Next.
@@ -148,7 +147,6 @@ func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64)
 		if level > 0 {
 			pts = t.prefPoints[w][level]
 		}
-		bcast := t.lat.Broadcast(w, iter)
 		comp := t.lat.Compute(w, iter, pts)
 		units := float64(t.cfg.Plan.Messages(w))
 		if units == 0 {
@@ -158,9 +156,9 @@ func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64)
 		// scale the unit load by the codec's byte fraction.
 		up := t.lat.Upload(w, iter, units*t.frac)
 		t.arrivals = append(t.arrivals, simArrival{
-			at:     bcast + comp + up,
-			worker: w,
-			bcast:  bcast, compute: comp, units: units,
+			at:      comp + up,
+			worker:  w,
+			compute: comp, units: units,
 		})
 	}
 	slices.SortFunc(t.arrivals, cmpArrival)
@@ -239,8 +237,7 @@ func (s *simSource) Finish() {
 	for i, sa := range s.arrivals {
 		spans[i] = trace.WorkerSpan{
 			Worker:     sa.worker,
-			BcastEnd:   sa.bcast,
-			ComputeEnd: sa.bcast + sa.compute,
+			ComputeEnd: sa.compute,
 			Arrive:     sa.at,
 			DrainStart: sa.drainStart,
 			DrainEnd:   sa.drainEnd,

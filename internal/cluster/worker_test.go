@@ -135,7 +135,7 @@ func (m queryCheckModel) SubsetGradient(w []float64, rows []int, out []float64) 
 // worker answers the newest query. Under -race a rewrite also shows as a
 // data race.
 func TestTCPWorkerQueryBufferNotRewritten(t *testing.T) {
-	lat := Fixed{BroadcastTime: 1e-4, PerPoint: 1e-4}
+	lat := Fixed{PerPoint: 1e-4}
 	cfg, mod := buildRun(t, "bcc", 8, 4, 2, 1, 901, lat)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -217,12 +217,11 @@ func TestWorkerPreemptedUploadSendsNothing(t *testing.T) {
 }
 
 // TestWorkerShutdownCutsSleep: a shutdown update or a closed updates channel
-// ends the worker mid-sleep, in each of the three latency phases.
+// ends the worker mid-sleep, in each of the two latency phases.
 func TestWorkerShutdownCutsSleep(t *testing.T) {
 	phases := map[string]Fixed{
-		"broadcast": {BroadcastTime: longSleep},
-		"compute":   {PerPoint: longSleep},
-		"upload":    {PerUnit: longSleep},
+		"compute": {PerPoint: longSleep},
+		"upload":  {PerUnit: longSleep},
 	}
 	for phase, lat := range phases {
 		for _, closed := range []bool{false, true} {
@@ -251,7 +250,7 @@ func TestWorkerShutdownCutsSleep(t *testing.T) {
 }
 
 // TestWorkerSleepsZeroAllocs pins the preemptible sleeps at 0 allocations by
-// differencing: a steady-state round with three non-zero latency sleeps costs
+// differencing: a steady-state round with two non-zero latency sleeps costs
 // what a zero-latency round (which never touches the timer) costs.
 func TestWorkerSleepsZeroAllocs(t *testing.T) {
 	perRound := func(lat Latency) float64 {
@@ -270,7 +269,7 @@ func TestWorkerSleepsZeroAllocs(t *testing.T) {
 		return allocs
 	}
 	base := perRound(Zero{})
-	slept := perRound(Fixed{BroadcastTime: 20e-6, PerPoint: 5e-6, PerUnit: 20e-6})
+	slept := perRound(Fixed{PerPoint: 5e-6, PerUnit: 20e-6})
 	if slept > base {
 		t.Fatalf("a round with latency sleeps costs %.0f allocs, %.0f without: the sleeps allocate", slept, base)
 	}

@@ -231,13 +231,6 @@ type Spec struct {
 	DataPoints int `json:"data_points,omitempty"`
 	// Dim is the feature dimension p (paper: 8000; default 200).
 	Dim int `json:"dim,omitempty"`
-	// Separation scales the class means (paper: 1.5).
-	Separation float64 `json:"separation,omitempty"`
-	// StandardLabels switches to P(y=+1)=sigma(x^T w*); default is the
-	// paper's rule.
-	StandardLabels bool `json:"standard_labels,omitempty"`
-	// Lambda is the L2 regularization strength (paper: 0).
-	Lambda float64 `json:"lambda,omitempty"`
 	// Density, when in (0, 1), generates a SPARSE dataset (CSR storage,
 	// each feature nonzero with this probability) — the news20/RCV1-style
 	// workload class; worker gradient cost drops from O(rows*p) to O(nnz).
@@ -373,9 +366,6 @@ func (s *Spec) withDefaults() Spec {
 	}
 	if out.Dim == 0 {
 		out.Dim = 200
-	}
-	if out.Separation == 0 {
-		out.Separation = 1.5
 	}
 	if out.Scheme == "" {
 		out.Scheme = SchemeBCC
@@ -550,11 +540,9 @@ func NewJob(spec Spec) (*Job, error) {
 	}
 	rng := rngutil.New(s.Seed)
 	ds, err := dataset.Generate(dataset.Config{
-		N:              s.DataPoints,
-		Dim:            s.Dim,
-		Separation:     s.Separation,
-		StandardLabels: s.StandardLabels,
-		Density:        s.Density,
+		N:       s.DataPoints,
+		Dim:     s.Dim,
+		Density: s.Density,
 	}, rng.Split())
 	if err != nil {
 		return nil, err
@@ -581,7 +569,7 @@ func NewJobWithData(spec Spec, ds *dataset.Dataset, rng *rngutil.RNG) (*Job, err
 	if err != nil {
 		return nil, fmt.Errorf("core: planning %s: %w", s.Scheme, err)
 	}
-	mod := &model.Logistic{Data: ds, Lambda: s.Lambda}
+	mod := model.NewLogistic(ds)
 	fp, err := s.FaultPlan()
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 // specGolden is EncodeSpec of the round-trip spec below: the control-plane
 // wire format, pinned byte for byte so a refactor of the spec's encoding
 // cannot change what daemons and fleet workers exchange.
-const specGolden = `{"data_points":240,"dim":64,"separation":2,"standard_labels":true,"lambda":0.01,"density":0.5,"examples":6,"workers":6,"load":3,"scheme":"nested","adapt_redundancy":true,"adapt_window":4,"iterations":17,"step_size":0.25,"optimizer":"gd","seed":99,"ingress_per_unit":0.0055,"faults":{"N":6,"Seed":3,"Drop":0.05,"Crashes":[{"Worker":1,"At":0,"RestartAfter":0},{"Worker":2,"At":5,"RestartAfter":2}],"Slowdowns":null,"Partitions":null,"Bursts":null},"fault_scenario":"flaky-tail","fault_seed":12,"compute_parallelism":2,"master_shards":2,"runtime":"tcp","payload":"topk","top_k":8,"wire_chunk":16,"time_scale":0.0001,"loss_every":5,"grad_norm_tol":1e-9}`
+const specGolden = `{"data_points":240,"dim":64,"density":0.5,"examples":6,"workers":6,"load":3,"scheme":"nested","adapt_redundancy":true,"adapt_window":4,"iterations":17,"step_size":0.25,"optimizer":"gd","seed":99,"ingress_per_unit":0.0055,"faults":{"N":6,"Seed":3,"Drop":0.05,"Crashes":[{"Worker":1,"At":0,"RestartAfter":0},{"Worker":2,"At":5,"RestartAfter":2}],"Slowdowns":null,"Partitions":null,"Bursts":null},"fault_scenario":"flaky-tail","fault_seed":12,"compute_parallelism":2,"master_shards":2,"runtime":"tcp","payload":"topk","top_k":8,"wire_chunk":16,"time_scale":0.0001,"loss_every":5,"grad_norm_tol":1e-9}`
 
 // TestSpecEncodeDecodeRoundTrip: a spec survives the control-plane codec
 // with every serializable field intact, including a fault plan, and encodes
@@ -23,9 +23,6 @@ func TestSpecEncodeDecodeRoundTrip(t *testing.T) {
 	in := Spec{
 		DataPoints:         240,
 		Dim:                64,
-		Separation:         2.0,
-		StandardLabels:     true,
-		Lambda:             0.01,
 		Density:            0.5,
 		Examples:           6,
 		Workers:            6,
@@ -152,8 +149,10 @@ func TestSpecDecodeRejects(t *testing.T) {
 	}
 	// An older submitter's spec still carrying a removed option: pipelined,
 	// the fault fields that Faults carries as a crash at iteration 0 and
-	// Plan.Drop, or the decode fan-out that MasterShards replaced.
-	for _, legacy := range []string{`{"pipelined":true}`, `{"dead":[1]}`, `{"drop_prob":0.1}`, `{"drop_seed":7}`, `{"decode_parallelism":2}`} {
+	// Plan.Drop, the decode fan-out that MasterShards replaced, or the data
+	// and model knobs that only ever took the paper's values.
+	for _, legacy := range []string{`{"pipelined":true}`, `{"dead":[1]}`, `{"drop_prob":0.1}`, `{"drop_seed":7}`, `{"decode_parallelism":2}`,
+		`{"separation":1.5}`, `{"standard_labels":true}`, `{"lambda":0.01}`} {
 		field := legacy[1:strings.Index(legacy, ":")]
 		if _, err := DecodeSpec([]byte(legacy)); err == nil || !strings.Contains(err.Error(), field) {
 			t.Fatalf("spec %s: err = %v, want an error naming %s", legacy, err, field)

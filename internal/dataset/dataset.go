@@ -55,13 +55,8 @@ type Config struct {
 	N   int // number of data points (d in the paper's notation)
 	Dim int // feature dimension p (paper uses 8000)
 	// Separation scales the class means: mu = +-(Separation/Dim) * w*.
-	// The paper uses 1.5.
+	// 0 means the paper's 1.5.
 	Separation float64
-	// StandardLabels flips the paper's label rule to the conventional
-	// logistic model P(y=+1) = sigma(x^T w*). The paper's stated rule is
-	// P(y=+1) = 1/(exp(x^T w*)+1) = sigma(-x^T w*); we implement both and
-	// default to the paper's.
-	StandardLabels bool
 	// Density, when in (0, 1), switches to the sparse generator: each
 	// feature is nonzero independently with this probability, stored in CSR
 	// form, and the label margin is computed over the support only — the
@@ -111,7 +106,7 @@ func Generate(cfg Config, rng *rngutil.RNG) (*Dataset, error) {
 			row[j] = sign*scale*wstar[j] + rng.Normal()
 		}
 		margin := vecmath.Dot(row, wstar)
-		y[i] = drawLabel(cfg, margin, rng)
+		y[i] = drawLabel(margin, rng)
 	}
 	return &Dataset{X: x, Y: y, WStar: wstar}, nil
 }
@@ -146,7 +141,7 @@ func generateSparse(cfg Config, sep float64, wstar []float64, rng *rngutil.RNG) 
 			margin += v * wstar[j]
 		}
 		rowPtr[i+1] = len(vals)
-		y[i] = drawLabel(cfg, margin, rng)
+		y[i] = drawLabel(margin, rng)
 	}
 	x, err := vecmath.NewCSR(cfg.N, p, rowPtr, colIdx, vals)
 	if err != nil {
@@ -155,14 +150,11 @@ func generateSparse(cfg Config, sep float64, wstar []float64, rng *rngutil.RNG) 
 	return &Dataset{X: x, Y: y, WStar: wstar}, nil
 }
 
-// drawLabel draws the +-1 label for a point with the given margin x^T w*,
-// under the paper's rule or the conventional one.
-func drawLabel(cfg Config, margin float64, rng *rngutil.RNG) float64 {
-	kappa := sigmoid(-margin) // paper: 1/(exp(x^T w*)+1)
-	if cfg.StandardLabels {
-		kappa = sigmoid(margin)
-	}
-	if rng.Bernoulli(kappa) {
+// drawLabel draws the +-1 label for a point with the given margin x^T w*
+// under the paper's stated rule P(y=+1) = 1/(exp(x^T w*)+1) =
+// sigma(-x^T w*), which anti-correlates label and margin.
+func drawLabel(margin float64, rng *rngutil.RNG) float64 {
+	if rng.Bernoulli(sigmoid(-margin)) {
 		return 1
 	}
 	return -1

@@ -51,25 +51,12 @@ func MultiBatch(ctx context.Context, opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			dec := plan.NewDecoder()
-			assign := plan.Assignments()
-			for _, w := range rng.Perm(n) {
-				parts := make([][]float64, len(assign[w]))
-				for kk, u := range assign[w] {
-					parts[kk] = gs[u]
-				}
-				for _, msg := range coding.Encode(plan, w, parts) {
-					dec.Offer(msg)
-				}
-				if dec.Decodable() {
-					break
-				}
+			heard, units, err := decodeThreshold(plan, gs, rng.Perm(n))
+			if err != nil {
+				return nil, fmt.Errorf("experiments: multibatch K=%d: %w", k, err)
 			}
-			if !dec.Decodable() {
-				return nil, fmt.Errorf("experiments: multibatch K=%d did not decode", k)
-			}
-			sumHeard += float64(dec.WorkersHeard())
-			sumUnits += dec.UnitsReceived()
+			sumHeard += float64(heard)
+			sumUnits += units
 		}
 		t.AddRow(k, batchSize, nBatches, analytic, sumHeard/float64(trials), sumUnits/float64(trials))
 	}
@@ -177,7 +164,7 @@ func Skew(ctx context.Context, opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			heard, err := decodeThreshold(plan, gs, rng.Perm(n))
+			heard, _, err := decodeThreshold(plan, gs, rng.Perm(n))
 			if err != nil {
 				return nil, err
 			}

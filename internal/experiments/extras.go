@@ -106,24 +106,11 @@ func measureUnits(scheme string, m, n, r, trials int, rng *rngutil.RNG) (float64
 		if err != nil {
 			return 0, err
 		}
-		dec := plan.NewDecoder()
-		assign := plan.Assignments()
-		for _, w := range rng.Perm(n) {
-			parts := make([][]float64, len(assign[w]))
-			for kk, u := range assign[w] {
-				parts[kk] = gs[u]
-			}
-			for _, msg := range coding.Encode(plan, w, parts) {
-				dec.Offer(msg)
-			}
-			if dec.Decodable() {
-				break
-			}
+		_, units, err := decodeThreshold(plan, gs, rng.Perm(n))
+		if err != nil {
+			return 0, fmt.Errorf("experiments: %s: %w", scheme, err)
 		}
-		if !dec.Decodable() {
-			return 0, fmt.Errorf("experiments: %s did not decode", scheme)
-		}
-		sum += dec.UnitsReceived()
+		sum += units
 	}
 	return sum / float64(trials), nil
 }
@@ -162,7 +149,7 @@ func Fractional(ctx context.Context, opt Options) (*Table, error) {
 		gs := scalarGradients(m)
 		var sum float64
 		for k := 0; k < trials; k++ {
-			heard, err := decodeThreshold(plan, gs, rng.Perm(m))
+			heard, _, err := decodeThreshold(plan, gs, rng.Perm(m))
 			if err != nil {
 				return nil, err
 			}

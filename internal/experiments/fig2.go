@@ -80,7 +80,7 @@ func measureBCCThreshold(m, n, r, trials int, rng *rngutil.RNG) (float64, error)
 		if err != nil {
 			return 0, err
 		}
-		heard, err := decodeThreshold(plan, gs, rng.Perm(n))
+		heard, _, err := decodeThreshold(plan, gs, rng.Perm(n))
 		if err != nil {
 			return 0, err
 		}
@@ -100,8 +100,9 @@ func scalarGradients(m int) [][]float64 {
 }
 
 // decodeThreshold feeds workers in the given arrival order and returns the
-// number heard when the decoder completes, verifying the decoded sum.
-func decodeThreshold(plan coding.Plan, gs [][]float64, order []int) (int, error) {
+// number heard when the decoder completes and the communication units it
+// counted, verifying the decoded sum.
+func decodeThreshold(plan coding.Plan, gs [][]float64, order []int) (int, float64, error) {
 	dec := plan.NewDecoder()
 	assign := plan.Assignments()
 	m := len(gs)
@@ -116,13 +117,13 @@ func decodeThreshold(plan coding.Plan, gs [][]float64, order []int) (int, error)
 		if dec.Decodable() {
 			out, err := coding.Decode(dec, 1)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			if math.Abs(out[0]-float64(m)) > 1e-6*float64(m) {
-				return 0, fmt.Errorf("experiments: decoded %v, want %d", out[0], m)
+				return 0, 0, fmt.Errorf("experiments: decoded %v, want %d", out[0], m)
 			}
-			return i + 1, nil
+			return i + 1, dec.UnitsReceived(), nil
 		}
 	}
-	return 0, fmt.Errorf("experiments: order exhausted before decoding")
+	return 0, 0, fmt.Errorf("experiments: order exhausted before decoding")
 }

@@ -5,19 +5,18 @@ import (
 	"testing"
 
 	"bcc/internal/dataset"
-	"bcc/internal/linalg"
 	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
 )
 
-func testLogistic(t *testing.T, lambda float64) *Logistic {
+func testLogistic(t *testing.T) *Logistic {
 	t.Helper()
 	rng := rngutil.New(1)
 	d, err := dataset.Generate(dataset.Config{N: 60, Dim: 7, Separation: 1.5}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Logistic{Data: d, Lambda: lambda}
+	return NewLogistic(d)
 }
 
 func randW(seed uint64, dim int) []float64 {
@@ -30,7 +29,7 @@ func randW(seed uint64, dim int) []float64 {
 }
 
 func TestLogisticGradCheck(t *testing.T) {
-	m := testLogistic(t, 0)
+	m := testLogistic(t)
 	w := randW(2, m.Dim())
 	rows := []int{0, 3, 7, 20, 59}
 	if worst := GradCheck(m, w, rows, 1e-6); worst > 1e-4 {
@@ -38,19 +37,10 @@ func TestLogisticGradCheck(t *testing.T) {
 	}
 }
 
-func TestLogisticGradCheckRegularized(t *testing.T) {
-	m := testLogistic(t, 0.5)
-	w := randW(3, m.Dim())
-	rows := []int{1, 2, 3}
-	if worst := GradCheck(m, w, rows, 1e-6); worst > 1e-4 {
-		t.Fatalf("regularized logistic gradient check failed: max err %v", worst)
-	}
-}
-
 func TestLogisticSubsetAdditivity(t *testing.T) {
 	// Gradient over a union of disjoint subsets equals the sum of subset
 	// gradients — the algebraic fact every coding scheme relies on.
-	m := testLogistic(t, 0.1)
+	m := testLogistic(t)
 	w := randW(4, m.Dim())
 	a := []int{0, 1, 2, 10}
 	b := []int{3, 4, 5}
@@ -68,7 +58,7 @@ func TestLogisticSubsetAdditivity(t *testing.T) {
 }
 
 func TestFullGradientNormalization(t *testing.T) {
-	m := testLogistic(t, 0)
+	m := testLogistic(t)
 	w := randW(5, m.Dim())
 	full := FullGradient(m, w)
 	raw := make([]float64, m.Dim())
@@ -84,7 +74,7 @@ func TestFullGradientNormalization(t *testing.T) {
 }
 
 func TestLogisticLossDecreasesUnderGD(t *testing.T) {
-	m := testLogistic(t, 0)
+	m := testLogistic(t)
 	w := make([]float64, m.Dim())
 	l0 := FullLoss(m, w)
 	for it := 0; it < 50; it++ {
@@ -100,7 +90,7 @@ func TestLogisticLossDecreasesUnderGD(t *testing.T) {
 func TestLogisticAccuracyImproves(t *testing.T) {
 	rng := rngutil.New(10)
 	// Strong separation so the classes are learnable.
-	d, _ := dataset.Generate(dataset.Config{N: 600, Dim: 10, Separation: 40, StandardLabels: true}, rng)
+	d, _ := dataset.Generate(dataset.Config{N: 600, Dim: 10, Separation: 40}, rng)
 	m := NewLogistic(d)
 	w := make([]float64, m.Dim())
 	base := m.Accuracy(w) // all predicted +1
@@ -115,64 +105,13 @@ func TestLogisticAccuracyImproves(t *testing.T) {
 }
 
 func TestLogisticGradientBufferPanics(t *testing.T) {
-	m := testLogistic(t, 0)
+	m := testLogistic(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad buffer did not panic")
 		}
 	}()
 	m.SubsetGradient(make([]float64, m.Dim()), []int{0}, make([]float64, 1))
-}
-
-func TestLeastSquaresGradCheck(t *testing.T) {
-	rng := rngutil.New(11)
-	x := vecmath.NewMatrix(20, 5)
-	for i := range x.Data {
-		x.Data[i] = rng.Normal()
-	}
-	y := make([]float64, 20)
-	for i := range y {
-		y[i] = rng.Normal()
-	}
-	m := NewLeastSquares(x, y)
-	w := randW(12, 5)
-	if worst := GradCheck(m, w, []int{0, 5, 19}, 1e-6); worst > 1e-5 {
-		t.Fatalf("least-squares gradient check failed: %v", worst)
-	}
-}
-
-func TestLeastSquaresClosedForm(t *testing.T) {
-	// GD on least squares must approach the QR solution.
-	rng := rngutil.New(13)
-	n, p := 40, 4
-	x := vecmath.NewMatrix(n, p)
-	for i := range x.Data {
-		x.Data[i] = rng.Normal()
-	}
-	wTrue := randW(14, p)
-	y := vecmath.Gemv(x, wTrue)
-	m := NewLeastSquares(x, y)
-	wStar, err := linalg.LeastSquares(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := make([]float64, p)
-	for it := 0; it < 3000; it++ {
-		g := FullGradient(m, w)
-		vecmath.Axpy(-0.1, g, w)
-	}
-	if d := vecmath.MaxAbsDiff(w, wStar); d > 1e-6 {
-		t.Fatalf("GD did not reach closed-form optimum: %v", d)
-	}
-}
-
-func TestLeastSquaresShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched least squares did not panic")
-		}
-	}()
-	NewLeastSquares(vecmath.NewMatrix(3, 2), []float64{1})
 }
 
 func TestStableLogistic(t *testing.T) {

@@ -21,76 +21,40 @@ func sparseDense(rng *rngutil.RNG, rows, cols int, density float64) (*vecmath.Ma
 }
 
 // TestModelsBitEqualDenseCSR is the model-level half of the sparse
-// conformance story: for every model type, evaluating gradients and losses
-// against CSR storage holding exactly the dense matrix's nonzeros must
-// produce bit-identical floats, over many random seeds and row subsets.
+// conformance story: evaluating gradients and losses against CSR storage
+// holding exactly the dense matrix's nonzeros must produce bit-identical
+// floats, over many random seeds and row subsets, for every tail length
+// 0-9 after the blocks of four.
 func TestModelsBitEqualDenseCSR(t *testing.T) {
 	const rows, cols = 30, 24
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rngutil.New(seed * 131)
 		dm, cm := sparseDense(rng, rows, cols, 0.2)
-		y := make([]float64, rows)
-		for i := range y {
-			if rng.Bernoulli(0.5) {
-				y[i] = 1
-			} else {
-				y[i] = -1
-			}
-		}
+		y := randomLabels(rng, rows)
 		w := make([]float64, cols)
 		for i := range w {
 			w[i] = rng.Normal()
 		}
-		subset := rng.Sample(rows, rows/2)
-		models := []struct {
-			name         string
-			dense, spars Model
-		}{
-			{"logistic",
-				&Logistic{Data: &dataset.Dataset{X: dm, Y: y}, Lambda: 0.1},
-				&Logistic{Data: &dataset.Dataset{X: cm, Y: y}, Lambda: 0.1}},
-			{"svm",
-				&SVM{Data: &dataset.Dataset{X: dm, Y: y}, Lambda: 0.1},
-				&SVM{Data: &dataset.Dataset{X: cm, Y: y}, Lambda: 0.1}},
-			{"leastsquares",
-				NewLeastSquares(dm, y),
-				NewLeastSquares(cm, y)},
+		dense := NewLogistic(&dataset.Dataset{X: dm, Y: y})
+		spars := NewLogistic(&dataset.Dataset{X: cm, Y: y})
+		if vecmath.MaxAbsDiff(FullGradient(dense, w), FullGradient(spars, w)) != 0 {
+			t.Fatalf("seed %d: full gradients diverged", seed)
 		}
-		for _, tc := range models {
-			gd := FullGradient(tc.dense, w)
-			gs := FullGradient(tc.spars, w)
-			if vecmath.MaxAbsDiff(gd, gs) != 0 {
-				t.Fatalf("seed %d %s: full gradients diverged", seed, tc.name)
-			}
+		subsets := [][]int{rng.Sample(rows, rows/2)}
+		for n := 0; n <= 9; n++ {
+			subsets = append(subsets, rng.Sample(rows, n))
+		}
+		for _, subset := range subsets {
 			sd := make([]float64, cols)
 			ss := make([]float64, cols)
-			tc.dense.SubsetGradient(w, subset, sd)
-			tc.spars.SubsetGradient(w, subset, ss)
+			dense.SubsetGradient(w, subset, sd)
+			spars.SubsetGradient(w, subset, ss)
 			if vecmath.MaxAbsDiff(sd, ss) != 0 {
-				t.Fatalf("seed %d %s: subset gradients diverged", seed, tc.name)
+				t.Fatalf("seed %d, %d rows: subset gradients diverged", seed, len(subset))
 			}
-			if ld, ls := tc.dense.SubsetLoss(w, subset), tc.spars.SubsetLoss(w, subset); ld != ls {
-				t.Fatalf("seed %d %s: losses diverged: %v != %v", seed, tc.name, ld, ls)
+			if ld, ls := dense.SubsetLoss(w, subset), spars.SubsetLoss(w, subset); ld != ls {
+				t.Fatalf("seed %d, %d rows: losses diverged: %v != %v", seed, len(subset), ld, ls)
 			}
 		}
-	}
-}
-
-// TestLeastSquaresCSRGradCheck runs the finite-difference gradient check
-// directly against CSR storage.
-func TestLeastSquaresCSRGradCheck(t *testing.T) {
-	rng := rngutil.New(55)
-	_, cm := sparseDense(rng, 25, 8, 0.3)
-	y := make([]float64, 25)
-	for i := range y {
-		y[i] = rng.Normal()
-	}
-	m := NewLeastSquares(cm, y)
-	w := make([]float64, 8)
-	for i := range w {
-		w[i] = rng.Normal()
-	}
-	if worst := GradCheck(m, w, AllRows(25), 1e-6); worst > 1e-5 {
-		t.Fatalf("CSR least-squares gradient check error %v", worst)
 	}
 }

@@ -63,14 +63,6 @@ func Constant(mu float64) StepSize {
 	return func(int) float64 { return mu }
 }
 
-// InverseTime returns mu_t = mu0 / (1 + t/t0), the classic damped schedule.
-func InverseTime(mu0, t0 float64) StepSize {
-	if mu0 <= 0 || t0 <= 0 {
-		panic("optimize: InverseTime needs positive parameters")
-	}
-	return func(t int) float64 { return mu0 / (1 + float64(t)/t0) }
-}
-
 // ---------------------------------------------------------------------------
 // Gradient descent
 // ---------------------------------------------------------------------------

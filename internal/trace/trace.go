@@ -1,6 +1,6 @@
 // Package trace captures per-iteration timelines from the simulated cluster
-// runtime — when each worker received the model, computed, uploaded, and
-// when the master drained its message — and renders them as ASCII Gantt
+// runtime — when each worker computed and uploaded, and when the master
+// drained its message — and renders them as ASCII Gantt
 // charts. It exists to make straggler behaviour *visible*: one glance at a
 // BCC iteration shows the master cutting off the tail, where the uncoded
 // chart shows it pinned to the slowest worker.
@@ -16,9 +16,8 @@ import (
 // relative to the iteration start.
 type WorkerSpan struct {
 	Worker int
-	// BcastEnd is when the model download finished (starts at 0).
-	BcastEnd float64
-	// ComputeEnd is when the local gradient computation finished.
+	// ComputeEnd is when the local gradient computation, which starts at 0,
+	// finished.
 	ComputeEnd float64
 	// Arrive is when the upload reached the master.
 	Arrive float64
@@ -56,7 +55,6 @@ func (r *Recorder) Len() int { return len(r.Iterations) }
 // Gantt renders iteration index i as an ASCII chart `width` characters
 // wide. Row symbols:
 //
-//	b  model broadcast in flight
 //	c  local gradient computation
 //	u  upload in flight
 //	q  queued at the master (waiting for the ingress link)
@@ -120,8 +118,7 @@ func (r *Recorder) Gantt(i, width int) (string, error) {
 				row[j] = ch
 			}
 		}
-		paint(0, s.BcastEnd, 'b')
-		paint(s.BcastEnd, s.ComputeEnd, 'c')
+		paint(0, s.ComputeEnd, 'c')
 		paint(s.ComputeEnd, s.Arrive, 'u')
 		paint(s.Arrive, s.DrainStart, 'q')
 		paint(s.DrainStart, s.DrainEnd, 'D')

@@ -10,9 +10,9 @@ func sampleIteration() Iteration {
 		Iter:       3,
 		DecodeTime: 10,
 		Spans: []WorkerSpan{
-			{Worker: 0, BcastEnd: 1, ComputeEnd: 3, Arrive: 5, DrainStart: 5, DrainEnd: 6, Counted: true, Units: 1},
-			{Worker: 1, BcastEnd: 1, ComputeEnd: 4, Arrive: 8, DrainStart: 8, DrainEnd: 10, Counted: true, Units: 1},
-			{Worker: 2, BcastEnd: 1, ComputeEnd: 6, Arrive: 14, DrainStart: 14, DrainEnd: 15, Counted: false, Units: 1},
+			{Worker: 0, ComputeEnd: 3, Arrive: 5, DrainStart: 5, DrainEnd: 6, Counted: true, Units: 1},
+			{Worker: 1, ComputeEnd: 4, Arrive: 8, DrainStart: 8, DrainEnd: 10, Counted: true, Units: 1},
+			{Worker: 2, ComputeEnd: 6, Arrive: 14, DrainStart: 14, DrainEnd: 15, Counted: false, Units: 1},
 		},
 	}
 }
@@ -50,7 +50,7 @@ func TestGanttBasics(t *testing.T) {
 		t.Fatalf("straggler row wrong:\n%s", out)
 	}
 	// Phases present.
-	for _, ch := range []string{"b", "c", "u", "D", "|"} {
+	for _, ch := range []string{"c", "u", "D", "|"} {
 		if !strings.Contains(out, ch) {
 			t.Fatalf("missing phase %q:\n%s", ch, out)
 		}
@@ -63,7 +63,7 @@ func TestGanttQueueSymbol(t *testing.T) {
 		Iter:       0,
 		DecodeTime: 10,
 		Spans: []WorkerSpan{
-			{Worker: 0, BcastEnd: 1, ComputeEnd: 2, Arrive: 3, DrainStart: 6, DrainEnd: 10, Counted: true, Units: 1},
+			{Worker: 0, ComputeEnd: 2, Arrive: 3, DrainStart: 6, DrainEnd: 10, Counted: true, Units: 1},
 		},
 	})
 	out, err := r.Gantt(0, 40)
