@@ -26,7 +26,8 @@ import (
 //     them.
 //  5. A worker reads each broadcast query into a buffer from its pool;
 //     runWorker puts it back as soon as the query's gradients are computed
-//     (or the query is skipped for a newer one).
+//     (or a newer query supersedes it, queued or mid-sleep). A worker draws
+//     payload buffers only for a reply it is about to send.
 //
 // The free list is a mutex-guarded stack rather than a sync.Pool: putting a
 // slice header into sync.Pool boxes it into an interface, which allocates on

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,14 +129,14 @@ func TestRuntimesEquivalent(t *testing.T) {
 	}
 }
 
-// countingModel counts the partial gradients a run computes.
+// countingModel counts the partial gradients a run (or one worker) computes.
 type countingModel struct {
 	model.Model
-	calls *int
+	calls *atomic.Int64
 }
 
 func (c countingModel) SubsetGradient(w []float64, rows []int, out []float64) {
-	*c.calls++
+	c.calls.Add(1)
 	c.Model.SubsetGradient(w, rows, out)
 }
 
@@ -150,12 +151,11 @@ func TestSimComputesOnlyCountedWorkers(t *testing.T) {
 	const n = 10
 	cfg, _ := buildRun(t, "bcc", 8, n, 2, 6, 60, lat)
 	cfg.IngressPerUnit = 0.01
-	calls := 0
+	var calls atomic.Int64
 	cfg.Model = countingModel{Model: cfg.Model, calls: &calls}
 	var perIter []int
 	cfg.Observer = ObserverFuncs{Iteration: func(IterStats) {
-		perIter = append(perIter, calls)
-		calls = 0
+		perIter = append(perIter, int(calls.Swap(0)))
 	}}
 	var rec trace.Recorder
 	cfg.Trace = &rec

@@ -35,11 +35,15 @@ import (
 // calls for one worker always happen sequentially in the order Compute,
 // Upload within each iteration, in every runtime. Model delivery costs no
 // modelled time: the paper's latency model (§IV eq. 15) charges only
-// computation and upload. A live worker that skips or abandons an
-// iteration the master has already decoded makes fewer draws than the
-// simulator does for it, so from then on a stateful model's live timings
-// match the simulated ones in distribution, not draw for draw; what the
-// master counts does not depend on it.
+// computation and upload. A live worker draws both latencies before it
+// sleeps either, as the simulator does, so a round preempted mid-sleep has
+// made the simulator's draws for it. The two part only where they skip
+// different iterations: a live worker makes no draws for a queued query a
+// newer one superseded, and draws for an iteration whose transmission the
+// fault plan drops, which the simulator skips; both skip crashed ones.
+// After such a mismatch a stateful model's live timings match the simulated
+// ones in distribution, not draw for draw; what the master counts does not
+// depend on it.
 type Latency interface {
 	// Compute returns worker's time to process the given number of raw data
 	// points (seconds).

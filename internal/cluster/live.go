@@ -312,16 +312,20 @@ type WorkerEnv struct {
 	// over this many goroutines (0/1 = serial).
 	ComputeParallelism int
 	// Bufs, if non-nil, supplies the worker's message payload and query
-	// buffers, which its send function recycles right after serialization
-	// and its loop once a query is computed on. In-process workers share the
-	// run's master pool; an out-of-process worker gets a private one.
+	// buffers. Payloads are taken only for a reply about to be sent, and its
+	// send function recycles them right after serialization; its loop puts a
+	// query back once it is computed on or superseded. In-process workers
+	// share the run's master pool; an out-of-process worker gets a private
+	// one.
 	Bufs *BufferPool
 }
 
 // runWorker executes the worker protocol until a shutdown update (Iter < 0)
-// or the updates channel closes: skip to the newest pending model, sleep the
-// drawn compute latency, compute the real partial gradients, encode, sleep
-// the upload latency, reply. A worker only ever works for the newest query
+// or the updates channel closes: skip to the newest pending model, draw the
+// compute and then the upload latency, sleep the compute latency, sleep the
+// upload latency, compute the real partial gradients, release the query,
+// encode, reply. A round preempted in either sleep does no arithmetic and
+// takes no payload buffer. A worker only ever works for the newest query
 // it has seen: the engine broadcasts iteration t+1 only after t has
 // decoded, so a fresher update proves every older reply useless. Queued
 // stale models are skipped at the top of each round and both latency
@@ -338,8 +342,10 @@ type WorkerEnv struct {
 // the Reply's Msgs slice after it returns (the payload buffers are the
 // receiver's, per the BufferPool protocol). release, if non-nil, receives
 // each update's query once the worker is done reading it — its gradients
-// are computed, or a newer update superseded it — so the connection that
-// decoded it can reuse the buffer (serveWorkerConn).
+// are computed, or a newer update superseded it during a sleep or in the
+// queue — so the connection that decoded it can reuse the buffer
+// (serveWorkerConn). The query is held through the sleeps, so a connection
+// still holds at most the one in use, the one queued and the one being read.
 func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error, release func([]float64)) error {
 	env.Latency = withFaultSlowdowns(env.Latency, env.Faults)
 	cp, err := env.Comm.resolve(env.Model.Dim())
@@ -434,25 +440,24 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			}
 			encPlan, assign, pts = levelPlans[L-1], fullAssign[:L], levelPoints[L]
 		}
+		// The upload load is a placement property (Plan.Messages, one unit
+		// per message), so both latencies are drawn, in the simulator's
+		// order, and slept before any arithmetic: a worker the master
+		// outruns is preempted having computed and encoded nothing.
 		comp := env.Latency.Compute(env.Index, iter, pts)
+		up := env.Latency.Upload(env.Index, iter, float64(encPlan.Messages(env.Index))*cp.frac)
+		next, preempted := sleepOrPreempt(timer, comp, scale, updates)
+		if !preempted {
+			next, preempted = sleepOrPreempt(timer, up, scale, updates)
+		}
+		if preempted {
+			done()
+			mu, havePending = next, true
+			continue
+		}
 		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, env.ComputeParallelism, parts)
 		done()
-		if next, preempted := sleepOrPreempt(timer, comp, scale, updates); preempted {
-			mu, havePending = next, true
-			continue
-		}
 		msgs = encPlan.EncodeInto(msgs[:0], env.Index, parts, env.Bufs)
-		var units float64
-		for _, m := range msgs {
-			units += m.Units
-		}
-		if next, preempted := sleepOrPreempt(timer, env.Latency.Upload(env.Index, iter, units*cp.frac), scale, updates); preempted {
-			// The encoded payloads never leave this worker: recycle them, or
-			// every preempted straggler would drain the pool.
-			recycleMsgs(env.Bufs, msgs)
-			mu, havePending = next, true
-			continue
-		}
 		if err := send(Reply{Iter: iter, Worker: env.Index, Compute: comp, Msgs: msgs}); err != nil {
 			return err
 		}
@@ -461,7 +466,9 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 
 // sleepOrPreempt sleeps the scaled virtual duration on the worker's timer. A
 // model update arriving mid-sleep cuts it short and is handed back to the
-// caller; a closed channel is reported as a shutdown update.
+// caller; a closed channel is reported as a shutdown update. An update that
+// is already waiting when the timer fires wins too: the round it ends would
+// only compute for a query the master has moved past.
 func sleepOrPreempt(timer *time.Timer, virtualSeconds, scale float64, updates <-chan ModelUpdate) (ModelUpdate, bool) {
 	if virtualSeconds <= 0 {
 		return ModelUpdate{}, false
@@ -470,13 +477,24 @@ func sleepOrPreempt(timer *time.Timer, virtualSeconds, scale float64, updates <-
 	timer.Reset(time.Duration(virtualSeconds * scale * float64(time.Second)))
 	select {
 	case mu, ok := <-updates:
-		if !ok {
-			return ModelUpdate{Iter: -1}, true
-		}
-		return mu, true
+		return preemptedBy(mu, ok)
 	case <-timer.C:
+	}
+	select {
+	case mu, ok := <-updates:
+		return preemptedBy(mu, ok)
+	default:
 		return ModelUpdate{}, false
 	}
+}
+
+// preemptedBy reports an update received from the worker's channel as a
+// preemption, a closed channel as a shutdown.
+func preemptedBy(mu ModelUpdate, ok bool) (ModelUpdate, bool) {
+	if !ok {
+		return ModelUpdate{Iter: -1}, true
+	}
+	return mu, true
 }
 
 func sleepVirtual(virtualSeconds, scale float64) {

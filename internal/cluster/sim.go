@@ -22,9 +22,10 @@ import (
 // The timing model needs no gradient: a worker's upload load is the plan's
 // message count, so Broadcast draws every worker's latencies and orders the
 // arrivals, and Next computes, encodes and transforms only the arrival it
-// hands the engine. The workers past the decode are never computed, as a
-// live worker drops stale work the instant a fresher broadcast reaches it
-// (runWorker). Every round therefore starts with all workers idle and ends
+// hands the engine. The workers past the decode are never computed, and
+// neither are the live workers the master outruns: a live worker sleeps its
+// latencies before it computes and drops the round the instant a fresher
+// broadcast reaches it (runWorker). Every round therefore starts with all workers idle and ends
 // at its decode, which is precisely what simulating each iteration as an
 // isolated round models.
 //

@@ -1,34 +1,44 @@
 package cluster
 
 import (
+	"context"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bcc/internal/model"
+	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
 )
 
 // The worker-loop tests drive runWorker directly — a scripted updates
 // channel in, a recording send out — and pin the one worker semantics: a
 // worker only ever works for the newest query it has seen, a fresher query
-// (or a shutdown) cuts any latency sleep short without leaking the encoded
-// payload, and sleeping allocates nothing.
+// (or a shutdown) cuts any latency sleep short before the round computes or
+// encodes anything, and sleeping allocates nothing.
 
 // longSleep is a virtual latency no test waits out (TimeScale 1): a phase
 // that sleeps it only ever ends by preemption.
 const longSleep = 60.0
 
-// signalLatency is Fixed plus a notification each time the worker draws an
-// upload latency — the last thing it does before the upload sleep.
-type signalLatency struct {
+// queueingLatency is Fixed plus, at each upload draw — the last thing a
+// worker does before its two sleeps — a fresher update queued on the
+// worker's channel: iteration iter+1, or a shutdown once iter reaches last.
+type queueingLatency struct {
 	Fixed
-	uploading chan int
+	updates chan<- ModelUpdate
+	query   []float64
+	last    int
 }
 
-func (l signalLatency) Upload(w, iter int, units float64) float64 {
-	l.uploading <- iter
+func (l queueingLatency) Upload(w, iter int, units float64) float64 {
+	next := ModelUpdate{Iter: iter + 1, Query: l.query}
+	if iter >= l.last {
+		next = ModelUpdate{Iter: -1}
+	}
+	l.updates <- next
 	return l.Fixed.Upload(w, iter, units)
 }
 
@@ -51,7 +61,7 @@ func newWorkerRig(t *testing.T, lat Latency) *workerRig {
 		env: WorkerEnv{Index: 0, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
 			Latency: lat, TimeScale: 1, Bufs: NewBufferPool(mod.Dim(), 0)},
 		updates: make(chan ModelUpdate, 8),
-		replies: make(chan Reply, 8),
+		replies: make(chan Reply, 32),
 		done:    make(chan error, 1),
 		query:   make([]float64, mod.Dim()),
 	}
@@ -187,32 +197,199 @@ func TestTCPWorkerQueryBufferNotRewritten(t *testing.T) {
 	}
 }
 
-// TestWorkerPreemptedUploadSendsNothing: a fresher query arriving during the
-// upload sleep drops the stale iteration — no reply — and the payload it had
-// already encoded goes back to the pool: three preempted rounds run on one
-// buffer, which is in the free list at exit (Gets == Puts).
-func TestWorkerPreemptedUploadSendsNothing(t *testing.T) {
-	lat := signalLatency{Fixed{PerUnit: longSleep}, make(chan int)}
-	r := newWorkerRig(t, lat)
-	r.start()
-	r.send(0)
-	for iter := 0; iter < 3; iter++ {
-		if got := <-lat.uploading; got != iter {
-			t.Fatalf("worker reached the upload of iteration %d, want %d", got, iter)
+// TestWorkerPreemptedRoundComputesNothing: a fresher query queued during a
+// round's latency sleeps drops the round before any arithmetic — no gradient
+// evaluation, no payload buffer taken from the pool, no reply — whether it
+// cuts the compute or the upload sleep short, or waits in the channel when
+// the worker wakes from a sleep whose timer has already fired.
+func TestWorkerPreemptedRoundComputesNothing(t *testing.T) {
+	phases := map[string]Fixed{
+		"compute": {PerPoint: longSleep},
+		"upload":  {PerUnit: longSleep},
+		"expired": {PerUnit: 1e-9},
+	}
+	const rounds = 20
+	for phase, fixed := range phases {
+		t.Run(phase, func(t *testing.T) {
+			t.Parallel()
+			r := newWorkerRig(t, fixed)
+			r.env.Latency = queueingLatency{fixed, r.updates, r.query, rounds - 1}
+			var calls atomic.Int64
+			r.env.Model = countingModel{r.env.Model.(model.Model), &calls}
+			const stocked = 2
+			for i := 0; i < stocked; i++ {
+				r.env.Bufs.Put(make([]float64, r.env.Bufs.Dim()))
+			}
+			r.send(0)
+			r.start()
+			r.wait(t)
+			if n := calls.Load(); n != 0 {
+				t.Fatalf("%d gradient evaluations in %d preempted rounds", n, rounds)
+			}
+			if n := len(r.replies); n != 0 {
+				t.Fatalf("%d replies sent for preempted iterations", n)
+			}
+			if n := r.pooled(); n != stocked {
+				t.Fatalf("pool holds %d of its %d buffers after %d preempted rounds: a payload was taken", n, stocked, rounds)
+			}
+		})
+	}
+}
+
+// drawLog is a Latency that records each worker's draws in order.
+type drawLog struct {
+	Latency
+	mu    sync.Mutex
+	draws [][]latencyDraw
+}
+
+type latencyDraw struct {
+	upload bool
+	iter   int
+}
+
+func (l *drawLog) record(w int, d latencyDraw) {
+	l.mu.Lock()
+	l.draws[w] = append(l.draws[w], d)
+	l.mu.Unlock()
+}
+
+func (l *drawLog) Compute(w, iter, points int) float64 {
+	l.record(w, latencyDraw{iter: iter})
+	return l.Latency.Compute(w, iter, points)
+}
+
+func (l *drawLog) Upload(w, iter int, units float64) float64 {
+	l.record(w, latencyDraw{upload: true, iter: iter})
+	return l.Latency.Upload(w, iter, units)
+}
+
+// TestWorkerDrawsBothLatenciesEachRound: over the pipe fabric, every
+// round a worker works on draws one Compute and then one Upload latency, as
+// the simulator does — also for a worker so slow that each of its rounds is
+// preempted in the compute sleep.
+func TestWorkerDrawsBothLatenciesEachRound(t *testing.T) {
+	const n, iters, slow = 8, 10, 0
+	factor := make([]float64, n)
+	for w := range factor {
+		factor[w] = 1
+	}
+	factor[slow] = 1e5 // a compute sleep of minutes: only preemption ends it
+	log := &drawLog{Latency: Fixed{PerPoint: 1e-2, PerUnit: 1e-2, Factor: factor}, draws: make([][]latencyDraw, n)}
+	cfg, _ := buildRun(t, "cyclicrep", n, n, 3, iters, 77, log)
+	if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-3, Drain: true}); err != nil {
+		t.Fatal(err)
+	}
+	for w, draws := range log.draws {
+		if len(draws)%2 != 0 {
+			t.Fatalf("worker %d made %d draws, not Compute/Upload pairs: %v", w, len(draws), draws)
 		}
-		// The payload is encoded and the worker is entering its upload sleep.
-		if iter < 2 {
-			r.send(iter + 1)
-		} else {
-			r.send(-1)
+		for i := 0; i < len(draws); i += 2 {
+			c, u := draws[i], draws[i+1]
+			if c.upload || !u.upload || c.iter != u.iter || (i > 0 && c.iter <= draws[i-1].iter) {
+				t.Fatalf("worker %d draws %v: round %d is not one Compute then one Upload of a newer iteration", w, draws, i/2)
+			}
 		}
 	}
-	r.wait(t)
-	if n := len(r.replies); n != 0 {
-		t.Fatalf("%d replies sent for preempted iterations", n)
+	if rounds := len(log.draws[slow]) / 2; rounds < 2 {
+		t.Fatalf("the slow worker worked %d rounds, want several preempted ones", rounds)
 	}
-	if n := r.pooled(); n != 1 {
-		t.Fatalf("pool holds %d buffers after three preempted rounds, want the 1 they shared", n)
+}
+
+// replyCounter is a pipe fabric that counts, per worker, the reply frames
+// the master reads, whether the engine decodes them or drops them as stale.
+type replyCounter struct {
+	*connFabric
+	out     chan Reply
+	engine  chan struct{} // closed once the engine no longer reads out
+	forward sync.WaitGroup
+	counts  []int
+}
+
+func newReplyCounter(inner *connFabric, n int) *replyCounter {
+	f := &replyCounter{connFabric: inner, out: make(chan Reply), engine: make(chan struct{}), counts: make([]int, n)}
+	f.forward.Add(1)
+	go func() {
+		defer f.forward.Done()
+		for rep := range inner.replies {
+			f.counts[rep.Worker]++
+			select {
+			case f.out <- rep:
+			case <-f.engine:
+				discardReply(inner.pool, rep)
+			}
+		}
+	}()
+	return f
+}
+
+func (f *replyCounter) Replies() <-chan Reply { return f.out }
+
+// TestWorkerRepliesEveryRoundItComputes: a worker has no preemption
+// point between computing a round and sending its reply. Over the pipe
+// fabric, with a shift-exponential model under which the master decodes from
+// K < n workers and preempts the rest, every worker's computed rounds equal
+// the reply frames the master reads from it.
+func TestWorkerRepliesEveryRoundItComputes(t *testing.T) {
+	const n, r, iters = 12, 3, 30
+	lat, err := NewShiftExp(n, []ShiftExpParams{{
+		ComputeShift: 1e-4, ComputeMu: 10, CommShift: 1e-3, CommMu: 0.5,
+	}}, rngutil.New(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, mod := buildRun(t, "bcc", n, n, r, iters, 32, lat)
+	opts := LiveOptions{TimeScale: 1e-3}
+	opts.defaults()
+	pl := newPipeListener()
+	calls := make([]atomic.Int64, n)
+	var workers sync.WaitGroup
+	for w := 0; w < n; w++ {
+		env := WorkerEnv{Index: w, Plan: cfg.Plan, Model: countingModel{mod, &calls[w]}, Units: cfg.Units,
+			Latency: lat, TimeScale: opts.TimeScale, Bufs: cfg.buffers()}
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			if conn, err := pl.dial(); err == nil {
+				_ = serveWorkerConn(conn, env)
+			}
+		}()
+	}
+	inner, err := acceptWorkers(pl, n, opts.Timeout, cfg.buffers(), cfg.Comm, mod.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	fab := newReplyCounter(inner, n)
+	res, err := runEngine(context.Background(), cfg, newLiveTransport(cfg, fab, opts))
+	close(fab.engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine's shutdown broadcast ends every worker, which closes its
+	// pipe once its last frame is read; then no reader sends again.
+	workers.Wait()
+	inner.readers.Wait()
+	close(inner.replies)
+	fab.forward.Wait()
+
+	if res.AvgWorkersHeard >= n {
+		t.Fatalf("the master heard %.1f of %d workers: no round was outrun", res.AvgWorkersHeard, n)
+	}
+	total := 0
+	for w := 0; w < n; w++ {
+		perRound := len(cfg.Plan.Assignments()[w])
+		computed := int(calls[w].Load()) / perRound
+		if int(calls[w].Load()) != computed*perRound {
+			t.Fatalf("worker %d made %d gradient evaluations, not whole rounds of %d", w, calls[w].Load(), perRound)
+		}
+		if computed != fab.counts[w] {
+			t.Errorf("worker %d computed %d rounds but wrote %d replies", w, computed, fab.counts[w])
+		}
+		total += computed
+	}
+	if total >= n*iters {
+		t.Fatalf("workers computed %d rounds of %d broadcast: none was preempted", total, n*iters)
 	}
 }
 

@@ -136,10 +136,12 @@ func TestFig4OrderingOnSockets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// p = 100 keeps what the model leaves out — 50 real gradient
-		// computations contending for the host's cores at round start —
-		// small next to the 3.5 ms a modelled bcc iteration lasts at this
-		// TimeScale.
+		// p = 100 keeps what the model leaves out — the real gradients of
+		// the workers whose latencies elapse before the decode, contending
+		// for the host's cores (a worker the master outruns computes
+		// nothing) — small next to the 3.5 ms a modelled bcc iteration
+		// lasts at this TimeScale. The race detector makes each gradient
+		// ≈ 0.4 ms, so under it that contention sets the wall.
 		job, err := core.NewJob(core.Spec{
 			DataPoints: n * pointsPerUnit, Dim: 100, Examples: n, Workers: n, Load: load,
 			Scheme: scheme, Iterations: iters, Seed: seed, Latency: lat,
