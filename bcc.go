@@ -27,14 +27,10 @@ import (
 // Nesterov optimizer, the sim runtime). All runtimes drive the same master
 // engine over different transports, and workers always drop work for a
 // query the master has moved past. The run-lifecycle fields — Observer,
-// StopWhen, GradNormTol, CheckpointEvery/CheckpointPath, Faults,
-// ComputeParallelism — are honoured identically on every runtime, and
-// Density switches the synthetic generator to sparse CSR features (worker
-// gradients then cost O(nnz) instead of O(rows·p)). MasterShards > 1 is the
-// one way to split the master's work across cores: it partitions the decode
-// + update data plane into M shards owning contiguous coordinate slices —
-// bit-identical results on every runtime, with per-shard measurements in
-// Result.Shards.
+// StopWhen, GradNormTol, CheckpointEvery/CheckpointPath, Faults — are
+// honoured identically on every runtime, and Density switches the synthetic
+// generator to sparse CSR features (worker gradients then cost O(nnz)
+// instead of O(rows·p)).
 type Spec = core.Spec
 
 // Job is a materialized training run; create with NewJob, execute with Run
@@ -49,12 +45,6 @@ type Result = cluster.Result
 // IterStats is one iteration's measurements (wall/comm/comp split, workers
 // heard, units and bytes received).
 type IterStats = cluster.IterStats
-
-// ShardStats is one master shard's cumulative measurements on a sharded run
-// (Spec.MasterShards > 1): the owned coordinate range [Lo, Hi), decode time
-// and modelled bytes attributed to the slice. Reported in Result.Shards
-// and, for service jobs, in JobStatus.Shards and the /metrics gauges.
-type ShardStats = cluster.ShardStats
 
 // ErrStalled is returned when every alive worker has reported and the
 // gradient is still unrecoverable (too many failures for the scheme's

@@ -2,7 +2,7 @@ package bcc
 
 // Micro benchmarks for the kernels on the training hot path: worker
 // gradients, scheme encode and decode, simulated iterations, and whole runs
-// over each runtime, the sharded master and each payload codec. The paper tables are pinned by
+// over each runtime and each payload codec. The paper tables are pinned by
 // TestRunAllQuick and regenerated by cmd/bccbench; end-to-end performance
 // is measured by the bench harness (go run ./bench).
 
@@ -267,8 +267,7 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 // and tcp transports driving the shared master engine on one fixed small
 // Spec. It is the baseline for future runtime-performance PRs: the reported
 // ns/cluster-iter isolates what each transport adds on top of the identical
-// engine/decode/optimizer work. The "sharded" case runs the tcp job with a
-// two-shard master; shards align to wire chunks, so it needs a p=1024 model.
+// engine/decode/optimizer work.
 func BenchmarkRuntimes(b *testing.B) {
 	const iters = 5
 	// The observed cases attach a counting Observer: the per-iteration hook
@@ -278,14 +277,12 @@ func BenchmarkRuntimes(b *testing.B) {
 		name     string
 		runtime  core.Runtime
 		observed bool
-		shards   int
 	}{
-		{"sim", core.RuntimeSim, false, 0},
-		{"sim-observed", core.RuntimeSim, true, 0},
-		{"live", core.RuntimeLive, false, 0},
-		{"live-observed", core.RuntimeLive, true, 0},
-		{"tcp", core.RuntimeTCP, false, 0},
-		{"sharded", core.RuntimeTCP, false, 2},
+		{"sim", core.RuntimeSim, false},
+		{"sim-observed", core.RuntimeSim, true},
+		{"live", core.RuntimeLive, false},
+		{"live-observed", core.RuntimeLive, true},
+		{"tcp", core.RuntimeTCP, false},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -298,10 +295,6 @@ func BenchmarkRuntimes(b *testing.B) {
 					DataPoints: 64, Dim: 64, Iterations: iters,
 					Seed: 11, Runtime: tc.runtime, TimeScale: 1e-9,
 				}
-				if tc.shards > 1 {
-					spec.Dim = 1024
-					spec.MasterShards = tc.shards
-				}
 				if tc.observed {
 					spec.Observer = cluster.ObserverFuncs{
 						Iteration: func(cluster.IterStats) { callbacks++ },
@@ -312,12 +305,8 @@ func BenchmarkRuntimes(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res, err := job.Run()
-				if err != nil {
+				if _, err := job.Run(); err != nil {
 					b.Fatal(err)
-				}
-				if len(res.Shards) != tc.shards {
-					b.Fatalf("ran %d master shards, want %d", len(res.Shards), tc.shards)
 				}
 			}
 			if tc.observed && callbacks != b.N*iters {

@@ -59,14 +59,12 @@ func main() {
 		runtime  = flag.String("runtime", "sim", "runtime: sim|live|tcp")
 		codec    = flag.String("codec", "raw64", "payload codec: raw64|f32|topk (lossy codecs compress gradient traffic deterministically)")
 		topk     = flag.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
-		chunk    = flag.Int("chunk", 0, "wire framing chunk size in elements for the tcp runtime's wire frames (0 = default)")
+		chunk    = flag.Int("chunk", 0, "wire framing chunk size in elements (deprecated: no effect on the bytes or the results)")
 		ec2      = flag.Bool("ec2", false, "inject the calibrated EC2-like straggler profile")
 		dead     = flag.String("dead", "", "comma-separated worker indices that never respond (fault-plan crashes at iteration 0)")
 		drop     = flag.Float64("drop", 0, "probability in [0,1) of losing each worker transmission (fault-plan Drop, drawn from the -fault-seed stream)")
 		faultsN  = flag.String("faults", "", "named fault scenario: "+strings.Join(faults.Names(), "|"))
 		faultSd  = flag.Uint64("fault-seed", 0, "seed for the -faults scenario and the -drop pattern (0 = derive from -seed)")
-		parallel = flag.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
-		shards   = flag.Int("master-shards", 0, "master shards owning contiguous coordinate slices of decode+update (0/1 = unsharded; bit-identical results)")
 		adapt    = flag.Bool("adapt", false, "with -scheme nested: retune the redundancy level each iteration with the built-in straggler-tracking controller")
 		adaptWin = flag.Int("adapt-window", 0, "with -adapt: consecutive over-provisioned iterations before stepping the level down (0 = default 3)")
 		density  = flag.Float64("density", 0, "feature density in (0,1) for a sparse CSR dataset (0 = dense)")
@@ -83,29 +81,27 @@ func main() {
 	flag.Parse()
 
 	spec := core.Spec{
-		DataPoints:         *m * *points,
-		Dim:                *dim,
-		Examples:           *m,
-		Workers:            *n,
-		Load:               *r,
-		Scheme:             core.Scheme(*scheme),
-		Iterations:         *iters,
-		StepSize:           *step,
-		Optimizer:          core.Optimizer(*optName),
-		Seed:               *seed,
-		Runtime:            core.Runtime(*runtime),
-		Payload:            core.Payload(*codec),
-		TopK:               *topk,
-		WireChunk:          *chunk,
-		FaultScenario:      *faultsN,
-		FaultSeed:          *faultSd,
-		ComputeParallelism: *parallel,
-		MasterShards:       *shards,
-		AdaptRedundancy:    *adapt,
-		AdaptWindow:        *adaptWin,
-		Density:            *density,
-		GradNormTol:        *gradTol,
-		LossEvery:          *lossEv,
+		DataPoints:      *m * *points,
+		Dim:             *dim,
+		Examples:        *m,
+		Workers:         *n,
+		Load:            *r,
+		Scheme:          core.Scheme(*scheme),
+		Iterations:      *iters,
+		StepSize:        *step,
+		Optimizer:       core.Optimizer(*optName),
+		Seed:            *seed,
+		Runtime:         core.Runtime(*runtime),
+		Payload:         core.Payload(*codec),
+		TopK:            *topk,
+		WireChunk:       *chunk,
+		FaultScenario:   *faultsN,
+		FaultSeed:       *faultSd,
+		AdaptRedundancy: *adapt,
+		AdaptWindow:     *adaptWin,
+		Density:         *density,
+		GradNormTol:     *gradTol,
+		LossEvery:       *lossEv,
 	}
 	if *ec2 {
 		lat, err := experiments.EC2Latency(*n, *points, rngutil.New(*seed^0xec2))
@@ -187,7 +183,6 @@ func main() {
 	}
 	completed := 0
 	if *resume != "" {
-		// A checkpoint is one file whatever -master-shards wrote or reads it.
 		if completed, err = job.RestoreCheckpoint(*resume); err != nil {
 			fail(err)
 		}
@@ -236,10 +231,6 @@ func main() {
 	}
 	if res.TotalWireIn > 0 || res.TotalWireOut > 0 {
 		fmt.Printf("measured wire bytes (in/out):           %d/%d\n", res.TotalWireIn, res.TotalWireOut)
-	}
-	for _, ss := range res.Shards {
-		fmt.Printf("master shard %d [%d,%d): decode=%.3fms\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 	fmt.Printf("training accuracy:                      %.4f\n", job.Accuracy(res.FinalW))
 
@@ -322,10 +313,6 @@ func submitRemote(addr string, spec core.Spec, progress bool, timeout time.Durat
 	fmt.Printf("payload bytes:          %d\n", fin.Bytes)
 	if fin.WireIn > 0 || fin.WireOut > 0 {
 		fmt.Printf("measured wire bytes:    %d in / %d out\n", fin.WireIn, fin.WireOut)
-	}
-	for _, ss := range fin.Shards {
-		fmt.Printf("master shard %d [%d,%d): decode=%.3fms\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 	if fin.Faults > 0 {
 		fmt.Printf("fault events:           %d\n", fin.Faults)

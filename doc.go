@@ -187,10 +187,9 @@
 // gradient element once per four rows and still fold every row's dot in
 // column order, bit for bit; on CSR they are four single-row calls.
 //
-// Spec.ComputeParallelism fans a worker's per-example gradients out over
-// goroutines, each accumulating into its own buffer, so results are
-// bit-exact for every setting; the master side splits its work across cores
-// only through Spec.MasterShards (see the sharded master below).
+// Each worker computes its gradients on one goroutine, and the master
+// decodes and updates on one: the decode is one linear pass over the K
+// replies it waited for, small next to that wait.
 //
 // # The comm plane: payload codecs, chunked frames, measured bytes
 //
@@ -211,14 +210,14 @@
 //     stay dense (sparsifying the iterate would change the algorithm).
 //
 // In the live and tcp runtimes' compact binary frames, payload vectors are
-// staged in fixed-size chunks (Spec.WireChunk elements, default 512 =
-// 4 KiB; raw64 vectors move as byte views of the float64 slices on
-// little-endian hosts); chunking is pure staging — the byte stream is
-// identical for every chunk size. The handshake carries the worker index,
-// codec, K and chunk size and rejects mismatched processes and a bad or
-// duplicate index at connect time; a reply that claims another sender, a
-// payload of the wrong length or a load other than one unit ends its
-// connection's reads. The simulator models the reduced payload: upload and
+// staged in fixed-size chunks (default 512 elements = 4 KiB; raw64 vectors
+// move as byte views of the float64 slices on little-endian hosts);
+// chunking is pure staging — the byte stream and the results are identical
+// for every chunk size, so the deprecated Spec.WireChunk has no effect. The
+// handshake carries the worker index, codec, K and chunk size and rejects
+// mismatched processes and a bad or duplicate index at connect time; a reply
+// that claims another sender, a payload of the wrong length or a load other
+// than one unit ends its connection's reads. The simulator models the reduced payload: upload and
 // ingress-drain latencies scale by the codec's byte fraction.
 //
 // Accounting is split honestly in Result: IterStats.Bytes/Result.TotalBytes
@@ -232,42 +231,6 @@
 // top-K selection costs O(p) per reply); the latency win of smaller
 // payloads appears when transfer time is real, which the simulator models
 // by scaling upload/ingress latency with the byte fraction.
-//
-// # Performance: the sharded master
-//
-// Spec.MasterShards = M > 1 partitions the master's per-iteration data plane
-// — decode, gradient scaling, optimizer update — into M shards, each owning
-// a contiguous slice of the p model coordinates (CLI: -master-shards on
-// bcctrain). The shard map is deterministic: [0, p) is cut at
-// wire-chunk boundaries (Spec.WireChunk, default 512 elements) into M
-// contiguous ranges, whole chunks distributed as evenly as possible with
-// earlier shards taking the extra chunk; with more shards than chunks the
-// tail shards own empty, no-op ranges. Every process derives the same map
-// from (p, M, chunk) — nothing is negotiated.
-//
-// The split is control plane vs data plane. The coordinator keeps everything
-// sequenced: query broadcasts, arrival intake, offering messages to the
-// decoder, decodability detection, fault handling, the optimizer's SCALAR
-// state (step count, momentum scalars via FinishStep) and the gradient norm.
-// Shards own only the coordinate-sliced heavy loops: each dispatch, shard s
-// runs DecodeSliceInto over its range, scales by 1/m, and applies the
-// optimizer's UpdateSlice there. Slice ownership is exclusive and disjoint,
-// so shards never synchronize with each other — one dispatch and one join
-// (two channel operations per shard) per iteration, with persistent shard
-// goroutines keeping the steady state allocation-free. Because the scalar
-// update factors (step size, momentum beta) are pure functions of the scalar
-// state, any partition reproduces the unsharded update bit-for-bit: sharding
-// is a wall-clock knob, never a numerics knob, which the conformance matrix
-// pins across every scheme, runtime and fault scenario.
-//
-// Sharding composes with every runtime the same way: the shards are
-// goroutines decoding slices of the shared arrival buffers, and replies
-// reach the master exactly as they do unsharded — on TCP, one frame per
-// reply on the worker's own connection, read by that connection's reader.
-// Result.Shards reports each shard's decode time, and JobStatus.Shards and
-// the daemon's /metrics expose the same for service jobs. A checkpoint is
-// one whole-model file at any shard count (Job.Checkpoint), so a job at any
-// MasterShards resumes it. The decode slices scale with min(M, cores).
 //
 // # Running as a service
 //

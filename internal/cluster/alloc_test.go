@@ -63,9 +63,7 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // iteration, over sockets and over pipes alike.
 // Queries land in recycled buffers, reply Msgs slices are recycled, and the
 // live source and its deadline timer are reused. cyclicrep adds a coded
-// decode through the plan's solve cache; bcc/M=4 adds the sharded master,
-// whose replies arrive exactly as unsharded ones do and whose four shards
-// (p = 16384 at the default 512-element chunk) dispatch through channels.
+// decode through the plan's solve cache.
 //
 // A run's fixed cost (dials, goroutines, connection buffers) varies
 // by a few dozen allocations from run to run, more than a short and a long
@@ -75,10 +73,9 @@ func TestSimSteadyStateZeroAllocs(t *testing.T) {
 // because a real per-iteration allocation shows in every run, while a pool
 // reaching a new peak of buffers in flight shows only in some.
 func TestTCPSteadyStateZeroAllocs(t *testing.T) {
-	check := func(t *testing.T, scheme string, shards int, tcp bool) {
+	check := func(t *testing.T, scheme string, tcp bool) {
 		const warm, steady, runs, warmRuns = 30, 40, 8, 3
 		cfg, _ := buildRunDim(t, scheme, 8, 8, 3, warm+steady, 81, Zero{}, 16384)
-		cfg.MasterShards = shards
 		var ms runtime.MemStats
 		var from, to uint64
 		cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) {
@@ -103,16 +100,10 @@ func TestTCPSteadyStateZeroAllocs(t *testing.T) {
 	}
 	// Each cell runs on tcp and, as its "live" subtest, over in-process
 	// pipes: the same fabric with a different carrier.
-	both := func(t *testing.T, scheme string, shards int) {
-		check(t, scheme, shards, true)
-		t.Run("live", func(t *testing.T) { check(t, scheme, shards, false) })
-	}
 	for _, scheme := range []string{"bcc", "cyclicrep"} {
 		t.Run(scheme, func(t *testing.T) {
-			both(t, scheme, 0)
-			if scheme == "bcc" {
-				t.Run("M=4", func(t *testing.T) { both(t, scheme, 4) })
-			}
+			check(t, scheme, true)
+			t.Run("live", func(t *testing.T) { check(t, scheme, false) })
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"bcc/internal/coding"
 	"bcc/internal/faults"
@@ -56,23 +55,6 @@ type Config struct {
 	// uncounted tail included (sim runtime only; the live runtimes measure
 	// wall clock, not modelled spans).
 	Trace *trace.Recorder
-	// ComputeParallelism fans a worker's per-example gradient computations
-	// out over this many goroutines (0/1 = serial). Each example's gradient
-	// accumulates into its own buffer, so results are bit-for-bit identical
-	// to the serial path.
-	ComputeParallelism int
-	// MasterShards partitions the master's data plane coordinate-wise into
-	// this many contiguous shards (0/1 = the serial master). Each shard
-	// independently decodes, scales and optimizer-updates its own slice of
-	// the model on a dedicated goroutine, while iteration control — arrival
-	// counting, threshold decisions, fault bookkeeping, observer callbacks —
-	// stays on the coordinator. Shard boundaries are aligned to the comm
-	// plane's wire chunk size. Replies reach the master as they do unsharded
-	// (one frame per reply on the TCP runtime). Results are bit-for-bit
-	// identical to the unsharded master on every runtime (see
-	// sharded.go); schemes or optimizers without slice capabilities fall
-	// back to the serial path silently.
-	MasterShards int
 	// Controller, if non-nil and Plan implements coding.Retunable, re-tunes
 	// the plan's active redundancy level at the top of every iteration (see
 	// controller.go): the engine gathers deterministic fault-plan telemetry,
@@ -177,14 +159,8 @@ func (c *Config) validate() error {
 	if c.Plan == nil || c.Model == nil || c.Opt == nil {
 		return errors.New("cluster: Config needs Plan, Model and Opt")
 	}
-	if c.ComputeParallelism < 0 {
-		return fmt.Errorf("cluster: ComputeParallelism %d must be non-negative", c.ComputeParallelism)
-	}
 	if c.IngressPerUnit < 0 || math.IsNaN(c.IngressPerUnit) {
 		return fmt.Errorf("cluster: IngressPerUnit %v must be non-negative", c.IngressPerUnit)
-	}
-	if c.MasterShards < 0 {
-		return fmt.Errorf("cluster: MasterShards %d must be non-negative", c.MasterShards)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("cluster: CheckpointEvery %d must be non-negative", c.CheckpointEvery)
@@ -309,10 +285,6 @@ type Result struct {
 	// windows and are never included.
 	TotalWireIn  int
 	TotalWireOut int
-	// Shards holds the per-shard cumulative stats of a sharded master run
-	// (Config.MasterShards > 1 with slice-capable scheme and optimizer);
-	// nil otherwise.
-	Shards []ShardStats
 	// LevelSwitches counts the iterations at which a Retunable plan's
 	// active level changed from the previous iteration's (0 on fixed
 	// plans): the controller's re-tuning activity over the run.
@@ -425,47 +397,16 @@ func ensureParts(scratch [][]float64, k, dim int) [][]float64 {
 // gradientPartsInto is the shared worker-side computation used by the sim
 // transport and by runWorker in the live runtimes: parts[k] becomes the
 // gradient sum of unit assign[k] at query point q, written into the caller's
-// reusable scratch (grown on first use, allocation-free thereafter). With
-// parallelism > 1 the examples are sharded over goroutines; each example
-// writes only its own buffer, so the result is bit-for-bit equal to the
-// serial path. The returned slice is the (possibly regrown) scratch.
-func gradientPartsInto(mod gradientModel, units [][]int, assign []int, q []float64, parallelism int, scratch [][]float64) [][]float64 {
+// reusable scratch (grown on first use, allocation-free thereafter; each
+// buffer is zeroed here before accumulation). The returned slice is the
+// (possibly regrown) scratch.
+func gradientPartsInto(mod gradientModel, units [][]int, assign []int, q []float64, scratch [][]float64) [][]float64 {
 	parts := ensureParts(scratch, len(assign), mod.Dim())
-	if parallelism <= 1 || len(assign) < 2 {
-		// A plain call (no closure) keeps the serial hot path free of the
-		// heap-allocated func value the goroutine fan-out below would force.
-		evalParts(mod, units, assign, q, parts, 0, len(assign))
-		return parts
-	}
-	workers := parallelism
-	if workers > len(assign) {
-		workers = len(assign)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(assign) + workers - 1) / workers
-	for lo := 0; lo < len(assign); lo += chunk {
-		hi := lo + chunk
-		if hi > len(assign) {
-			hi = len(assign)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			evalParts(mod, units, assign, q, parts, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return parts
-}
-
-// evalParts computes the partial gradients for assignment slots [lo, hi)
-// into the caller's scratch buffers (zeroed here before accumulation).
-func evalParts(mod gradientModel, units [][]int, assign []int, q []float64, parts [][]float64, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		g := parts[k]
+	for k, g := range parts {
 		vecmath.Fill(g, 0)
 		mod.SubsetGradient(q, units[assign[k]], g)
 	}
+	return parts
 }
 
 // ErrStalled is returned when every alive worker has reported and the

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net"
@@ -31,9 +30,7 @@ func buildRun(t *testing.T, scheme string, m, n, r, iterations int, seed uint64,
 	return buildRunDim(t, scheme, m, n, r, iterations, seed, lat, 12)
 }
 
-// buildRunDim is buildRun at a chosen feature dimension — the sharded decode
-// test needs dim above the 512-element default wire chunk, or every
-// coordinate lands on master shard 0.
+// buildRunDim is buildRun at a chosen feature dimension.
 func buildRunDim(t *testing.T, scheme string, m, n, r, iterations int, seed uint64, lat Latency, dim int) (*Config, *model.Logistic) {
 	t.Helper()
 	rng := rngutil.New(seed)
@@ -377,77 +374,6 @@ func TestResultSummaries(t *testing.T) {
 	ts := res.ThresholdSummary()
 	if ts.Mean != res.AvgWorkersHeard {
 		t.Fatalf("threshold summary mean %v != %v", ts.Mean, res.AvgWorkersHeard)
-	}
-}
-
-func TestComputeParallelismBitExact(t *testing.T) {
-	run := func(par int) *Result {
-		cfg, _ := buildRun(t, "bcc", 16, 16, 4, 6, 34, Zero{})
-		cfg.ComputeParallelism = par
-		res, err := RunSim(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0)
-	for _, par := range []int{2, 4, 8, 64} {
-		parallel := run(par)
-		if d := vecmath.MaxAbsDiff(serial.FinalW, parallel.FinalW); d != 0 {
-			t.Fatalf("parallelism %d diverged from serial by %v", par, d)
-		}
-	}
-}
-
-// TestDecodeParallelismBitExact pins the master's one way to split decode
-// work across cores, MasterShards, on every scheme whose decode is a
-// p-dimensional fold other than plain BCC (which the sharded conformance
-// matrix covers): each shard count must reproduce the unsharded run's final
-// weights and every iteration's gradient norm bit-for-bit. Dim 1500 at the
-// default 512-element wire chunk gives 3 chunks, so M=2 and M=3 genuinely
-// split the decode instead of putting every coordinate on shard 0.
-func TestDecodeParallelismBitExact(t *testing.T) {
-	for _, scheme := range []string{"cyclicrep", "bccmulti", "nested"} {
-		t.Run(scheme, func(t *testing.T) {
-			run := func(shards int) *Result {
-				cfg, _ := buildRunDim(t, scheme, 16, 16, 4, 6, 34, Zero{}, 1500)
-				cfg.MasterShards = shards
-				res, err := RunSim(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			serial := run(1)
-			for _, m := range []int{2, 3} {
-				sharded := run(m)
-				checkShardStats(t, fmt.Sprintf("M=%d", m), sharded, m, wire.DefaultChunk)
-				if d := vecmath.MaxAbsDiff(serial.FinalW, sharded.FinalW); d != 0 {
-					t.Fatalf("M=%d diverged from M=1 by %v", m, d)
-				}
-				for i := range serial.Iters {
-					if serial.Iters[i].GradNorm != sharded.Iters[i].GradNorm {
-						t.Fatalf("M=%d changed iter %d gradient norm", m, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestComputeParallelismLiveRuntime(t *testing.T) {
-	mk := func(par int) *Result {
-		cfg, _ := buildRun(t, "bcc", 8, 16, 2, 4, 35, Zero{})
-		cfg.ComputeParallelism = par
-		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := mk(0), mk(4)
-	if d := vecmath.MaxAbsDiff(a.FinalW, b.FinalW); d != 0 {
-		t.Fatalf("live parallel gradients diverged by %v", d)
 	}
 }
 

@@ -29,9 +29,12 @@ type CommOptions struct {
 	// Setting it with any other codec is an error.
 	TopK int
 	// Chunk is the wire framing chunk size in float64 elements (0 = the wire
-	// default, 512). Chunking is staging granularity only — the byte stream
-	// is identical for every chunk size — and master shard boundaries align
-	// to it. The TCP handshake still requires master and workers to agree.
+	// default, 512). It has no effect: the byte stream and the results are
+	// identical for every chunk size. The TCP handshake still requires master
+	// and workers to agree.
+	//
+	// Deprecated: leave Chunk zero; it remains only until the bench
+	// workloads stop setting it.
 	Chunk int
 }
 
@@ -40,19 +43,6 @@ type CommOptions struct {
 func (o CommOptions) Validate(dim int) error {
 	_, err := o.resolve(dim)
 	return err
-}
-
-// MaxShards returns the largest useful MasterShards value for a model of
-// the given dimension under these options: the number of wire chunks the
-// model splits into. Configuring more shards than that only produces empty
-// tail shards (see effectiveShards); core's Spec validation rejects such
-// specs using this bound.
-func (o CommOptions) MaxShards(dim int) (int, error) {
-	cp, err := o.resolve(dim)
-	if err != nil {
-		return 0, err
-	}
-	return effectiveShards(dim, dim+1, cp.pc.ChunkElems()), nil
 }
 
 // commPlane is the resolved comm-plane configuration of one run: the wire

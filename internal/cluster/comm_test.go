@@ -222,9 +222,7 @@ func TestTCPChunkSizeInvariance(t *testing.T) {
 // the measured per-iteration WireBytesIn/Out against it, per codec. Uncoded
 // with m = n sends exactly one dense-vector message per worker and decodes
 // only after all n arrive, so every frame of an iteration is consumed inside
-// that iteration's accounting window. The M=2 cells shard the master at a
-// chunk that splits dim in two: sharding splits decode, not the wire, so
-// their counts are the unsharded ones.
+// that iteration's accounting window.
 func TestWireAccountingMatchesAnalytic(t *testing.T) {
 	const (
 		m, n, r = 4, 4, 1
@@ -241,21 +239,13 @@ func TestWireAccountingMatchesAnalytic(t *testing.T) {
 		}
 		return 4 + 8*n
 	}
-	check := func(t *testing.T, codec string, shards int) {
+	check := func(t *testing.T, codec string) {
 		cfg, _ := buildRunDim(t, "uncoded", m, n, r, iters, 53, Zero{}, dim)
 		cfg.Comm = CommOptions{Payload: codec}
-		if shards > 1 {
-			cfg.Comm.Chunk = dim / shards
-			cfg.MasterShards = shards
-		}
 		var stats []IterStats
 		cfg.Observer = ObserverFuncs{Iteration: func(st IterStats) { stats = append(stats, st) }}
-		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true})
-		if err != nil {
+		if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true}); err != nil {
 			t.Fatal(err)
-		}
-		if shards > 1 && len(res.Shards) != shards {
-			t.Fatalf("run recorded %d shards, want %d", len(res.Shards), shards)
 		}
 		// Queries are quantized under f32 but ship dense under topk.
 		qBytes := vecBytes("raw64", dim, 0)
@@ -282,10 +272,7 @@ func TestWireAccountingMatchesAnalytic(t *testing.T) {
 		}
 	}
 	for _, codec := range []string{"raw64", "f32", "topk"} {
-		t.Run(codec, func(t *testing.T) {
-			check(t, codec, 0)
-			t.Run("M=2", func(t *testing.T) { check(t, codec, 2) })
-		})
+		t.Run(codec, func(t *testing.T) { check(t, codec) })
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 // here and parameterized by a small Transport interface. The DES simulator
 // (sim.go) and the live transport over the one connection fabric (live.go,
 // tcp.go; in-process pipes or TCP sockets) are thin transports feeding this
-// engine; new runtimes (async/SSP, multi-host, sharded masters) plug in the
-// same way.
+// engine; new runtimes (async/SSP, multi-host) plug in the same way.
 //
 // The engine is the single point where the run lifecycle is controlled and
 // observed: the caller's context cancels or deadline-bounds the run (the
@@ -119,16 +118,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	dec := cfg.Plan.NewDecoder()
 	grad := make([]float64, cfg.Model.Dim())
 	cp := cfg.comm()
-	// The sharded master data plane (sharded.go): coordinate-partitioned
-	// decode + update on dedicated shard goroutines, nil when unsharded or
-	// when the scheme/optimizer lacks the slice capabilities (serial
-	// fallback; results are identical either way).
-	var shards *masterShards
-	if cfg.MasterShards > 1 {
-		if shards = newMasterShards(cfg, dec, grad); shards != nil {
-			defer shards.stop()
-		}
-	}
 	var qbuf []float64 // reusable quantized-query scratch (lossy codecs)
 	var lossRows []int // AllRows scratch for LossEvery evaluations
 	// Consumed payload buffers, recycled post-decode. Sized for an iteration
@@ -163,9 +152,6 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		res := summarize(vecmath.Clone(cfg.Opt.Iterate()), iters)
 		res.TotalWireIn += int(drainIn)
 		res.TotalWireOut += int(drainOut)
-		if shards != nil {
-			res.Shards = shards.snapshot()
-		}
 		if cfg.Observer != nil {
 			cfg.Observer.OnRunEnd(res)
 		}
@@ -309,14 +295,8 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 			st.WireBytesOut = int(out - prevOut)
 			prevIn, prevOut = in, out
 		}
-		var finishErr error
-		if shards != nil {
-			finishErr = shards.finishIteration(&st)
-		} else {
-			finishErr = finishIteration(cfg, dec, grad, &st)
-		}
-		if finishErr != nil {
-			return nil, finishErr
+		if err := finishIteration(cfg, dec, grad, &st); err != nil {
+			return nil, err
 		}
 		for i, b := range used {
 			pool.Put(b)

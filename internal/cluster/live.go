@@ -308,9 +308,6 @@ type WorkerEnv struct {
 	// Comm configures the payload codec; must match the master's
 	// Config.Comm (the TCP handshake verifies this).
 	Comm CommOptions
-	// ComputeParallelism fans the per-example gradient computations out
-	// over this many goroutines (0/1 = serial).
-	ComputeParallelism int
 	// Bufs, if non-nil, supplies the worker's message payload and query
 	// buffers. Payloads are taken only for a reply about to be sent, and its
 	// send function recycles them right after serialization; its loop puts a
@@ -455,7 +452,7 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			mu, havePending = next, true
 			continue
 		}
-		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, env.ComputeParallelism, parts)
+		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, parts)
 		done()
 		msgs = encPlan.EncodeInto(msgs[:0], env.Index, parts, env.Bufs)
 		if err := send(Reply{Iter: iter, Worker: env.Index, Compute: comp, Msgs: msgs}); err != nil {

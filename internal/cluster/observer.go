@@ -47,14 +47,11 @@ type Observer interface {
 
 // ObserverFuncs adapts free functions to the Observer interface; nil fields
 // are no-ops. The zero value is a valid observer that observes nothing.
-// Setting Shards additionally opts in to the ShardObserver capability of
-// sharded-master runs (see sharded.go).
 type ObserverFuncs struct {
 	Iteration func(IterStats)
 	Decode    func(DecodeEvent)
 	Fault     func(faults.Event)
 	RunEnd    func(*Result)
-	Shards    func([]ShardStats)
 }
 
 // OnIteration implements Observer.
@@ -82,13 +79,6 @@ func (o ObserverFuncs) OnWorkerFault(ev faults.Event) {
 func (o ObserverFuncs) OnRunEnd(res *Result) {
 	if o.RunEnd != nil {
 		o.RunEnd(res)
-	}
-}
-
-// OnShards implements ShardObserver.
-func (o ObserverFuncs) OnShards(stats []ShardStats) {
-	if o.Shards != nil {
-		o.Shards(stats)
 	}
 }
 
@@ -130,14 +120,5 @@ func (m multiObserver) OnWorkerFault(ev faults.Event) {
 func (m multiObserver) OnRunEnd(res *Result) {
 	for _, o := range m {
 		o.OnRunEnd(res)
-	}
-}
-
-// OnShards implements ShardObserver, forwarding to the members that opt in.
-func (m multiObserver) OnShards(stats []ShardStats) {
-	for _, o := range m {
-		if so, ok := o.(ShardObserver); ok {
-			so.OnShards(stats)
-		}
 	}
 }

@@ -25,11 +25,8 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the scenario golden trace files")
 
-// goldenTrace renders one scenario's sim run as a stable text trace. mut, if
-// non-nil, adjusts the Config first — the sharded-master conformance suite
-// replays the goldens with MasterShards set, pinning that sharding moves no
-// decode point and changes no norm.
-func goldenTrace(t *testing.T, name string, mut func(*Config)) string {
+// goldenTrace renders one scenario's sim run as a stable text trace.
+func goldenTrace(t *testing.T, name string) string {
 	t.Helper()
 	plan, err := faults.Scenario(name, scenarioN, 9)
 	if err != nil {
@@ -38,9 +35,6 @@ func goldenTrace(t *testing.T, name string, mut func(*Config)) string {
 	cfg, _ := buildRun(t, "bcc", scenarioM, scenarioN, scenarioR, scenarioIters, scenarioSeed,
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
-	if mut != nil {
-		mut(cfg)
-	}
 	rec := &trace.Recorder{}
 	cfg.Trace = rec
 	perIter := make([][]string, scenarioIters)
@@ -83,7 +77,7 @@ func TestScenarioGoldenTraces(t *testing.T) {
 	for _, name := range faults.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			got := goldenTrace(t, name, nil)
+			got := goldenTrace(t, name)
 			path := filepath.Join("testdata", "scenario_"+name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

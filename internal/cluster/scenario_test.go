@@ -65,8 +65,8 @@ func runScenarioComm(t *testing.T, name string, comm CommOptions, run func(cfg *
 }
 
 // runScenarioCfg is the fully general scenario runner: mut, if non-nil, may
-// adjust the built Config before the run (the sharded-master conformance
-// suite sets MasterShards through it).
+// adjust the built Config before the run (TestScenarioFaultsPerturbTraining
+// attaches a trace recorder through it).
 func runScenarioCfg(t *testing.T, name string, comm CommOptions, mut func(*Config), run func(cfg *Config) (*Result, error)) scenarioRun {
 	t.Helper()
 	return runPlanCfg(t, scenarioPlan(t, name), comm, mut, run)
@@ -89,10 +89,6 @@ func runPlanCfg(t *testing.T, plan *faults.Plan, comm CommOptions, mut func(*Con
 		staggered(scenarioN, 4*scenarioR))
 	cfg.Faults = plan
 	cfg.Comm = comm
-	// ComputeParallelism stays serial here because worker-side fan-out adds
-	// real compute-time jitter to the staggered-arrival construction on
-	// loaded machines; its bit-exactness is pinned by the dedicated
-	// TestComputeParallelism* tests.
 	if mut != nil {
 		mut(cfg)
 	}

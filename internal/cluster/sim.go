@@ -212,8 +212,7 @@ func (s *simSource) Next() (Arrival, bool, error) {
 	if s.level > 0 {
 		assign = assign[:s.level]
 	}
-	t.parts = gradientPartsInto(t.cfg.Model, t.cfg.Units, assign,
-		s.query, t.cfg.ComputeParallelism, t.parts)
+	t.parts = gradientPartsInto(t.cfg.Model, t.cfg.Units, assign, s.query, t.parts)
 	t.msgs = t.cfg.Plan.EncodeInto(t.msgs[:0], sa.worker, t.parts, t.pool)
 	// The wire boundary of the simulated runtime: the canonical lossy
 	// transform is applied here, exactly where a worker's serializer would

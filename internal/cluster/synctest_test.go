@@ -3,12 +3,9 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"testing/synctest"
 	"time"
-
-	"bcc/internal/faults"
 )
 
 // The virtual-time conformance suite runs the live runtime inside a
@@ -21,8 +18,8 @@ import (
 //
 //	GOEXPERIMENT=synctest go test -run Synctest ./internal/cluster/
 //
-// Plain go test skips this file; the real-time matrices in scenario_test.go
-// and sharded_test.go stay the tier-1 guard.
+// Plain go test skips this file; the real-time matrix in scenario_test.go
+// stays the tier-1 guard.
 
 // synctestLive runs cfg on the live runtime inside a synctest bubble.
 func synctestLive(cfg *Config) (res *Result, err error) {
@@ -44,23 +41,6 @@ func TestSynctestScenarioConformance(t *testing.T) {
 					t.Fatalf("sim fault trace %v, want it to open with %q", ref.events, c.first)
 				}
 				compareScenarioRuns(t, "live", runPlanCfg(t, c.plan, comm, nil, synctestLive), ref, true)
-			})
-		}
-	}
-}
-
-// TestSynctestShardedConformance: the sharded master on live, M ∈ {2, 4},
-// against the unsharded sim, timings included — the shards decode between
-// arrivals, so they cost no virtual time.
-func TestSynctestShardedConformance(t *testing.T) {
-	comm := CommOptions{Chunk: shardedChunk}
-	for _, name := range faults.Names() {
-		for _, m := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/M=%d", name, m), func(t *testing.T) {
-				ref := runScenarioCfg(t, name, comm, nil, nil)
-				got := runScenarioCfg(t, name, comm, shardedMut(m), synctestLive)
-				compareScenarioRuns(t, "live", got, ref, true)
-				checkShardStats(t, "live", got.res, m, shardedChunk)
 			})
 		}
 	}

@@ -20,9 +20,8 @@ import (
 // connection opens with a wire.Hello carrying the worker's index and
 // resolved comm-plane parameters (payload codec, top-K, chunk), which the
 // master verifies against its own before admitting it — a mismatch would
-// silently corrupt every payload. Every reply, sharded master or not, is one
-// frame on its worker's own connection, read by that connection's reader
-// goroutine.
+// silently corrupt every payload. Every reply is one frame on its worker's
+// own connection, read by that connection's reader goroutine.
 //
 // The master's side of a connection is read-only apart from broadcasts, and
 // a broadcast is the same bytes for every worker: the fabric encodes each
@@ -116,16 +115,15 @@ func newFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 	// pool serves both ends of every connection.
 	for w := 0; w < n; w++ {
 		env := WorkerEnv{
-			Index:              w,
-			Plan:               cfg.Plan,
-			Model:              cfg.Model,
-			Units:              cfg.Units,
-			Latency:            cfg.latency(),
-			TimeScale:          opts.TimeScale,
-			Comm:               cfg.Comm,
-			Faults:             cfg.Faults,
-			ComputeParallelism: cfg.ComputeParallelism,
-			Bufs:               cfg.buffers(),
+			Index:     w,
+			Plan:      cfg.Plan,
+			Model:     cfg.Model,
+			Units:     cfg.Units,
+			Latency:   cfg.latency(),
+			TimeScale: opts.TimeScale,
+			Comm:      cfg.Comm,
+			Faults:    cfg.Faults,
+			Bufs:      cfg.buffers(),
 		}
 		go func() {
 			if conn, err := dial(); err == nil {

@@ -22,7 +22,7 @@ import (
 // The plan implements the Retunable capability: SetLevel swaps the active
 // encode matrix and decoder threshold atomically; encode/decode stay
 // EncodeInto/DecodeInto/DecodeSliceInto-conformant at every level, so the
-// zero-alloc steady state and master sharding carry over unchanged. Callers
+// zero-alloc steady state carries over unchanged. Callers
 // that re-tune must encode with the ACTIVE level's assignment (a prefix of
 // Assignments()); AtLevel exposes each level as an immutable fixed Plan for
 // processes that pin the level per message (remote workers).
@@ -197,8 +197,7 @@ func (p *nestedPlan) NewDecoder() Decoder {
 }
 
 // nestedDecoder delegates one iteration's decode to the level snapshotted at
-// the last Reset. It forwards the SliceDecoder capability so sharded masters
-// (which capture the capability once per run) keep working across level
+// the last Reset, forwarding the SliceDecoder capability across level
 // switches.
 type nestedDecoder struct {
 	plan   *nestedPlan

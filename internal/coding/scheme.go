@@ -392,13 +392,15 @@ func sumSparseSliceInto(dst []float64, vs [][]float64, lo, hi int) {
 	}
 }
 
-// SliceDecoder is the Decoder capability behind the sharded master: a
-// decoder whose output elements are independent can reconstruct an
-// arbitrary output slice [lo, hi) on its own. Each slice folds its terms in
-// the serial order, so any partition of [0, p) across the engine's
-// MasterShards goroutines reproduces DecodeInto bit-for-bit. Every decoder
+// SliceDecoder is a decoder that can reconstruct an arbitrary output slice
+// [lo, hi) on its own. Each slice folds its terms in the serial order, so
+// any partition of [0, p) reproduces DecodeInto bit-for-bit. Every decoder
 // in this package implements it, and its DecodeInto is the whole-range
 // slice decode.
+//
+// Deprecated: the master decodes serially through DecodeInto. The
+// interface remains only for the benchmark harness's decoder wrapper and
+// will be removed with it.
 type SliceDecoder interface {
 	Decoder
 	// DecodeSliceInto reconstructs output elements [lo, hi) of the decoded
@@ -418,9 +420,9 @@ func checkDecodeSlice(dst []float64, lo, hi int) error {
 
 // ParallelDecoder was the capability behind a per-decoder goroutine fan-out.
 //
-// Deprecated: no decoder implements it; the master splits decode work across
-// cores only through MasterShards and SliceDecoder. The declaration remains
-// for the benchmark harness's decoder wrapper and will be removed with it.
+// Deprecated: no decoder implements it; the master decodes serially. The
+// declaration remains for the benchmark harness's decoder wrapper and will
+// be removed with it.
 type ParallelDecoder interface {
 	Decoder
 	SetDecodeParallelism(workers int)

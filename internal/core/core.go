@@ -292,17 +292,6 @@ type Spec struct {
 	// Seed), so the same spec replays the same fault sequence everywhere; see
 	// FaultPlan.
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	// ComputeParallelism fans each worker's per-example gradient
-	// computations out over this many goroutines (0/1 = serial); results
-	// are bit-for-bit identical to the serial path.
-	ComputeParallelism int `json:"compute_parallelism,omitempty"`
-	// MasterShards partitions the master's data plane coordinate-wise into
-	// this many contiguous shards (0/1 = unsharded): each shard decodes,
-	// scales and updates its own slice of the model concurrently while a thin
-	// coordinator keeps iteration control centralized. Replies reach the
-	// master as they do unsharded. Results are bit-for-bit identical to the
-	// unsharded run on every runtime; see cluster.Config.MasterShards.
-	MasterShards int `json:"master_shards,omitempty"`
 	// Runtime is RuntimeSim (default), RuntimeLive (goroutine workers
 	// speaking the wire protocol over in-process pipes) or RuntimeTCP (the
 	// same protocol over loopback sockets). All three run the same master
@@ -317,10 +306,12 @@ type Spec struct {
 	// PayloadTopK (0 = Dim/16 rounded up, the K = p/16 operating point);
 	// setting it with any other codec is an error.
 	TopK int `json:"top_k,omitempty"`
-	// WireChunk is the wire framing chunk size in float64 elements for the
-	// TCP runtime's frames (0 = default 512). Chunking changes staging
-	// granularity and master shard boundaries only, never the bytes or the
-	// results.
+	// WireChunk is the wire framing chunk size in float64 elements (0 =
+	// default 512). It has no effect: the bytes and the results are the same
+	// for every chunk size.
+	//
+	// Deprecated: leave WireChunk zero; it remains only until the bench
+	// workloads stop setting it.
 	WireChunk int `json:"wire_chunk,omitempty"`
 	// TimeScale converts virtual seconds to real sleeps on live runtimes.
 	TimeScale float64 `json:"time_scale,omitempty"`
@@ -414,12 +405,6 @@ func (s *Spec) validateOptions() error {
 	if s.IngressPerUnit < 0 || math.IsNaN(s.IngressPerUnit) {
 		return &OptionError{Option: "IngressPerUnit", Value: fmt.Sprintf("%v", s.IngressPerUnit), Reason: "must be non-negative"}
 	}
-	if s.ComputeParallelism < 0 {
-		return &OptionError{Option: "ComputeParallelism", Value: fmt.Sprintf("%d", s.ComputeParallelism), Reason: "must be non-negative"}
-	}
-	if s.MasterShards < 0 {
-		return &OptionError{Option: "MasterShards", Value: fmt.Sprintf("%d", s.MasterShards), Reason: "must be non-negative"}
-	}
 	if s.AdaptRedundancy && s.Scheme != SchemeNested {
 		return &OptionError{Option: "AdaptRedundancy", Value: "true",
 			Reason: fmt.Sprintf("requires Scheme %q (the only retunable scheme), got %q", SchemeNested, s.Scheme)}
@@ -453,13 +438,6 @@ func (s *Spec) validateOptions() error {
 			opt, val = "WireChunk", fmt.Sprintf("%d", s.WireChunk)
 		}
 		return &OptionError{Option: opt, Value: val, Reason: err.Error()}
-	}
-	if s.MasterShards > 1 {
-		// The comm options resolved above, so MaxShards cannot fail here.
-		if max, err := s.comm().MaxShards(s.Dim); err == nil && s.MasterShards > max {
-			return &OptionError{Option: "MasterShards", Value: fmt.Sprintf("%d", s.MasterShards),
-				Reason: fmt.Sprintf("exceeds the %d wire chunk(s) of a %d-dim model — the surplus shards would own empty slices", max, s.Dim)}
-		}
 	}
 	if s.FaultScenario != "" && !faults.Known(s.FaultScenario) {
 		return &OptionError{Option: "FaultScenario", Value: s.FaultScenario, Known: faults.Names()}
@@ -602,24 +580,22 @@ func (j *Job) clusterConfig() *cluster.Config {
 		ctl = &cluster.AIMDController{Window: j.Spec.AdaptWindow}
 	}
 	return &cluster.Config{
-		Plan:               j.Plan,
-		Model:              j.Model,
-		Units:              j.Units,
-		Opt:                j.Opt,
-		Iterations:         j.Spec.Iterations,
-		Latency:            j.Spec.Latency,
-		IngressPerUnit:     j.Spec.IngressPerUnit,
-		Faults:             j.Faults,
-		ComputeParallelism: j.Spec.ComputeParallelism,
-		MasterShards:       j.Spec.MasterShards,
-		Controller:         ctl,
-		Comm:               j.Spec.comm(),
-		LossEvery:          j.Spec.LossEvery,
-		Trace:              j.Spec.Trace,
-		Observer:           j.Spec.Observer,
-		StopWhen:           stop,
-		CheckpointEvery:    j.Spec.CheckpointEvery,
-		Checkpoint:         ckpt,
+		Plan:            j.Plan,
+		Model:           j.Model,
+		Units:           j.Units,
+		Opt:             j.Opt,
+		Iterations:      j.Spec.Iterations,
+		Latency:         j.Spec.Latency,
+		IngressPerUnit:  j.Spec.IngressPerUnit,
+		Faults:          j.Faults,
+		Controller:      ctl,
+		Comm:            j.Spec.comm(),
+		LossEvery:       j.Spec.LossEvery,
+		Trace:           j.Spec.Trace,
+		Observer:        j.Spec.Observer,
+		StopWhen:        stop,
+		CheckpointEvery: j.Spec.CheckpointEvery,
+		Checkpoint:      ckpt,
 	}
 }
 
@@ -646,8 +622,7 @@ func (j *Job) Accuracy(w []float64) float64 { return j.Model.Accuracy(w) }
 
 // Checkpoint writes the job's current optimizer state to path (atomically).
 // completed is the number of iterations already run against this job. The
-// file is one whole-model snapshot whatever Spec.MasterShards is, so a run
-// at any shard count can resume it.
+// file is one whole-model snapshot.
 func (j *Job) Checkpoint(path string, completed int) error {
 	snap, ok := j.Opt.(optimize.Snapshotter)
 	if !ok {

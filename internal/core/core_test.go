@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -242,73 +241,6 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 	}
 	if d := vecmath.MaxAbsDiff(fullRes.FinalW, resRes.FinalW); d != 0 {
 		t.Fatalf("resume diverged from uninterrupted run by %v", d)
-	}
-}
-
-func TestShardedCheckpointAnyShardCount(t *testing.T) {
-	// A checkpoint is one whole-model file whatever the writer's shard
-	// count: a MasterShards=3 job checkpointing every 5 iterations leaves
-	// exactly that one file, and resuming it at any shard count for 10 more
-	// iterations reproduces an uninterrupted 20-iteration run bit for bit.
-	spec := func(iters, shards int) Spec {
-		return Spec{
-			Examples: 10, Workers: 20, Load: 2,
-			DataPoints: 80, Dim: 1100, Iterations: iters, Seed: 55,
-			MasterShards: shards, WireChunk: 128,
-		}
-	}
-	full, err := NewJob(spec(20, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullRes, err := full.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	path := dir + "/ckpt.bin"
-	writer := spec(10, 3)
-	writer.CheckpointEvery = 5
-	writer.CheckpointPath = path
-	first, err := NewJob(writer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Run(); err != nil {
-		t.Fatal(err)
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 1 || files[0].Name() != "ckpt.bin" {
-		var names []string
-		for _, f := range files {
-			names = append(names, f.Name())
-		}
-		t.Fatalf("checkpoint left files %v, want exactly [ckpt.bin]", names)
-	}
-
-	for _, m := range []int{1, 2, 3} {
-		resumed, err := NewJob(spec(10, m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		completed, err := resumed.RestoreCheckpoint(path)
-		if err != nil {
-			t.Fatalf("M=%d: %v", m, err)
-		}
-		if completed != 10 {
-			t.Fatalf("M=%d: completed = %d, want 10", m, completed)
-		}
-		resRes, err := resumed.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := vecmath.MaxAbsDiff(fullRes.FinalW, resRes.FinalW); d != 0 {
-			t.Fatalf("M=%d: resume diverged from uninterrupted run by %v", m, d)
-		}
 	}
 }
 
@@ -564,10 +496,6 @@ func TestOptionErrorsFailFast(t *testing.T) {
 		{"iterations", func(s *Spec) { s.Iterations = -1 }, "Iterations"},
 		{"ingress", func(s *Spec) { s.IngressPerUnit = -1 }, "IngressPerUnit"},
 		{"ingress-nan", func(s *Spec) { s.IngressPerUnit = math.NaN() }, "IngressPerUnit"},
-		{"parallelism", func(s *Spec) { s.ComputeParallelism = -2 }, "ComputeParallelism"},
-		{"master-shards", func(s *Spec) { s.MasterShards = -1 }, "MasterShards"},
-		// Dim 2 is one wire chunk, so a second shard would own nothing.
-		{"master-shards-over", func(s *Spec) { s.MasterShards = 2 }, "MasterShards"},
 		{"checkpoint-every", func(s *Spec) { s.CheckpointEvery = -1 }, "CheckpointEvery"},
 		{"checkpoint-path", func(s *Spec) { s.CheckpointEvery = 3 }, "CheckpointPath"},
 		{"grad-tol", func(s *Spec) { s.GradNormTol = -0.1 }, "GradNormTol"},

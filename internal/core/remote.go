@@ -126,15 +126,14 @@ func (j *Job) WorkerEnv(index int) cluster.WorkerEnv {
 		lat = cluster.Zero{}
 	}
 	return cluster.WorkerEnv{
-		Index:              index,
-		Plan:               j.Plan,
-		Model:              j.Model,
-		Units:              j.Units,
-		Latency:            lat,
-		TimeScale:          j.Spec.TimeScale,
-		Faults:             j.Faults,
-		Comm:               j.Spec.comm(),
-		ComputeParallelism: j.Spec.ComputeParallelism,
+		Index:     index,
+		Plan:      j.Plan,
+		Model:     j.Model,
+		Units:     j.Units,
+		Latency:   lat,
+		TimeScale: j.Spec.TimeScale,
+		Faults:    j.Faults,
+		Comm:      j.Spec.comm(),
 	}
 }
 

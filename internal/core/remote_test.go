@@ -14,39 +14,37 @@ import (
 // specGolden is EncodeSpec of the round-trip spec below: the control-plane
 // wire format, pinned byte for byte so a refactor of the spec's encoding
 // cannot change what daemons and fleet workers exchange.
-const specGolden = `{"data_points":240,"dim":64,"density":0.5,"examples":6,"workers":6,"load":3,"scheme":"nested","adapt_redundancy":true,"adapt_window":4,"iterations":17,"step_size":0.25,"optimizer":"gd","seed":99,"ingress_per_unit":0.0055,"faults":{"N":6,"Seed":3,"Drop":0.05,"Crashes":[{"Worker":1,"At":0,"RestartAfter":0},{"Worker":2,"At":5,"RestartAfter":2}],"Slowdowns":null,"Partitions":null,"Bursts":null},"fault_scenario":"flaky-tail","fault_seed":12,"compute_parallelism":2,"master_shards":2,"runtime":"tcp","payload":"topk","top_k":8,"wire_chunk":16,"time_scale":0.0001,"loss_every":5,"grad_norm_tol":1e-9}`
+const specGolden = `{"data_points":240,"dim":64,"density":0.5,"examples":6,"workers":6,"load":3,"scheme":"nested","adapt_redundancy":true,"adapt_window":4,"iterations":17,"step_size":0.25,"optimizer":"gd","seed":99,"ingress_per_unit":0.0055,"faults":{"N":6,"Seed":3,"Drop":0.05,"Crashes":[{"Worker":1,"At":0,"RestartAfter":0},{"Worker":2,"At":5,"RestartAfter":2}],"Slowdowns":null,"Partitions":null,"Bursts":null},"fault_scenario":"flaky-tail","fault_seed":12,"runtime":"tcp","payload":"topk","top_k":8,"wire_chunk":16,"time_scale":0.0001,"loss_every":5,"grad_norm_tol":1e-9}`
 
 // TestSpecEncodeDecodeRoundTrip: a spec survives the control-plane codec
 // with every serializable field intact, including a fault plan, and encodes
 // to the pinned wire bytes.
 func TestSpecEncodeDecodeRoundTrip(t *testing.T) {
 	in := Spec{
-		DataPoints:         240,
-		Dim:                64,
-		Density:            0.5,
-		Examples:           6,
-		Workers:            6,
-		Load:               3,
-		Scheme:             SchemeNested,
-		AdaptRedundancy:    true,
-		AdaptWindow:        4,
-		Iterations:         17,
-		StepSize:           0.25,
-		Optimizer:          OptimizerGD,
-		Seed:               99,
-		IngressPerUnit:     5.5e-3,
-		Faults:             &faults.Plan{N: 6, Seed: 3, Drop: 0.05, Crashes: []faults.Crash{{Worker: 1}, {Worker: 2, At: 5, RestartAfter: 2}}},
-		FaultScenario:      "flaky-tail",
-		FaultSeed:          12,
-		ComputeParallelism: 2,
-		MasterShards:       2,
-		Runtime:            RuntimeTCP,
-		Payload:            PayloadTopK,
-		TopK:               8,
-		WireChunk:          16,
-		TimeScale:          1e-4,
-		LossEvery:          5,
-		GradNormTol:        1e-9,
+		DataPoints:      240,
+		Dim:             64,
+		Density:         0.5,
+		Examples:        6,
+		Workers:         6,
+		Load:            3,
+		Scheme:          SchemeNested,
+		AdaptRedundancy: true,
+		AdaptWindow:     4,
+		Iterations:      17,
+		StepSize:        0.25,
+		Optimizer:       OptimizerGD,
+		Seed:            99,
+		IngressPerUnit:  5.5e-3,
+		Faults:          &faults.Plan{N: 6, Seed: 3, Drop: 0.05, Crashes: []faults.Crash{{Worker: 1}, {Worker: 2, At: 5, RestartAfter: 2}}},
+		FaultScenario:   "flaky-tail",
+		FaultSeed:       12,
+		Runtime:         RuntimeTCP,
+		Payload:         PayloadTopK,
+		TopK:            8,
+		WireChunk:       16,
+		TimeScale:       1e-4,
+		LossEvery:       5,
+		GradNormTol:     1e-9,
 	}
 	data, err := EncodeSpec(in)
 	if err != nil {
@@ -149,9 +147,11 @@ func TestSpecDecodeRejects(t *testing.T) {
 	}
 	// An older submitter's spec still carrying a removed option: pipelined,
 	// the fault fields that Faults carries as a crash at iteration 0 and
-	// Plan.Drop, the decode fan-out that MasterShards replaced, or the data
-	// and model knobs that only ever took the paper's values.
+	// Plan.Drop, the decode and worker fan-outs and the sharded master, or
+	// the data and model knobs that only ever took the paper's values. Each
+	// fails as an unknown field instead of quietly running serial.
 	for _, legacy := range []string{`{"pipelined":true}`, `{"dead":[1]}`, `{"drop_prob":0.1}`, `{"drop_seed":7}`, `{"decode_parallelism":2}`,
+		`{"compute_parallelism":2}`, `{"master_shards":2}`,
 		`{"separation":1.5}`, `{"standard_labels":true}`, `{"lambda":0.01}`} {
 		field := legacy[1:strings.Index(legacy, ":")]
 		if _, err := DecodeSpec([]byte(legacy)); err == nil || !strings.Contains(err.Error(), field) {

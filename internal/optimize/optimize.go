@@ -32,13 +32,16 @@ type Optimizer interface {
 	Step() int
 }
 
-// SliceUpdater is the optional Optimizer capability behind the sharded
-// master: Update split into its elementwise half, restricted to an arbitrary
-// coordinate range, and a scalar half advancing the iteration state once.
-// Applying UpdateSlice over any partition of [0, p) followed by one
-// FinishStep reproduces Update(grad) bit-for-bit: UpdateSlice reads the
-// scalar state (step count, momentum sequence) without mutating it, so
-// disjoint slices may be applied concurrently from different goroutines.
+// SliceUpdater is the optional Optimizer capability that splits Update into
+// its elementwise half, restricted to an arbitrary coordinate range, and a
+// scalar half advancing the iteration state once. Applying UpdateSlice over
+// any partition of [0, p) followed by one FinishStep reproduces Update(grad)
+// bit-for-bit: UpdateSlice reads the scalar state (step count, momentum
+// sequence) without mutating it.
+//
+// Deprecated: the master updates serially through Update. The interface
+// remains only for the benchmark harness's optimizer wrapper and will be
+// removed with it.
 type SliceUpdater interface {
 	Optimizer
 	// UpdateSlice applies the update rule to coordinates [lo, hi) of the
@@ -82,8 +85,8 @@ func NewGD(w0 []float64, step StepSize) *GD {
 // Query implements Optimizer; GD evaluates gradients at the iterate itself.
 func (g *GD) Query() []float64 { return g.w }
 
-// Update implements Optimizer. It is UpdateSlice over the full range plus
-// FinishStep, so the sharded and unsharded paths share one definition.
+// Update implements Optimizer: UpdateSlice over the full range plus
+// FinishStep.
 func (g *GD) Update(grad []float64) {
 	g.UpdateSlice(grad, 0, len(grad))
 	g.FinishStep()
@@ -154,8 +157,7 @@ func (n *Nesterov) Query() []float64 {
 
 // Update implements Optimizer. The gradient must have been evaluated at the
 // point returned by the immediately preceding Query call. It is UpdateSlice
-// over the full range plus FinishStep, so the sharded and unsharded paths
-// share one definition.
+// over the full range plus FinishStep.
 func (n *Nesterov) Update(grad []float64) {
 	n.UpdateSlice(grad, 0, len(grad))
 	n.FinishStep()

@@ -201,7 +201,7 @@ func TestRunReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestUpdateSliceMatchesUpdate is the sharded-master contract test: applying
+// TestUpdateSliceMatchesUpdate is the SliceUpdater contract test: applying
 // UpdateSlice over an arbitrary partition of [0, p) — in shuffled order —
 // followed by one FinishStep reproduces Update bit-for-bit over many
 // iterations, for both optimizers.

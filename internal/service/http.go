@@ -73,11 +73,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 // metrics renders the Prometheus text exposition format (stdlib only; the
 // format is plain text with one sample per line).
 func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
-	type shardSample struct {
-		job    core.JobID
-		shard  int
-		decode int64
-	}
 	type levelSample struct {
 		job      core.JobID
 		level    int
@@ -87,7 +82,6 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 	states := map[core.JobState]int{}
 	iters := 0
 	var queueSecs, runSecs float64
-	var shardSamples []shardSample
 	var levelSamples []levelSample
 	for _, rec := range d.jobs {
 		st := d.statusLocked(rec)
@@ -95,11 +89,6 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		iters += rec.iter
 		queueSecs += st.QueueSeconds
 		runSecs += st.RunSeconds
-		// Per-shard gauges for jobs that have not been collected yet: running
-		// jobs expose live values, finished ones their final counters.
-		for _, ss := range rec.shards {
-			shardSamples = append(shardSamples, shardSample{job: rec.id, shard: ss.Shard, decode: ss.DecodeNs})
-		}
 		if rec.level > 0 {
 			levelSamples = append(levelSamples, levelSample{job: rec.id, level: rec.level, switches: rec.levelSwitch})
 		}
@@ -128,12 +117,6 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "bcc_job_queue_seconds_total %g\n", queueSecs)
 	b.WriteString("# HELP bcc_job_run_seconds_total Seconds jobs spent running.\n# TYPE bcc_job_run_seconds_total counter\n")
 	fmt.Fprintf(&b, "bcc_job_run_seconds_total %g\n", runSecs)
-	if len(shardSamples) > 0 {
-		b.WriteString("# HELP bcc_shard_decode_ns_total Cumulative slice decode+update nanoseconds per master shard.\n# TYPE bcc_shard_decode_ns_total counter\n")
-		for _, s := range shardSamples {
-			fmt.Fprintf(&b, "bcc_shard_decode_ns_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.decode)
-		}
-	}
 	if len(levelSamples) > 0 {
 		b.WriteString("# HELP bcc_job_level Active redundancy level of adaptive nested jobs.\n# TYPE bcc_job_level gauge\n")
 		for _, s := range levelSamples {

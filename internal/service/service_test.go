@@ -576,76 +576,6 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestShardedJob: a MasterShards job submitted to the daemon runs its shard
-// group behind the job's one data-plane port and follows the bit-identical
-// trajectory of a solo unsharded run. The job status and the HTTP surfaces
-// expose the per-shard counters.
-func TestShardedJob(t *testing.T) {
-	d, stop := startFleet(t, 4, Options{HTTPAddr: "127.0.0.1:0"})
-	defer stop()
-
-	spec := tcpSpec(core.SchemeBCC, 4, 71, 10)
-	spec.WireChunk = 4 // dim 24 -> 6 chunks, so 4 shards get real slices
-	spec.MasterShards = 4
-
-	st, err := d.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, err := d.Wait(context.Background(), st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != core.JobDone {
-		t.Fatalf("sharded job state %s (%s), want done", fin.State, fin.Err)
-	}
-
-	solo := spec
-	solo.MasterShards = 0
-	res, err := d.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTrajectory(t, "sharded tcp job", res, runSolo(t, solo), false)
-
-	// Per-shard counters: every shard decoded every iteration.
-	if len(fin.Shards) != 4 || len(res.Shards) != 4 {
-		t.Fatalf("shard stats: status has %d, result has %d, want 4", len(fin.Shards), len(res.Shards))
-	}
-	for _, ss := range fin.Shards {
-		if ss.Iters != 10 {
-			t.Fatalf("shard %d decoded %d iterations, want 10", ss.Shard, ss.Iters)
-		}
-	}
-
-	base := "http://" + d.HTTPAddr()
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
-		}
-		return string(body)
-	}
-	if s := get(fmt.Sprintf("/jobs/%d", st.ID)); !strings.Contains(s, `"decode_ns"`) {
-		t.Fatalf("/jobs/{id} missing shard stats: %s", s)
-	}
-	metrics := get("/metrics")
-	for _, want := range []string{
-		fmt.Sprintf(`bcc_shard_decode_ns_total{job="%d",shard="3"}`, st.ID),
-		fmt.Sprintf(`bcc_shard_decode_ns_total{job="%d",shard="0"}`, st.ID),
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
-		}
-	}
-}
-
 // TestPerJobPoolCap: the daemon-wide PoolCap option reaches every job's
 // engine configuration, bounding per-tenant buffer retention.
 func TestPerJobPoolCap(t *testing.T) {

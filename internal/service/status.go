@@ -40,9 +40,8 @@ type jobRecord struct {
 	workersHeard int
 	heardSum     int // workers heard, summed over completed iterations
 	faults       int
-	level        int                  // active redundancy level (adaptive nested jobs; 0 otherwise)
-	levelSwitch  int                  // level changes between consecutive iterations
-	shards       []cluster.ShardStats // sharded-master jobs only; cumulative
+	level        int // active redundancy level (adaptive nested jobs; 0 otherwise)
+	levelSwitch  int // level changes between consecutive iterations
 }
 
 // JobStatus is the externally visible snapshot of a job, shared by the Go
@@ -84,9 +83,6 @@ type JobStatus struct {
 	// how many times the level changed between consecutive iterations.
 	Level         int `json:"level,omitempty"`
 	LevelSwitches int `json:"level_switches,omitempty"`
-	// Shards holds the per-shard counters of a sharded-master job (cumulative
-	// decode time), absent for unsharded jobs.
-	Shards []cluster.ShardStats `json:"shards,omitempty"`
 }
 
 // WorkerStatus describes one fleet worker.
@@ -125,9 +121,6 @@ func (d *Daemon) statusLocked(rec *jobRecord) JobStatus {
 		Faults:        rec.faults,
 		Level:         rec.level,
 		LevelSwitches: rec.levelSwitch,
-	}
-	if len(rec.shards) > 0 {
-		st.Shards = append([]cluster.ShardStats(nil), rec.shards...)
 	}
 	if rec.iter > 0 {
 		st.AvgWorkersHeard = float64(rec.heardSum) / float64(rec.iter)
@@ -182,12 +175,6 @@ func (d *Daemon) observe(rec *jobRecord) cluster.Observer {
 		Fault: func(faults.Event) {
 			d.mu.Lock()
 			rec.faults++
-			d.mu.Unlock()
-		},
-		Shards: func(stats []cluster.ShardStats) {
-			// The engine owns the slice and only lends it for the callback.
-			d.mu.Lock()
-			rec.shards = append(rec.shards[:0], stats...)
 			d.mu.Unlock()
 		},
 	}

@@ -11,9 +11,8 @@
 // interleaving the rows, never the partial sums of one row; on CSR they are
 // four single-row calls.
 //
-// Every kernel is serial. The master splits decode work across cores one
-// level up, by handing each of its MasterShards goroutines a contiguous
-// coordinate slice (see the cluster package), never inside a kernel.
+// Every kernel is serial, and so is every caller: workers and the master
+// each run on one goroutine.
 package vecmath
 
 import (
