@@ -45,6 +45,7 @@ func schemeUsage() string {
 }
 
 func main() {
+	start := time.Now()
 	var (
 		scheme   = flag.String("scheme", "bcc", schemeUsage())
 		m        = flag.Int("m", 50, "number of example units")
@@ -220,8 +221,11 @@ func main() {
 		}
 		fmt.Printf("%-6d %-10.4f %-10d %-8.0f %-10.5f\n", it.Iter, it.Wall, it.WorkersHeard, it.Units, it.Loss)
 	}
-	fmt.Printf("\ntotals: wall=%.3fs comm=%.3fs comp=%.3fs\n",
-		res.TotalWall, res.TotalComm, res.TotalCompute)
+	// The totals are virtual seconds on every runtime: the live runtimes
+	// divide the time they measure by the TimeScale. The process's own
+	// elapsed real time is printed beside them.
+	fmt.Printf("\ntotals: wall=%.3f comm=%.3f comp=%.3f virtual s; process elapsed %.3f real s\n",
+		res.TotalWall, res.TotalComm, res.TotalCompute, time.Since(start).Seconds())
 	fmt.Printf("per-iteration wall:                     %s\n", res.WallSummary())
 	fmt.Printf("recovery threshold (avg workers heard): %.2f\n", res.AvgWorkersHeard)
 	fmt.Printf("communication load (avg units):         %.2f\n", res.AvgUnits)

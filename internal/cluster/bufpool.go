@@ -25,7 +25,7 @@ import (
 //     after the decode point) are returned by whichever component discarded
 //     them.
 //  5. A worker reads each broadcast query into a buffer from its pool;
-//     runWorker puts it back as soon as the query's gradients are computed
+//     runWorker puts it back as soon as the query's round has run
 //     (or a newer query supersedes it, queued or mid-sleep). A worker draws
 //     payload buffers only for a reply it is about to send.
 //

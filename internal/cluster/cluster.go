@@ -338,77 +338,6 @@ func summarize(finalW []float64, iters []IterStats) *Result {
 	return res
 }
 
-// workerPoints returns, per worker, the number of raw data points its
-// assignment covers (the computational load in points, which drives the
-// latency model).
-func workerPoints(plan coding.Plan, units [][]int) []int {
-	assign := plan.Assignments()
-	pts := make([]int, len(assign))
-	for w, a := range assign {
-		for _, u := range a {
-			pts[w] += len(units[u])
-		}
-	}
-	return pts
-}
-
-// prefixPoints returns, per worker, the cumulative point counts of its
-// assignment prefixes: out[w][k] is the raw-data-point load of worker w's
-// first k assigned units. Retunable plans keep every level's assignment a
-// prefix of the full one, so out[w][L] is the computational load (in
-// points) at level L — the value both the sim transport and a live worker
-// must feed the latency model for identical compute draws.
-func prefixPoints(assign [][]int, units [][]int) [][]int {
-	out := make([][]int, len(assign))
-	for w, a := range assign {
-		pref := make([]int, len(a)+1)
-		for k, u := range a {
-			pref[k+1] = pref[k] + len(units[u])
-		}
-		out[w] = pref
-	}
-	return out
-}
-
-// gradientModel is the minimal model surface workers need.
-type gradientModel interface {
-	Dim() int
-	SubsetGradient(w []float64, rows []int, out []float64)
-}
-
-// ensureParts resizes a worker's partial-gradient scratch to k buffers of
-// length dim, reusing existing buffers; contents are stale and are zeroed by
-// gradientPartsInto before use.
-func ensureParts(scratch [][]float64, k, dim int) [][]float64 {
-	if cap(scratch) < k {
-		grown := make([][]float64, k)
-		copy(grown, scratch[:cap(scratch)])
-		scratch = grown
-	}
-	scratch = scratch[:k]
-	for i := range scratch {
-		if len(scratch[i]) != dim {
-			scratch[i] = make([]float64, dim)
-		}
-	}
-	return scratch
-}
-
-// gradientPartsInto is the shared worker-side computation used by the sim
-// transport and by runWorker in the live runtimes: parts[k] becomes the
-// gradient sum of unit assign[k] at query point q, written into the caller's
-// reusable scratch (grown on first use, allocation-free thereafter; each
-// buffer is zeroed here before accumulation). The returned slice is the
-// (possibly regrown) scratch.
-func gradientPartsInto(mod gradientModel, units [][]int, assign []int, q []float64, scratch [][]float64) [][]float64 {
-	parts := ensureParts(scratch, len(assign), mod.Dim())
-	for k, g := range parts {
-		vecmath.Fill(g, 0)
-		mod.SubsetGradient(q, units[assign[k]], g)
-	}
-	return parts
-}
-
 // ErrStalled is returned when every alive worker has reported and the
 // decoder still cannot reconstruct the gradient (e.g. crashes or losses left
 // some data uncovered although enough workers answered).

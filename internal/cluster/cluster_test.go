@@ -471,10 +471,9 @@ func TestConfigValidation(t *testing.T) {
 
 func TestWorkerPoints(t *testing.T) {
 	cfg, _ := buildRun(t, "uncoded", 8, 4, 2, 5, 19, Zero{})
-	pts := workerPoints(cfg.Plan, cfg.Units)
 	total := 0
-	for _, p := range pts {
-		total += p
+	for w := range cfg.Plan.Assignments() {
+		total += newWorkerRounds(w, cfg.Plan, cfg.Model, cfg.Units, nil, 1).at(0).points
 	}
 	if total != cfg.Model.NumExamples() {
 		t.Fatalf("points sum %d != %d", total, cfg.Model.NumExamples())

@@ -87,6 +87,7 @@ func TestRuntimesEquivalent(t *testing.T) {
 		{name: "cyclicrep-dead", scheme: "cyclicrep", m: 6, n: 6, r: 2, iters: 2, seed: 52, faults: crashPlan(6, 2)},
 		{name: "cyclicrep", scheme: "cyclicrep", m: 6, n: 6, r: 2, iters: 2, seed: 53},
 		{name: "bcc-drops", scheme: "bcc", m: 8, n: 12, r: 2, iters: 2, seed: 54, faults: &faults.Plan{N: 12, Seed: 7, Drop: 0.2}},
+		{name: "uncoded-idle", scheme: "uncoded", m: 4, n: 6, r: 1, iters: 2, seed: 55},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -26,24 +26,21 @@ package cluster
 import (
 	"fmt"
 
-	"bcc/internal/faults"
 	"bcc/internal/rngutil"
 )
 
 // Latency models the per-iteration timing of the cluster. Implementations
-// must be safe for concurrent use ACROSS workers (per-worker state only);
-// calls for one worker always happen sequentially in the order Compute,
-// Upload within each iteration, in every runtime. Model delivery costs no
-// modelled time: the paper's latency model (§IV eq. 15) charges only
-// computation and upload. A live worker draws both latencies before it
-// sleeps either, as the simulator does, so a round preempted mid-sleep has
-// made the simulator's draws for it. The two part only where they skip
-// different iterations: a live worker makes no draws for a queued query a
-// newer one superseded, and draws for an iteration whose transmission the
-// fault plan drops, which the simulator skips; both skip crashed ones.
-// After such a mismatch a stateful model's live timings match the simulated
-// ones in distribution, not draw for draw; what the master counts does not
-// depend on it.
+// must be safe for concurrent use ACROSS workers (per-worker state only).
+// Every runtime makes its draws through workerRound.draw, so one worker's
+// calls are sequential, Compute then Upload within each iteration it draws
+// for, and the simulator and the real workers draw for the same
+// iterations. Model delivery costs no modelled time: the paper's latency
+// model (§IV eq. 15) charges only computation and upload. The one mismatch
+// real time makes inevitable: a live worker makes no draws for a queued
+// query that a newer one superseded before the worker reached it. After
+// such a skip a stateful model's live timings match the simulated ones in
+// distribution, not draw for draw; what the master counts does not depend
+// on it.
 type Latency interface {
 	// Compute returns worker's time to process the given number of raw data
 	// points (seconds).
@@ -51,33 +48,6 @@ type Latency interface {
 	// Upload returns worker's time to transfer a message group of the given
 	// size, in units of one gradient vector (seconds).
 	Upload(worker, iter int, units float64) float64
-}
-
-// faultLatency applies a fault plan's scheduled slowdown windows on top of
-// a base latency model: the plan's multiplicative factor scales the
-// worker's compute and upload draws, like Fixed.Factor. SlowFactor is a
-// pure function of (worker, iteration), so wrapping preserves the base
-// model's cross-runtime draw alignment.
-type faultLatency struct {
-	base Latency
-	plan *faults.Plan
-}
-
-// withFaultSlowdowns wraps base with plan's slowdown windows; it returns
-// base unchanged when the plan schedules none.
-func withFaultSlowdowns(base Latency, plan *faults.Plan) Latency {
-	if plan == nil || len(plan.Slowdowns) == 0 {
-		return base
-	}
-	return faultLatency{base: base, plan: plan}
-}
-
-func (l faultLatency) Compute(w, iter, points int) float64 {
-	return l.plan.SlowFactor(w, iter) * l.base.Compute(w, iter, points)
-}
-
-func (l faultLatency) Upload(w, iter int, units float64) float64 {
-	return l.plan.SlowFactor(w, iter) * l.base.Upload(w, iter, units)
 }
 
 // Zero is a Latency with no delays; useful for logic-only tests.

@@ -171,15 +171,16 @@ func (t *liveTransport) DrainWire() {
 	}
 }
 
-// expectedReplies counts the workers that will transmit for iteration iter:
-// every worker the fault plan has not crashed. Workers whose transmission is
-// lost (partition, burst or i.i.d. drop) still transmit — the loss is on the
-// master's side — so they stay in the count and their arrivals are discarded
-// in Next.
+// expectedReplies counts the workers that will transmit for iteration iter,
+// by workerRound's rule: every worker the fault plan has not crashed that
+// has messages at the broadcast level. Workers whose transmission is lost
+// (partition, burst or i.i.d. drop) still transmit — the loss is on the
+// master's side — so they stay in the count and their arrivals are
+// discarded in Next.
 func (t *liveTransport) expectedReplies(iter int) int {
 	expected := 0
 	for w := 0; w < t.n; w++ {
-		if t.cfg.Faults.Active(w, iter) {
+		if t.cfg.Faults.Active(w, iter) && t.cfg.Plan.Messages(w) > 0 {
 			expected++
 		}
 	}
@@ -296,9 +297,10 @@ type WorkerEnv struct {
 	Latency   Latency
 	TimeScale float64
 	// Faults, if non-nil, is the run's deterministic fault plan; must match
-	// the master's Config.Faults. The worker consults it before every
-	// iteration's work: while crashed it computes and transmits nothing, and
-	// scheduled slowdown windows multiply its compute and upload latency.
+	// the master's Config.Faults. Each round consults it before any work
+	// (workerRound): while crashed the worker computes and transmits
+	// nothing, and scheduled slowdown windows multiply its compute and
+	// upload latency.
 	Faults *faults.Plan
 	// Codec named the TCP frame encoding.
 	//
@@ -319,69 +321,40 @@ type WorkerEnv struct {
 
 // runWorker executes the worker protocol until a shutdown update (Iter < 0)
 // or the updates channel closes: skip to the newest pending model, draw the
-// compute and then the upload latency, sleep the compute latency, sleep the
-// upload latency, compute the real partial gradients, release the query,
-// encode, reply. A round preempted in either sleep does no arithmetic and
-// takes no payload buffer. A worker only ever works for the newest query
-// it has seen: the engine broadcasts iteration t+1 only after t has
-// decoded, so a fresher update proves every older reply useless. Queued
-// stale models are skipped at the top of each round and both latency
-// sleeps are cut short by a fresher update (or a shutdown), which is what
-// the simulator and the paper's i.i.d. delay model assume — every round
-// starts with all workers idle, no straggler carries a backlog into the
-// next one. Which stale replies still get sent is therefore
-// timing-dependent; what the master counts is not. An env.Faults plan is
-// consulted before any iteration work: crashed iterations are skipped
-// entirely (no latency draws, no compute, no transmission — exactly what the
-// simulator models) and slowdown windows stretch the latency sleeps.
+// round's latencies (workerRound.draw, which also decides whether the
+// worker sends at all), sleep the compute latency, sleep the upload
+// latency, then run the round and reply. A round preempted in either sleep
+// does no arithmetic and takes no payload buffer. A worker only ever works
+// for the newest query it has seen: the engine broadcasts iteration t+1
+// only after t has decoded, so a fresher update proves every older reply
+// useless. Queued stale models are skipped at the top of each round and
+// both latency sleeps are cut short by a fresher update (or a shutdown),
+// so every round starts with all workers idle — the simulator's and the
+// paper's i.i.d. delay model. Which stale replies still get sent is
+// therefore timing-dependent; what the master counts is not.
 //
 // The worker reuses one Msgs slice for every reply, so send must not retain
 // the Reply's Msgs slice after it returns (the payload buffers are the
 // receiver's, per the BufferPool protocol). release, if non-nil, receives
-// each update's query once the worker is done reading it — its gradients
-// are computed, or a newer update superseded it during a sleep or in the
-// queue — so the connection that decoded it can reuse the buffer
-// (serveWorkerConn). The query is held through the sleeps, so a connection
-// still holds at most the one in use, the one queued and the one being read.
+// each update's query once the worker is done reading it — its round has
+// run, or a newer update superseded it during a sleep or in the queue — so
+// the connection that decoded it can reuse the buffer (serveWorkerConn).
+// The query is held through the sleeps, so a connection still holds at
+// most the one in use, the one queued and the one being read.
 func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error, release func([]float64)) error {
-	env.Latency = withFaultSlowdowns(env.Latency, env.Faults)
 	cp, err := env.Comm.resolve(env.Model.Dim())
 	if err != nil {
 		return err
 	}
-	fullAssign := env.Plan.Assignments()[env.Index]
-	points := 0
-	for _, u := range fullAssign {
-		points += len(env.Units[u])
-	}
-	// Retunable plans (the nested family): the worker pins each iteration's
-	// level from the broadcast itself, via immutable per-level plan views —
-	// never via the shared plan's mutable active level, which the master's
-	// controller may have advanced already (in-process workers share the
-	// plan object; a worker may lag a broadcast behind).
-	rp, _ := env.Plan.(coding.Retunable)
-	var levelPlans []coding.Plan
-	var levelPoints []int
-	if rp != nil {
-		levelPlans = make([]coding.Plan, rp.MaxLevel())
-		for L := rp.MinLevel(); L <= rp.MaxLevel(); L++ {
-			lp, err := rp.AtLevel(L)
-			if err != nil {
-				return err
-			}
-			levelPlans[L-1] = lp
-		}
-		levelPoints = prefixPoints(env.Plan.Assignments(), env.Units)[env.Index]
-	}
+	rounds := newWorkerRounds(env.Index, env.Plan, env.Model, env.Units, env.Faults, cp.frac)
 	scale := env.TimeScale
 	if scale <= 0 {
 		scale = 1e-3
 	}
-	// Per-worker partial-gradient scratch and the Msgs slice, reused across
-	// iterations; message payloads are drawn from env.Bufs and owned by the
-	// receiver once sent.
-	var parts [][]float64
-	var msgs []coding.Message
+	// The worker's own partial-gradient scratch and Msgs slice, reused
+	// across rounds; message payloads are drawn from env.Bufs and owned by
+	// the receiver once sent.
+	var scratch roundScratch
 	// One timer serves every latency sleep, so sleeping allocates nothing.
 	timer := time.NewTimer(0)
 	defer timer.Stop()
@@ -421,28 +394,14 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 		if mu.Iter < 0 {
 			return nil
 		}
-		if !env.Faults.Active(env.Index, mu.Iter) {
+		// The broadcast's level pins the round: the master decodes this
+		// iteration at it, whatever its controller does next.
+		round := rounds.at(mu.Level)
+		comp, up, n := round.draw(env.Latency, mu.Iter)
+		if n == 0 {
 			done()
-			continue // crashed for this iteration: no work, no reply
+			continue // crashed, or nothing to send this iteration
 		}
-		iter := mu.Iter
-		// Resolve this iteration's level view: the broadcast's level on
-		// Retunable plans (0 or out-of-range defensively means max level,
-		// matching the family's fixed default), the plan itself otherwise.
-		encPlan, assign, pts := env.Plan, fullAssign, points
-		if rp != nil {
-			L := mu.Level
-			if L < rp.MinLevel() || L > rp.MaxLevel() {
-				L = rp.MaxLevel()
-			}
-			encPlan, assign, pts = levelPlans[L-1], fullAssign[:L], levelPoints[L]
-		}
-		// The upload load is a placement property (Plan.Messages, one unit
-		// per message), so both latencies are drawn, in the simulator's
-		// order, and slept before any arithmetic: a worker the master
-		// outruns is preempted having computed and encoded nothing.
-		comp := env.Latency.Compute(env.Index, iter, pts)
-		up := env.Latency.Upload(env.Index, iter, float64(encPlan.Messages(env.Index))*cp.frac)
 		next, preempted := sleepOrPreempt(timer, comp, scale, updates)
 		if !preempted {
 			next, preempted = sleepOrPreempt(timer, up, scale, updates)
@@ -452,10 +411,9 @@ func runWorker(env WorkerEnv, updates <-chan ModelUpdate, send func(Reply) error
 			mu, havePending = next, true
 			continue
 		}
-		parts = gradientPartsInto(env.Model, env.Units, assign, mu.Query, parts)
+		msgs := round.run(mu.Query, &scratch, env.Bufs)
 		done()
-		msgs = encPlan.EncodeInto(msgs[:0], env.Index, parts, env.Bufs)
-		if err := send(Reply{Iter: iter, Worker: env.Index, Compute: comp, Msgs: msgs}); err != nil {
+		if err := send(Reply{Iter: mu.Iter, Worker: env.Index, Compute: comp, Msgs: msgs}); err != nil {
 			return err
 		}
 	}

@@ -19,15 +19,14 @@ import (
 // deterministic and orders of magnitude faster. This is the transport the
 // experiment harness uses to regenerate the paper's figures.
 //
-// The timing model needs no gradient: a worker's upload load is the plan's
-// message count, so Broadcast draws every worker's latencies and orders the
-// arrivals, and Next computes, encodes and transforms only the arrival it
-// hands the engine. The workers past the decode are never computed, and
-// neither are the live workers the master outruns: a live worker sleeps its
-// latencies before it computes and drops the round the instant a fresher
-// broadcast reaches it (runWorker). Every round therefore starts with all workers idle and ends
-// at its decode, which is precisely what simulating each iteration as an
-// isolated round models.
+// The timing model needs no gradient: each worker's round (workerRound,
+// the one the real workers run too) draws its latencies without computing,
+// so Broadcast draws every worker's round and orders the arrivals, and Next
+// runs only the round of the arrival it hands the engine. The workers past
+// the decode are never computed, and every round starts with all workers
+// idle and ends at its decode: simulating each iteration as an isolated
+// round models exactly what runWorker's preemption does on the real
+// runtimes.
 //
 // The transport owns the iteration's scratch memory: the partial-gradient
 // buffers, the returned arrival's message slice and the arrivals array are
@@ -53,25 +52,21 @@ func RunSimContext(ctx context.Context, cfg *Config) (*Result, error) {
 }
 
 type simTransport struct {
-	cfg    *Config
-	pool   *BufferPool
-	lat    Latency
-	points []int
-	n      int
-	coder  *wire.VecCoder // lossy payload transform (nil for raw64)
-	frac   float64        // payload byte width relative to raw64
-	// rp is non-nil on Retunable plans (the nested family): each
-	// iteration's worker pipelines then use the ACTIVE level's assignment
-	// prefix and point count, mirroring what a live worker derives from the
-	// broadcast's level. prefPoints[w][k] is the point count of worker w's
-	// first k assigned units.
-	rp         coding.Retunable
-	prefPoints [][]int
+	cfg   *Config
+	pool  *BufferPool
+	lat   Latency
+	coder *wire.VecCoder // lossy payload transform (nil for raw64)
+	frac  float64        // payload byte width relative to raw64
+	// rp is non-nil on Retunable plans (the nested family): each iteration
+	// runs every worker's round at the level the controller activated.
+	rp     coding.Retunable
+	rounds []workerRounds // rounds[w] is worker w's
 
 	// Reusable per-iteration scratch (the transport is driven by one
-	// engine goroutine, strictly one iteration at a time).
-	parts    [][]float64      // partial-gradient buffers, max assignment size
-	msgs     []coding.Message // the messages of the arrival Next returned last
+	// engine goroutine, strictly one iteration at a time): the partial
+	// gradients and messages of the arrival Next returned last, shared by
+	// every worker's round.
+	scratch  roundScratch
 	arrivals []simArrival
 	src      simSource
 }
@@ -80,20 +75,18 @@ func newSimTransport(cfg *Config) *simTransport {
 	_, n, _ := cfg.Plan.Params()
 	cp := cfg.comm()
 	rp, _ := cfg.Plan.(coding.Retunable)
-	var prefPoints [][]int
-	if rp != nil {
-		prefPoints = prefixPoints(cfg.Plan.Assignments(), cfg.Units)
+	rounds := make([]workerRounds, n)
+	for w := range rounds {
+		rounds[w] = newWorkerRounds(w, cfg.Plan, cfg.Model, cfg.Units, cfg.Faults, cp.frac)
 	}
 	return &simTransport{
-		rp:         rp,
-		prefPoints: prefPoints,
-		cfg:        cfg,
-		pool:       cfg.buffers(),
-		lat:        withFaultSlowdowns(cfg.latency(), cfg.Faults),
-		points:     workerPoints(cfg.Plan, cfg.Units),
-		n:          n,
-		coder:      cp.newCoder(),
-		frac:       cp.frac,
+		rp:     rp,
+		rounds: rounds,
+		cfg:    cfg,
+		pool:   cfg.buffers(),
+		lat:    cfg.latency(),
+		coder:  cp.newCoder(),
+		frac:   cp.frac,
 	}
 }
 
@@ -123,43 +116,32 @@ func cmpArrival(a, b simArrival) int {
 	}
 }
 
-// Broadcast models the whole iteration's worker timelines up front: each
-// contributing worker's compute and upload latencies are drawn in worker
-// order, arrivals are ordered in virtual time (ties by worker index), then
-// the master's receive queue is drained in arrival order —
-// with a positive ingress cost the master is busy IngressPerUnit seconds
-// per unit, so messages queue behind each other; with zero cost the drain
-// is instantaneous at the arrival time. The query is read later, by Next.
+// Broadcast models the whole iteration's worker timelines up front: every
+// worker's round draws its latencies in worker order, the plan's lost
+// transmissions are dropped, the rest are ordered in virtual time (ties by
+// worker index), then the master's receive queue is drained in arrival
+// order — with a positive ingress cost the master is busy IngressPerUnit
+// seconds per unit, so messages queue behind each other; with zero cost
+// the drain is instantaneous at the arrival time. The query is read later,
+// by Next.
 func (t *simTransport) Broadcast(ctx context.Context, iter int, query []float64) (ArrivalSource, error) {
 	// On Retunable plans the iteration runs at the level the engine's
-	// controller just activated: workers process only the active prefix of
-	// their assignment, exactly like a live worker told the level in its
+	// controller just activated, the level a live worker is told in its
 	// ModelUpdate.
 	level := 0
 	if t.rp != nil {
 		level = t.rp.Level()
 	}
 	t.arrivals = t.arrivals[:0]
-	for w := 0; w < t.n; w++ {
-		if !t.cfg.Faults.Contributing(w, iter) {
-			continue // crashed, or its transmission is lost this iteration
+	for w := range t.rounds {
+		comp, up, msgs := t.rounds[w].at(level).draw(t.lat, iter)
+		if msgs == 0 || t.cfg.Faults.MasterDrop(w, iter) {
+			continue // nothing sent, or lost on the way to the master
 		}
-		pts := t.points[w]
-		if level > 0 {
-			pts = t.prefPoints[w][level]
-		}
-		comp := t.lat.Compute(w, iter, pts)
-		units := float64(t.cfg.Plan.Messages(w))
-		if units == 0 {
-			continue // worker holds no data (uncoded with n > m)
-		}
-		// Upload time is charged per transmitted byte: compressed payloads
-		// scale the unit load by the codec's byte fraction.
-		up := t.lat.Upload(w, iter, units*t.frac)
 		t.arrivals = append(t.arrivals, simArrival{
 			at:      comp + up,
 			worker:  w,
-			compute: comp, units: units,
+			compute: comp, units: float64(msgs),
 		})
 	}
 	slices.SortFunc(t.arrivals, cmpArrival)
@@ -193,8 +175,8 @@ type simSource struct {
 	ended bool
 }
 
-// Next computes the next arrival's partial gradients, encodes them and
-// applies the payload codec — the only worker pipeline the simulator runs.
+// Next runs the next arrival's round and applies the payload codec — the
+// only worker arithmetic the simulator does.
 func (s *simSource) Next() (Arrival, bool, error) {
 	if err := s.ctx.Err(); err != nil {
 		s.ended = true
@@ -208,18 +190,13 @@ func (s *simSource) Next() (Arrival, bool, error) {
 	s.next++
 	s.wall = sa.drainEnd
 	t := s.t
-	assign := t.cfg.Plan.Assignments()[sa.worker]
-	if s.level > 0 {
-		assign = assign[:s.level]
-	}
-	t.parts = gradientPartsInto(t.cfg.Model, t.cfg.Units, assign, s.query, t.parts)
-	t.msgs = t.cfg.Plan.EncodeInto(t.msgs[:0], sa.worker, t.parts, t.pool)
+	msgs := t.rounds[sa.worker].at(s.level).run(s.query, &t.scratch, t.pool)
 	// The wire boundary of the simulated runtime: the canonical lossy
 	// transform is applied here, exactly where a worker's serializer would
 	// apply it, so decoded values match the live and tcp runtimes bit for
 	// bit.
-	applyReplyCodec(t.coder, t.msgs)
-	return Arrival{Worker: sa.worker, Compute: sa.compute, Msgs: t.msgs}, true, nil
+	applyReplyCodec(t.coder, msgs)
+	return Arrival{Worker: sa.worker, Compute: sa.compute, Msgs: msgs}, true, nil
 }
 
 func (s *simSource) Wall() float64 { return s.wall }

@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bcc/internal/faults"
 	"bcc/internal/model"
 	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
@@ -325,28 +327,23 @@ func newReplyCounter(inner *connFabric, n int) *replyCounter {
 
 func (f *replyCounter) Replies() <-chan Reply { return f.out }
 
-// TestWorkerRepliesEveryRoundItComputes: a worker has no preemption
-// point between computing a round and sending its reply. Over the pipe
-// fabric, with a shift-exponential model under which the master decodes from
-// K < n workers and preempts the rest, every worker's computed rounds equal
-// the reply frames the master reads from it.
-func TestWorkerRepliesEveryRoundItComputes(t *testing.T) {
-	const n, r, iters = 12, 3, 30
-	lat, err := NewShiftExp(n, []ShiftExpParams{{
-		ComputeShift: 1e-4, ComputeMu: 10, CommShift: 1e-3, CommMu: 0.5,
-	}}, rngutil.New(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, mod := buildRun(t, "bcc", n, n, r, iters, 32, lat)
+// runCountingReplies runs cfg's workers over the pipe fabric, each built
+// from the run's own WorkerEnv after mut (if non-nil) has adjusted it, and
+// returns the result with the reply frames the master read from each
+// worker.
+func runCountingReplies(t *testing.T, cfg *Config, mut func(env *WorkerEnv)) (*Result, []int) {
+	t.Helper()
+	_, n, _ := cfg.Plan.Params()
 	opts := LiveOptions{TimeScale: 1e-3}
 	opts.defaults()
 	pl := newPipeListener()
-	calls := make([]atomic.Int64, n)
 	var workers sync.WaitGroup
 	for w := 0; w < n; w++ {
-		env := WorkerEnv{Index: w, Plan: cfg.Plan, Model: countingModel{mod, &calls[w]}, Units: cfg.Units,
-			Latency: lat, TimeScale: opts.TimeScale, Bufs: cfg.buffers()}
+		env := WorkerEnv{Index: w, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
+			Latency: cfg.latency(), TimeScale: opts.TimeScale, Faults: cfg.Faults, Bufs: cfg.buffers()}
+		if mut != nil {
+			mut(&env)
+		}
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
@@ -355,7 +352,7 @@ func TestWorkerRepliesEveryRoundItComputes(t *testing.T) {
 			}
 		}()
 	}
-	inner, err := acceptWorkers(pl, n, opts.Timeout, cfg.buffers(), cfg.Comm, mod.Dim())
+	inner, err := acceptWorkers(pl, n, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +369,27 @@ func TestWorkerRepliesEveryRoundItComputes(t *testing.T) {
 	inner.readers.Wait()
 	close(inner.replies)
 	fab.forward.Wait()
+	return res, fab.counts
+}
+
+// TestWorkerRepliesEveryRoundItComputes: a worker has no preemption
+// point between computing a round and sending its reply. Over the pipe
+// fabric, with a shift-exponential model under which the master decodes from
+// K < n workers and preempts the rest, every worker's computed rounds equal
+// the reply frames the master reads from it.
+func TestWorkerRepliesEveryRoundItComputes(t *testing.T) {
+	const n, r, iters = 12, 3, 30
+	lat, err := NewShiftExp(n, []ShiftExpParams{{
+		ComputeShift: 1e-4, ComputeMu: 10, CommShift: 1e-3, CommMu: 0.5,
+	}}, rngutil.New(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, mod := buildRun(t, "bcc", n, n, r, iters, 32, lat)
+	calls := make([]atomic.Int64, n)
+	res, counts := runCountingReplies(t, cfg, func(env *WorkerEnv) {
+		env.Model = countingModel{mod, &calls[env.Index]}
+	})
 
 	if res.AvgWorkersHeard >= n {
 		t.Fatalf("the master heard %.1f of %d workers: no round was outrun", res.AvgWorkersHeard, n)
@@ -383,13 +401,67 @@ func TestWorkerRepliesEveryRoundItComputes(t *testing.T) {
 		if int(calls[w].Load()) != computed*perRound {
 			t.Fatalf("worker %d made %d gradient evaluations, not whole rounds of %d", w, calls[w].Load(), perRound)
 		}
-		if computed != fab.counts[w] {
-			t.Errorf("worker %d computed %d rounds but wrote %d replies", w, computed, fab.counts[w])
+		if computed != counts[w] {
+			t.Errorf("worker %d computed %d rounds but wrote %d replies", w, computed, counts[w])
 		}
 		total += computed
 	}
 	if total >= n*iters {
 		t.Fatalf("workers computed %d rounds of %d broadcast: none was preempted", total, n*iters)
+	}
+}
+
+// TestIdleWorkersSendNothing: uncoded with n > m leaves workers that hold
+// no data. Like the simulator, which has no arrival for them, a real idle
+// worker sends no reply frame, and the master does not wait for one.
+func TestIdleWorkersSendNothing(t *testing.T) {
+	const m, n, iters = 4, 6, 5
+	cfg, _ := buildRun(t, "uncoded", m, n, 1, iters, 56, Fixed{PerPoint: 1e-3})
+	res, counts := runCountingReplies(t, cfg, nil)
+	if len(res.Iters) != iters {
+		t.Fatalf("ran %d iterations, want %d", len(res.Iters), iters)
+	}
+	for w := 0; w < n; w++ {
+		idle := len(cfg.Plan.Assignments()[w]) == 0
+		if idle != (w >= m) {
+			t.Fatalf("worker %d holds %v: the placement is not the balanced one this test assumes", w, cfg.Plan.Assignments()[w])
+		}
+		if idle && counts[w] != 0 {
+			t.Errorf("idle worker %d sent %d reply frames", w, counts[w])
+		}
+	}
+}
+
+// TestSimDrawsForLostTransmissions: on the simulator, under a plan that
+// loses transmissions and crashes a worker from the start, the (worker,
+// iteration) pairs that get latency draws are exactly the active ones —
+// lost transmissions included, as a real worker draws for them — each with
+// one Compute then one Upload.
+func TestSimDrawsForLostTransmissions(t *testing.T) {
+	const n, iters = 8, 12
+	log := &drawLog{Latency: Fixed{PerPoint: 1e-2, PerUnit: 1e-2}, draws: make([][]latencyDraw, n)}
+	cfg, _ := buildRun(t, "bcc", 8, n, 4, iters, 79, log)
+	cfg.Faults = &faults.Plan{N: n, Seed: 9, Drop: 0.15, Crashes: []faults.Crash{{Worker: 2, At: 0}}}
+	if _, err := RunSim(cfg); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for w, draws := range log.draws {
+		var want []latencyDraw
+		for it := 0; it < iters; it++ {
+			if cfg.Faults.Active(w, it) {
+				want = append(want, latencyDraw{iter: it}, latencyDraw{upload: true, iter: it})
+				if cfg.Faults.MasterDrop(w, it) {
+					lost++
+				}
+			}
+		}
+		if !slices.Equal(draws, want) {
+			t.Errorf("worker %d draws %v, want one Compute then one Upload for each active iteration: %v", w, draws, want)
+		}
+	}
+	if lost == 0 {
+		t.Fatal("the plan lost no active worker's transmission: nothing was checked")
 	}
 }
 

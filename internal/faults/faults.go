@@ -10,9 +10,9 @@
 // The queries split along the master/worker boundary of the fabric:
 //
 //   - Active(w, iter) is the WORKER-side state: a crashed worker computes
-//     nothing and transmits nothing until (and unless) it restarts. Live
-//     workers consult it before doing any work; the simulator skips the
-//     worker's whole pipeline.
+//     nothing and transmits nothing until (and unless) it restarts. The
+//     cluster's one worker round, run by the simulator and the real workers
+//     alike, consults it before any latency draw.
 //   - SlowFactor(w, iter) is the worker-side latency multiplier of any
 //     slowdown window covering the iteration (1 outside windows). The
 //     cluster package applies it on top of the configured Latency model's
@@ -20,9 +20,9 @@
 //   - MasterDrop(w, iter) is the MASTER-side state: the worker's
 //     transmission this iteration is lost before the master can use it:
 //     a partition window makes the worker range unreachable, a correlated
-//     drop burst is in progress, or the i.i.d. Drop draw lost it. Live
-//     workers still compute and transmit (they cannot know the network ate
-//     the message); the master discards the arrival.
+//     drop burst is in progress, or the i.i.d. Drop draw lost it. Workers
+//     still draw, compute and transmit (they cannot know the network ate
+//     the message), on the simulator too; the master discards the arrival.
 //
 // Plan is the only scheduled-fault input of the cluster: a worker that never
 // answers is a Crash at iteration 0, and i.i.d. message loss is Plan.Drop.
